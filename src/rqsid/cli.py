@@ -2,19 +2,41 @@
 
 Every flag can also be supplied through a JSON config file (flat keys, or a
 section named after the command); explicit flags win. Exit codes: 0 success,
-2 configuration error, 3 data error. numpy is imported lazily so --threads
-can cap the BLAS pool before it loads.
+2 configuration error, 3 data error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import logging
-import os
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
+
+from . import datagen, persist
+from .core import (
+    ConfigError,
+    DataError,
+    QuantizerConfig,
+    RandomSource,
+    RqsidError,
+    sid_to_flat_tokens,
+)
+from .diagnostics import (
+    Selector,
+    head_tail_split,
+    hourglass_report,
+    small_residual_ratio,
+    token_histogram,
+)
+from .grsim import InteractionSpec, evaluate, gen_interactions, train_seq_model
+from .mitigation import exchange_layers, post_mitigation_report, remove_layer, varlen_topk
+from .quantizer import encode_all, train_rq
 
 log = logging.getLogger("rqsid")
 
@@ -30,12 +52,8 @@ class _Params:
             try:
                 cfg = json.loads(Path(path).read_text())
             except FileNotFoundError:
-                from .core import ConfigError
-
                 raise ConfigError(f"config file {path} does not exist") from None
             except json.JSONDecodeError as e:
-                from .core import ConfigError
-
                 raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
         self._flat = {k: v for k, v in cfg.items() if not isinstance(v, dict)}
         self._section = cfg.get(command, {})
@@ -53,8 +71,6 @@ class _Params:
     def require(self, key: str):
         value = self.get(key)
         if value is None:
-            from .core import ConfigError
-
             raise ConfigError(f"missing required option --{key.replace('_', '-')}")
         return value
 
@@ -63,9 +79,6 @@ class _Params:
 
 
 def _selector(params: _Params, default=None):
-    from .core import ConfigError
-    from .diagnostics import Selector
-
     top_k = params.get("head_top_k")
     mass = params.get("head_mass")
     if top_k is not None and mass is not None:
@@ -77,26 +90,17 @@ def _selector(params: _Params, default=None):
     return default
 
 
-def _rng(seed: int):
-    from .core import RandomSource
-
-    return RandomSource(seed)
-
-
 def _int_list(text) -> list[int]:
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
-    return [int(v) for v in str(text).split(",") if v != ""]
+    items = text if isinstance(text, (list, tuple)) else [v for v in str(text).split(",") if v]
+    try:
+        return [int(v) for v in items]
+    except (TypeError, ValueError):
+        raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _load_full_sids(path, config):
     """Load an id file and return (item_ids, (n, L) token array)."""
-    import numpy as np
-
-    from .core import DataError
-    from .persist import load_sids
-
-    pairs = load_sids(path, config)
+    pairs = persist.load_sids(path, config)
     if any(not sid.is_full for _, sid in pairs):
         raise DataError(
             f"{path} holds variable-length ids; this command needs full-length ids"
@@ -110,8 +114,6 @@ def _load_full_sids(path, config):
 
 
 def cmd_gen(args) -> int:
-    from . import datagen, persist
-
     p = _Params(args, "gen")
     out = Path(p.require("out"))
     seed = int(p.get("seed", 0))
@@ -119,7 +121,7 @@ def cmd_gen(args) -> int:
     n = int(p.require("n"))
     d = int(p.require("d"))
     fmt = p.get("format", "binary")
-    rng = _rng(seed)
+    rng = RandomSource(seed)
 
     t0 = time.perf_counter()
     outputs = []
@@ -137,8 +139,6 @@ def cmd_gen(args) -> int:
             )
             data, labels = datagen.gen_clustered(n, d, spec, rng)
         else:
-            from .core import ConfigError
-
             raise ConfigError(f"unknown generator kind {kind!r}")
         if fmt == "csv":
             emb_path = out / "embeddings.csv"
@@ -159,10 +159,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from . import persist
-    from .core import QuantizerConfig
-    from .quantizer import train_rq
-
     p = _Params(args, "train")
     out = Path(p.require("out"))
     seed = int(p.get("seed", 0))
@@ -176,11 +172,10 @@ def cmd_train(args) -> int:
         convergence_tol=float(p.get("tol", 1e-4)),
     )
     t0 = time.perf_counter()
-    codebook = train_rq(data, config, _rng(seed))
+    codebook = train_rq(data, config, RandomSource(seed))
     train_s = time.perf_counter() - t0
     with persist.OutputLock(out):
-        inline = p.get("inline_codebook")
-        outputs = persist.save_codebook(out / "codebook.json", codebook, inline=inline)
+        outputs = persist.save_codebook(out / "codebook.json", codebook)
         keys = ["embeddings", "num_layers", "codebook_size", "kmeans_iters", "tol", "seed"]
         persist.record_run(out, "train", p.snapshot(keys), {"train": train_s}, outputs)
     print(
@@ -192,9 +187,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    from . import persist
-    from .quantizer import encode_all
-
     p = _Params(args, "encode")
     out = Path(p.require("out"))
     data = persist.load_embeddings(p.require("embeddings"))
@@ -228,11 +220,6 @@ def cmd_encode(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    import numpy as np
-
-    from . import persist
-    from .diagnostics import Selector, hourglass_report, small_residual_ratio
-
     p = _Params(args, "analyze")
     out = Path(p.require("out"))
     codebook, _ = persist.load_codebook(p.require("codebook"))
@@ -245,8 +232,6 @@ def cmd_analyze(args) -> int:
     payload["head_selector"] = selector.describe()
     emb_path = p.get("embeddings")
     if emb_path:
-        from .quantizer import encode_all
-
         data = persist.load_embeddings(emb_path)
         _, sq_norms = encode_all(data, codebook)
         payload["small_residual_ratio"] = small_residual_ratio(
@@ -271,11 +256,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_mitigate(args) -> int:
-    from . import persist
-    from .core import ConfigError
-    from .diagnostics import hourglass_report, token_histogram
-    from .mitigation import exchange_layers, post_mitigation_report, remove_layer, varlen_topk
-
     p = _Params(args, "mitigate")
     out = Path(p.require("out"))
     mode = p.require("mode")
@@ -287,13 +267,16 @@ def cmd_mitigate(args) -> int:
     payload: dict = {"mode": mode, "items": len(item_ids)}
     head_set = None
     if mode == "exchange":
-        a, b = _int_list(p.get("swap", "1,2"))
+        swap = _int_list(p.get("swap", "1,2"))
+        if len(swap) != 2 or not all(1 <= v <= config.num_layers for v in swap):
+            raise ConfigError(f"--swap needs two layers in [1, {config.num_layers}], got {swap}")
+        a, b = swap
         swapped = exchange_layers(arr, a, b)
         transformed = list(zip(item_ids, swapped))
         payload["swap"] = [a, b]
         payload["report"] = hourglass_report(swapped, config).to_dict()
     elif mode == "remove":
-        outcome = remove_layer(arr, config, layer=int(p.get("layer", 2)), item_ids=item_ids)
+        outcome = remove_layer(arr, config, item_ids=item_ids)
         transformed = list(zip(item_ids, outcome.transformed_sids))
         post = post_mitigation_report(outcome, config)
         payload.update(_outcome_payload(outcome, post))
@@ -325,7 +308,7 @@ def cmd_mitigate(args) -> int:
             outputs.extend(
                 persist.save_codebook(out / "codebook.json", codebook, head_set=head_set)
             )
-        keys = ["sids", "codebook", "mode", "swap", "layer", "head_top_k", "head_mass"]
+        keys = ["sids", "codebook", "mode", "swap", "head_top_k", "head_mass"]
         persist.record_run(out, "mitigate", p.snapshot(keys), {"mitigate": mitigate_s}, outputs)
     print(f"applied {mode} to {len(item_ids)} ids; wrote {out / 'sids.csv'}")
     return 0
@@ -343,14 +326,10 @@ def _outcome_payload(outcome, post) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    from . import persist
-    from .core import DataError
-    from .diagnostics import Selector, token_histogram, head_tail_split
-    from .grsim import InteractionSpec, evaluate, gen_interactions, train_seq_model
-
     p = _Params(args, "simulate")
     out = Path(p.require("out"))
     seed = int(p.get("seed", 0))
+    k_list = _int_list(p.get("k_list", "1,5,10,50"))
     codebook, stored_head = persist.load_codebook(p.require("codebook"))
     config = codebook.config
     catalog = persist.load_sids(p.require("sids"), config)
@@ -377,7 +356,7 @@ def cmd_simulate(args) -> int:
             pop_exponent=spec.pop_exponent,
             repeat_prob=spec.repeat_prob,
         )
-        train_rng, test_rng = _rng(seed).split(2)
+        train_rng, test_rng = RandomSource(seed).split(2)
         item_ids = [item for item, _ in catalog]
         train_ds = gen_interactions(item_ids, spec, train_rng, split="train")
         test_ds = gen_interactions(item_ids, test_spec, test_rng, split="test")
@@ -395,8 +374,6 @@ def cmd_simulate(args) -> int:
         hist = token_histogram(full, 2, config.codebook_size)
         head_set, _ = head_tail_split(hist, selector)
 
-    from .core import sid_to_flat_tokens
-
     flat = {item: tuple(sid_to_flat_tokens(sid, config)) for item, sid in catalog}
     t0 = time.perf_counter()
     model = train_seq_model(train_ds, flat, int(p.get("order", 3)), float(p.get("alpha", 0.1)))
@@ -409,7 +386,7 @@ def cmd_simulate(args) -> int:
         config,
         head_set,
         beam_width=int(p.get("beam", 50)),
-        k_list=_int_list(p.get("k_list", "1,5,10,50")),
+        k_list=k_list,
         trie_mode=p.get("trie", "off"),
         given_prefix_layers=int(p.get("given_layers", 0)),
     )
@@ -436,11 +413,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    import csv
-    import io
-
-    from . import persist
-
     p = _Params(args, "sweep")
     out = Path(p.require("out"))
     seed = int(p.get("seed", 0))
@@ -450,8 +422,6 @@ def cmd_sweep(args) -> int:
     n = int(p.get("n", 20000))
     d = int(p.get("d", 32))
     if not layer_set or not size_set or not regimes:
-        from .core import ConfigError
-
         raise ConfigError("sweep grid must not be empty")
 
     max_l = max(layer_set)
@@ -471,7 +441,7 @@ def cmd_sweep(args) -> int:
                        "seed": cell_seed, "error": ""}
                 try:
                     row.update(_sweep_cell(n, d, L, M, regime, cell_seed, p))
-                except Exception as e:  # record the failure, keep sweeping
+                except RqsidError as e:  # record the failure, keep sweeping
                     row["error"] = f"{type(e).__name__}: {e}"
                 rows.append(row)
     sweep_s = time.perf_counter() - t0
@@ -492,11 +462,6 @@ def cmd_sweep(args) -> int:
 
 
 def _sweep_cell(n, d, L, M, regime, cell_seed, p) -> dict:
-    from . import datagen
-    from .core import QuantizerConfig, RandomSource
-    from .diagnostics import hourglass_report
-    from .quantizer import encode_all, train_rq
-
     if M**L > 100 * n:
         log.warning(
             "cell L=%d M=%d: path space %d vastly exceeds n=%d; sparsity will be tiny",
@@ -515,8 +480,6 @@ def _sweep_cell(n, d, L, M, regime, cell_seed, p) -> dict:
         )
         data, _ = datagen.gen_clustered(n, d, spec, rng)
     else:
-        from .core import ConfigError
-
         raise ConfigError(f"unknown regime {regime!r}")
     config = QuantizerConfig(
         num_layers=L, codebook_size=M, dim=d,
@@ -545,7 +508,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; flags win on conflict")
     sub.add_argument("--seed", type=int, help="64-bit unsigned seed (default 0)")
     sub.add_argument("--out", help="output directory")
-    sub.add_argument("--threads", type=int, help="BLAS thread cap (0 = auto)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -574,9 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--codebook-size", dest="codebook_size", type=int)
     t.add_argument("--kmeans-iters", dest="kmeans_iters", type=int)
     t.add_argument("--tol", type=float, help="relative SSE stop tolerance")
-    t.add_argument("--inline-codebook", dest="inline_codebook",
-                   action=argparse.BooleanOptionalAction,
-                   help="embed codewords in the JSON header")
     _add_common(t)
     t.set_defaults(func=cmd_train)
 
@@ -600,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--codebook")
     m.add_argument("--mode", choices=["exchange", "remove", "varlen"])
     m.add_argument("--swap", help="layer pair for exchange, e.g. 1,2")
-    m.add_argument("--layer", type=int, help="layer to remove (remove mode)")
     m.add_argument("--head-top-k", dest="head_top_k", type=int)
     m.add_argument("--head-mass", dest="head_mass", type=float)
     _add_common(m)
@@ -653,12 +611,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:  # argparse exits 2 on bad flags, 0 on --help
         return int(e.code or 0)
-    threads = getattr(args, "threads", None)
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
-    from .core import ConfigError, RqsidError
-
     try:
         return args.func(args)
     except ConfigError as e:

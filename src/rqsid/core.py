@@ -332,12 +332,3 @@ def parse_flat_tokens(tokens, config: QuantizerConfig) -> VarLenSemanticId:
             )
         entries.append((t // M + 1, t % M))
     return VarLenSemanticId(tuple(entries)).validate(config)
-
-
-def flat_token_layer(token: int, config: QuantizerConfig) -> int:
-    """1-based layer of a flat token id."""
-    if not 0 <= token < config.flat_vocab_size:
-        raise TokenRangeError(
-            f"flat token {token} outside [0, {config.flat_vocab_size})"
-        )
-    return token // config.codebook_size + 1

@@ -1,5 +1,5 @@
 """Token-distribution diagnostics: histograms, concentration statistics,
-path sparsity, inter-layer degrees, and the hourglass report.
+path sparsity, adjacent-layer edge density, and the hourglass report.
 
 All statistics are computed over every codebook slot, zero-count tokens
 included, because under-used slots are exactly what is being measured.
@@ -7,7 +7,7 @@ included, because under-used slots are exactly what is being measured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -86,6 +86,9 @@ class LayerStats:
             utilization=float((counts > 0).sum() / counts.size),
         )
 
+    def to_dict(self) -> dict:
+        return asdict(self)
+
 
 @dataclass(frozen=True)
 class HourglassReport:
@@ -103,17 +106,7 @@ class HourglassReport:
 
     def to_dict(self) -> dict:
         return {
-            "per_layer": [
-                {
-                    "layer": l + 1,
-                    "entropy_bits": s.entropy_bits,
-                    "gini": s.gini,
-                    "stddev": s.stddev,
-                    "distinct_tokens": s.distinct_tokens,
-                    "utilization": s.utilization,
-                }
-                for l, s in enumerate(self.per_layer)
-            ],
+            "per_layer": [{"layer": l, **s.to_dict()} for l, s in enumerate(self.per_layer, 1)],
             "path_sparsity": self.path_sparsity,
             "edge_density": list(self.edge_density),
             "hourglass_flag": self.hourglass_flag,
@@ -192,29 +185,6 @@ def path_sparsity(sids, config: QuantizerConfig) -> float:
     distinct = np.unique(arr, axis=0).shape[0]
     space = config.codebook_size ** config.num_layers  # exact big integer
     return distinct / space
-
-
-def degree_profile(sids, layer: int, config: QuantizerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-token fan-in and fan-out at one layer.
-
-    fan_in[t] counts distinct previous-layer tokens co-occurring with t
-    (zero for layer 1); fan_out[t] counts distinct next-layer tokens (zero
-    for the last layer).
-    """
-    arr = _as_sid_array(sids)
-    L, M = config.num_layers, config.codebook_size
-    if not 1 <= layer <= L:
-        raise TokenRangeError(f"layer {layer} outside [1, {L}]")
-    fan_in = np.zeros(M, dtype=np.int64)
-    fan_out = np.zeros(M, dtype=np.int64)
-    if arr.shape[0]:
-        if layer > 1:
-            pairs = np.unique(arr[:, [layer - 2, layer - 1]], axis=0)
-            fan_in += np.bincount(pairs[:, 1], minlength=M)
-        if layer < L:
-            pairs = np.unique(arr[:, [layer - 1, layer]], axis=0)
-            fan_out += np.bincount(pairs[:, 0], minlength=M)
-    return fan_in, fan_out
 
 
 def adjacent_pair_count(sids, layer: int) -> int:

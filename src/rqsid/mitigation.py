@@ -64,13 +64,7 @@ class PostMitigationReport:
             "elision_rate": self.elision_rate,
             "remaining_layer2": None
             if self.remaining_layer2 is None
-            else {
-                "entropy_bits": self.remaining_layer2.entropy_bits,
-                "gini": self.remaining_layer2.gini,
-                "stddev": self.remaining_layer2.stddev,
-                "distinct_tokens": self.remaining_layer2.distinct_tokens,
-                "utilization": self.remaining_layer2.utilization,
-            },
+            else self.remaining_layer2.to_dict(),
             "full_report": None if self.full_report is None else self.full_report.to_dict(),
             "full_length_utilization": self.full_length_utilization,
         }
@@ -106,14 +100,12 @@ def exchange_layers(sids, a: int, b: int) -> list[SemanticId]:
     return [tuple(int(t) for t in row) for row in arr]
 
 
-def remove_layer(
-    sids, config: QuantizerConfig, layer: int = 2, item_ids=None
-) -> MitigationOutcome:
-    """Drop one layer from every id.
+def remove_layer(sids, config: QuantizerConfig, item_ids=None) -> MitigationOutcome:
+    """Drop layer 2 from every id.
 
-    Only layer 2 of a quantizer with at least three layers can be removed:
-    shortened ids must still start at layer 1 and end at layer L to stay
-    decodable under the layer-disjoint vocabulary.
+    Layer 2 is the only removable layer, and only with at least three
+    layers: shortened ids must still start at layer 1 and end at layer L to
+    stay decodable under the layer-disjoint vocabulary.
     """
     L, M = config.num_layers, config.codebook_size
     if L == 1:
@@ -121,11 +113,6 @@ def remove_layer(
     if L == 2:
         raise ConfigError(
             "removing layer 2 of a 2-layer id would drop its terminal token"
-        )
-    if layer != 2:
-        raise ConfigError(
-            f"only layer 2 removal is supported by the variable-length "
-            f"representation, got layer {layer}"
         )
     arr = _as_sid_array(sids)
     if arr.shape[1] != L:

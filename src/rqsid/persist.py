@@ -313,10 +313,6 @@ def save_report(path, kind: str, payload: dict) -> None:
     atomic_write_text(path, dump_json(doc))
 
 
-def load_report(path) -> dict:
-    return json.loads(Path(path).read_text())
-
-
 MANIFEST_NAME = "manifest.json"
 
 

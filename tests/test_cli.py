@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import rqsid.cli
 from rqsid.cli import main
 from rqsid.persist import sha256_file, verify_manifest
 
@@ -143,6 +144,38 @@ class TestErrors:
     def test_missing_required_exits_2(self, tmp_path):
         assert run("train", "--out", tmp_path) == 2
 
+    @pytest.mark.parametrize("argv", [
+        lambda root: ("gen", "--kind", "uniform", "--n", 5, "--d", 2, "--threads", 2),
+        lambda root: ("train", "--embeddings", root / "gen" / "embeddings.json",
+                      "--num-layers", 2, "--codebook-size", 4, "--inline-codebook"),
+        lambda root: ("mitigate", "--sids", root / "enc" / "sids.csv",
+                      "--codebook", root / "train" / "codebook.json",
+                      "--mode", "remove", "--layer", 2),
+    ], ids=["threads", "inline-codebook", "layer"])
+    def test_removed_flags_exit_2(self, pipeline, tmp_path, argv):
+        # each argv is valid apart from the removed flag
+        assert run(*argv(pipeline), "--out", tmp_path / "out") == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("mitigate", "--mode", "exchange", "--swap", "1"),
+        ("mitigate", "--mode", "exchange", "--swap", "1,2,3"),
+        ("mitigate", "--mode", "exchange", "--swap", "1,x"),
+        ("mitigate", "--mode", "exchange", "--swap", "1,4"),
+        ("simulate", "--k-list", "1,x"),
+    ], ids=["swap-one", "swap-three", "swap-text", "swap-range", "k-list-text"])
+    def test_bad_int_list_exits_2(self, pipeline, tmp_path, argv):
+        code = run(
+            *argv, "--sids", pipeline / "enc" / "sids.csv",
+            "--codebook", pipeline / "train" / "codebook.json", "--out", tmp_path / "out",
+        )
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_sweep_set_exits_2(self, tmp_path):
+        assert run("sweep", "--num-layers-set", "3,x", "--out", tmp_path / "out") == 2
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfigFile:
     def test_flags_win_over_config(self, tmp_path):
@@ -194,3 +227,13 @@ class TestSweep:
         assert len(rows) == 2
         status = {r["regime"]: bool(r["error"]) for r in rows}
         assert status["zipf"] and not status["uniform"]
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise TypeError("broken cell")
+
+        monkeypatch.setattr(rqsid.cli, "_sweep_cell", broken)
+        with pytest.raises(TypeError, match="broken cell"):
+            run("sweep", "--num-layers-set", "2", "--codebook-size-set", "4",
+                "--regimes", "uniform", "--n", 30, "--d", 4, "--out", tmp_path / "sweep")
+        assert not (tmp_path / "sweep").exists()

@@ -13,7 +13,6 @@ from rqsid.core import (
     RandomSource,
     TokenRangeError,
     VarLenSemanticId,
-    flat_token_layer,
     parse_flat_tokens,
     sid_to_flat_tokens,
     validate_sid,
@@ -129,14 +128,15 @@ class TestFlatCodec:
 
     def test_layer_ranges_disjoint(self):
         cfg = QuantizerConfig(num_layers=4, codebook_size=7, dim=1)
-        seen = set()
-        for layer in range(1, 5):
-            for token in range(7):
-                flat = (layer - 1) * 7 + token
-                assert flat_token_layer(flat, cfg) == layer
-                assert flat not in seen
-                seen.add(flat)
-        assert seen == set(range(28))
+        by_layer = [set() for _ in range(4)]
+        for token in range(7):
+            sid = (token,) * 4
+            flat = sid_to_flat_tokens(sid, cfg)
+            assert parse_flat_tokens(flat, cfg).entries == tuple(enumerate(sid, start=1))
+            for layer, t in enumerate(flat):
+                by_layer[layer].add(t)
+        assert all(len(s) == 7 for s in by_layer)
+        assert set().union(*by_layer) == set(range(cfg.flat_vocab_size))
 
 
 @st.composite

@@ -14,8 +14,6 @@ from rqsid.core import (
 from rqsid.diagnostics import (
     LayerHistogram,
     Selector,
-    adjacent_pair_count,
-    degree_profile,
     entropy_bits,
     gini,
     head_tail_split,
@@ -167,34 +165,6 @@ class TestPathSparsity:
         assert path_sparsity(sids, cfg) >= 0.0
 
 
-class TestDegreeProfile:
-    def test_fan_in_fan_out(self):
-        sids = [(0, 1, 2), (1, 1, 3)]
-        fan_in, fan_out = degree_profile(sids, 2, CFG)
-        assert fan_in[1] == 2
-        assert fan_out[1] == 2
-
-    def test_single_sid_degrees(self):
-        sids = [(0, 1, 2)]
-        for layer in (1, 2, 3):
-            fan_in, fan_out = degree_profile(sids, layer, CFG)
-            assert fan_in.max() <= 1 and fan_out.max() <= 1
-
-    def test_boundary_layers_zero(self):
-        sids = [(0, 1, 2), (1, 2, 3)]
-        fan_in, _ = degree_profile(sids, 1, CFG)
-        _, fan_out = degree_profile(sids, 3, CFG)
-        assert fan_in.sum() == 0
-        assert fan_out.sum() == 0
-
-    def test_edge_count_cross_check(self):
-        gen = np.random.default_rng(2)
-        sids = gen.integers(0, 4, size=(50, 3))
-        fan_in, _ = degree_profile(sids, 2, CFG)
-        pairs = {(a, b) for a, b in sids[:, :2]}
-        assert fan_in.sum() == len(pairs) == adjacent_pair_count(sids, 1)
-
-
 class TestHeadTailSplit:
     COUNTS = LayerHistogram(2, [50, 30, 15, 5])
 
@@ -255,6 +225,13 @@ class TestHourglassReport:
         assert report.path_sparsity <= min(1.0, 30 / 4**3) + 1e-12
         assert report.distinct_sids <= report.num_items
 
+    def test_edge_density_recount(self):
+        gen = np.random.default_rng(2)
+        sids = gen.integers(0, 4, size=(50, 3))
+        report = hourglass_report(sids, CFG)
+        pairs = [{(row[l], row[l + 1]) for row in sids.tolist()} for l in (0, 1)]
+        assert report.edge_density == tuple(len(p) / 16 for p in pairs)
+
     def test_to_dict_round_trips_through_json(self):
         import json
 
@@ -263,7 +240,7 @@ class TestHourglassReport:
         report = hourglass_report(sids, CFG, include_histograms=True)
         doc = json.loads(json.dumps(report.to_dict()))
         assert doc["num_items"] == 40
-        assert len(doc["per_layer"]) == 3
+        assert [s["layer"] for s in doc["per_layer"]] == [1, 2, 3]
         assert len(doc["histograms"]) == 3
 
 

@@ -86,10 +86,6 @@ class TestRemoveLayer:
         with pytest.raises(ConfigError):
             remove_layer([(0, 1)], cfg)
 
-    def test_other_layers_rejected(self):
-        with pytest.raises(ConfigError):
-            remove_layer([(0, 1, 2)], CFG, layer=3)
-
 
 class TestVarlenTopK:
     def make(self, sids, selector, m=10, item_ids=None):
