@@ -195,8 +195,20 @@ def train_seq_model(
     return model
 
 
-def _is_terminal(token: int, config: QuantizerConfig) -> bool:
-    return token >= (config.num_layers - 1) * config.codebook_size
+def _top(score: np.ndarray, parent_rank: np.ndarray, token: np.ndarray, width: int) -> np.ndarray:
+    """Indices of the `width` best candidates by (-score, parent_rank, token).
+
+    Only candidates scoring at least the width-th best score can make the
+    cut, so the lexsort runs on those alone; the order is the same as that
+    of a full sort.
+    """
+    if len(score) > width:
+        cut = np.partition(score, len(score) - width)[len(score) - width]
+        keep = np.flatnonzero(score >= cut)
+    else:
+        keep = np.arange(len(score))
+    order = np.lexsort((token[keep], parent_rank[keep], -score[keep]))
+    return keep[order[:width]]
 
 
 def beam_search(
@@ -216,6 +228,10 @@ def beam_search(
     A fixed prefix is scored as given (log-probability 0) and included in the
     outputs. Results are sorted by total log-probability, ties broken by
     lexicographic order of the token sequence.
+
+    Each step scores every (beam, next token) pair as one array. The active
+    beams all have the same length, so the lexicographic order of their
+    extensions is the order of (the parent's lexicographic rank, the token).
     """
     if beam_width < 1:
         raise ConfigError(f"beam_width must be >= 1, got {beam_width}")
@@ -223,40 +239,60 @@ def beam_search(
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
     context = tuple(int(t) for t in context)
     start = tuple(int(t) for t in fixed_prefix) if fixed_prefix else ()
-    if start and _is_terminal(start[-1], config):
+    first_terminal = (config.num_layers - 1) * config.codebook_size
+    if start and start[-1] >= first_terminal:
         return [(start, 0.0)]
 
-    active: list[tuple[tuple[int, ...], float]] = [(start, 0.0)]
+    active = [start]
+    active_logp = np.zeros(1)
+    active_rank = np.zeros(1, dtype=np.int64)
     finished: list[tuple[tuple[int, ...], float]] = []
     for _ in range(max_len):
-        candidates: list[tuple[tuple[int, ...], float]] = []
-        for seq, logp in active:
+        live: list[int] = []
+        rows = []
+        children: list[int] = []
+        num_children: list[int] = []
+        for b, seq in enumerate(active):
             if trie is not None:
                 try:
-                    allowed = sorted(trie.valid_next(seq))
+                    allowed = trie.valid_next(seq)
                 except PrefixNotFoundError:
                     continue
-            else:
-                allowed = range(model.vocab_size)
-            token_logps = model.log_probs(context + seq)
-            for t in allowed:
-                candidates.append((seq + (t,), logp + float(token_logps[t])))
-        if not candidates:
+                children.extend(allowed)
+                num_children.append(len(allowed))
+            live.append(b)
+            rows.append(model.log_probs(context + seq))
+        if not live:
             break
-        next_active = []
-        for seq, logp in candidates:
-            if _is_terminal(seq[-1], config):
-                finished.append((seq, logp))
-            else:
-                next_active.append((seq, logp))
+        # candidate i extends row[i] of `rows` by token[i]; their order is
+        # irrelevant, since _top ranks them by a total order
+        if trie is None:
+            row, token = np.divmod(np.arange(len(live) * model.vocab_size), model.vocab_size)
+        else:
+            row = np.repeat(np.arange(len(live)), num_children)
+            token = np.array(children, dtype=np.int64)
+        parent = np.array(live)[row]
+        score = active_logp[parent] + np.stack(rows)[row, token]
+        parent_rank = active_rank[parent]
+
+        terminal = np.flatnonzero(token >= first_terminal)
+        best = terminal[_top(score[terminal], parent_rank[terminal], token[terminal], beam_width)]
+        finished.extend(
+            (active[p] + (t,), logp)
+            for p, t, logp in zip(parent[best].tolist(), token[best].tolist(), score[best].tolist())
+        )
         finished.sort(key=lambda item: (-item[1], item[0]))
         del finished[beam_width:]
-        next_active.sort(key=lambda item: (-item[1], item[0]))
-        active = next_active[:beam_width]
-        if not active:
+
+        going = np.flatnonzero(token < first_terminal)
+        best = going[_top(score[going], parent_rank[going], token[going], beam_width)]
+        if not len(best):
             break
-    finished.sort(key=lambda item: (-item[1], item[0]))
-    return finished[:beam_width]
+        active = [active[p] + (t,) for p, t in zip(parent[best].tolist(), token[best].tolist())]
+        active_logp = score[best]
+        active_rank = np.empty(len(best), dtype=np.int64)
+        active_rank[np.lexsort((token[best], parent_rank[best]))] = np.arange(len(best))
+    return finished
 
 
 @dataclass(frozen=True)
@@ -315,8 +351,9 @@ def evaluate(
     k_list = tuple(int(k) for k in k_list)
     if not k_list or any(k < 1 for k in k_list):
         raise ConfigError(f"k_list must hold positive integers, got {k_list}")
-    if max(k_list) > beam_width:
-        raise ConfigError(f"k={max(k_list)} exceeds beam width {beam_width}")
+    max_k = max(k_list)
+    if max_k > beam_width:
+        raise ConfigError(f"k={max_k} exceeds beam width {beam_width}")
     if given_prefix_layers < 0:
         raise ConfigError("given_prefix_layers must be >= 0")
 
@@ -358,15 +395,18 @@ def evaluate(
         group = _partition_of(gold_sid, head_set)
         counts["overall"] += 1
         counts[group] += 1
-        sequences = [seq for seq, _ in preds]
+        top = [seq for seq, _ in preds[:max_k]]
+        gold_rank = top.index(gold) if gold in top else max_k
+        # invalid_upto[j] counts the invalid sequences among the first j
+        invalid_upto = [0]
+        for seq in top:
+            invalid_upto.append(invalid_upto[-1] + int(not constrained and not trie.contains(seq)))
         for k in k_list:
-            top = sequences[:k]
-            hit = 1 if gold in top else 0
-            bad = 0 if constrained else sum(1 for s in top if not trie.contains(s))
+            shown = min(k, len(top))
             for g in ("overall", group):
-                hits[k][g] += hit
-                invalid[k][g] += bad
-                emitted[k][g] += len(top)
+                hits[k][g] += int(gold_rank < k)
+                invalid[k][g] += invalid_upto[shown]
+                emitted[k][g] += shown
 
     recall = {
         k: {g: (hits[k][g] / counts[g] if counts[g] else 0.0) for g in groups}
@@ -434,15 +474,23 @@ def gen_interactions(
     succ_rng, walk_rng = rng.split(2)
     successors = succ_rng.generator().choice(n, size=n, p=popularity)
     gen = walk_rng.generator()
+    # numpy's own algorithm for gen.choice(n, p=popularity), with the cdf
+    # computed once instead of on every draw; the random stream is the same
+    cdf = popularity.cumsum()
+    cdf /= cdf[-1]
+
+    def draw() -> int:
+        return int(cdf.searchsorted(gen.random(), side="right"))
+
     records = []
     for _ in range(spec.num_records):
         length = int(gen.integers(spec.min_history, spec.max_history + 1)) + 1
-        seq = [int(gen.choice(n, p=popularity))]
+        seq = [draw()]
         for _ in range(length - 1):
             if gen.random() < spec.repeat_prob:
                 seq.append(int(successors[seq[-1]]))
             else:
-                seq.append(int(gen.choice(n, p=popularity)))
+                seq.append(draw())
         records.append(
             Interaction(
                 history=tuple(item_ids[i] for i in seq[:-1]),

@@ -54,6 +54,78 @@ def brute_force_beam(model, context, max_len, config, top):
     return results[:top]
 
 
+def reference_beam(model, context, beam_width, max_len, config, trie=None, fixed_prefix=None):
+    """The scalar beam search the array version replaced: one Python tuple
+    per candidate, sorted by (-logp, seq) at every step."""
+
+    def is_terminal(token):
+        return token >= (config.num_layers - 1) * config.codebook_size
+
+    context = tuple(int(t) for t in context)
+    start = tuple(int(t) for t in fixed_prefix) if fixed_prefix else ()
+    if start and is_terminal(start[-1]):
+        return [(start, 0.0)]
+
+    active = [(start, 0.0)]
+    finished = []
+    for _ in range(max_len):
+        candidates = []
+        for seq, logp in active:
+            if trie is not None:
+                try:
+                    allowed = sorted(trie.valid_next(seq))
+                except PrefixNotFoundError:
+                    continue
+            else:
+                allowed = range(model.vocab_size)
+            token_logps = model.log_probs(context + seq)
+            for t in allowed:
+                candidates.append((seq + (t,), logp + float(token_logps[t])))
+        if not candidates:
+            break
+        next_active = []
+        for seq, logp in candidates:
+            if is_terminal(seq[-1]):
+                finished.append((seq, logp))
+            else:
+                next_active.append((seq, logp))
+        finished.sort(key=lambda item: (-item[1], item[0]))
+        del finished[beam_width:]
+        next_active.sort(key=lambda item: (-item[1], item[0]))
+        active = next_active[:beam_width]
+        if not active:
+            break
+    finished.sort(key=lambda item: (-item[1], item[0]))
+    return finished[:beam_width]
+
+
+def reference_interactions(item_ids, spec, rng, split="train"):
+    """The interaction generator that called gen.choice(n, p=...) per draw."""
+    item_ids = [str(i) for i in item_ids]
+    n = len(item_ids)
+    weights = 1.0 / np.arange(1, n + 1, dtype=np.float64) ** spec.pop_exponent
+    popularity = weights / weights.sum()
+    succ_rng, walk_rng = rng.split(2)
+    successors = succ_rng.generator().choice(n, size=n, p=popularity)
+    gen = walk_rng.generator()
+    records = []
+    for _ in range(spec.num_records):
+        length = int(gen.integers(spec.min_history, spec.max_history + 1)) + 1
+        seq = [int(gen.choice(n, p=popularity))]
+        for _ in range(length - 1):
+            if gen.random() < spec.repeat_prob:
+                seq.append(int(successors[seq[-1]]))
+            else:
+                seq.append(int(gen.choice(n, p=popularity)))
+        records.append(
+            Interaction(
+                history=tuple(item_ids[i] for i in seq[:-1]),
+                target=item_ids[seq[-1]],
+            )
+        )
+    return InteractionDataset(tuple(records), split=split)
+
+
 class TestCatalogTrie:
     CATALOG = [("i1", (0, 1, 2)), ("i2", (0, 1, 3))]
 
@@ -191,6 +263,91 @@ class TestBeamSearch:
         results = beam_search(model, (), beam_width=3, max_len=2, config=CFG, fixed_prefix=(0,))
         assert all(seq[0] == 0 for seq, _ in results)
 
+    # three unconstrained steps over CFG's 12 flat tokens end at most
+    # 4 + 8 * 4 + 8 * 8 * 4 = 292 sequences, so the last width is exhaustive
+    WIDTHS = (1, 3, 10, 12**3)
+    VARLEN_CATALOG = [
+        ("a", (0, 1, 2)),
+        ("b", (0, 1, 3)),
+        ("c", (0, 2, 0)),
+        ("d", VarLenSemanticId(((1, 0), (3, 1)))),
+        ("e", VarLenSemanticId(((1, 1), (3, 3)))),
+        ("f", (1, 3, 3)),
+        ("g", (2, 0, 1)),
+        ("h", VarLenSemanticId(((1, 3), (3, 0)))),
+    ]
+
+    @staticmethod
+    def random_model(gen, alpha, order=2, streams=15):
+        model = SequenceModel(order=order, alpha=alpha, vocab_size=CFG.flat_vocab_size)
+        for _ in range(streams):
+            model.observe_stream(gen.integers(0, CFG.flat_vocab_size, size=6).tolist())
+        return model
+
+    def assert_matches_reference(self, model, context, trie=None, prefixes=(None,)):
+        for width in self.WIDTHS:
+            for prefix in prefixes:
+                args = (model, context, width, 3, CFG, trie, prefix)
+                got = beam_search(*args)
+                want = reference_beam(*args)
+                # equal sequences, float scores and order; == on floats is exact
+                assert got == want, (width, prefix)
+                assert all(type(t) is int for seq, _ in got for t in seq)
+                assert all(type(logp) is float for _, logp in got)
+
+    def test_matches_reference_trie_off(self):
+        gen = np.random.default_rng(21)
+        for _ in range(6):
+            model = self.random_model(gen, alpha=float(gen.uniform(0.05, 2.0)))
+            context = gen.integers(0, CFG.flat_vocab_size, size=3).tolist()
+            self.assert_matches_reference(model, context, prefixes=(None, (0,), (0, 5), (9,)))
+
+    def test_matches_reference_trie_on_varlen(self):
+        trie = build_trie(self.VARLEN_CATALOG, CFG)
+        # (1, 5) and (2, 7) are not in the trie; (3,) leads only to an elided id
+        prefixes = (None, (0,), (1,), (1, 4 + 1), (3,), (2, 4 + 3), (0, 4 + 1, 2 * 4 + 2))
+        gen = np.random.default_rng(22)
+        for _ in range(6):
+            model = self.random_model(gen, alpha=float(gen.uniform(0.05, 2.0)))
+            context = gen.integers(0, CFG.flat_vocab_size, size=3).tolist()
+            self.assert_matches_reference(model, context, trie, prefixes)
+
+    def test_prefix_outside_trie_yields_nothing(self):
+        trie = build_trie(self.VARLEN_CATALOG, CFG)
+        model = self.random_model(np.random.default_rng(23), alpha=0.5)
+        for prefix in ((2, 4 + 1), (0, 4 + 3), (1, 4 + 0)):
+            assert beam_search(model, (), 10, 3, CFG, trie, prefix) == []
+            assert reference_beam(model, (), 10, 3, CFG, trie, prefix) == []
+
+    def test_matches_reference_under_ties(self):
+        # a large alpha flattens the seen contexts, and the rest are unseen
+        # and exactly uniform, so most scores tie and the lexicographic
+        # tie order decides the ranking below the exhaustive width
+        gen = np.random.default_rng(24)
+        trie = build_trie(self.VARLEN_CATALOG, CFG)
+        for order in (1, 2):
+            model = self.random_model(gen, alpha=1e6, order=order, streams=2)
+            for context in ((), (11,), (0, 4)):
+                self.assert_matches_reference(model, context, prefixes=(None, (1,)))
+                self.assert_matches_reference(model, context, trie, prefixes=(None, (1,)))
+        uniform = SequenceModel(order=1, alpha=1.0, vocab_size=CFG.flat_vocab_size)
+        uniform.observe_stream([0, 0])
+        got = beam_search(uniform, (7,), 3, 3, CFG)
+        assert [seq for seq, _ in got] == [(8,), (9,), (10,)]
+
+    def test_tie_across_parents_is_lexicographic(self):
+        # contexts 11, 0 and 1 are each seen three times, so a token seen
+        # once scores x and one seen twice scores y > x in each of them:
+        # (1,) outscores (0,) after one step, yet (0, 8) and (1, 9) both
+        # score x + y; the tie goes to the lexicographically smaller (0, 8)
+        model = SequenceModel(order=1, alpha=0.1, vocab_size=CFG.flat_vocab_size)
+        for stream in ([11, 0], [11, 1], [11, 1], [0, 8], [0, 8], [0, 11],
+                       [1, 9], [1, 10], [1, 10]):
+            model.observe_stream(stream)
+        got = beam_search(model, (11,), 2, 3, CFG)
+        assert [seq for seq, _ in got] == [(1, 10), (0, 8)]
+        assert got == reference_beam(model, (11,), 2, 3, CFG)
+
     def test_zero_beam_rejected(self):
         model = SequenceModel(order=1, alpha=1.0, vocab_size=4)
         with pytest.raises(ConfigError):
@@ -220,13 +377,33 @@ class TestEvaluate:
         assert report.recall[3]["overall"] >= report.recall[1]["overall"]
 
     def test_invalid_ratio_example(self):
-        # predictions (0,1,2) and (0,2,2) against a catalog holding only the
-        # first: one of two emitted sequences is invalid
-        catalog = [("i1", (0, 1, 2)), ("i2", (0, 1, 3))]
-        trie = build_trie(catalog, CFG)
-        preds = [flat((0, 1, 2)), flat((0, 2, 2))]
-        bad = sum(1 for s in preds if not trie.contains(s))
-        assert bad / len(preds) == 0.5
+        # with the trie off, invalid_ratio@k is the share of the emitted top-k
+        # sequences that match no catalog id, per partition of the targets
+        model, _ = self.make_model()
+        test = InteractionDataset(
+            (Interaction(("i1",), "i2"), Interaction(("i3",), "i3"), Interaction(("i2",), "i1")),
+            split="test",
+        )
+        k_list = (1, 3, 10)
+        head_set = frozenset({1})
+        report = evaluate(model, test, self.CATALOG, CFG, head_set, 10, k_list, "off")
+        trie = build_trie(self.CATALOG, CFG)
+        flat_map = {item: flat(sid) for item, sid in self.CATALOG}
+        sid_map = dict(self.CATALOG)
+        for k in k_list:
+            bad = {"overall": 0, "head": 0, "tail": 0}
+            emitted = {"overall": 0, "head": 0, "tail": 0}
+            for rec in test.records:
+                context = [t for item in rec.history for t in flat_map[item]]
+                top = [seq for seq, _ in beam_search(model, context, 10, 3, CFG)[:k]]
+                group = "head" if sid_map[rec.target][1] in head_set else "tail"
+                for g in ("overall", group):
+                    bad[g] += sum(1 for seq in top if not trie.contains(seq))
+                    emitted[g] += len(top)
+            for g in bad:
+                assert report.invalid_ratio[k][g] == bad[g] / emitted[g], (k, g)
+        assert report.record_counts == {"overall": 3, "head": 2, "tail": 1}
+        assert 0 < report.invalid_ratio[10]["overall"] < 1
 
     def test_trie_mode_on_zero_invalid(self):
         model, _ = self.make_model()
@@ -319,3 +496,16 @@ class TestGenInteractions:
     def test_empty_catalog(self):
         with pytest.raises(DataError):
             gen_interactions([], InteractionSpec(num_records=5), RandomSource(0))
+
+    @pytest.mark.parametrize("n", [1, 7, 2000])
+    def test_matches_choice_reference(self, n):
+        items = [f"i{k}" for k in range(n)]
+        for pop_exponent in (0.5, 1.0, 1.7):
+            for repeat_prob in (0.0, 0.6, 1.0):
+                spec = InteractionSpec(
+                    num_records=150, pop_exponent=pop_exponent, repeat_prob=repeat_prob
+                )
+                seed = n + int(10 * pop_exponent) + int(10 * repeat_prob)
+                got = gen_interactions(items, spec, RandomSource(seed), "test")
+                want = reference_interactions(items, spec, RandomSource(seed), "test")
+                assert got == want, (pop_exponent, repeat_prob)
