@@ -25,6 +25,7 @@ from .core import (
     QuantizerConfig,
     RandomSource,
     RqsidError,
+    sid_table,
     sid_to_flat_tokens,
 )
 from .diagnostics import (
@@ -99,15 +100,13 @@ def _int_list(text) -> list[int]:
 
 
 def _load_full_sids(path, config):
-    """Load an id file and return (item_ids, (n, L) token array)."""
-    pairs = persist.load_sids(path, config)
-    if any(not sid.is_full for _, sid in pairs):
+    """Load an id file that must hold full-length ids only."""
+    table = persist.load_sids(path, config)
+    if not table.is_full.all():
         raise DataError(
             f"{path} holds variable-length ids; this command needs full-length ids"
         )
-    ids = [item for item, _ in pairs]
-    arr = np.asarray([sid.to_full() for _, sid in pairs], dtype=np.int64)
-    return ids, arr
+    return table
 
 
 # --- commands ----------------------------------------------------------------
@@ -196,7 +195,7 @@ def cmd_encode(args) -> int:
     encode_s = time.perf_counter() - t0
     with persist.OutputLock(out):
         sid_path = out / "sids.csv"
-        persist.save_sids(sid_path, zip(data.ids, (tuple(int(t) for t in row) for row in sids)))
+        persist.save_sids(sid_path, sid_table(data.ids, sids, codebook.config))
         report_path = out / "encode_report.json"
         per_layer = [float(m) for m in sq_norms[:, 1:].mean(axis=0)]
         persist.save_report(
@@ -224,10 +223,10 @@ def cmd_analyze(args) -> int:
     out = Path(p.require("out"))
     codebook, _ = persist.load_codebook(p.require("codebook"))
     config = codebook.config
-    item_ids, arr = _load_full_sids(p.require("sids"), config)
+    table = _load_full_sids(p.require("sids"), config)
     selector = _selector(p, Selector.mass(0.5))
     t0 = time.perf_counter()
-    report = hourglass_report(arr, config, selector, include_histograms=True)
+    report = hourglass_report(table.tokens, config, selector, include_histograms=True)
     payload = report.to_dict()
     payload["head_selector"] = selector.describe()
     emb_path = p.get("embeddings")
@@ -249,7 +248,7 @@ def cmd_analyze(args) -> int:
             [report_path],
         )
     print(
-        f"analyzed {len(item_ids)} ids: hourglass_flag={report.hourglass_flag}, "
+        f"analyzed {len(table)} ids: hourglass_flag={report.hourglass_flag}, "
         f"pinch_layer={report.pinch_layer}, path_sparsity={report.path_sparsity:.3g}"
     )
     return 0
@@ -261,32 +260,31 @@ def cmd_mitigate(args) -> int:
     mode = p.require("mode")
     codebook, _ = persist.load_codebook(p.require("codebook"))
     config = codebook.config
-    item_ids, arr = _load_full_sids(p.require("sids"), config)
+    table = _load_full_sids(p.require("sids"), config)
 
     t0 = time.perf_counter()
-    payload: dict = {"mode": mode, "items": len(item_ids)}
+    payload: dict = {"mode": mode, "items": len(table)}
     head_set = None
     if mode == "exchange":
         swap = _int_list(p.get("swap", "1,2"))
         if len(swap) != 2 or not all(1 <= v <= config.num_layers for v in swap):
             raise ConfigError(f"--swap needs two layers in [1, {config.num_layers}], got {swap}")
         a, b = swap
-        swapped = exchange_layers(arr, a, b)
-        transformed = list(zip(item_ids, swapped))
+        transformed = exchange_layers(table, a, b, config)
         payload["swap"] = [a, b]
-        payload["report"] = hourglass_report(swapped, config).to_dict()
+        payload["report"] = hourglass_report(transformed.tokens, config).to_dict()
     elif mode == "remove":
-        outcome = remove_layer(arr, config, item_ids=item_ids)
-        transformed = list(zip(item_ids, outcome.transformed_sids))
+        outcome = remove_layer(table, config)
+        transformed = outcome.transformed_sids
         post = post_mitigation_report(outcome, config)
         payload.update(_outcome_payload(outcome, post))
     elif mode == "varlen":
         selector = _selector(p)
         if selector is None:
             raise ConfigError("varlen mode needs --head-top-k or --head-mass")
-        hist = token_histogram(arr, 2, config.codebook_size)
-        outcome = varlen_topk(arr, hist, selector, config, item_ids=item_ids)
-        transformed = list(zip(item_ids, outcome.transformed_sids))
+        hist = token_histogram(table.tokens, 2, config.codebook_size)
+        outcome = varlen_topk(table, hist, selector, config)
+        transformed = outcome.transformed_sids
         post = post_mitigation_report(outcome, config)
         head_set = outcome.head_set
         payload["head_selector"] = selector.describe()
@@ -310,7 +308,7 @@ def cmd_mitigate(args) -> int:
             )
         keys = ["sids", "codebook", "mode", "swap", "head_top_k", "head_mass"]
         persist.record_run(out, "mitigate", p.snapshot(keys), {"mitigate": mitigate_s}, outputs)
-    print(f"applied {mode} to {len(item_ids)} ids; wrote {out / 'sids.csv'}")
+    print(f"applied {mode} to {len(table)} ids; wrote {out / 'sids.csv'}")
     return 0
 
 
@@ -332,6 +330,11 @@ def cmd_simulate(args) -> int:
     k_list = _int_list(p.get("k_list", "1,5,10,50"))
     codebook, stored_head = persist.load_codebook(p.require("codebook"))
     config = codebook.config
+    selector = _selector(p)
+    if stored_head is not None and selector is not None:
+        raise ConfigError(
+            "--head-top-k/--head-mass select a head set, but the codebook already stores one"
+        )
     catalog = persist.load_sids(p.require("sids"), config)
 
     interactions_path = p.get("interactions")
@@ -357,7 +360,7 @@ def cmd_simulate(args) -> int:
             repeat_prob=spec.repeat_prob,
         )
         train_rng, test_rng = RandomSource(seed).split(2)
-        item_ids = [item for item, _ in catalog]
+        item_ids = catalog.item_id.tolist()
         train_ds = gen_interactions(item_ids, spec, train_rng, split="train")
         test_ds = gen_interactions(item_ids, test_spec, test_rng, split="test")
         generated = [train_ds, test_ds]
@@ -365,16 +368,14 @@ def cmd_simulate(args) -> int:
     if stored_head is not None:
         head_set = stored_head
     else:
-        full = [sid.to_full() for _, sid in catalog if sid.is_full]
-        if len(full) != len(catalog):
+        if not catalog.is_full.all():
             raise DataError(
                 "catalog has variable-length ids but the codebook stores no head set"
             )
-        selector = _selector(p, Selector.mass(0.5))
-        hist = token_histogram(full, 2, config.codebook_size)
-        head_set, _ = head_tail_split(hist, selector)
+        hist = token_histogram(catalog.tokens, 2, config.codebook_size)
+        head_set, _ = head_tail_split(hist, selector or Selector.mass(0.5))
 
-    flat = {item: tuple(sid_to_flat_tokens(sid, config)) for item, sid in catalog}
+    flat = dict(zip(catalog.item_id.tolist(), sid_to_flat_tokens(catalog, config)))
     t0 = time.perf_counter()
     model = train_seq_model(train_ds, flat, int(p.get("order", 3)), float(p.get("alpha", 0.1)))
     train_s = time.perf_counter() - t0
@@ -382,7 +383,7 @@ def cmd_simulate(args) -> int:
     report = evaluate(
         model,
         test_ds,
-        [(item, sid) for item, sid in catalog],
+        flat,
         config,
         head_set,
         beam_width=int(p.get("beam", 50)),
@@ -581,8 +582,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trie", choices=["on", "off"], help="constrain decoding to the catalog")
     s.add_argument("--given-layers", dest="given_layers", type=int,
                    help="condition on this many gold prefix tokens")
-    s.add_argument("--head-top-k", dest="head_top_k", type=int)
-    s.add_argument("--head-mass", dest="head_mass", type=float)
+    s.add_argument("--head-top-k", dest="head_top_k", type=int,
+                   help="head set for the head/tail split: the K most frequent layer-2 "
+                        "tokens; only for a codebook that stores no head set")
+    s.add_argument("--head-mass", dest="head_mass", type=float,
+                   help="head set for the head/tail split: the fewest layer-2 tokens "
+                        "covering this share of ids (default 0.5); only for a codebook "
+                        "that stores no head set")
     _add_common(s)
     s.set_defaults(func=cmd_simulate)
 

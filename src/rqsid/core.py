@@ -185,85 +185,52 @@ def validate_sid(sid, config: QuantizerConfig) -> SemanticId:
     return sid
 
 
-@dataclass(frozen=True)
-class VarLenSemanticId:
-    """Semantic id with explicit layer indices, allowing layer 2 to be elided.
+def sid_table(item_ids, tokens, config: QuantizerConfig, is_full=None) -> np.recarray:
+    """The id table: one record per item with fields `item_id` (str),
+    `tokens` (int64, one per layer) and `is_full` (bool).
 
-    Entries are (layer, token) with 1-based layers in strictly increasing
-    order. A valid id always starts at layer 1 and ends at the last layer;
-    the only layer that may be missing is layer 2.
+    Only layer 2 can be elided, and only with at least three layers, so an
+    elided id keeps its row shape: its layer-2 slot holds -1. Each id thus
+    has one canonical row, and a token histogram of layer 2 that forgets the
+    mask fails its range check. `is_full` defaults to all True.
     """
-
-    entries: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "entries", tuple((int(l), int(t)) for l, t in self.entries)
+    tokens = np.array(tokens, dtype=np.int64)
+    if tokens.ndim != 2 or tokens.shape[0] == 0:
+        raise ConfigError(f"expected a nonempty (n, L) id array, got shape {tokens.shape}")
+    n, L, M = tokens.shape[0], config.num_layers, config.codebook_size
+    if tokens.shape[1] == 0:
+        raise MalformedSequenceError("semantic ids have no tokens")
+    if tokens.shape[1] != L:
+        raise ConsistencyError(f"ids have {tokens.shape[1]} layers, config expects {L}")
+    item_ids = [str(item) for item in item_ids]
+    if len(item_ids) != n:
+        raise ConsistencyError(f"{len(item_ids)} item ids for {n} ids")
+    if len(set(item_ids)) != n:
+        raise DataError("item ids must be unique")
+    is_full = np.ones(n, dtype=bool) if is_full is None else np.array(is_full, dtype=bool)
+    if is_full.shape != (n,):
+        raise ConsistencyError(f"full-length mask has shape {is_full.shape}, expected ({n},)")
+    if L < 3 and not is_full.all():
+        raise ConfigError("variable-length elision needs at least three layers")
+    present = np.ones((n, L), dtype=bool)
+    if L >= 3:
+        tokens[~is_full, 1] = -1
+        present[:, 1] = is_full
+    bad = present & ((tokens < 0) | (tokens >= M))
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise TokenRangeError(
+            f"item {item_ids[row]!r} layer {col + 1} token {tokens[row, col]} outside [0, {M})"
         )
-
-    @classmethod
-    def full(cls, sid) -> "VarLenSemanticId":
-        return cls(tuple((layer, int(t)) for layer, t in enumerate(sid, start=1)))
-
-    @classmethod
-    def with_layer2_elided(cls, sid) -> "VarLenSemanticId":
-        entries = tuple(
-            (layer, int(t)) for layer, t in enumerate(sid, start=1) if layer != 2
-        )
-        return cls(entries)
-
-    @property
-    def layers(self) -> tuple[int, ...]:
-        return tuple(layer for layer, _ in self.entries)
-
-    @property
-    def elided_layers(self) -> tuple[int, ...]:
-        present = set(self.layers)
-        last = self.entries[-1][0] if self.entries else 0
-        return tuple(l for l in range(1, last + 1) if l not in present)
-
-    @property
-    def is_full(self) -> bool:
-        return not self.elided_layers
-
-    def layer_token(self, layer: int) -> int | None:
-        for l, t in self.entries:
-            if l == layer:
-                return t
-        return None
-
-    def to_full(self) -> SemanticId:
-        if not self.is_full:
-            raise MalformedSequenceError(
-                f"id with elided layers {self.elided_layers} is not full-length"
-            )
-        return tuple(t for _, t in self.entries)
-
-    def validate(self, config: QuantizerConfig) -> "VarLenSemanticId":
-        """Check the structural invariants against a quantizer config."""
-        entries = self.entries
-        if not entries:
-            raise MalformedSequenceError("semantic id has no entries")
-        layers = [l for l, _ in entries]
-        if any(b <= a for a, b in zip(layers, layers[1:])):
-            raise MalformedSequenceError(f"layer indices not strictly increasing: {layers}")
-        if layers[0] != 1:
-            raise MalformedSequenceError(f"first entry is layer {layers[0]}, expected layer 1")
-        if layers[-1] != config.num_layers:
-            raise MalformedSequenceError(
-                f"last entry is layer {layers[-1]}, expected layer {config.num_layers}"
-            )
-        missing = set(range(1, config.num_layers + 1)) - set(layers)
-        if missing - {2}:
-            raise MalformedSequenceError(
-                f"only layer 2 may be elided, missing layers {sorted(missing)}"
-            )
-        for layer, token in entries:
-            if not 0 <= token < config.codebook_size:
-                raise TokenRangeError(
-                    f"layer {layer} token {token} outside [0, {config.codebook_size})"
-                )
-        return self
+    table = np.recarray(
+        n, dtype=[("item_id", np.str_, max(1, max(map(len, item_ids)))),
+                  ("tokens", np.int64, (L,)), ("is_full", bool)]
+    )
+    table.item_id = item_ids
+    table.tokens = tokens
+    table.is_full = is_full
+    table.flags.writeable = False
+    return table
 
 
 class RandomSource:
@@ -300,35 +267,18 @@ class RandomSource:
         return f"RandomSource(seed={self.seed}, spawn_key={self._spawn_key})"
 
 
-def sid_to_flat_tokens(sid, config: QuantizerConfig) -> list[int]:
-    """Map a semantic id onto the layer-disjoint flat vocabulary.
+
+
+def sid_to_flat_tokens(table, config: QuantizerConfig) -> list[tuple[int, ...]]:
+    """Map every id of an id table onto the layer-disjoint flat vocabulary.
 
     The token of layer l becomes (l - 1) * codebook_size + token, so tokens
     from different layers never collide and an elided layer 2 is detectable
-    from the flat ids alone.
+    from the flat ids alone. Returns one tuple per row, in table order.
     """
-    if isinstance(sid, VarLenSemanticId):
-        entries = sid.validate(config).entries
-    else:
-        entries = tuple(enumerate(validate_sid(sid, config), start=1))
-    return [(layer - 1) * config.codebook_size + token for layer, token in entries]
-
-
-def parse_flat_tokens(tokens, config: QuantizerConfig) -> VarLenSemanticId:
-    """Recover a variable-length semantic id from flat tokens.
-
-    Layers are inferred from the flat ranges; sequences whose inferred layers
-    regress, repeat, or do not span layer 1 through layer L are rejected.
-    """
-    tokens = [int(t) for t in tokens]
-    if not tokens:
-        raise MalformedSequenceError("empty flat token sequence")
-    M = config.codebook_size
-    entries = []
-    for t in tokens:
-        if not 0 <= t < config.flat_vocab_size:
-            raise TokenRangeError(
-                f"flat token {t} outside [0, {config.flat_vocab_size})"
-            )
-        entries.append((t // M + 1, t % M))
-    return VarLenSemanticId(tuple(entries)).validate(config)
+    L, M = config.num_layers, config.codebook_size
+    flat = (table.tokens + M * np.arange(L)).tolist()
+    return [
+        tuple(row) if full else (row[0], *row[2:])
+        for row, full in zip(flat, table.is_full.tolist())
+    ]

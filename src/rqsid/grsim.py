@@ -18,8 +18,6 @@ from .core import (
     PrefixNotFoundError,
     QuantizerConfig,
     RandomSource,
-    VarLenSemanticId,
-    sid_to_flat_tokens,
 )
 
 
@@ -100,18 +98,13 @@ class CatalogTrie:
         return frozenset(node.children)
 
 
-def build_trie(catalog, config: QuantizerConfig) -> CatalogTrie:
-    """Trie over a catalog of (item_id, semantic id) pairs.
-
-    Ids may be full tuples or VarLenSemanticId instances; both are flattened
-    onto the layer-disjoint vocabulary first.
-    """
-    catalog = list(catalog)
+def build_trie(catalog: dict[str, tuple[int, ...]]) -> CatalogTrie:
+    """Trie over a catalog mapping item ids to flat-token sequences."""
     if not catalog:
         raise DataError("cannot build a trie from an empty catalog")
     trie = CatalogTrie()
-    for item_id, sid in catalog:
-        trie.insert(sid_to_flat_tokens(sid, config), str(item_id))
+    for item_id, tokens in catalog.items():
+        trie.insert(tokens, str(item_id))
     return trie
 
 
@@ -147,8 +140,8 @@ class SequenceModel:
                 self._totals[ctx] = self._totals.get(ctx, 0) + 1
 
     def _matched_context(self, context) -> tuple[int, ...] | None:
-        context = tuple(int(t) for t in context)
-        for width in range(min(self.order, len(context)), 0, -1):
+        context = tuple(int(t) for t in context[max(0, len(context) - self.order) :])
+        for width in range(len(context), 0, -1):
             ctx = context[len(context) - width :]
             if ctx in self._totals:
                 return ctx
@@ -317,20 +310,18 @@ class EvalReport:
         }
 
 
-def _partition_of(sid, head_set: frozenset[int]) -> str:
-    if isinstance(sid, VarLenSemanticId):
-        token = sid.layer_token(2)
-        if token is None:
-            return "head"
-    else:
-        token = sid[1] if len(sid) >= 2 else None
-    return "head" if token is not None and token in head_set else "tail"
+def _partition_of(gold: tuple[int, ...], head_set: frozenset[int], config: QuantizerConfig) -> str:
+    """Head when the flat gold id has no layer-2 token (it is elided, or L is
+    1) or its layer-2 token is in the head set."""
+    M = config.codebook_size
+    has_layer2 = len(gold) > 1 and gold[1] < 2 * M
+    return "head" if not has_layer2 or gold[1] - M in head_set else "tail"
 
 
 def evaluate(
     model: SequenceModel,
     test: InteractionDataset,
-    catalog,
+    catalog: dict[str, tuple[int, ...]],
     config: QuantizerConfig,
     head_set: frozenset[int],
     beam_width: int,
@@ -340,6 +331,7 @@ def evaluate(
 ) -> EvalReport:
     """Run beam search per test record and score recall@k and invalid ratio.
 
+    `catalog` maps item ids to flat-token ids, as for `train_seq_model`.
     recall@k counts records whose target id appears in the top k sequences.
     invalid_ratio@k is the share of emitted top-k sequences matching no
     catalog item; with the trie constraint on it is zero by construction
@@ -357,12 +349,7 @@ def evaluate(
     if given_prefix_layers < 0:
         raise ConfigError("given_prefix_layers must be >= 0")
 
-    catalog = list(catalog)
-    sid_by_item = {str(item): sid for item, sid in catalog}
-    flat_by_item = {
-        item: tuple(sid_to_flat_tokens(sid, config)) for item, sid in sid_by_item.items()
-    }
-    trie = build_trie(catalog, config)
+    trie = build_trie(catalog)
     constrained = trie_mode == "on"
 
     groups = ("overall", "head", "tail")
@@ -372,13 +359,12 @@ def evaluate(
     counts = {g: 0 for g in groups}
 
     for rec in test.records:
-        gold_sid = sid_by_item.get(rec.target)
-        if gold_sid is None:
+        gold = catalog.get(rec.target)
+        if gold is None:
             raise DataError(f"test target {rec.target!r} is not in the catalog")
-        gold = flat_by_item[rec.target]
         context: list[int] = []
         for item in rec.history:
-            tokens = flat_by_item.get(item)
+            tokens = catalog.get(item)
             if tokens is None:
                 raise DataError(f"test history item {item!r} is not in the catalog")
             context.extend(tokens)
@@ -392,7 +378,7 @@ def evaluate(
             trie=trie if constrained else None,
             fixed_prefix=prefix,
         )
-        group = _partition_of(gold_sid, head_set)
+        group = _partition_of(gold, head_set, config)
         counts["overall"] += 1
         counts[group] += 1
         top = [seq for seq, _ in preds[:max_k]]

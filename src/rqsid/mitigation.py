@@ -18,10 +18,10 @@ from .core import (
     ConfigError,
     ConsistencyError,
     QuantizerConfig,
-    SemanticId,
     TokenRangeError,
     UndefinedStatError,
-    VarLenSemanticId,
+    sid_table,
+    sid_to_flat_tokens,
 )
 from .diagnostics import (
     HourglassReport,
@@ -36,13 +36,15 @@ from .diagnostics import (
 
 @dataclass(frozen=True)
 class MitigationOutcome:
-    """Result of an id transform: new ids, head set, capacities, collisions."""
+    """Result of an id transform: the new id table, head set, capacities, and
+    collisions (flat-token id -> the item ids sharing it, in table order,
+    for every id held by at least two items, in order of first appearance)."""
 
-    transformed_sids: tuple[VarLenSemanticId, ...]
+    transformed_sids: np.recarray
     head_set: frozenset[int]
     capacity_paper_formula: int
     capacity_empirical_distinct: int
-    collisions: dict[VarLenSemanticId, tuple[str, ...]]
+    collisions: dict[tuple[int, ...], tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -70,37 +72,58 @@ class PostMitigationReport:
         }
 
 
-def _as_sid_array(sids) -> np.ndarray:
-    arr = np.asarray(sids, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise ConfigError(f"expected a nonempty (n, L) id array, got shape {arr.shape}")
-    return arr
+def _table(sids, config: QuantizerConfig) -> np.recarray:
+    """`sids` as an id table; a bare (n, L) token array holds the full-length
+    ids of items "0".."n-1"."""
+    if isinstance(sids, np.recarray):
+        if sids.tokens.shape[1] != config.num_layers:
+            raise ConsistencyError(
+                f"ids have {sids.tokens.shape[1]} layers, config expects {config.num_layers}"
+            )
+        return sids
+    tokens = np.asarray(sids, dtype=np.int64)
+    return sid_table([str(i) for i in range(len(tokens))], tokens, config)
 
 
-def _default_ids(n: int) -> tuple[str, ...]:
-    return tuple(f"item_{i:06d}" for i in range(n))
+def _outcome(table, head_set, capacity_paper_formula: int, config) -> MitigationOutcome:
+    """Count distinct ids and group collisions with one np.unique over rows."""
+    _, first, inverse, counts = np.unique(
+        table.tokens, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    shared = np.flatnonzero(counts >= 2)
+    shared = shared[np.argsort(first[shared])]
+    # rows grouped by id, each group in table order
+    by_id = np.argsort(inverse.reshape(-1), kind="stable")
+    starts = np.cumsum(counts) - counts
+    item_ids = table.item_id
+    collisions = {
+        key: tuple(item_ids[by_id[starts[g] : starts[g] + counts[g]]].tolist())
+        for key, g in zip(sid_to_flat_tokens(table[first[shared]], config), shared.tolist())
+    }
+    return MitigationOutcome(
+        transformed_sids=table,
+        head_set=frozenset(head_set),
+        capacity_paper_formula=capacity_paper_formula,
+        capacity_empirical_distinct=len(counts),
+        collisions=collisions,
+    )
 
 
-def _collisions(
-    transformed: tuple[VarLenSemanticId, ...], item_ids
-) -> dict[VarLenSemanticId, tuple[str, ...]]:
-    by_sid: dict[VarLenSemanticId, list[str]] = {}
-    for sid, item in zip(transformed, item_ids):
-        by_sid.setdefault(sid, []).append(item)
-    return {sid: tuple(items) for sid, items in by_sid.items() if len(items) >= 2}
-
-
-def exchange_layers(sids, a: int, b: int) -> list[SemanticId]:
-    """Swap token positions a and b (1-based) in every id; an involution."""
-    arr = _as_sid_array(sids).copy()
-    L = arr.shape[1]
+def exchange_layers(table, a: int, b: int, config: QuantizerConfig) -> np.recarray:
+    """Swap token positions a and b (1-based) in every full-length id; an
+    involution."""
+    table = _table(table, config)
+    L = config.num_layers
     if not (1 <= a <= L and 1 <= b <= L):
         raise TokenRangeError(f"layers ({a}, {b}) outside [1, {L}]")
-    arr[:, [a - 1, b - 1]] = arr[:, [b - 1, a - 1]]
-    return [tuple(int(t) for t in row) for row in arr]
+    if not table.is_full.all():
+        raise ConsistencyError("layer exchange needs full-length ids")
+    tokens = table.tokens.copy()
+    tokens[:, [a - 1, b - 1]] = tokens[:, [b - 1, a - 1]]
+    return sid_table(table.item_id, tokens, config)
 
 
-def remove_layer(sids, config: QuantizerConfig, item_ids=None) -> MitigationOutcome:
+def remove_layer(sids, config: QuantizerConfig) -> MitigationOutcome:
     """Drop layer 2 from every id.
 
     Layer 2 is the only removable layer, and only with at least three
@@ -114,22 +137,9 @@ def remove_layer(sids, config: QuantizerConfig, item_ids=None) -> MitigationOutc
         raise ConfigError(
             "removing layer 2 of a 2-layer id would drop its terminal token"
         )
-    arr = _as_sid_array(sids)
-    if arr.shape[1] != L:
-        raise ConsistencyError(f"ids have {arr.shape[1]} layers, config expects {L}")
-    item_ids = tuple(item_ids) if item_ids is not None else _default_ids(arr.shape[0])
-    if len(item_ids) != arr.shape[0]:
-        raise ConsistencyError(f"{len(item_ids)} item ids for {arr.shape[0]} ids")
-    transformed = tuple(
-        VarLenSemanticId.with_layer2_elided(tuple(int(t) for t in row)) for row in arr
-    )
-    return MitigationOutcome(
-        transformed_sids=transformed,
-        head_set=frozenset(range(M)),
-        capacity_paper_formula=M ** (L - 1),
-        capacity_empirical_distinct=len(set(transformed)),
-        collisions=_collisions(transformed, item_ids),
-    )
+    table = _table(sids, config)
+    elided = sid_table(table.item_id, table.tokens, config, np.zeros(len(table), dtype=bool))
+    return _outcome(elided, range(M), M ** (L - 1), config)
 
 
 def varlen_topk(
@@ -137,46 +147,30 @@ def varlen_topk(
     hist: LayerHistogram,
     selector: Selector,
     config: QuantizerConfig,
-    item_ids=None,
 ) -> MitigationOutcome:
     """Elide layer 2 for ids whose layer-2 token is in the head set.
 
-    `hist` must be the layer-2 histogram of exactly the ids being
-    transformed; tail ids pass through untouched.
+    `sids` is an id table of full-length ids, and `hist` must be the layer-2
+    histogram of exactly those ids; tail ids pass through untouched.
     """
     L, M = config.num_layers, config.codebook_size
     if L < 3:
         raise ConfigError("variable-length elision needs at least three layers")
-    arr = _as_sid_array(sids)
-    if arr.shape[1] != L:
-        raise ConsistencyError(f"ids have {arr.shape[1]} layers, config expects {L}")
+    table = _table(sids, config)
     if hist.layer != 2 or hist.counts.size != M:
         raise ConsistencyError(
             f"histogram is for layer {hist.layer} with {hist.counts.size} slots, "
             f"expected layer 2 with {M}"
         )
-    recomputed = token_histogram(arr, 2, M)
+    recomputed = token_histogram(table.tokens, 2, M)
     if not np.array_equal(recomputed.counts, hist.counts):
         raise ConsistencyError("histogram does not match the id multiset")
-    item_ids = tuple(item_ids) if item_ids is not None else _default_ids(arr.shape[0])
-    if len(item_ids) != arr.shape[0]:
-        raise ConsistencyError(f"{len(item_ids)} item ids for {arr.shape[0]} ids")
 
     head, _ = head_tail_split(hist, selector)
     k = len(head)
-    transformed = tuple(
-        VarLenSemanticId.with_layer2_elided(sid_row)
-        if sid_row[1] in head
-        else VarLenSemanticId.full(sid_row)
-        for sid_row in (tuple(int(t) for t in row) for row in arr)
-    )
-    return MitigationOutcome(
-        transformed_sids=transformed,
-        head_set=head,
-        capacity_paper_formula=M**L + k * (M ** (L - 2) - M ** (L - 1)),
-        capacity_empirical_distinct=len(set(transformed)),
-        collisions=_collisions(transformed, item_ids),
-    )
+    is_full = ~np.isin(table.tokens[:, 1], list(head))
+    elided = sid_table(table.item_id, table.tokens, config, is_full)
+    return _outcome(elided, head, M**L + k * (M ** (L - 2) - M ** (L - 1)), config)
 
 
 def elision_capacity(config: QuantizerConfig, k: int) -> int:
@@ -200,19 +194,16 @@ def post_mitigation_report(
 ) -> PostMitigationReport:
     """Recompute diagnostics over the ids that kept their full length."""
     L, M = config.num_layers, config.codebook_size
-    total = len(outcome.transformed_sids)
-    if total == 0:
-        raise ConfigError("outcome holds no ids")
-    full = [v.to_full() for v in outcome.transformed_sids if v.is_full]
-    elision_rate = 1.0 - len(full) / total
-    if not full:
+    table = outcome.transformed_sids
+    arr = table.tokens[table.is_full]
+    elision_rate = 1.0 - len(arr) / len(table)
+    if not len(arr):
         return PostMitigationReport(
             elision_rate=elision_rate,
             remaining_layer2=None,
             full_report=None,
             full_length_utilization=None,
         )
-    arr = np.asarray(full, dtype=np.int64)
     tail_tokens = np.array(
         sorted(set(range(M)) - set(outcome.head_set)), dtype=np.int64
     )

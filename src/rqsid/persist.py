@@ -17,9 +17,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import tempfile
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +31,9 @@ from .core import (
     ConfigError,
     DataError,
     EmbeddingCollection,
+    MalformedSequenceError,
     QuantizerConfig,
-    VarLenSemanticId,
+    sid_table,
 )
 from .grsim import Interaction, InteractionDataset
 
@@ -154,45 +157,70 @@ def load_codebook(path) -> tuple[Codebook, frozenset[int] | None]:
 _SID_COMMENT = "# semantic ids in long form; tokens 0-based, layers 1-based"
 
 
-def save_sids(path, items) -> None:
-    """Write (item_id, id) pairs; ids are tuples or VarLenSemanticId."""
+def save_sids(path, table) -> None:
+    """Write an id table in long form; an elided layer 2 has no row."""
     buf = io.StringIO()
     buf.write(_SID_COMMENT + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["item_id", "layer", "token"])
-    for item_id, sid in items:
-        entries = (
-            sid.entries
-            if isinstance(sid, VarLenSemanticId)
-            else tuple(enumerate(sid, start=1))
+    layers = range(1, table.tokens.shape[1] + 1)
+    writer.writerows(
+        (item_id, layer, token)
+        for item_id, row, full in zip(
+            table.item_id.tolist(), table.tokens.tolist(), table.is_full.tolist()
         )
-        for layer, token in entries:
-            writer.writerow([item_id, layer, token])
+        for layer, token in zip(layers, row)
+        if full or layer != 2
+    )
     atomic_write_text(path, buf.getvalue())
 
 
-def load_sids(path, config: QuantizerConfig) -> list[tuple[str, VarLenSemanticId]]:
-    """Read an id file back; rows of one item must be contiguous."""
-    rows_by_item: dict[str, list[tuple[int, int]]] = {}
+def load_sids(path, config: QuantizerConfig) -> np.recarray:
+    """Read an id file into an id table (see `core.sid_table`).
+
+    The rows of one item must be contiguous and list layers 1..L in order,
+    with only layer 2 allowed to be missing. An item whose rows are split by
+    another item's rows is a DataError.
+    """
+    L = config.num_layers
+    is_full_of_layers = {tuple(range(1, L + 1)): True}
+    if L >= 3:
+        is_full_of_layers[(1, *range(3, L + 1))] = False
+    item_ids: list[str] = []
+    tokens: list[int] = []
+    is_full: list[bool] = []
+    seen: set[str] = set()
+    # raised once the whole file is read, so that a split item, which can
+    # look like a malformed one, is reported as split
+    malformed: list[MalformedSequenceError] = []
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header_seen = False
-        for row in reader:
-            if not row or row[0].startswith("#"):
+        rows = (row for row in csv.reader(f) if row and not row[0].startswith("#"))
+        header = next(rows, None)
+        if header != ["item_id", "layer", "token"]:
+            raise DataError(f"{path} has unexpected id header {header}")
+        for item_id, block in itertools.groupby(rows, key=itemgetter(0)):
+            if item_id in seen:
+                raise DataError(f"{path}: the rows of item {item_id!r} are not contiguous")
+            seen.add(item_id)
+            try:
+                layers, toks = zip(*((int(row[1]), int(row[2])) for row in block))
+            except (IndexError, ValueError):
+                raise DataError(f"{path} has a malformed row for item {item_id!r}") from None
+            full = is_full_of_layers.get(layers)
+            if full is None:
+                malformed.append(MalformedSequenceError(
+                    f"item {item_id!r} has layers {list(layers)}; expected 1..{L} in "
+                    "order, with only layer 2 allowed to be missing"
+                ))
                 continue
-            if not header_seen:
-                if row != ["item_id", "layer", "token"]:
-                    raise DataError(f"{path} has unexpected header {row}")
-                header_seen = True
-                continue
-            item_id, layer, token = row[0], int(row[1]), int(row[2])
-            rows_by_item.setdefault(item_id, []).append((layer, token))
-    if not header_seen:
-        raise DataError(f"{path} is missing the id header row")
-    return [
-        (item_id, VarLenSemanticId(tuple(entries)).validate(config))
-        for item_id, entries in rows_by_item.items()
-    ]
+            item_ids.append(item_id)
+            is_full.append(full)
+            tokens.extend(toks if full else (toks[0], -1, *toks[1:]))
+    if malformed:
+        raise malformed[0]
+    if not item_ids:
+        raise DataError(f"{path} holds no ids")
+    return sid_table(item_ids, np.reshape(tokens, (-1, L)), config, is_full)
 
 
 # --- embeddings -------------------------------------------------------------

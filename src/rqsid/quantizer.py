@@ -348,7 +348,3 @@ def reconstruction_report(data: EmbeddingCollection, codebook: Codebook) -> list
     _, sq_norms = encode_all(data, codebook)
     return [float(m) for m in sq_norms[:, 1:].mean(axis=0)]
 
-
-def sids_as_tuples(sids: np.ndarray) -> list[SemanticId]:
-    """Convert an (n, L) token array to a list of semantic-id tuples."""
-    return [tuple(int(t) for t in row) for row in np.asarray(sids)]

@@ -113,11 +113,11 @@ def uniform_bench():
 @pytest.fixture(scope="session")
 def gr_bench():
     """Ten seeds of the retrieval simulation over a skewed catalog."""
-    from rqsid.core import QuantizerConfig, RandomSource, sid_to_flat_tokens
+    from rqsid.core import QuantizerConfig, RandomSource, sid_table, sid_to_flat_tokens
     from rqsid.datagen import ClusterSpec, gen_clustered
     from rqsid.diagnostics import Selector, head_tail_split, token_histogram
     from rqsid.grsim import InteractionSpec, evaluate, gen_interactions, train_seq_model
-    from rqsid.quantizer import encode_all, sids_as_tuples, train_rq
+    from rqsid.quantizer import encode_all, train_rq
 
     runs = []
     for seed in GR_SEEDS:
@@ -132,7 +132,7 @@ def gr_bench():
         data, _ = gen_clustered(2000, 8, spec, RandomSource(seed))
         codebook = train_rq(data, config, RandomSource(seed))
         sid_arr, _ = encode_all(data, codebook)
-        catalog = list(zip(data.ids, sids_as_tuples(sid_arr)))
+        table = sid_table(data.ids, sid_arr, config)
         hist = token_histogram(sid_arr, 2, config.codebook_size)
         head, _ = head_tail_split(hist, Selector.mass(0.5))
 
@@ -144,8 +144,8 @@ def gr_bench():
         test = gen_interactions(
             data.ids, InteractionSpec(num_records=600, **inter), test_rng, "test"
         )
-        flat = {item: tuple(sid_to_flat_tokens(sid, config)) for item, sid in catalog}
-        model = train_seq_model(train, flat, order=3, alpha=0.1)
+        catalog = dict(zip(data.ids, sid_to_flat_tokens(table, config)))
+        model = train_seq_model(train, catalog, order=3, alpha=0.1)
         k_list = (1, 5, 10, 50)
         runs.append(
             {

@@ -198,10 +198,8 @@ class TestCriterion6:
 
             pre_ids = {tuple(row) for row in run["sids"].tolist()}
             tail_ids = {sid for sid in pre_ids if sid[1] not in head}
-            full_entries = {
-                v.entries for v in outcome.transformed_sids if len(v.entries) == L
-            }
-            full_ids = {tuple(t for _, t in e) for e in full_entries}
+            transformed = outcome.transformed_sids
+            full_ids = {tuple(row) for row in transformed.tokens[transformed.is_full].tolist()}
             d_pre, d_tail = len(pre_ids), len(tail_ids)
             d_head = d_pre - d_tail
             identity = (d_tail / d_pre) * M / (M - k)

@@ -172,6 +172,35 @@ class TestErrors:
         assert code == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ("--head-top-k", 1), ("--head-mass", "0.9"), ("--head-top-k", 1, "--head-mass", "0.9"),
+    ], ids=["top-k", "mass", "both"])
+    def test_head_flag_with_stored_head_set_exits_2(self, pipeline, tmp_path, flags):
+        mitigated = tmp_path / "mitigated"
+        assert run(
+            "mitigate", "--sids", pipeline / "enc" / "sids.csv",
+            "--codebook", pipeline / "train" / "codebook.json",
+            "--mode", "varlen", "--head-mass", "0.5", "--out", mitigated,
+        ) == 0
+        code = run(
+            "simulate", "--sids", mitigated / "sids.csv",
+            "--codebook", mitigated / "codebook.json", "--records", 50,
+            "--test-records", 10, "--beam", 5, "--k-list", "1,5", *flags,
+            "--out", tmp_path / "out",
+        )
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_split_item_in_sid_file_exits_3(self, pipeline, tmp_path):
+        sids = tmp_path / "sids.csv"
+        sids.write_text("item_id,layer,token\na,1,1\nb,1,1\na,2,2\nb,2,2\na,3,3\nb,3,3\n")
+        code = run(
+            "analyze", "--sids", sids, "--codebook", pipeline / "train" / "codebook.json",
+            "--out", tmp_path / "out",
+        )
+        assert code == 3
+        assert not (tmp_path / "out").exists()
+
     def test_bad_sweep_set_exits_2(self, tmp_path):
         assert run("sweep", "--num-layers-set", "3,x", "--out", tmp_path / "out") == 2
         assert not (tmp_path / "out").exists()

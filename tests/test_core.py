@@ -6,17 +6,19 @@ from hypothesis import strategies as st
 from rqsid.core import (
     Codebook,
     ConfigError,
+    ConsistencyError,
     DataError,
     EmbeddingCollection,
     MalformedSequenceError,
     QuantizerConfig,
     RandomSource,
     TokenRangeError,
-    VarLenSemanticId,
-    parse_flat_tokens,
+    sid_table,
     sid_to_flat_tokens,
     validate_sid,
 )
+from rqsid.diagnostics import token_histogram
+from rqsid.persist import load_sids
 
 CFG34 = QuantizerConfig(num_layers=3, codebook_size=4, dim=2)
 
@@ -79,105 +81,164 @@ class TestCodebook:
             cb.layers[0, 0, 0] = 1.0
 
 
+def table(rows, cfg=CFG34, is_full=None):
+    return sid_table([f"i{k}" for k in range(len(rows))], rows, cfg, is_full)
+
+
+def load(tmp_path, rows, cfg=CFG34):
+    path = tmp_path / "sids.csv"
+    path.write_text("item_id,layer,token\n" + "".join(f"{r}\n" for r in rows))
+    return load_sids(path, cfg)
+
+
+def entries_of_flat(flat, cfg):
+    """(layer, token) pairs recovered from flat tokens by arithmetic."""
+    return tuple((t // cfg.codebook_size + 1, t % cfg.codebook_size) for t in flat)
+
+
 class TestFlatCodec:
     def test_full_sid_flattens(self):
-        assert sid_to_flat_tokens((3, 1, 2), CFG34) == [3, 5, 10]
+        assert sid_to_flat_tokens(table([(3, 1, 2)]), CFG34) == [(3, 5, 10)]
 
     def test_varlen_flattens(self):
-        sid = VarLenSemanticId(((1, 3), (3, 2)))
-        assert sid_to_flat_tokens(sid, CFG34) == [3, 10]
+        elided = table([(3, 0, 2)], is_full=[False])
+        assert sid_to_flat_tokens(elided, CFG34) == [(3, 10)]
 
     def test_round_trip_of_flat_example(self):
-        parsed = parse_flat_tokens([3, 5, 10], CFG34)
-        assert parsed.to_full() == (3, 1, 2)
+        (flat,) = sid_to_flat_tokens(table([(3, 1, 2)]), CFG34)
+        assert flat == (3, 5, 10)
+        assert entries_of_flat(flat, CFG34) == ((1, 3), (2, 1), (3, 2))
 
-    def test_parse_elided(self):
-        parsed = parse_flat_tokens([3, 10], CFG34)
-        assert parsed.entries == ((1, 3), (3, 2))
-        assert parsed.elided_layers == (2,)
+    def test_parse_elided(self, tmp_path):
+        loaded = load(tmp_path, ["x,1,3", "x,3,2"])
+        assert loaded.item_id.tolist() == ["x"]
+        assert loaded.tokens.tolist() == [[3, -1, 2]]
+        assert loaded.is_full.tolist() == [False]
+        assert entries_of_flat(sid_to_flat_tokens(loaded, CFG34)[0], CFG34) == ((1, 3), (3, 2))
 
-    def test_parse_layer_regression(self):
+    def test_parse_layer_regression(self, tmp_path):
         with pytest.raises(MalformedSequenceError):
-            parse_flat_tokens([10, 3], CFG34)
+            load(tmp_path, ["x,3,2", "x,1,3"])
 
-    def test_parse_duplicate_layer(self):
+    def test_parse_duplicate_layer(self, tmp_path):
         with pytest.raises(MalformedSequenceError):
-            parse_flat_tokens([3, 3, 10], CFG34)
+            load(tmp_path, ["x,1,3", "x,1,3", "x,3,2"])
 
-    def test_parse_missing_first_layer(self):
+    def test_parse_missing_first_layer(self, tmp_path):
         with pytest.raises(MalformedSequenceError):
-            parse_flat_tokens([5, 10], CFG34)
+            load(tmp_path, ["x,2,1", "x,3,2"])
 
-    def test_parse_missing_last_layer(self):
+    def test_parse_missing_last_layer(self, tmp_path):
         with pytest.raises(MalformedSequenceError):
-            parse_flat_tokens([3, 5], CFG34)
+            load(tmp_path, ["x,1,3", "x,2,1"])
 
-    def test_parse_out_of_range(self):
+    def test_parse_out_of_range(self, tmp_path):
         with pytest.raises(TokenRangeError):
-            parse_flat_tokens([12], CFG34)
+            load(tmp_path, ["x,1,3", "x,2,4", "x,3,2"])
         with pytest.raises(TokenRangeError):
-            parse_flat_tokens([-1], CFG34)
+            load(tmp_path, ["x,1,-1", "x,3,2"])
+        with pytest.raises(TokenRangeError):
+            table([(0, -1, 0)])
 
     def test_parse_empty(self):
         with pytest.raises(MalformedSequenceError):
-            parse_flat_tokens([], CFG34)
+            sid_table(["x"], np.zeros((1, 0), dtype=np.int64), CFG34)
 
     def test_flat_token_out_of_range_in_sid(self):
         with pytest.raises(TokenRangeError):
-            sid_to_flat_tokens((3, 1, 4), CFG34)
+            table([(3, 1, 4)])
 
     def test_layer_ranges_disjoint(self):
         cfg = QuantizerConfig(num_layers=4, codebook_size=7, dim=1)
+        rows = [(token,) * 4 for token in range(7)]
         by_layer = [set() for _ in range(4)]
-        for token in range(7):
-            sid = (token,) * 4
-            flat = sid_to_flat_tokens(sid, cfg)
-            assert parse_flat_tokens(flat, cfg).entries == tuple(enumerate(sid, start=1))
+        for sid, flat in zip(rows, sid_to_flat_tokens(table(rows, cfg), cfg)):
+            assert entries_of_flat(flat, cfg) == tuple(enumerate(sid, start=1))
             for layer, t in enumerate(flat):
                 by_layer[layer].add(t)
         assert all(len(s) == 7 for s in by_layer)
         assert set().union(*by_layer) == set(range(cfg.flat_vocab_size))
 
 
+class TestSidTable:
+    def test_fields_and_elided_slot(self):
+        t = table([(1, 2, 3), (0, 3, 1)], is_full=[True, False])
+        assert t.dtype.names == ("item_id", "tokens", "is_full")
+        assert t.item_id.tolist() == ["i0", "i1"]
+        # an elided id keeps one canonical row: -1 in its layer-2 slot
+        assert t.tokens.tolist() == [[1, 2, 3], [0, -1, 1]]
+        assert [bool(row.is_full) for row in t] == [True, False]
+        assert not t.flags.writeable
+
+    def test_forgotten_mask_fails_histogram(self):
+        t = table([(1, 2, 3), (0, 3, 1)], is_full=[True, False])
+        with pytest.raises(TokenRangeError):
+            token_histogram(t.tokens, 2, 4)
+
+    def test_duplicate_item_ids(self):
+        with pytest.raises(DataError):
+            sid_table(["a", "a"], [(0, 0, 0), (1, 1, 1)], CFG34)
+
+    def test_missing_item_ids(self):
+        with pytest.raises(ConsistencyError):
+            sid_table(["a"], [(0, 0, 0), (1, 1, 1)], CFG34)
+
+    def test_bad_shapes(self):
+        with pytest.raises(ConfigError):
+            sid_table(["a"], [0, 0, 0], CFG34)
+        with pytest.raises(ConfigError):
+            sid_table([], np.zeros((0, 3), dtype=np.int64), CFG34)
+        with pytest.raises(ConsistencyError):
+            sid_table(["a"], [(0, 0)], CFG34)
+        with pytest.raises(ConsistencyError):
+            sid_table(["a"], [(0, 0, 0)], CFG34, is_full=[True, True])
+
+    def test_elision_needs_three_layers(self):
+        cfg = QuantizerConfig(num_layers=2, codebook_size=4, dim=1)
+        with pytest.raises(ConfigError):
+            sid_table(["a"], [(0, 0)], cfg, is_full=[False])
+
+
 @st.composite
-def sid_and_config(draw):
+def table_and_config(draw):
     L = draw(st.integers(min_value=1, max_value=5))
     M = draw(st.integers(min_value=1, max_value=9))
     cfg = QuantizerConfig(num_layers=L, codebook_size=M, dim=1)
-    tokens = tuple(draw(st.integers(min_value=0, max_value=M - 1)) for _ in range(L))
-    elide = L >= 3 and draw(st.booleans())
-    if elide:
-        sid = VarLenSemanticId.with_layer2_elided(tokens)
-    else:
-        sid = VarLenSemanticId.full(tokens)
-    return sid, cfg
+    n = draw(st.integers(min_value=1, max_value=6))
+    rows = [tuple(draw(st.integers(min_value=0, max_value=M - 1)) for _ in range(L))
+            for _ in range(n)]
+    is_full = [not (L >= 3 and draw(st.booleans())) for _ in range(n)]
+    return rows, is_full, cfg
 
 
 class TestRoundTripProperty:
-    @given(sid_and_config())
+    @given(table_and_config())
     @settings(max_examples=300)
     def test_flat_round_trip(self, case):
-        sid, cfg = case
-        assert parse_flat_tokens(sid_to_flat_tokens(sid, cfg), cfg) == sid
+        rows, is_full, cfg = case
+        flat = sid_to_flat_tokens(table(rows, cfg, is_full), cfg)
+        assert len(flat) == len(rows)
+        for sid, full, tokens in zip(rows, is_full, flat):
+            expected = tuple(
+                (layer, t) for layer, t in enumerate(sid, start=1) if full or layer != 2
+            )
+            assert entries_of_flat(tokens, cfg) == expected
 
 
 class TestVarLenValidation:
     def test_full_is_valid(self):
-        VarLenSemanticId.full((1, 2, 3)).validate(CFG34)
+        assert table([(1, 2, 3)]).is_full.tolist() == [True]
 
-    def test_elided_layer3_rejected(self):
-        bad = VarLenSemanticId(((1, 0), (2, 1), (4, 2)))
+    def test_elided_layer3_rejected(self, tmp_path):
         cfg = QuantizerConfig(num_layers=4, codebook_size=4, dim=1)
         with pytest.raises(MalformedSequenceError):
-            bad.validate(cfg)
+            load(tmp_path, ["x,1,0", "x,2,1", "x,4,2"], cfg)
 
     def test_to_full_on_elided(self):
-        sid = VarLenSemanticId.with_layer2_elided((1, 2, 3))
-        assert not sid.is_full
-        assert sid.layer_token(2) is None
-        assert sid.layer_token(3) == 3
-        with pytest.raises(MalformedSequenceError):
-            sid.to_full()
+        elided = table([(1, 2, 3)], is_full=[False])
+        assert not elided.is_full.any()
+        assert elided.tokens.tolist() == [[1, -1, 3]]
+        assert sid_to_flat_tokens(elided, CFG34) == [(1, 2 * 4 + 3)]
 
     def test_validate_sid_rejects_wrong_length(self):
         with pytest.raises(TokenRangeError):

@@ -10,9 +10,12 @@ from rqsid.core import (
     PrefixNotFoundError,
     QuantizerConfig,
     RandomSource,
-    VarLenSemanticId,
+    sid_table,
+    sid_to_flat_tokens,
 )
 from rqsid.grsim import (
+    CatalogTrie,
+    EvalReport,
     Interaction,
     InteractionDataset,
     InteractionSpec,
@@ -28,9 +31,9 @@ CFG = QuantizerConfig(num_layers=3, codebook_size=4, dim=2)
 
 
 def flat(sid, cfg=CFG):
-    from rqsid.core import sid_to_flat_tokens
-
-    return tuple(sid_to_flat_tokens(sid, cfg))
+    """Flat tokens of one full-length id."""
+    (tokens,) = sid_to_flat_tokens(sid_table(["x"], [sid], cfg), cfg)
+    return tokens
 
 
 def brute_force_beam(model, context, max_len, config, top):
@@ -126,44 +129,106 @@ def reference_interactions(item_ids, spec, rng, split="train"):
     return InteractionDataset(tuple(records), split=split)
 
 
+def reference_matched_context(model, context):
+    """The back-off lookup that converted the whole context on every call."""
+    context = tuple(int(t) for t in context)
+    for width in range(min(model.order, len(context)), 0, -1):
+        ctx = context[len(context) - width :]
+        if ctx in model._totals:
+            return ctx
+    return None
+
+
+def reference_evaluate(model, test, catalog, config, head_set, beam_width, k_list,
+                       trie_mode="off", given_prefix_layers=0):
+    """The evaluation over (item_id, (layer, token) entries) pairs that the
+    flat-token catalog replaced; a target without a layer-2 entry is head."""
+    M = config.codebook_size
+    k_list = tuple(k_list)
+    max_k = max(k_list)
+    entries_by_item = dict(catalog)
+    flat_by_item = {item: tuple((l - 1) * M + t for l, t in e) for item, e in catalog}
+    trie = CatalogTrie()
+    for item, _ in catalog:
+        trie.insert(flat_by_item[item], item)
+    constrained = trie_mode == "on"
+    groups = ("overall", "head", "tail")
+    hits = {k: {g: 0 for g in groups} for k in k_list}
+    invalid = {k: {g: 0 for g in groups} for k in k_list}
+    emitted = {k: {g: 0 for g in groups} for k in k_list}
+    counts = {g: 0 for g in groups}
+    for rec in test.records:
+        gold = flat_by_item[rec.target]
+        context = [t for item in rec.history for t in flat_by_item[item]]
+        prefix = gold[:given_prefix_layers] if given_prefix_layers else None
+        preds = beam_search(model, context, beam_width, config.num_layers, config,
+                            trie if constrained else None, prefix)
+        layer2 = dict(entries_by_item[rec.target]).get(2)
+        group = "head" if layer2 is None or layer2 in head_set else "tail"
+        counts["overall"] += 1
+        counts[group] += 1
+        top = [seq for seq, _ in preds[:max_k]]
+        for k in k_list:
+            for g in ("overall", group):
+                hits[k][g] += int(gold in top[:k])
+                invalid[k][g] += sum(
+                    1 for seq in top[:k] if not constrained and not trie.contains(seq)
+                )
+                emitted[k][g] += len(top[:k])
+    return EvalReport(
+        beam_width=beam_width,
+        k_list=k_list,
+        trie_constrained=constrained,
+        record_counts=counts,
+        recall={k: {g: hits[k][g] / counts[g] if counts[g] else 0.0 for g in groups}
+                for k in k_list},
+        invalid_ratio={
+            k: {g: 0.0 if constrained else (invalid[k][g] / emitted[k][g] if emitted[k][g]
+                                           else 0.0) for g in groups}
+            for k in k_list
+        },
+    )
+
+
 class TestCatalogTrie:
-    CATALOG = [("i1", (0, 1, 2)), ("i2", (0, 1, 3))]
+    CATALOG = {"i1": flat((0, 1, 2)), "i2": flat((0, 1, 3))}
 
     def test_membership(self):
-        trie = build_trie(self.CATALOG, CFG)
+        trie = build_trie(self.CATALOG)
         assert trie.contains(flat((0, 1, 2)))
         assert not trie.contains(flat((0, 2, 2)))
 
     def test_valid_next(self):
-        trie = build_trie(self.CATALOG, CFG)
+        trie = build_trie(self.CATALOG)
         prefix = flat((0, 1, 2))[:2]
         assert trie.valid_next(prefix) == {2 * 4 + 2, 2 * 4 + 3}
 
     def test_terminal_has_no_children(self):
-        trie = build_trie(self.CATALOG, CFG)
+        trie = build_trie(self.CATALOG)
         assert trie.valid_next(flat((0, 1, 2))) == frozenset()
 
     def test_unknown_prefix_signals(self):
-        trie = build_trie(self.CATALOG, CFG)
+        trie = build_trie(self.CATALOG)
         with pytest.raises(PrefixNotFoundError):
             trie.valid_next((3,))
 
     def test_varlen_coexists(self):
-        catalog = self.CATALOG + [("i3", VarLenSemanticId(((1, 0), (3, 2))))]
-        trie = build_trie(catalog, CFG)
+        # i3 elides layer 2: layer-1 token 0, then layer-3 token 2
+        catalog = {**self.CATALOG, "i3": (0, 2 * 4 + 2)}
+        trie = build_trie(catalog)
         assert trie.contains((0, 2 * 4 + 2))
         assert trie.contains(flat((0, 1, 2)))
         # after the shared layer-1 token both layer-2 and layer-3 moves exist
         assert trie.valid_next((0,)) == {4 + 1, 2 * 4 + 2}
 
     def test_collisions_recorded(self):
-        catalog = [("a", (0, 1, 2)), ("b", (0, 1, 2))]
-        trie = build_trie(catalog, CFG)
+        catalog = {"a": flat((0, 1, 2)), "b": flat((0, 1, 2))}
+        trie = build_trie(catalog)
         assert trie.items_at(flat((0, 1, 2))) == ("a", "b")
 
     def test_empty_catalog(self):
         with pytest.raises(DataError):
-            build_trie([], CFG)
+            build_trie({})
 
 
 class TestSequenceModel:
@@ -197,6 +262,21 @@ class TestSequenceModel:
         # over the ambiguous unigram context (1)
         assert model.probs([0, 1])[2] == pytest.approx((1 + 0.1) / (1 + 0.3))
         assert model.probs([1])[2] == pytest.approx((1 + 0.1) / (2 + 0.3))
+
+    def test_probs_unchanged_for_long_context(self):
+        gen = np.random.default_rng(5)
+        for order in (1, 2, 3, 4):
+            model = SequenceModel(order=order, alpha=0.3, vocab_size=6)
+            for _ in range(40):
+                model.observe_stream(gen.integers(0, 6, size=8).tolist())
+            for length in range(16):
+                context = gen.integers(0, 6, size=length).tolist()
+                matched = model._matched_context(context)
+                assert matched == reference_matched_context(model, context)
+                assert model._matched_context(tuple(context)) == matched
+                np.testing.assert_array_equal(
+                    model.probs(context), model.probs(context[max(0, length - order):])
+                )
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -246,8 +326,8 @@ class TestBeamSearch:
             assert got == want
 
     def test_trie_constraint_membership(self):
-        catalog = [("i1", (0, 1, 2)), ("i2", (0, 1, 3)), ("i3", (2, 0, 0))]
-        trie = build_trie(catalog, CFG)
+        catalog = {"i1": flat((0, 1, 2)), "i2": flat((0, 1, 3)), "i3": flat((2, 0, 0))}
+        trie = build_trie(catalog)
         model = SequenceModel(order=2, alpha=0.5, vocab_size=CFG.flat_vocab_size)
         gen = np.random.default_rng(4)
         for _ in range(20):
@@ -266,16 +346,17 @@ class TestBeamSearch:
     # three unconstrained steps over CFG's 12 flat tokens end at most
     # 4 + 8 * 4 + 8 * 8 * 4 = 292 sequences, so the last width is exhaustive
     WIDTHS = (1, 3, 10, 12**3)
-    VARLEN_CATALOG = [
-        ("a", (0, 1, 2)),
-        ("b", (0, 1, 3)),
-        ("c", (0, 2, 0)),
-        ("d", VarLenSemanticId(((1, 0), (3, 1)))),
-        ("e", VarLenSemanticId(((1, 1), (3, 3)))),
-        ("f", (1, 3, 3)),
-        ("g", (2, 0, 1)),
-        ("h", VarLenSemanticId(((1, 3), (3, 0)))),
-    ]
+    # d, e and h elide layer 2
+    VARLEN_CATALOG = {
+        "a": flat((0, 1, 2)),
+        "b": flat((0, 1, 3)),
+        "c": flat((0, 2, 0)),
+        "d": (0, 2 * 4 + 1),
+        "e": (1, 2 * 4 + 3),
+        "f": flat((1, 3, 3)),
+        "g": flat((2, 0, 1)),
+        "h": (3, 2 * 4 + 0),
+    }
 
     @staticmethod
     def random_model(gen, alpha, order=2, streams=15):
@@ -303,7 +384,7 @@ class TestBeamSearch:
             self.assert_matches_reference(model, context, prefixes=(None, (0,), (0, 5), (9,)))
 
     def test_matches_reference_trie_on_varlen(self):
-        trie = build_trie(self.VARLEN_CATALOG, CFG)
+        trie = build_trie(self.VARLEN_CATALOG)
         # (1, 5) and (2, 7) are not in the trie; (3,) leads only to an elided id
         prefixes = (None, (0,), (1,), (1, 4 + 1), (3,), (2, 4 + 3), (0, 4 + 1, 2 * 4 + 2))
         gen = np.random.default_rng(22)
@@ -313,7 +394,7 @@ class TestBeamSearch:
             self.assert_matches_reference(model, context, trie, prefixes)
 
     def test_prefix_outside_trie_yields_nothing(self):
-        trie = build_trie(self.VARLEN_CATALOG, CFG)
+        trie = build_trie(self.VARLEN_CATALOG)
         model = self.random_model(np.random.default_rng(23), alpha=0.5)
         for prefix in ((2, 4 + 1), (0, 4 + 3), (1, 4 + 0)):
             assert beam_search(model, (), 10, 3, CFG, trie, prefix) == []
@@ -324,7 +405,7 @@ class TestBeamSearch:
         # and exactly uniform, so most scores tie and the lexicographic
         # tie order decides the ranking below the exhaustive width
         gen = np.random.default_rng(24)
-        trie = build_trie(self.VARLEN_CATALOG, CFG)
+        trie = build_trie(self.VARLEN_CATALOG)
         for order in (1, 2):
             model = self.random_model(gen, alpha=1e6, order=order, streams=2)
             for context in ((), (11,), (0, 4)):
@@ -355,17 +436,17 @@ class TestBeamSearch:
 
 
 class TestEvaluate:
-    CATALOG = [("i1", (0, 1, 2)), ("i2", (0, 1, 3)), ("i3", (1, 0, 0))]
+    SIDS = {"i1": (0, 1, 2), "i2": (0, 1, 3), "i3": (1, 0, 0)}
+    CATALOG = {item: flat(sid) for item, sid in SIDS.items()}
 
     def make_model(self):
-        flat_map = {item: flat(sid) for item, sid in self.CATALOG}
         train = InteractionDataset(
             tuple(
                 Interaction((a,), b)
                 for a, b in [("i1", "i2"), ("i2", "i1"), ("i1", "i2"), ("i3", "i2")]
             )
         )
-        return train_seq_model(train, flat_map, order=3, alpha=0.3), train
+        return train_seq_model(train, self.CATALOG, order=3, alpha=0.3), train
 
     def test_recall_positions(self):
         model, _ = self.make_model()
@@ -387,16 +468,14 @@ class TestEvaluate:
         k_list = (1, 3, 10)
         head_set = frozenset({1})
         report = evaluate(model, test, self.CATALOG, CFG, head_set, 10, k_list, "off")
-        trie = build_trie(self.CATALOG, CFG)
-        flat_map = {item: flat(sid) for item, sid in self.CATALOG}
-        sid_map = dict(self.CATALOG)
+        trie = build_trie(self.CATALOG)
         for k in k_list:
             bad = {"overall": 0, "head": 0, "tail": 0}
             emitted = {"overall": 0, "head": 0, "tail": 0}
             for rec in test.records:
-                context = [t for item in rec.history for t in flat_map[item]]
+                context = [t for item in rec.history for t in self.CATALOG[item]]
                 top = [seq for seq, _ in beam_search(model, context, 10, 3, CFG)[:k]]
-                group = "head" if sid_map[rec.target][1] in head_set else "tail"
+                group = "head" if self.SIDS[rec.target][1] in head_set else "tail"
                 for g in ("overall", group):
                     bad[g] += sum(1 for seq in top if not trie.contains(seq))
                     emitted[g] += len(top)
@@ -458,16 +537,52 @@ class TestEvaluate:
 
     def test_elided_gold_counts_as_head(self):
         cfg = QuantizerConfig(num_layers=3, codebook_size=4, dim=1)
-        catalog = [
-            ("h", VarLenSemanticId(((1, 0), (3, 2)))),
-            ("t", VarLenSemanticId.full((1, 2, 3))),
-        ]
-        flat_map = {"h": (0, 10), "t": (1, 6, 11)}
+        # h elides layer 2; t is the full id (1, 2, 3)
+        catalog = {"h": (0, 10), "t": (1, 6, 11)}
         train = InteractionDataset((Interaction(("t",), "h"), Interaction(("h",), "t")))
-        model = train_seq_model(train, flat_map, order=2, alpha=0.5)
+        model = train_seq_model(train, catalog, order=2, alpha=0.5)
         test = InteractionDataset((Interaction(("t",), "h"),), split="test")
         report = evaluate(model, test, catalog, cfg, frozenset(), 4, (1,), "on")
         assert report.record_counts["head"] == 1
+
+
+class TestEvaluateOracle:
+    """evaluate over the flat catalog equals the evaluation over per-item
+    (layer, token) entries that it replaced."""
+
+    @staticmethod
+    def setup_case(seed, num_layers, elide_share):
+        gen = np.random.default_rng(seed)
+        config = QuantizerConfig(num_layers=num_layers, codebook_size=4, dim=1)
+        n = 40
+        item_ids = [f"item_{k}" for k in range(n)]
+        rows = gen.integers(0, 4, size=(n, num_layers)).tolist()
+        is_full = [not (num_layers >= 3 and gen.random() < elide_share) for _ in range(n)]
+        entries = [
+            (item, tuple((l, t) for l, t in enumerate(row, 1) if full or l != 2))
+            for item, row, full in zip(item_ids, rows, is_full)
+        ]
+        table = sid_table(item_ids, rows, config, is_full)
+        catalog = dict(zip(item_ids, sid_to_flat_tokens(table, config)))
+        spec = InteractionSpec(num_records=300, min_history=1, max_history=3)
+        train = gen_interactions(item_ids, spec, RandomSource(seed))
+        test = gen_interactions(item_ids, InteractionSpec(num_records=40), RandomSource(seed + 1),
+                                "test")
+        model = train_seq_model(train, catalog, order=3, alpha=0.2)
+        return config, entries, catalog, model, test
+
+    @pytest.mark.parametrize("seed,num_layers,elide_share",
+                             [(0, 3, 0.4), (1, 3, 0.0), (2, 4, 0.6), (3, 2, 0.0), (4, 1, 0.0)])
+    def test_matches_reference(self, seed, num_layers, elide_share):
+        config, entries, catalog, model, test = self.setup_case(seed, num_layers, elide_share)
+        head_set = frozenset({0, 2})
+        for trie_mode in ("off", "on"):
+            for given in range(min(num_layers, 3)):
+                args = (model, test, config, head_set, 10, (1, 3, 10), trie_mode, given)
+                got = evaluate(args[0], args[1], catalog, *args[2:])
+                want = reference_evaluate(args[0], args[1], entries, *args[2:])
+                assert got == want, (trie_mode, given)
+                assert got.to_dict() == want.to_dict()
 
 
 class TestGenInteractions:

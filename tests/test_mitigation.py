@@ -3,66 +3,87 @@ from itertools import product
 import numpy as np
 import pytest
 
-from rqsid.core import ConfigError, ConsistencyError, QuantizerConfig, VarLenSemanticId
+from rqsid.core import (
+    ConfigError,
+    ConsistencyError,
+    QuantizerConfig,
+    TokenRangeError,
+    UndefinedStatError,
+    sid_table,
+)
 from rqsid.diagnostics import (
     LayerHistogram,
+    LayerStats,
     Selector,
     gini,
+    head_tail_split,
     hourglass_report,
     token_histogram,
 )
 from rqsid.mitigation import (
+    PostMitigationReport,
     elision_capacity,
     exchange_layers,
     post_mitigation_report,
     remove_layer,
     varlen_topk,
 )
+from test_persist import table_entries
 
 CFG = QuantizerConfig(num_layers=3, codebook_size=4, dim=2)
 
 
+CFG10 = QuantizerConfig(num_layers=3, codebook_size=10, dim=1)
+
+
+def table(rows, cfg=CFG10):
+    return sid_table([f"i{k}" for k in range(len(rows))], rows, cfg)
+
+
 class TestExchangeLayers:
     def test_swap(self):
-        assert exchange_layers([(3, 7, 9)], 1, 2) == [(7, 3, 9)]
+        out = exchange_layers(table([(3, 7, 9)]), 1, 2, CFG10)
+        assert out.tokens.tolist() == [[7, 3, 9]]
+        assert out.item_id.tolist() == ["i0"]
 
     def test_involution(self):
         gen = np.random.default_rng(0)
-        sids = gen.integers(0, 4, size=(50, 3))
-        twice = exchange_layers(exchange_layers(sids, 1, 2), 1, 2)
-        assert twice == [tuple(r) for r in sids]
+        sids = table(gen.integers(0, 4, size=(50, 3)), CFG)
+        twice = exchange_layers(exchange_layers(sids, 1, 2, CFG), 1, 2, CFG)
+        np.testing.assert_array_equal(twice, sids)
 
     def test_histogram_swap(self):
         gen = np.random.default_rng(1)
         sids = gen.integers(0, 4, size=(80, 3))
-        swapped = exchange_layers(sids, 1, 2)
+        swapped = exchange_layers(table(sids, CFG), 1, 2, CFG)
         h1 = token_histogram(sids, 1, 4)
-        h2_after = token_histogram(swapped, 2, 4)
+        h2_after = token_histogram(swapped.tokens, 2, 4)
         np.testing.assert_array_equal(h1.counts, h2_after.counts)
 
     def test_preserves_token_multiset(self):
         gen = np.random.default_rng(2)
         sids = gen.integers(0, 4, size=(30, 3))
-        swapped = exchange_layers(sids, 2, 3)
-        for before, after in zip(sids, swapped):
+        swapped = exchange_layers(table(sids, CFG), 2, 3, CFG)
+        for before, after in zip(sids, swapped.tokens):
             assert sorted(before) == sorted(after)
 
     def test_out_of_range(self):
-        from rqsid.core import TokenRangeError
-
         with pytest.raises(TokenRangeError):
-            exchange_layers([(0, 1, 2)], 1, 4)
+            exchange_layers(table([(0, 1, 2)], CFG), 1, 4, CFG)
+
+    def test_elided_ids_rejected(self):
+        elided = remove_layer(table([(0, 1, 2)], CFG), CFG).transformed_sids
+        with pytest.raises(ConsistencyError):
+            exchange_layers(elided, 1, 3, CFG)
 
 
 class TestRemoveLayer:
     def test_collision_reported(self):
-        out = remove_layer([(0, 5, 2), (0, 6, 2)],
-                           QuantizerConfig(num_layers=3, codebook_size=8, dim=1),
-                           item_ids=("a", "b"))
-        assert all(sid.entries == ((1, 0), (3, 2)) for sid in out.transformed_sids)
-        assert len(out.collisions) == 1
-        (items,) = out.collisions.values()
-        assert items == ("a", "b")
+        cfg = QuantizerConfig(num_layers=3, codebook_size=8, dim=1)
+        out = remove_layer(sid_table(("a", "b"), [(0, 5, 2), (0, 6, 2)], cfg), cfg)
+        assert out.transformed_sids.tokens.tolist() == [[0, -1, 2], [0, -1, 2]]
+        assert not out.transformed_sids.is_full.any()
+        assert out.collisions == {(0, 2 * 8 + 2): ("a", "b")}
 
     def test_capacity_formula(self):
         cfg = QuantizerConfig(num_layers=3, codebook_size=4096, dim=1)
@@ -88,26 +109,25 @@ class TestRemoveLayer:
 
 
 class TestVarlenTopK:
-    def make(self, sids, selector, m=10, item_ids=None):
+    def make(self, sids, selector, m=10):
         cfg = QuantizerConfig(num_layers=3, codebook_size=m, dim=1)
         hist = token_histogram(sids, 2, m)
-        return varlen_topk(sids, hist, selector, cfg, item_ids=item_ids), cfg
+        return varlen_topk(table(sids, cfg), hist, selector, cfg), cfg
 
     def test_head_elided_tail_untouched(self):
         sids = [(3, 7, 9), (3, 8, 9), (3, 7, 1)]
         out, _ = self.make(sids, Selector.top_k(1))
         assert out.head_set == {7}
-        assert out.transformed_sids[0].entries == ((1, 3), (3, 9))
-        assert out.transformed_sids[1] == VarLenSemanticId.full((3, 8, 9))
-        assert out.transformed_sids[2].entries == ((1, 3), (3, 1))
+        assert out.transformed_sids.tokens.tolist() == [[3, -1, 9], [3, 8, 9], [3, -1, 1]]
+        assert out.transformed_sids.is_full.tolist() == [False, True, False]
 
     def test_k0_identity(self):
         sids = [(1, 2, 3), (4, 5, 6)]
         out, cfg = self.make(sids, Selector.top_k(0))
         assert out.head_set == frozenset()
         assert out.capacity_paper_formula == 10**3
-        assert all(sid.is_full for sid in out.transformed_sids)
-        assert [sid.to_full() for sid in out.transformed_sids] == sids
+        assert out.transformed_sids.is_full.all()
+        assert [tuple(row) for row in out.transformed_sids.tokens.tolist()] == sids
 
     def test_paper_capacity_value(self):
         cfg = QuantizerConfig(num_layers=3, codebook_size=4096, dim=1)
@@ -127,21 +147,141 @@ class TestVarlenTopK:
         gen = np.random.default_rng(7)
         sids = [tuple(map(int, r)) for r in gen.integers(0, 6, size=(120, 3))]
         out, _ = self.make(sids, Selector.mass(0.5), m=6)
-        for original, transformed in zip(sids, out.transformed_sids):
+        rows = out.transformed_sids.tokens.tolist()
+        for original, row, full in zip(sids, rows, out.transformed_sids.is_full):
             if original[1] in out.head_set:
-                assert transformed.elided_layers == (2,)
-                assert transformed.layer_token(1) == original[0]
-                assert transformed.layer_token(3) == original[2]
+                assert not full and row == [original[0], -1, original[2]]
             else:
-                assert transformed == VarLenSemanticId.full(original)
+                assert full and row == list(original)
 
     def test_determinism(self):
         gen = np.random.default_rng(8)
         sids = [tuple(map(int, r)) for r in gen.integers(0, 5, size=(60, 3))]
         a, _ = self.make(sids, Selector.top_k(2), m=5)
         b, _ = self.make(sids, Selector.top_k(2), m=5)
-        assert a.transformed_sids == b.transformed_sids
+        np.testing.assert_array_equal(a.transformed_sids, b.transformed_sids)
+        assert a.collisions == b.collisions
         assert a.head_set == b.head_set
+
+
+# --- the object-per-item code the id table replaced, on (layer, token) entries
+
+
+def full_entries(sid):
+    return tuple((layer, int(t)) for layer, t in enumerate(sid, start=1))
+
+
+def elided_entries(sid):
+    return tuple((layer, int(t)) for layer, t in enumerate(sid, start=1) if layer != 2)
+
+
+def reference_collisions(transformed, item_ids):
+    by_sid = {}
+    for sid, item in zip(transformed, item_ids):
+        by_sid.setdefault(sid, []).append(item)
+    return {sid: tuple(items) for sid, items in by_sid.items() if len(items) >= 2}
+
+
+def reference_remove(rows, config, item_ids):
+    M, L = config.codebook_size, config.num_layers
+    transformed = tuple(elided_entries(row) for row in rows)
+    return {
+        "transformed": transformed,
+        "head_set": frozenset(range(M)),
+        "capacity_paper_formula": M ** (L - 1),
+        "capacity_empirical_distinct": len(set(transformed)),
+        "collisions": reference_collisions(transformed, item_ids),
+    }
+
+
+def reference_varlen(rows, selector, config, item_ids):
+    M, L = config.codebook_size, config.num_layers
+    head, _ = head_tail_split(token_histogram(rows, 2, M), selector)
+    transformed = tuple(
+        elided_entries(row) if row[1] in head else full_entries(row) for row in rows
+    )
+    return {
+        "transformed": transformed,
+        "head_set": head,
+        "capacity_paper_formula": M**L + len(head) * (M ** (L - 2) - M ** (L - 1)),
+        "capacity_empirical_distinct": len(set(transformed)),
+        "collisions": reference_collisions(transformed, item_ids),
+    }
+
+
+def reference_post(transformed, head_set, config, head_selector=Selector.mass(0.5)):
+    L, M = config.num_layers, config.codebook_size
+    full = [tuple(t for _, t in e) for e in transformed if len(e) == L]
+    elision_rate = 1.0 - len(full) / len(transformed)
+    if not full:
+        return PostMitigationReport(elision_rate, None, None, None)
+    arr = np.asarray(full, dtype=np.int64)
+    tail_tokens = np.array(sorted(set(range(M)) - set(head_set)), dtype=np.int64)
+    remaining = LayerHistogram(2, token_histogram(arr, 2, M).counts[tail_tokens])
+    try:
+        remaining_stats = LayerStats.from_histogram(remaining)
+    except UndefinedStatError:
+        remaining_stats = None
+    full_space = (M - len(head_set)) * M ** (L - 1)
+    distinct_full = len(set(full))
+    return PostMitigationReport(
+        elision_rate=elision_rate,
+        remaining_layer2=remaining_stats,
+        full_report=hourglass_report(arr, config, head_selector),
+        full_length_utilization=distinct_full / full_space if full_space else None,
+    )
+
+
+def flat_of_entries(entries, config):
+    return tuple((layer - 1) * config.codebook_size + t for layer, t in entries)
+
+
+class TestObjectPathOracle:
+    """Transforms on the id table equal the object-per-item transforms."""
+
+    SELECTORS = (Selector.top_k(0), Selector.top_k(1), Selector.top_k(3),
+                 Selector.mass(0.5), Selector.mass(1.0))
+
+    @staticmethod
+    def catalog(seed, n=400, m=5, num_layers=3):
+        gen = np.random.default_rng(seed)
+        config = QuantizerConfig(num_layers=num_layers, codebook_size=m, dim=1)
+        # skewed layer 2 and few distinct ids, so that groups are large
+        rows = gen.integers(0, m, size=(n, num_layers))
+        rows[:, 1] = np.minimum(gen.geometric(0.45, size=n) - 1, m - 1)
+        item_ids = [f"item_{k}" for k in gen.permutation(n).tolist()]
+        return [tuple(r) for r in rows.tolist()], item_ids, config
+
+    def assert_same(self, outcome, want, item_ids, config):
+        got = outcome.transformed_sids
+        assert got.item_id.tolist() == item_ids
+        assert table_entries(got) == list(zip(item_ids, want["transformed"]))
+        assert outcome.head_set == want["head_set"]
+        assert outcome.capacity_paper_formula == want["capacity_paper_formula"]
+        assert outcome.capacity_empirical_distinct == want["capacity_empirical_distinct"]
+        # same groups, same item order in each, same group order
+        assert list(outcome.collisions.items()) == [
+            (flat_of_entries(sid, config), items) for sid, items in want["collisions"].items()
+        ]
+        assert outcome.collisions
+        got_post = post_mitigation_report(outcome, config).to_dict()
+        assert got_post == reference_post(want["transformed"], want["head_set"], config).to_dict()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_varlen_matches_reference(self, seed):
+        rows, item_ids, config = self.catalog(seed, num_layers=3 + seed % 2)
+        ids = sid_table(item_ids, rows, config)
+        hist = token_histogram(rows, 2, config.codebook_size)
+        for selector in self.SELECTORS:
+            outcome = varlen_topk(ids, hist, selector, config)
+            want = reference_varlen(rows, selector, config, item_ids)
+            self.assert_same(outcome, want, item_ids, config)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_remove_matches_reference(self, seed):
+        rows, item_ids, config = self.catalog(seed, num_layers=3 + seed)
+        outcome = remove_layer(sid_table(item_ids, rows, config), config)
+        self.assert_same(outcome, reference_remove(rows, config, item_ids), item_ids, config)
 
 
 class TestEmpiricalCapacity:

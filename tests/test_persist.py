@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +10,10 @@ from rqsid.core import (
     Codebook,
     DataError,
     EmbeddingCollection,
+    MalformedSequenceError,
     QuantizerConfig,
-    VarLenSemanticId,
+    TokenRangeError,
+    sid_table,
 )
 from rqsid.grsim import Interaction, InteractionDataset
 from rqsid.persist import (
@@ -78,21 +83,95 @@ class TestCodebookFormat:
             load_codebook(tmp_path / "cb.json")
 
 
+def table_entries(table):
+    """(item_id, (layer, token) entries) per row of an id table."""
+    L = table.tokens.shape[1]
+    return [
+        (item, tuple((layer, t) for layer, t in zip(range(1, L + 1), row) if full or layer != 2))
+        for item, row, full in zip(
+            table.item_id.tolist(), table.tokens.tolist(), table.is_full.tolist()
+        )
+    ]
+
+
+def reference_validate(entries, config):
+    """The checks of the per-item id object the id table replaced."""
+    if not entries:
+        raise MalformedSequenceError("semantic id has no entries")
+    layers = [l for l, _ in entries]
+    if any(b <= a for a, b in zip(layers, layers[1:])):
+        raise MalformedSequenceError(f"layer indices not strictly increasing: {layers}")
+    if layers[0] != 1:
+        raise MalformedSequenceError(f"first entry is layer {layers[0]}, expected layer 1")
+    if layers[-1] != config.num_layers:
+        raise MalformedSequenceError(f"last entry is layer {layers[-1]}")
+    if set(range(1, config.num_layers + 1)) - set(layers) - {2}:
+        raise MalformedSequenceError("only layer 2 may be elided")
+    for layer, token in entries:
+        if not 0 <= token < config.codebook_size:
+            raise TokenRangeError(f"layer {layer} token {token} out of range")
+    return entries
+
+
+def reference_load_sids(path, config):
+    """The object-per-item loader the id table replaced: rows grouped by
+    item in first-appearance order, each item's entries validated."""
+    rows_by_item = {}
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header_seen = False
+        for row in reader:
+            if not row or row[0].startswith("#"):
+                continue
+            if not header_seen:
+                header_seen = True
+                continue
+            rows_by_item.setdefault(row[0], []).append((int(row[1]), int(row[2])))
+    return [(item, reference_validate(tuple(e), config)) for item, e in rows_by_item.items()]
+
+
+def reference_save_sids(path, items):
+    """The writer the id table replaced, over (item_id, entries) pairs."""
+    buf = io.StringIO()
+    buf.write("# semantic ids in long form; tokens 0-based, layers 1-based\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["item_id", "layer", "token"])
+    for item_id, entries in items:
+        for layer, token in entries:
+            writer.writerow([item_id, layer, token])
+    Path(path).write_text(buf.getvalue())
+
+
+def write_sids(path, rows):
+    path.write_text("# comment\nitem_id,layer,token\n" + "".join(f"{r}\n" for r in rows))
+    return path
+
+
+def random_entries(gen, n, config, elide_share):
+    """Random valid (item_id, entries) pairs in a shuffled item order."""
+    items = []
+    for k in gen.permutation(n).tolist():
+        sid = gen.integers(0, config.codebook_size, size=config.num_layers).tolist()
+        elided = config.num_layers >= 3 and gen.random() < elide_share
+        items.append((f"item_{k}", tuple(
+            (layer, t) for layer, t in enumerate(sid, start=1) if not elided or layer != 2
+        )))
+    return items
+
+
 class TestSidFormat:
     def test_round_trip_mixed_lengths(self, tmp_path):
-        items = [
-            ("a", (0, 1, 2)),
-            ("b", VarLenSemanticId(((1, 3), (3, 0)))),
-            ("c", VarLenSemanticId.full((1, 1, 1))),
-        ]
-        save_sids(tmp_path / "sids.csv", items)
+        table = sid_table(["a", "b", "c"], [(0, 1, 2), (3, 0, 0), (1, 1, 1)], CFG,
+                          is_full=[True, False, True])
+        save_sids(tmp_path / "sids.csv", table)
         loaded = load_sids(tmp_path / "sids.csv", CFG)
-        assert loaded[0] == ("a", VarLenSemanticId.full((0, 1, 2)))
-        assert loaded[1] == ("b", VarLenSemanticId(((1, 3), (3, 0))))
-        assert loaded[2][1].is_full
+        assert loaded.item_id.tolist() == ["a", "b", "c"]
+        assert loaded.tokens.tolist() == [[0, 1, 2], [3, -1, 0], [1, 1, 1]]
+        assert loaded.is_full.tolist() == [True, False, True]
+        assert table_entries(loaded)[1] == ("b", ((1, 3), (3, 0)))
 
     def test_header_comment_present(self, tmp_path):
-        save_sids(tmp_path / "sids.csv", [("a", (0, 1, 2))])
+        save_sids(tmp_path / "sids.csv", sid_table(["a"], [(0, 1, 2)], CFG))
         first = (tmp_path / "sids.csv").read_text().splitlines()[0]
         assert first.startswith("#") and "0-based" in first
 
@@ -100,10 +179,76 @@ class TestSidFormat:
         (tmp_path / "bad.csv").write_text(
             "item_id,layer,token\nx,1,0\nx,2,9\nx,3,0\n"
         )
-        from rqsid.core import TokenRangeError
-
         with pytest.raises(TokenRangeError):
             load_sids(tmp_path / "bad.csv", CFG)
+
+
+class TestSidOracle:
+    """The id table against the object-per-item code it replaced."""
+
+    @pytest.mark.parametrize("num_layers,elide_share", [(3, 0.0), (3, 0.5), (4, 0.7), (2, 0.0)])
+    def test_load_matches_reference(self, tmp_path, num_layers, elide_share):
+        config = QuantizerConfig(num_layers=num_layers, codebook_size=5, dim=1)
+        items = random_entries(np.random.default_rng(num_layers), 300, config, elide_share)
+        path = tmp_path / "sids.csv"
+        reference_save_sids(path, items)
+        assert reference_load_sids(path, config) == items
+        loaded = load_sids(path, config)
+        assert table_entries(loaded) == items
+        assert loaded.is_full.tolist() == [len(e) == num_layers for _, e in items]
+        # the writer reproduces the file byte for byte
+        save_sids(tmp_path / "again.csv", loaded)
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+    def test_load_matches_reference_on_cli_files(self, tmp_path):
+        from rqsid.cli import main
+
+        root = tmp_path
+        argvs = [
+            ("gen", "--kind", "clustered", "--n", 1500, "--d", 6, "--clusters", 24,
+             "--seed", 2, "--out", root / "gen"),
+            ("train", "--embeddings", root / "gen" / "embeddings.json", "--num-layers", 3,
+             "--codebook-size", 8, "--seed", 2, "--out", root / "train"),
+            ("encode", "--embeddings", root / "gen" / "embeddings.json",
+             "--codebook", root / "train" / "codebook.json", "--out", root / "enc"),
+            ("mitigate", "--sids", root / "enc" / "sids.csv",
+             "--codebook", root / "train" / "codebook.json",
+             "--mode", "varlen", "--head-mass", "0.5", "--out", root / "mit"),
+        ]
+        for argv in argvs:
+            assert main([str(a) for a in argv]) == 0
+        config = load_codebook(root / "train" / "codebook.json")[0].config
+        for stage in ("enc", "mit"):
+            path = root / stage / "sids.csv"
+            loaded = load_sids(path, config)
+            assert table_entries(loaded) == reference_load_sids(path, config)
+            assert len(loaded) == 1500
+        assert not load_sids(root / "mit" / "sids.csv", config).is_full.all()
+
+
+class TestLoaderContract:
+    @pytest.mark.parametrize("rows", [
+        ["a,1,1", "b,1,1", "a,2,2", "b,2,2", "a,3,3", "b,3,3"],
+        ["a,1,1", "a,2,2", "a,3,3", "b,1,1", "b,2,2", "b,3,3", "a,1,1", "a,2,2", "a,3,3"],
+    ], ids=["interleaved", "duplicate"])
+    def test_split_item_rejected(self, tmp_path, rows):
+        with pytest.raises(DataError, match="not contiguous"):
+            load_sids(write_sids(tmp_path / "sids.csv", rows), CFG)
+
+    @pytest.mark.parametrize("rows", [["a,1"], ["a,1,x"], ["a,one,1"]],
+                             ids=["short", "token-text", "layer-text"])
+    def test_malformed_row_rejected(self, tmp_path, rows):
+        with pytest.raises(DataError):
+            load_sids(write_sids(tmp_path / "sids.csv", rows), CFG)
+
+    def test_no_ids_rejected(self, tmp_path):
+        with pytest.raises(DataError):
+            load_sids(write_sids(tmp_path / "sids.csv", []), CFG)
+
+    def test_missing_header_rejected(self, tmp_path):
+        (tmp_path / "sids.csv").write_text("# only a comment\n")
+        with pytest.raises(DataError):
+            load_sids(tmp_path / "sids.csv", CFG)
 
 
 class TestEmbeddingFormats:
