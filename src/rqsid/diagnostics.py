@@ -273,15 +273,16 @@ def hourglass_report(
     density = tuple(
         adjacent_pair_count(arr, l) / (M * M) for l in range(1, L)
     )
+    distinct = int(np.unique(arr, axis=0).shape[0])
     return HourglassReport(
         per_layer=stats,
-        path_sparsity=path_sparsity(arr, config),
+        path_sparsity=distinct / M**L,  # as path_sparsity, without a second row sort
         edge_density=density,
         hourglass_flag=flag,
         head_set=head,
         pinch_layer=pinch,
         num_items=int(arr.shape[0]),
-        distinct_sids=int(np.unique(arr, axis=0).shape[0]),
+        distinct_sids=distinct,
         histograms=tuple(tuple(int(c) for c in h.counts) for h in hists)
         if include_histograms
         else (),

@@ -18,6 +18,7 @@ from .core import (
     PrefixNotFoundError,
     QuantizerConfig,
     RandomSource,
+    TokenRangeError,
 )
 
 
@@ -82,10 +83,6 @@ class CatalogTrie:
         node = self._walk(tokens)
         return node is not None and bool(node.items)
 
-    def items_at(self, tokens) -> tuple[str, ...]:
-        node = self._walk(tokens)
-        return tuple(node.items) if node is not None else ()
-
     def valid_next(self, prefix) -> frozenset[int]:
         """Child tokens after `prefix`; empty for a terminal-only node.
 
@@ -108,12 +105,28 @@ def build_trie(catalog: dict[str, tuple[int, ...]]) -> CatalogTrie:
     return trie
 
 
+# Records whose n-grams train_seq_model packs and counts in one pass. Each
+# pass merges its counts into the model, so only one chunk's token list and
+# key arrays are alive at a time.
+_COUNT_CHUNK = 256
+
+
 class SequenceModel:
     """Laplace-smoothed next-token counts with longest-suffix back-off.
 
     Counts are kept for every context length from 1 up to `order`. A query
     uses the longest context suffix that was ever observed; if none was,
     the distribution is uniform over the flat vocabulary.
+
+    The counts are compiled into arrays. A context of width w is packed
+    into one int64 key, its tokens as base-`vocab_size` digits, oldest
+    first; each width keeps its contexts' keys sorted, so a batch of
+    contexts is matched with one binary search per width. The contexts of
+    all widths share CSR arrays: context g, the `offset` of its width plus
+    its rank there, was followed `totals[g]` times, by the tokens
+    `next[starts[g]:starts[g + 1]]` with the counts `counts[...]` of the
+    same slice. A (context, next token) key packs `order + 1` tokens, so
+    `vocab_size ** (order + 1)` must fit in an int64.
     """
 
     def __init__(self, order: int, alpha: float, vocab_size: int):
@@ -123,40 +136,114 @@ class SequenceModel:
             raise ConfigError(f"alpha must be > 0, got {alpha}")
         if vocab_size < 1:
             raise ConfigError(f"vocab_size must be >= 1, got {vocab_size}")
+        if vocab_size ** (order + 1) > np.iinfo(np.int64).max:
+            raise ConfigError(
+                f"vocab_size {vocab_size} ** (order {order} + 1) does not fit in an int64 key"
+            )
         self.order = order
         self.alpha = alpha
         self.vocab_size = vocab_size
-        self._counts: dict[tuple[int, ...], dict[int, int]] = {}
-        self._totals: dict[tuple[int, ...], int] = {}
+        empty = np.zeros(0, dtype=np.int64)
+        self._compile([empty] * order, [empty] * order)
+
+    def _compile(self, pairs_by_width, counts_by_width) -> None:
+        """Set the lookup arrays from each width's sorted distinct
+        (context, next token) keys and their counts."""
+        v = self.vocab_size
+        self._keys: list[np.ndarray] = []
+        self._offset: list[int] = []
+        starts, totals = [], []
+        num_contexts = num_pairs = 0
+        for pairs, counts in zip(pairs_by_width, counts_by_width):
+            contexts = pairs // v
+            first = np.flatnonzero(np.r_[True, contexts[1:] != contexts[:-1]])[: len(pairs)]
+            self._keys.append(contexts[first])
+            self._offset.append(num_contexts)
+            starts.append(first + num_pairs)
+            totals.append(np.add.reduceat(counts, first) if len(first) else counts)
+            num_contexts += len(first)
+            num_pairs += len(pairs)
+        self._starts = np.append(np.concatenate(starts), num_pairs)
+        self._totals = np.concatenate(totals)
+        self._next = np.concatenate(pairs_by_width) % v
+        self._counts = np.concatenate(counts_by_width)
+
+    def _width_pairs(self, w: int) -> tuple[np.ndarray, np.ndarray]:
+        """Width w's sorted distinct (context, next token) keys and their counts."""
+        first = self._offset[w - 1]
+        bounds = self._starts[first : first + len(self._keys[w - 1]) + 1]
+        span = slice(bounds[0], bounds[-1])
+        pairs = np.repeat(self._keys[w - 1], np.diff(bounds)) * self.vocab_size + self._next[span]
+        return pairs, self._counts[span]
 
     def observe_stream(self, stream) -> None:
-        stream = [int(t) for t in stream]
-        for i in range(1, len(stream)):
-            nxt = stream[i]
-            for width in range(1, min(self.order, i) + 1):
-                ctx = tuple(stream[i - width : i])
-                slot = self._counts.setdefault(ctx, {})
-                slot[nxt] = slot.get(nxt, 0) + 1
-                self._totals[ctx] = self._totals.get(ctx, 0) + 1
+        stream = np.array([int(t) for t in stream], dtype=np.int64)
+        self._observe(stream, np.array([len(stream)]))
 
-    def _matched_context(self, context) -> tuple[int, ...] | None:
-        context = tuple(int(t) for t in context[max(0, len(context) - self.order) :])
-        for width in range(len(context), 0, -1):
-            ctx = context[len(context) - width :]
-            if ctx in self._totals:
-                return ctx
-        return None
+    def _observe(self, tokens: np.ndarray, lengths: np.ndarray) -> None:
+        """Count the n-grams of streams laid end to end in `tokens`."""
+        v = self.vocab_size
+        if len(tokens) and (tokens.min() < 0 or tokens.max() >= v):
+            bad = tokens[(tokens < 0) | (tokens >= v)][0]
+            raise TokenRangeError(f"stream token {bad} outside [0, {v})")
+        # each token's position in its own stream
+        pos = np.arange(len(tokens)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        pairs_by_width, counts_by_width = map(
+            list, zip(*(self._width_pairs(w) for w in range(1, self.order + 1)))
+        )
+        # pairs[j] packs tokens[j : j + w + 1], a width-w context and its next token
+        pairs = tokens
+        for w in range(1, min(self.order, len(tokens) - 1) + 1):
+            pairs = tokens[: len(tokens) - w] * v**w + pairs[1:]
+            new = pairs[pos[w:] >= w]
+            merged, inverse = np.unique(
+                np.concatenate((pairs_by_width[w - 1], new)), return_inverse=True
+            )
+            counts = np.zeros(len(merged), dtype=np.int64)
+            np.add.at(counts, inverse, np.r_[counts_by_width[w - 1], np.ones(len(new), np.int64)])
+            pairs_by_width[w - 1], counts_by_width[w - 1] = merged, counts
+        self._compile(pairs_by_width, counts_by_width)
+
+    def _prob_rows(self, tails: np.ndarray) -> np.ndarray:
+        """Next-token distributions, one row per row of `tails`.
+
+        Each row of `tails` ends with the last tokens of one context; all
+        rows hold the same number of them. Tokens outside the vocabulary
+        never match, so a context containing one backs off past it.
+        """
+        v = self.vocab_size
+        digits = tails[:, max(0, tails.shape[1] - self.order) :][:, ::-1]  # newest first
+        n, width = digits.shape
+        bad = (digits < 0) | (digits >= v)
+        # keys[:, w - 1] packs each context's last w tokens
+        keys = np.cumsum(np.where(bad, 0, digits) * v ** np.arange(width), axis=1)
+        keys[np.cumsum(bad, axis=1) > 0] = -1
+        match = np.full(n, -1)
+        for w in range(1, width + 1):  # shortest first: a longer match overwrites
+            table = self._keys[w - 1]
+            if not len(table):
+                continue
+            at = table.searchsorted(keys[:, w - 1])
+            hit = table[np.minimum(at, len(table) - 1)] == keys[:, w - 1]
+            match[hit] = self._offset[w - 1] + at[hit]
+
+        rows = np.flatnonzero(match >= 0)
+        ctx = match[rows]
+        lo = self._starts[ctx]
+        size = self._starts[ctx + 1] - lo
+        seg = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
+        counts = np.zeros((n, v))
+        counts[np.repeat(rows, size), self._next[seg]] = self._counts[seg]
+        totals = np.zeros(n)
+        totals[rows] = self._totals[ctx]
+        probs = (counts + self.alpha) / (totals + self.alpha * v)[:, None]
+        probs[match < 0] = 1.0 / v
+        return probs
 
     def probs(self, context) -> np.ndarray:
         """Distribution over the next flat token; always sums to 1."""
-        v = self.vocab_size
-        ctx = self._matched_context(context)
-        if ctx is None:
-            return np.full(v, 1.0 / v)
-        counts = np.zeros(v, dtype=np.float64)
-        for token, c in self._counts[ctx].items():
-            counts[token] = c
-        return (counts + self.alpha) / (self._totals[ctx] + self.alpha * v)
+        tail = [int(t) for t in context[max(0, len(context) - self.order) :]]
+        return self._prob_rows(np.array(tail, dtype=np.int64).reshape(1, -1))[0]
 
     def log_probs(self, context) -> np.ndarray:
         return np.log(self.probs(context))
@@ -171,20 +258,25 @@ def train_seq_model(
     """Fit the count model on flattened interaction streams.
 
     Each record becomes one stream: the history items' flat tokens in order
-    with the target item's tokens appended.
+    with the target item's tokens appended. Streams are counted
+    `_COUNT_CHUNK` records at a time.
     """
     if len(data) == 0:
         raise DataError("cannot train a sequence model on an empty dataset")
     vocab = max(max(ts) for ts in catalog_sids.values()) + 1
     model = SequenceModel(order, alpha, vocab)
-    for rec in data.records:
-        stream: list[int] = []
-        for item in (*rec.history, rec.target):
-            tokens = catalog_sids.get(item)
-            if tokens is None:
-                raise DataError(f"interaction references unknown item {item!r}")
-            stream.extend(tokens)
-        model.observe_stream(stream)
+    for lo in range(0, len(data), _COUNT_CHUNK):
+        tokens: list[int] = []
+        lengths: list[int] = []
+        for rec in data.records[lo : lo + _COUNT_CHUNK]:
+            start = len(tokens)
+            for item in (*rec.history, rec.target):
+                ids = catalog_sids.get(item)
+                if ids is None:
+                    raise DataError(f"interaction references unknown item {item!r}")
+                tokens.extend(ids)
+            lengths.append(len(tokens) - start)
+        model._observe(np.array(tokens, dtype=np.int64), np.array(lengths))
     return model
 
 
@@ -236,27 +328,33 @@ def beam_search(
     if start and start[-1] >= first_terminal:
         return [(start, 0.0)]
 
-    active = [start]
+    # each row of `active` is one beam's sequence after the last `order`
+    # context tokens, which the model's back-off lookup reads with it
+    history = context[max(0, len(context) - model.order) :]
+    active = np.array([history + start], dtype=np.int64).reshape(1, -1)
     active_logp = np.zeros(1)
     active_rank = np.zeros(1, dtype=np.int64)
     finished: list[tuple[tuple[int, ...], float]] = []
     for _ in range(max_len):
-        live: list[int] = []
-        rows = []
-        children: list[int] = []
-        num_children: list[int] = []
-        for b, seq in enumerate(active):
-            if trie is not None:
+        seqs = active[:, len(history) :].tolist()
+        if trie is None:
+            live = np.arange(len(seqs))
+        else:
+            live_list: list[int] = []
+            children: list[int] = []
+            num_children: list[int] = []
+            for b, seq in enumerate(seqs):
                 try:
                     allowed = trie.valid_next(seq)
                 except PrefixNotFoundError:
                     continue
+                live_list.append(b)
                 children.extend(allowed)
                 num_children.append(len(allowed))
-            live.append(b)
-            rows.append(model.log_probs(context + seq))
-        if not live:
-            break
+            if not live_list:
+                break
+            live = np.array(live_list)
+        rows = np.log(model._prob_rows(active[live]))
         # candidate i extends row[i] of `rows` by token[i]; their order is
         # irrelevant, since _top ranks them by a total order
         if trie is None:
@@ -264,14 +362,14 @@ def beam_search(
         else:
             row = np.repeat(np.arange(len(live)), num_children)
             token = np.array(children, dtype=np.int64)
-        parent = np.array(live)[row]
-        score = active_logp[parent] + np.stack(rows)[row, token]
+        parent = live[row]
+        score = active_logp[parent] + rows[row, token]
         parent_rank = active_rank[parent]
 
         terminal = np.flatnonzero(token >= first_terminal)
         best = terminal[_top(score[terminal], parent_rank[terminal], token[terminal], beam_width)]
         finished.extend(
-            (active[p] + (t,), logp)
+            ((*seqs[p], t), logp)
             for p, t, logp in zip(parent[best].tolist(), token[best].tolist(), score[best].tolist())
         )
         finished.sort(key=lambda item: (-item[1], item[0]))
@@ -281,7 +379,7 @@ def beam_search(
         best = going[_top(score[going], parent_rank[going], token[going], beam_width)]
         if not len(best):
             break
-        active = [active[p] + (t,) for p, t in zip(parent[best].tolist(), token[best].tolist())]
+        active = np.column_stack((active[parent[best]], token[best]))
         active_logp = score[best]
         active_rank = np.empty(len(best), dtype=np.int64)
         active_rank[np.lexsort((token[best], parent_rank[best]))] = np.arange(len(best))

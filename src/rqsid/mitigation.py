@@ -215,10 +215,10 @@ def post_mitigation_report(
         remaining_stats = None
     k = len(outcome.head_set)
     full_space = (M - k) * M ** (L - 1)
-    distinct_full = int(np.unique(arr, axis=0).shape[0])
+    full_report = hourglass_report(arr, config, head_selector)
     return PostMitigationReport(
         elision_rate=elision_rate,
         remaining_layer2=remaining_stats,
-        full_report=hourglass_report(arr, config, head_selector),
-        full_length_utilization=distinct_full / full_space if full_space else None,
+        full_report=full_report,
+        full_length_utilization=full_report.distinct_sids / full_space if full_space else None,
     )

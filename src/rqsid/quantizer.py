@@ -185,7 +185,11 @@ def _kmeanspp_init(
                 warned = True
             idx = int(gen.integers(n))
         else:
-            idx = int(gen.choice(n, p=min_d2 / total))
+            # numpy's own algorithm for gen.choice(n, p=min_d2 / total),
+            # without its validation passes; the random stream is the same
+            cdf = (min_d2 / total).cumsum()
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(gen.random(), side="right"))
         centroids[j] = points[idx]
         np.minimum(min_d2, dist_to(centroids[j]), out=min_d2)
     return centroids

@@ -10,9 +10,11 @@ from rqsid.core import (
     PrefixNotFoundError,
     QuantizerConfig,
     RandomSource,
+    TokenRangeError,
     sid_table,
     sid_to_flat_tokens,
 )
+from rqsid import grsim
 from rqsid.grsim import (
     CatalogTrie,
     EvalReport,
@@ -129,6 +131,73 @@ def reference_interactions(item_ids, spec, rng, split="train"):
     return InteractionDataset(tuple(records), split=split)
 
 
+class ReferenceSequenceModel:
+    """The dict-of-counts model the compiled SequenceModel replaced."""
+
+    def __init__(self, order: int, alpha: float, vocab_size: int):
+        if order < 1:
+            raise ConfigError(f"order must be >= 1, got {order}")
+        if alpha <= 0:
+            raise ConfigError(f"alpha must be > 0, got {alpha}")
+        if vocab_size < 1:
+            raise ConfigError(f"vocab_size must be >= 1, got {vocab_size}")
+        self.order = order
+        self.alpha = alpha
+        self.vocab_size = vocab_size
+        self._counts: dict[tuple[int, ...], dict[int, int]] = {}
+        self._totals: dict[tuple[int, ...], int] = {}
+
+    def observe_stream(self, stream) -> None:
+        stream = [int(t) for t in stream]
+        for i in range(1, len(stream)):
+            nxt = stream[i]
+            for width in range(1, min(self.order, i) + 1):
+                ctx = tuple(stream[i - width : i])
+                slot = self._counts.setdefault(ctx, {})
+                slot[nxt] = slot.get(nxt, 0) + 1
+                self._totals[ctx] = self._totals.get(ctx, 0) + 1
+
+    def _matched_context(self, context) -> tuple[int, ...] | None:
+        context = tuple(int(t) for t in context[max(0, len(context) - self.order) :])
+        for width in range(len(context), 0, -1):
+            ctx = context[len(context) - width :]
+            if ctx in self._totals:
+                return ctx
+        return None
+
+    def probs(self, context) -> np.ndarray:
+        """Distribution over the next flat token; always sums to 1."""
+        v = self.vocab_size
+        ctx = self._matched_context(context)
+        if ctx is None:
+            return np.full(v, 1.0 / v)
+        counts = np.zeros(v, dtype=np.float64)
+        for token, c in self._counts[ctx].items():
+            counts[token] = c
+        return (counts + self.alpha) / (self._totals[ctx] + self.alpha * v)
+
+    def log_probs(self, context) -> np.ndarray:
+        return np.log(self.probs(context))
+
+
+def model_pair(order, alpha, vocab_size, streams):
+    """The compiled model and the reference model, fed the same streams."""
+    model = SequenceModel(order, alpha, vocab_size)
+    ref = ReferenceSequenceModel(order, alpha, vocab_size)
+    for stream in streams:
+        model.observe_stream(stream)
+        ref.observe_stream(stream)
+    return model, ref
+
+
+def assert_rows_equal(model, ref, context):
+    for method in ("probs", "log_probs"):
+        got = getattr(model, method)(context)
+        want = getattr(ref, method)(context)
+        assert got.dtype == want.dtype, (method, context)
+        assert np.array_equal(got, want), (method, context)
+
+
 def reference_matched_context(model, context):
     """The back-off lookup that converted the whole context on every call."""
     context = tuple(int(t) for t in context)
@@ -221,11 +290,6 @@ class TestCatalogTrie:
         # after the shared layer-1 token both layer-2 and layer-3 moves exist
         assert trie.valid_next((0,)) == {4 + 1, 2 * 4 + 2}
 
-    def test_collisions_recorded(self):
-        catalog = {"a": flat((0, 1, 2)), "b": flat((0, 1, 2))}
-        trie = build_trie(catalog)
-        assert trie.items_at(flat((0, 1, 2))) == ("a", "b")
-
     def test_empty_catalog(self):
         with pytest.raises(DataError):
             build_trie({})
@@ -266,23 +330,137 @@ class TestSequenceModel:
     def test_probs_unchanged_for_long_context(self):
         gen = np.random.default_rng(5)
         for order in (1, 2, 3, 4):
-            model = SequenceModel(order=order, alpha=0.3, vocab_size=6)
-            for _ in range(40):
-                model.observe_stream(gen.integers(0, 6, size=8).tolist())
+            streams = [gen.integers(0, 6, size=8).tolist() for _ in range(40)]
+            model, ref = model_pair(order, 0.3, 6, streams)
             for length in range(16):
                 context = gen.integers(0, 6, size=length).tolist()
-                matched = model._matched_context(context)
-                assert matched == reference_matched_context(model, context)
-                assert model._matched_context(tuple(context)) == matched
+                matched = ref._matched_context(context)
+                assert matched == reference_matched_context(ref, context)
+                assert ref._matched_context(tuple(context)) == matched
                 np.testing.assert_array_equal(
                     model.probs(context), model.probs(context[max(0, length - order):])
                 )
+                assert_rows_equal(model, ref, context)
+                assert_rows_equal(model, ref, tuple(context))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SequenceModel(order=0, alpha=1.0, vocab_size=2)
         with pytest.raises(ConfigError):
             SequenceModel(order=1, alpha=0.0, vocab_size=2)
+        # (context, next token) keys of 7 tokens at V=768 need 67 bits
+        with pytest.raises(ConfigError):
+            SequenceModel(order=6, alpha=1.0, vocab_size=768)
+        SequenceModel(order=5, alpha=1.0, vocab_size=768)
+
+    @pytest.mark.parametrize("bad", [-1, 3, 5])
+    def test_out_of_range_token_rejected(self, bad):
+        # counted, -1 would alias token 2 as a negative index, and 5 would
+        # raise a bare IndexError from probs
+        model = SequenceModel(order=2, alpha=1.0, vocab_size=3)
+        model.observe_stream([0, 2])
+        with pytest.raises(TokenRangeError):
+            model.observe_stream([0, bad, 1])
+        # nothing of the rejected stream was counted
+        np.testing.assert_array_equal(model.probs([0]), np.array([1.0, 1.0, 2.0]) / 4)
+        np.testing.assert_array_equal(model.probs([bad]), np.full(3, 1 / 3))
+        np.testing.assert_array_equal(model.probs([0, bad]), np.full(3, 1 / 3))
+
+    def test_out_of_range_context_never_matches(self):
+        # with packed keys, context (0, 5) would alias (1, 2) at V=3
+        model = SequenceModel(order=2, alpha=1.0, vocab_size=3)
+        model.observe_stream([1, 2, 0])
+        model.observe_stream([2, 1])
+        np.testing.assert_array_equal(model.probs([0, 5]), np.full(3, 1 / 3))
+        np.testing.assert_array_equal(model.probs([-1, 2]), model.probs([2]))
+        np.testing.assert_array_equal(model.probs([3, 2]), model.probs([2]))
+
+
+class TestCompiledModelOracle:
+    """The compiled model equals the dict model it replaced, bit for bit."""
+
+    V = 7
+    UNSEEN = 3  # never observed, so every context ending in it is unseen
+
+    def streams(self, gen, count):
+        tokens = [t for t in range(self.V) if t != self.UNSEEN]
+        streams = [gen.choice(tokens, size=int(gen.integers(0, 10))).tolist()
+                   for _ in range(count)]
+        # both vocabulary edges as context and as next token
+        return streams + [[0, self.V - 1, 0, self.V - 1, 1, 0]]
+
+    def contexts(self, gen, order):
+        seen = [t for t in range(self.V) if t != self.UNSEEN]
+        out = [[], (), [self.UNSEEN], [0, self.UNSEEN], [self.UNSEEN, 0],
+               [0], [self.V - 1], [self.V - 1, 0], [0, self.V - 1],
+               [5, -1], [-1, 0], [0, self.V], [self.V, self.V - 1]]
+        for length in (order - 1, order, order + 1, order + 5):
+            for _ in range(12):
+                ctx = gen.choice(seen, size=max(0, length)).tolist()
+                out += [ctx, tuple(ctx), np.array(ctx, dtype=np.int64)]
+        return out
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_rows_match_reference(self, order):
+        gen = np.random.default_rng(40 + order)
+        for alpha in (0.01, 0.3, 2.0):
+            model, ref = model_pair(order, alpha, self.V, self.streams(gen, 60))
+            for context in self.contexts(gen, order):
+                assert_rows_equal(model, ref, context)
+            # every context the reference stored, at every width
+            for ctx in ref._totals:
+                assert_rows_equal(model, ref, ctx)
+                assert_rows_equal(model, ref, (0, 1, 2, 4, 5, 6) + ctx)
+
+    @staticmethod
+    def train_both(records, catalog, order, alpha, vocab):
+        ref = ReferenceSequenceModel(order, alpha, vocab)
+        for rec in records:
+            ref.observe_stream([t for item in (*rec.history, rec.target) for t in catalog[item]])
+        model = train_seq_model(InteractionDataset(tuple(records)), catalog, order, alpha)
+        return model, ref
+
+    @pytest.mark.parametrize("chunk", [None, 1, 3])
+    def test_training_chunks_match_reference(self, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(grsim, "_COUNT_CHUNK", chunk)
+        size = grsim._COUNT_CHUNK
+        gen = np.random.default_rng(60)
+        # "e*" ids elide layer 2 and are two flat tokens long
+        catalog = {f"f{k}": flat(tuple(gen.integers(0, 4, size=3).tolist())) for k in range(6)}
+        catalog.update({f"e{k}": (int(gen.integers(0, 4)), 8 + int(gen.integers(0, 4)))
+                        for k in range(4)})
+        items = sorted(catalog)
+        vocab = max(max(ts) for ts in catalog.values()) + 1
+
+        def record():
+            history = tuple(gen.choice(items, size=int(gen.integers(1, 4))).tolist())
+            return Interaction(history, str(gen.choice(items)))
+
+        for count in (1, size, 2 * size + 3):
+            records = [record() for _ in range(count)]
+            for order in (1, 2, 4):
+                model, ref = self.train_both(records, catalog, order, 0.2, vocab)
+                for ctx in ref._totals:
+                    assert_rows_equal(model, ref, ctx)
+                for context in ((), (11,), (0, 9), (8, 0, 5), (1, 5, 9, 0, 4)):
+                    assert_rows_equal(model, ref, context)
+
+    def test_beam_search_matches_reference_model(self):
+        gen = np.random.default_rng(61)
+        trie = build_trie(TestBeamSearch.VARLEN_CATALOG)
+        prefixes = (None, (0,), (1, 4 + 1), (3,))
+        for order in (1, 2, 3, 4):
+            streams = [gen.integers(0, CFG.flat_vocab_size, size=6).tolist() for _ in range(25)]
+            model, ref = model_pair(order, float(gen.uniform(0.05, 2.0)),
+                                    CFG.flat_vocab_size, streams)
+            for context in ((), (11,), tuple(gen.integers(0, 12, size=5).tolist())):
+                for width in TestBeamSearch.WIDTHS:
+                    for prefix in prefixes:
+                        for t in (None, trie):
+                            got = beam_search(model, context, width, 3, CFG, t, prefix)
+                            want = reference_beam(ref, context, width, 3, CFG, t, prefix)
+                            assert got == want, (order, context, width, prefix, t)
 
 
 class TestTrainSeqModel:
@@ -301,6 +479,11 @@ class TestTrainSeqModel:
     def test_empty_dataset(self):
         with pytest.raises(DataError):
             train_seq_model(InteractionDataset(()), {"a": (0, 4, 8)}, 1, 1.0)
+
+    def test_negative_token_rejected(self):
+        data = InteractionDataset((Interaction(("a",), "b"),))
+        with pytest.raises(TokenRangeError):
+            train_seq_model(data, {"a": (0, 4, 8), "b": (1, -1, 9)}, order=2, alpha=1.0)
 
 
 class TestBeamSearch:

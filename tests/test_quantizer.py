@@ -12,7 +12,10 @@ from rqsid.core import (
     RandomSource,
 )
 from rqsid.quantizer import (
+    _MIXED_MAX_SCALE,
+    _kmeanspp_init,
     _nearest,
+    _PointSide,
     _sq_dists,
     decode,
     encode,
@@ -36,6 +39,33 @@ def brute_force_kmeans_sse(points, m):
                 sse += ((members - members.mean(axis=0)) ** 2).sum()
         best = min(best, sse)
     return best
+
+
+def reference_seed(points, m, gen, side):
+    """The k-means++ seeding that drew each seed with gen.choice(n, p=...)."""
+    n, d = points.shape
+    centroids = np.empty((m, d), dtype=np.float64)
+    first = int(gen.integers(n))
+    centroids[0] = points[first]
+    fast = (side.norm_max * 2.0) ** 2 <= _MIXED_MAX_SCALE
+
+    def dist_to(c):
+        if fast:
+            c32 = c.astype(np.float32)
+            w = side.p_sq32 - 2.0 * (side.p32 @ c32) + np.float32(c32 @ c32)
+            return np.maximum(w, 0.0, out=w)
+        return _sq_dists(points, c[None, :])[:, 0]
+
+    min_d2 = np.asarray(dist_to(centroids[0]), dtype=np.float64)
+    for j in range(1, m):
+        total = float(min_d2.sum())
+        if total <= 0.0:
+            idx = int(gen.integers(n))
+        else:
+            idx = int(gen.choice(n, p=min_d2 / total))
+        centroids[j] = points[idx]
+        np.minimum(min_d2, dist_to(centroids[j]), out=min_d2)
+    return centroids
 
 
 class TestKMeans:
@@ -83,6 +113,29 @@ class TestKMeans:
         result = kmeans(points, 7, iters=40, tol=0.0, rng=RandomSource(4))
         ref = np.argmin(_sq_dists(points, result.centroids), axis=1)
         np.testing.assert_array_equal(result.assignments, ref)
+
+
+class TestSeeding:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_matches_choice_reference(self, seed, caplog):
+        gen = np.random.default_rng(100 + seed)
+        cases = [
+            (gen.standard_normal((500, 6)), 32, False),
+            # norms past the float32 scoring limit take the float64 path
+            (gen.standard_normal((300, 3)) * 1e8, 16, False),
+            # at most 5 distinct points for 12 seeds: the weights reach
+            # exactly zero and the remaining seeds are drawn uniformly
+            (np.repeat(gen.integers(-3, 4, size=(5, 4)).astype(float), 4, axis=0), 12, True),
+            (np.full((7, 2), 3.0), 4, True),
+        ]
+        for points, m, falls_back in cases:
+            side = _PointSide(points)
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                got = _kmeanspp_init(points, m, RandomSource(seed).generator(), side)
+            assert any("duplicating" in r.message for r in caplog.records) == falls_back
+            want = reference_seed(points, m, RandomSource(seed).generator(), side)
+            np.testing.assert_array_equal(got, want)
 
 
 class TestMixedPrecisionNearest:
