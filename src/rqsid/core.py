@@ -41,10 +41,6 @@ class ConsistencyError(RqsidError):
     """Inputs that must describe the same collection disagree."""
 
 
-class PrefixNotFoundError(RqsidError, LookupError):
-    """Prefix is not a path in the catalog trie (distinct from a terminal node)."""
-
-
 @dataclass(frozen=True)
 class QuantizerConfig:
     """Shape and training parameters of a residual quantizer.

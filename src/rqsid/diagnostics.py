@@ -177,20 +177,13 @@ def stddev(h) -> float:
     return float(np.std(counts))
 
 
-def path_sparsity(sids, config: QuantizerConfig) -> float:
-    """Distinct semantic ids divided by the exact path-space size M**L."""
-    arr = _as_sid_array(sids)
-    if arr.shape[0] == 0:
-        raise UndefinedStatError("path sparsity of an empty id set is undefined")
-    distinct = np.unique(arr, axis=0).shape[0]
-    space = config.codebook_size ** config.num_layers  # exact big integer
-    return distinct / space
+def adjacent_pair_count(sids, layer: int, codebook_size: int) -> int:
+    """Distinct (layer, layer+1) token pairs; numerator of the edge density.
 
-
-def adjacent_pair_count(sids, layer: int) -> int:
-    """Distinct (layer, layer+1) token pairs; numerator of the edge density."""
+    Each pair is counted as the one key a * M + b, with tokens in [0, M).
+    """
     arr = _as_sid_array(sids)
-    return int(np.unique(arr[:, [layer - 1, layer]], axis=0).shape[0])
+    return len(np.unique(arr[:, layer - 1] * codebook_size + arr[:, layer]))
 
 
 def head_tail_split(h: LayerHistogram, selector: Selector) -> tuple[frozenset[int], frozenset[int]]:
@@ -271,12 +264,12 @@ def hourglass_report(
     head_layer = 2 if L >= 2 else 1
     head, _ = head_tail_split(hists[head_layer - 1], head_selector)
     density = tuple(
-        adjacent_pair_count(arr, l) / (M * M) for l in range(1, L)
+        adjacent_pair_count(arr, l, M) / (M * M) for l in range(1, L)
     )
     distinct = int(np.unique(arr, axis=0).shape[0])
     return HourglassReport(
         per_layer=stats,
-        path_sparsity=distinct / M**L,  # as path_sparsity, without a second row sort
+        path_sparsity=distinct / M**L,  # exact big-integer path-space size
         edge_density=density,
         hourglass_flag=flag,
         head_set=head,

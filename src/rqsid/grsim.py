@@ -9,13 +9,13 @@ head and tail layer-2 tokens.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .core import (
     ConfigError,
     DataError,
-    PrefixNotFoundError,
     QuantizerConfig,
     RandomSource,
     TokenRangeError,
@@ -44,65 +44,67 @@ class InteractionDataset:
         return len(self.records)
 
 
-class _TrieNode:
-    __slots__ = ("children", "items")
-
-    def __init__(self) -> None:
-        self.children: dict[int, _TrieNode] = {}
-        self.items: list[str] = []
-
-
+@dataclass(frozen=True, eq=False)
 class CatalogTrie:
-    """Prefix tree over flat-token sequences of catalog ids.
+    """Prefix tree over the flat-token sequences of catalog ids, as arrays.
 
-    Terminal nodes carry the item ids mapping to that sequence, so id
-    collisions are visible. Fixed and variable-length sequences coexist
-    because layer membership is encoded in the flat tokens themselves.
+    Nodes are numbered level by level, the root 0 first, and each node's
+    children are consecutive and sorted by token: node g's children are the
+    nodes `first[g] + 1 .. first[g + 1]`, reached by the tokens
+    `token[first[g] : first[g + 1]]`, so edge e leads to node e + 1. Fixed
+    and variable-length sequences coexist because layer membership is
+    encoded in the flat tokens themselves. Membership is a set of the ids.
     """
 
-    def __init__(self) -> None:
-        self._root = _TrieNode()
-        self.size = 0
-
-    def insert(self, tokens, item_id: str) -> None:
-        node = self._root
-        for t in tokens:
-            node = node.children.setdefault(int(t), _TrieNode())
-        node.items.append(item_id)
-        self.size += 1
-
-    def _walk(self, prefix) -> _TrieNode | None:
-        node = self._root
-        for t in prefix:
-            node = node.children.get(int(t))
-            if node is None:
-                return None
-        return node
+    first: np.ndarray
+    token: np.ndarray
+    ids: frozenset
 
     def contains(self, tokens) -> bool:
-        node = self._walk(tokens)
-        return node is not None and bool(node.items)
+        return tuple(tokens) in self.ids
 
-    def valid_next(self, prefix) -> frozenset[int]:
-        """Child tokens after `prefix`; empty for a terminal-only node.
-
-        Raises PrefixNotFoundError when the prefix is not a path at all,
-        which is a different situation than a terminal with no children.
-        """
-        node = self._walk(prefix)
-        if node is None:
-            raise PrefixNotFoundError(f"prefix {list(prefix)} is not in the catalog")
-        return frozenset(node.children)
+    def node_of(self, prefix) -> int:
+        """The node `prefix` leads to, or -1 when it is not a catalog prefix."""
+        node = 0
+        for t in prefix:
+            lo, hi = self.first[node], self.first[node + 1]
+            at = lo + int(self.token[lo:hi].searchsorted(t))
+            if at == hi or self.token[at] != t:
+                return -1
+            node = at + 1
+        return int(node)
 
 
 def build_trie(catalog: dict[str, tuple[int, ...]]) -> CatalogTrie:
     """Trie over a catalog mapping item ids to flat-token sequences."""
     if not catalog:
         raise DataError("cannot build a trie from an empty catalog")
-    trie = CatalogTrie()
-    for item_id, tokens in catalog.items():
-        trie.insert(tokens, str(item_id))
-    return trie
+    ids = frozenset(map(tuple, catalog.values()))
+    lengths = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
+    flat = np.fromiter(chain.from_iterable(ids), dtype=np.int64, count=lengths.sum())
+    if len(flat) and flat.min() < 0:
+        raise TokenRangeError(f"catalog token {flat.min()} is negative")
+    v = int(flat.max()) + 1 if len(flat) else 1
+    # column d of `tokens` holds each id's token at depth d
+    tokens = np.full((len(ids), lengths.max(initial=0)), -1, dtype=np.int64)
+    tokens[np.arange(tokens.shape[1]) < lengths[:, None]] = flat
+    node = np.zeros(len(ids), dtype=np.int64)  # each id's node at the current depth
+    parents, edges = [], []
+    num_nodes = 1
+    for d in range(tokens.shape[1]):
+        deeper = np.flatnonzero(lengths > d)
+        keys, inverse = np.unique(node[deeper] * v + tokens[deeper, d], return_inverse=True)
+        node[deeper] = num_nodes + inverse
+        num_nodes += len(keys)
+        parents.append(keys // v)
+        edges.append(keys % v)
+    first = np.concatenate(parents).searchsorted(np.arange(num_nodes + 1))
+    return CatalogTrie(first, np.concatenate(edges), ids)
+
+
+def _ranges(lo: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The ranges lo[i] .. lo[i] + size[i] - 1, laid end to end."""
+    return np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
 
 
 # Records whose n-grams train_seq_model packs and counts in one pass. Each
@@ -231,7 +233,7 @@ class SequenceModel:
         ctx = match[rows]
         lo = self._starts[ctx]
         size = self._starts[ctx + 1] - lo
-        seg = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
+        seg = _ranges(lo, size)
         counts = np.zeros((n, v))
         counts[np.repeat(rows, size), self._next[seg]] = self._counts[seg]
         totals = np.zeros(n)
@@ -311,7 +313,8 @@ def beam_search(
     both full-length and layer-2-elided ids. When a trie is given, expansion
     is restricted to its children, so only catalog prefixes are ever built.
     A fixed prefix is scored as given (log-probability 0) and included in the
-    outputs. Results are sorted by total log-probability, ties broken by
+    outputs; with a trie, a prefix that is no catalog prefix yields nothing.
+    Results are sorted by total log-probability, ties broken by
     lexicographic order of the token sequence.
 
     Each step scores every (beam, next token) pair as one array. The active
@@ -328,8 +331,13 @@ def beam_search(
     if start and start[-1] >= first_terminal:
         return [(start, 0.0)]
 
+    if trie is not None:
+        node = np.array([trie.node_of(start)])
+        if node[0] < 0:
+            return []
     # each row of `active` is one beam's sequence after the last `order`
-    # context tokens, which the model's back-off lookup reads with it
+    # context tokens, which the model's back-off lookup reads with it; with a
+    # trie, node[b] is the trie node that beam b's sequence leads to
     history = context[max(0, len(context) - model.order) :]
     active = np.array([history + start], dtype=np.int64).reshape(1, -1)
     active_logp = np.zeros(1)
@@ -337,40 +345,25 @@ def beam_search(
     finished: list[tuple[tuple[int, ...], float]] = []
     for _ in range(max_len):
         seqs = active[:, len(history) :].tolist()
-        if trie is None:
-            live = np.arange(len(seqs))
-        else:
-            live_list: list[int] = []
-            children: list[int] = []
-            num_children: list[int] = []
-            for b, seq in enumerate(seqs):
-                try:
-                    allowed = trie.valid_next(seq)
-                except PrefixNotFoundError:
-                    continue
-                live_list.append(b)
-                children.extend(allowed)
-                num_children.append(len(allowed))
-            if not live_list:
-                break
-            live = np.array(live_list)
-        rows = np.log(model._prob_rows(active[live]))
-        # candidate i extends row[i] of `rows` by token[i]; their order is
+        rows = np.log(model._prob_rows(active))
+        # candidate i extends beam row[i] by token[i]; their order is
         # irrelevant, since _top ranks them by a total order
         if trie is None:
-            row, token = np.divmod(np.arange(len(live) * model.vocab_size), model.vocab_size)
+            row, token = np.divmod(np.arange(len(active) * model.vocab_size), model.vocab_size)
         else:
-            row = np.repeat(np.arange(len(live)), num_children)
-            token = np.array(children, dtype=np.int64)
-        parent = live[row]
-        score = active_logp[parent] + rows[row, token]
-        parent_rank = active_rank[parent]
+            lo = trie.first[node]
+            size = trie.first[node + 1] - lo
+            row = np.repeat(np.arange(len(node)), size)
+            edge = _ranges(lo, size)
+            token = trie.token[edge]
+        score = active_logp[row] + rows[row, token]
+        parent_rank = active_rank[row]
 
         terminal = np.flatnonzero(token >= first_terminal)
         best = terminal[_top(score[terminal], parent_rank[terminal], token[terminal], beam_width)]
         finished.extend(
             ((*seqs[p], t), logp)
-            for p, t, logp in zip(parent[best].tolist(), token[best].tolist(), score[best].tolist())
+            for p, t, logp in zip(row[best].tolist(), token[best].tolist(), score[best].tolist())
         )
         finished.sort(key=lambda item: (-item[1], item[0]))
         del finished[beam_width:]
@@ -379,10 +372,12 @@ def beam_search(
         best = going[_top(score[going], parent_rank[going], token[going], beam_width)]
         if not len(best):
             break
-        active = np.column_stack((active[parent[best]], token[best]))
+        active = np.column_stack((active[row[best]], token[best]))
         active_logp = score[best]
         active_rank = np.empty(len(best), dtype=np.int64)
         active_rank[np.lexsort((token[best], parent_rank[best]))] = np.arange(len(best))
+        if trie is not None:
+            node = edge[best] + 1
     return finished
 
 

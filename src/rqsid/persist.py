@@ -76,6 +76,24 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _load_header(path: Path, kind: str, *keys: str) -> dict:
+    """The JSON header of a `kind` file, holding at least `keys`."""
+    try:
+        header = json.loads(path.read_text())
+    except ValueError as e:  # undecodable bytes as well as malformed JSON
+        raise DataError(f"{path} is not a JSON header: {e}") from None
+    if not isinstance(header, dict) or header.get("kind") != kind:
+        raise DataError(f"{path} is not a {kind} file")
+    _require_keys(path, header, *keys)
+    return header
+
+
+def _require_keys(path: Path, header: dict, *keys: str) -> None:
+    missing = [k for k in keys if k not in header]
+    if missing:
+        raise DataError(f"{path} lacks the header keys {missing}")
+
+
 # --- codebook ---------------------------------------------------------------
 
 
@@ -124,9 +142,8 @@ def save_codebook(path, codebook: Codebook, head_set=None, inline: bool | None =
 
 def load_codebook(path) -> tuple[Codebook, frozenset[int] | None]:
     path = Path(path)
-    header = json.loads(path.read_text())
-    if header.get("kind") != "codebook":
-        raise DataError(f"{path} is not a codebook file")
+    header = _load_header(path, "codebook", "num_layers", "codebook_size", "dim",
+                          "kmeans_iters", "seed", "convergence_tol", "training_sse_per_layer")
     cfg = QuantizerConfig(
         num_layers=header["num_layers"],
         codebook_size=header["codebook_size"],
@@ -139,6 +156,7 @@ def load_codebook(path) -> tuple[Codebook, frozenset[int] | None]:
     if "layers" in header:
         layers = np.asarray(header["layers"], dtype=np.float64)
     else:
+        _require_keys(path, header, "layers_file", "layers_sha256")
         bin_path = path.parent / header["layers_file"]
         payload = bin_path.read_bytes()
         if sha256_bytes(payload) != header["layers_sha256"]:
@@ -271,19 +289,24 @@ def load_embeddings(path) -> EmbeddingCollection:
                     continue
                 if len(row) != dim + 1:
                     raise DataError(f"{path} row for {row[0]!r} has {len(row) - 1} values, expected {dim}")
+                try:
+                    rows.append([float(v) for v in row[1:]])
+                except ValueError:
+                    raise DataError(f"{path} row for {row[0]!r} has a non-numeric value") from None
                 ids.append(row[0])
-                rows.append([float(v) for v in row[1:]])
         if not ids:
             raise DataError(f"{path} holds no embeddings")
         return EmbeddingCollection(tuple(ids), np.asarray(rows, dtype=np.float64))
-    header = json.loads(path.read_text())
-    if header.get("kind") != "embeddings":
-        raise DataError(f"{path} is not an embeddings file")
+    header = _load_header(path, "embeddings", "count", "dim", "vectors_file", "vectors_sha256",
+                          "item_ids")
     bin_path = path.parent / header["vectors_file"]
     payload = bin_path.read_bytes()
     if sha256_bytes(payload) != header["vectors_sha256"]:
         raise DataError(f"digest mismatch for {bin_path}")
-    vectors = np.frombuffer(payload, dtype="<f8").reshape(header["count"], header["dim"])
+    shape = (header["count"], header["dim"])
+    if len(payload) != 8 * shape[0] * shape[1]:
+        raise DataError(f"{bin_path} holds {len(payload)} bytes, expected {shape[0]}x{shape[1]} float64")
+    vectors = np.frombuffer(payload, dtype="<f8").reshape(shape)
     return EmbeddingCollection(tuple(header["item_ids"]), vectors)
 
 
@@ -323,6 +346,8 @@ def load_interactions(path) -> dict[str, InteractionDataset]:
         for row in reader:
             if not row:
                 continue
+            if len(row) != 3:
+                raise DataError(f"{path} row {row} has {len(row)} fields, expected 3")
             context, target, split = row
             history = tuple(t for t in context.split("|") if t)
             by_split.setdefault(split, []).append(Interaction(history, target))

@@ -341,14 +341,3 @@ def decode(sid, codebook: Codebook) -> np.ndarray:
     for l, token in enumerate(sid):
         out += codebook.layers[l][token]
     return out
-
-
-def reconstruction_report(data: EmbeddingCollection, codebook: Codebook) -> list[float]:
-    """Mean squared reconstruction error after each layer.
-
-    Entry l is the mean over items of the squared distance between the item
-    and the sum of its first l+1 codewords; non-increasing on training data.
-    """
-    _, sq_norms = encode_all(data, codebook)
-    return [float(m) for m in sq_norms[:, 1:].mean(axis=0)]
-

@@ -1,11 +1,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rqsid.cli
 from rqsid.cli import main
-from rqsid.persist import sha256_file, verify_manifest
+from rqsid.persist import sha256_bytes, sha256_file, verify_manifest
 
 
 def run(*argv):
@@ -200,6 +201,72 @@ class TestErrors:
         )
         assert code == 3
         assert not (tmp_path / "out").exists()
+
+    def test_interactions_row_with_two_fields_exits_3(self, pipeline, tmp_path):
+        interactions = tmp_path / "interactions.csv"
+        interactions.write_text("user_context,target,split\nitem_0|item_1,item_2\n")
+        code = run(
+            "simulate", "--sids", pipeline / "enc" / "sids.csv",
+            "--codebook", pipeline / "train" / "codebook.json",
+            "--interactions", interactions, "--out", tmp_path / "out",
+        )
+        assert code == 3
+        assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def train_exit_code(tmp_path, embeddings):
+        code = run("train", "--embeddings", embeddings, "--num-layers", 2,
+                   "--codebook-size", 2, "--out", tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        return code
+
+    def test_non_numeric_embedding_csv_exits_3(self, tmp_path):
+        embeddings = tmp_path / "embeddings.csv"
+        embeddings.write_text("item_id,v0,v1\na,0.5,1.0\nb,0.25,oops\nc,1.0,0.0\n")
+        assert self.train_exit_code(tmp_path, embeddings) == 3
+
+    def test_embedding_header_not_json_exits_3(self, tmp_path):
+        embeddings = tmp_path / "embeddings.json"
+        embeddings.write_text('{"kind": "embeddings", "count": ')
+        assert self.train_exit_code(tmp_path, embeddings) == 3
+
+    @staticmethod
+    def write_binary_embeddings(tmp_path, floats, **header):
+        payload = np.arange(floats, dtype="<f8").tobytes()
+        (tmp_path / "e.bin").write_bytes(payload)
+        doc = {"kind": "embeddings", "count": 3, "dim": 2, "vectors_file": "e.bin",
+               "vectors_sha256": sha256_bytes(payload), "item_ids": ["a", "b", "c"], **header}
+        path = tmp_path / "embeddings.json"
+        path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+        return path
+
+    def test_embedding_header_without_count_exits_3(self, tmp_path):
+        embeddings = self.write_binary_embeddings(tmp_path, 6, count=None)
+        assert self.train_exit_code(tmp_path, embeddings) == 3
+
+    def test_embedding_binary_of_wrong_size_exits_3(self, tmp_path):
+        embeddings = self.write_binary_embeddings(tmp_path, 5)
+        assert self.train_exit_code(tmp_path, embeddings) == 3
+
+    @staticmethod
+    def analyze_exit_code(pipeline, tmp_path, codebook):
+        code = run("analyze", "--sids", pipeline / "enc" / "sids.csv", "--codebook", codebook,
+                   "--out", tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        return code
+
+    def test_codebook_not_json_exits_3(self, pipeline, tmp_path):
+        codebook = tmp_path / "codebook.json"
+        codebook.write_bytes(b"\x89PNG not a codebook")
+        assert self.analyze_exit_code(pipeline, tmp_path, codebook) == 3
+
+    def test_codebook_without_num_layers_exits_3(self, pipeline, tmp_path):
+        header = json.loads((pipeline / "train" / "codebook.json").read_text())
+        del header["num_layers"]
+        codebook = tmp_path / "codebook.json"
+        codebook.write_text(json.dumps(header))
+        assert "layers" in header  # inline, so there is no binary to copy
+        assert self.analyze_exit_code(pipeline, tmp_path, codebook) == 3
 
     def test_bad_sweep_set_exits_2(self, tmp_path):
         assert run("sweep", "--num-layers-set", "3,x", "--out", tmp_path / "out") == 2

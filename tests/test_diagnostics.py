@@ -18,7 +18,6 @@ from rqsid.diagnostics import (
     gini,
     head_tail_split,
     hourglass_report,
-    path_sparsity,
     small_residual_ratio,
     stddev,
     token_histogram,
@@ -141,14 +140,16 @@ class TestStatisticBounds:
 
 
 class TestPathSparsity:
+    """The hourglass report's distinct ids over the path-space size M**L."""
+
     def test_three_distinct(self):
         cfg = QuantizerConfig(num_layers=3, codebook_size=2, dim=1)
         sids = [(0, 0, 0), (0, 0, 1), (1, 1, 1)]
-        assert path_sparsity(sids, cfg) == pytest.approx(0.375)
+        assert hourglass_report(sids, cfg).path_sparsity == pytest.approx(0.375)
 
     def test_all_identical(self):
         cfg = QuantizerConfig(num_layers=3, codebook_size=2, dim=1)
-        assert path_sparsity([(1, 0, 1)] * 9, cfg) == pytest.approx(1 / 8)
+        assert hourglass_report([(1, 0, 1)] * 9, cfg).path_sparsity == pytest.approx(1 / 8)
 
     def test_counting_bound(self):
         gen = np.random.default_rng(6)
@@ -156,13 +157,13 @@ class TestPathSparsity:
         for _ in range(30):
             n = int(gen.integers(1, 60))
             sids = gen.integers(0, 3, size=(n, 3))
-            ps = path_sparsity(sids, cfg)
+            ps = hourglass_report(sids, cfg).path_sparsity
             assert ps <= min(1.0, n / 27) + 1e-12
 
     def test_huge_path_space_no_overflow(self):
         cfg = QuantizerConfig(num_layers=64, codebook_size=4096, dim=1)
         sids = [tuple(0 for _ in range(64))]
-        assert path_sparsity(sids, cfg) >= 0.0
+        assert hourglass_report(sids, cfg).path_sparsity >= 0.0
 
 
 class TestHeadTailSplit:
@@ -231,6 +232,18 @@ class TestHourglassReport:
         report = hourglass_report(sids, CFG)
         pairs = [{(row[l], row[l + 1]) for row in sids.tolist()} for l in (0, 1)]
         assert report.edge_density == tuple(len(p) / 16 for p in pairs)
+
+    @pytest.mark.parametrize("M", [1, 2, 256])
+    def test_edge_density_matches_row_sort(self, M):
+        # the pair counts the report made with np.unique(axis=0) row sorts,
+        # with both vocabulary edges in every layer
+        cfg = QuantizerConfig(num_layers=4, codebook_size=M, dim=1)
+        gen = np.random.default_rng(M)
+        sids = np.vstack([gen.integers(0, M, size=(3000, 4)), [[0] * 4, [M - 1] * 4],
+                          [[0, M - 1] * 2, [M - 1, 0] * 2]])
+        report = hourglass_report(sids, cfg)
+        want = tuple(len(np.unique(sids[:, [l - 1, l]], axis=0)) / M**2 for l in (1, 2, 3))
+        assert report.edge_density == want
 
     def test_to_dict_round_trips_through_json(self):
         import json

@@ -7,7 +7,6 @@ import pytest
 from rqsid.core import (
     ConfigError,
     DataError,
-    PrefixNotFoundError,
     QuantizerConfig,
     RandomSource,
     TokenRangeError,
@@ -16,7 +15,6 @@ from rqsid.core import (
 )
 from rqsid import grsim
 from rqsid.grsim import (
-    CatalogTrie,
     EvalReport,
     Interaction,
     InteractionDataset,
@@ -36,6 +34,70 @@ def flat(sid, cfg=CFG):
     """Flat tokens of one full-length id."""
     (tokens,) = sid_to_flat_tokens(sid_table(["x"], [sid], cfg), cfg)
     return tokens
+
+
+class PrefixNotFoundError(LookupError):
+    """Prefix is not a path in the catalog trie (distinct from a terminal node)."""
+
+
+class _TrieNode:
+    __slots__ = ("children", "items")
+
+    def __init__(self) -> None:
+        self.children: dict[int, _TrieNode] = {}
+        self.items: list[str] = []
+
+
+class ReferenceTrie:
+    """The dict-of-dicts trie that the compiled CatalogTrie replaced."""
+
+    def __init__(self) -> None:
+        self._root = _TrieNode()
+        self.size = 0
+
+    def insert(self, tokens, item_id: str) -> None:
+        node = self._root
+        for t in tokens:
+            node = node.children.setdefault(int(t), _TrieNode())
+        node.items.append(item_id)
+        self.size += 1
+
+    def _walk(self, prefix) -> _TrieNode | None:
+        node = self._root
+        for t in prefix:
+            node = node.children.get(int(t))
+            if node is None:
+                return None
+        return node
+
+    def contains(self, tokens) -> bool:
+        node = self._walk(tokens)
+        return node is not None and bool(node.items)
+
+    def valid_next(self, prefix) -> frozenset[int]:
+        """Child tokens after `prefix`; empty for a terminal-only node.
+
+        Raises PrefixNotFoundError when the prefix is not a path at all,
+        which is a different situation than a terminal with no children.
+        """
+        node = self._walk(prefix)
+        if node is None:
+            raise PrefixNotFoundError(f"prefix {list(prefix)} is not in the catalog")
+        return frozenset(node.children)
+
+
+def reference_trie(catalog):
+    trie = ReferenceTrie()
+    for item_id, tokens in catalog.items():
+        trie.insert(tokens, str(item_id))
+    return trie
+
+
+def children(trie, prefix):
+    """The compiled trie's child tokens after `prefix`, as its CSR slice."""
+    node = trie.node_of(prefix)
+    assert node >= 0, prefix
+    return trie.token[trie.first[node] : trie.first[node + 1]].tolist()
 
 
 def brute_force_beam(model, context, max_len, config, top):
@@ -211,15 +273,14 @@ def reference_matched_context(model, context):
 def reference_evaluate(model, test, catalog, config, head_set, beam_width, k_list,
                        trie_mode="off", given_prefix_layers=0):
     """The evaluation over (item_id, (layer, token) entries) pairs that the
-    flat-token catalog replaced; a target without a layer-2 entry is head."""
+    flat-token catalog replaced; a target without a layer-2 entry is head.
+    It decodes with reference_beam and checks membership in a ReferenceTrie."""
     M = config.codebook_size
     k_list = tuple(k_list)
     max_k = max(k_list)
     entries_by_item = dict(catalog)
     flat_by_item = {item: tuple((l - 1) * M + t for l, t in e) for item, e in catalog}
-    trie = CatalogTrie()
-    for item, _ in catalog:
-        trie.insert(flat_by_item[item], item)
+    trie = reference_trie(flat_by_item)
     constrained = trie_mode == "on"
     groups = ("overall", "head", "tail")
     hits = {k: {g: 0 for g in groups} for k in k_list}
@@ -230,8 +291,8 @@ def reference_evaluate(model, test, catalog, config, head_set, beam_width, k_lis
         gold = flat_by_item[rec.target]
         context = [t for item in rec.history for t in flat_by_item[item]]
         prefix = gold[:given_prefix_layers] if given_prefix_layers else None
-        preds = beam_search(model, context, beam_width, config.num_layers, config,
-                            trie if constrained else None, prefix)
+        preds = reference_beam(model, context, beam_width, config.num_layers, config,
+                               trie if constrained else None, prefix)
         layer2 = dict(entries_by_item[rec.target]).get(2)
         group = "head" if layer2 is None or layer2 in head_set else "tail"
         counts["overall"] += 1
@@ -270,16 +331,18 @@ class TestCatalogTrie:
     def test_valid_next(self):
         trie = build_trie(self.CATALOG)
         prefix = flat((0, 1, 2))[:2]
-        assert trie.valid_next(prefix) == {2 * 4 + 2, 2 * 4 + 3}
+        assert children(trie, prefix) == [2 * 4 + 2, 2 * 4 + 3]
 
     def test_terminal_has_no_children(self):
         trie = build_trie(self.CATALOG)
-        assert trie.valid_next(flat((0, 1, 2))) == frozenset()
+        assert children(trie, flat((0, 1, 2))) == []
 
     def test_unknown_prefix_signals(self):
         trie = build_trie(self.CATALOG)
-        with pytest.raises(PrefixNotFoundError):
-            trie.valid_next((3,))
+        assert trie.node_of((3,)) == -1
+        # a missing prefix is told apart from a terminal, which has a node
+        assert trie.node_of(flat((0, 1, 2))) > 0
+        assert trie.node_of(flat((0, 1, 2)) + (0,)) == -1
 
     def test_varlen_coexists(self):
         # i3 elides layer 2: layer-1 token 0, then layer-3 token 2
@@ -288,11 +351,55 @@ class TestCatalogTrie:
         assert trie.contains((0, 2 * 4 + 2))
         assert trie.contains(flat((0, 1, 2)))
         # after the shared layer-1 token both layer-2 and layer-3 moves exist
-        assert trie.valid_next((0,)) == {4 + 1, 2 * 4 + 2}
+        assert children(trie, (0,)) == [4 + 1, 2 * 4 + 2]
 
     def test_empty_catalog(self):
         with pytest.raises(DataError):
             build_trie({})
+
+
+class TestCompiledTrieOracle:
+    """The compiled trie has the children and members of the dict trie."""
+
+    @staticmethod
+    def random_catalog(gen, num_layers, elide_share, n):
+        M = 3
+        config = QuantizerConfig(num_layers=num_layers, codebook_size=M, dim=1)
+        rows = gen.integers(0, M, size=(n, num_layers)).tolist()
+        is_full = [not (num_layers >= 3 and gen.random() < elide_share) for _ in range(n)]
+        table = sid_table([f"i{k}" for k in range(n)], rows, config, is_full)
+        return config, dict(zip(table.item_id.tolist(), sid_to_flat_tokens(table, config)))
+
+    @pytest.mark.parametrize("num_layers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("elide_share", [0.0, 0.5])
+    def test_matches_reference(self, num_layers, elide_share):
+        gen = np.random.default_rng(10 * num_layers + int(10 * elide_share))
+        for n in (1, 2, 7, 60):
+            config, catalog = self.random_catalog(gen, num_layers, elide_share, n)
+            trie, ref = build_trie(catalog), reference_trie(catalog)
+            prefixes = {seq[:d] for seq in catalog.values() for d in range(len(seq) + 1)}
+            for prefix in prefixes:
+                assert children(trie, prefix) == sorted(ref.valid_next(prefix)), prefix
+                assert trie.contains(prefix) == ref.contains(prefix), prefix
+            # random sequences, most of them no catalog prefix
+            vocab = config.flat_vocab_size
+            for _ in range(200):
+                seq = tuple(gen.integers(-1, vocab + 1, size=int(gen.integers(1, 6))).tolist())
+                assert trie.contains(seq) == ref.contains(seq), seq
+                if seq in prefixes:
+                    assert children(trie, seq) == sorted(ref.valid_next(seq)), seq
+                else:
+                    with pytest.raises(PrefixNotFoundError):
+                        ref.valid_next(seq)
+                    assert trie.node_of(seq) == -1, seq
+            # nodes are numbered level by level with each node's children
+            # consecutive and sorted: the edges leave their parents in order
+            assert np.all(np.diff(trie.first) >= 0)
+            assert trie.first[0] == 0 and trie.first[-1] == len(trie.token) == len(prefixes) - 1
+
+    def test_negative_token_rejected(self):
+        with pytest.raises(TokenRangeError):
+            build_trie({"a": (0, 4, 8), "b": (1, -1, 9)})
 
 
 class TestSequenceModel:
@@ -448,7 +555,8 @@ class TestCompiledModelOracle:
 
     def test_beam_search_matches_reference_model(self):
         gen = np.random.default_rng(61)
-        trie = build_trie(TestBeamSearch.VARLEN_CATALOG)
+        catalog = TestBeamSearch.VARLEN_CATALOG
+        tries = ((None, None), (build_trie(catalog), reference_trie(catalog)))
         prefixes = (None, (0,), (1, 4 + 1), (3,))
         for order in (1, 2, 3, 4):
             streams = [gen.integers(0, CFG.flat_vocab_size, size=6).tolist() for _ in range(25)]
@@ -457,9 +565,9 @@ class TestCompiledModelOracle:
             for context in ((), (11,), tuple(gen.integers(0, 12, size=5).tolist())):
                 for width in TestBeamSearch.WIDTHS:
                     for prefix in prefixes:
-                        for t in (None, trie):
+                        for t, ref_t in tries:
                             got = beam_search(model, context, width, 3, CFG, t, prefix)
-                            want = reference_beam(ref, context, width, 3, CFG, t, prefix)
+                            want = reference_beam(ref, context, width, 3, CFG, ref_t, prefix)
                             assert got == want, (order, context, width, prefix, t)
 
 
@@ -548,12 +656,13 @@ class TestBeamSearch:
             model.observe_stream(gen.integers(0, CFG.flat_vocab_size, size=6).tolist())
         return model
 
-    def assert_matches_reference(self, model, context, trie=None, prefixes=(None,)):
+    def assert_matches_reference(self, model, context, catalog=None, prefixes=(None,)):
+        trie = build_trie(catalog) if catalog else None
+        ref_trie = reference_trie(catalog) if catalog else None
         for width in self.WIDTHS:
             for prefix in prefixes:
-                args = (model, context, width, 3, CFG, trie, prefix)
-                got = beam_search(*args)
-                want = reference_beam(*args)
+                got = beam_search(model, context, width, 3, CFG, trie, prefix)
+                want = reference_beam(model, context, width, 3, CFG, ref_trie, prefix)
                 # equal sequences, float scores and order; == on floats is exact
                 assert got == want, (width, prefix)
                 assert all(type(t) is int for seq, _ in got for t in seq)
@@ -567,33 +676,33 @@ class TestBeamSearch:
             self.assert_matches_reference(model, context, prefixes=(None, (0,), (0, 5), (9,)))
 
     def test_matches_reference_trie_on_varlen(self):
-        trie = build_trie(self.VARLEN_CATALOG)
         # (1, 5) and (2, 7) are not in the trie; (3,) leads only to an elided id
         prefixes = (None, (0,), (1,), (1, 4 + 1), (3,), (2, 4 + 3), (0, 4 + 1, 2 * 4 + 2))
         gen = np.random.default_rng(22)
         for _ in range(6):
             model = self.random_model(gen, alpha=float(gen.uniform(0.05, 2.0)))
             context = gen.integers(0, CFG.flat_vocab_size, size=3).tolist()
-            self.assert_matches_reference(model, context, trie, prefixes)
+            self.assert_matches_reference(model, context, self.VARLEN_CATALOG, prefixes)
 
     def test_prefix_outside_trie_yields_nothing(self):
         trie = build_trie(self.VARLEN_CATALOG)
+        ref_trie = reference_trie(self.VARLEN_CATALOG)
         model = self.random_model(np.random.default_rng(23), alpha=0.5)
         for prefix in ((2, 4 + 1), (0, 4 + 3), (1, 4 + 0)):
             assert beam_search(model, (), 10, 3, CFG, trie, prefix) == []
-            assert reference_beam(model, (), 10, 3, CFG, trie, prefix) == []
+            assert reference_beam(model, (), 10, 3, CFG, ref_trie, prefix) == []
 
     def test_matches_reference_under_ties(self):
         # a large alpha flattens the seen contexts, and the rest are unseen
         # and exactly uniform, so most scores tie and the lexicographic
         # tie order decides the ranking below the exhaustive width
         gen = np.random.default_rng(24)
-        trie = build_trie(self.VARLEN_CATALOG)
         for order in (1, 2):
             model = self.random_model(gen, alpha=1e6, order=order, streams=2)
             for context in ((), (11,), (0, 4)):
                 self.assert_matches_reference(model, context, prefixes=(None, (1,)))
-                self.assert_matches_reference(model, context, trie, prefixes=(None, (1,)))
+                self.assert_matches_reference(model, context, self.VARLEN_CATALOG,
+                                              prefixes=(None, (1,)))
         uniform = SequenceModel(order=1, alpha=1.0, vocab_size=CFG.flat_vocab_size)
         uniform.observe_stream([0, 0])
         got = beam_search(uniform, (7,), 3, 3, CFG)

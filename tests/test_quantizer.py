@@ -21,7 +21,6 @@ from rqsid.quantizer import (
     encode,
     encode_all,
     kmeans,
-    reconstruction_report,
     train_rq,
 )
 
@@ -306,12 +305,14 @@ class TestTrainRq:
 
 
 class TestReconstructionReport:
+    """The mean squared error per layer that `encode` reports from encode_all."""
+
     def test_every_point_its_own_centroid(self):
         vectors = np.array([[0.0, 0.0], [1.0, 1.0], [4.0, 0.0]])
         data = EmbeddingCollection(("a", "b", "c"), vectors)
         cfg = QuantizerConfig(num_layers=1, codebook_size=3, dim=2, kmeans_iters=20, seed=1, convergence_tol=0.0)
         cb = train_rq(data, cfg, RandomSource(1))
-        report = reconstruction_report(data, cb)
+        report = encode_all(data, cb)[1][:, 1:].mean(axis=0)
         assert report[-1] == pytest.approx(0.0, abs=1e-20)
 
     def test_monotone_non_increasing(self):
@@ -320,7 +321,7 @@ class TestReconstructionReport:
         data = EmbeddingCollection(tuple(f"i{i}" for i in range(500)), vectors)
         cfg = QuantizerConfig(num_layers=4, codebook_size=8, dim=8, kmeans_iters=20, seed=3, convergence_tol=1e-4)
         cb = train_rq(data, cfg, RandomSource(3))
-        report = reconstruction_report(data, cb)
+        report = encode_all(data, cb)[1][:, 1:].mean(axis=0)
         assert all(b <= a for a, b in zip(report, report[1:]))
 
     def test_tight_clusters_reach_tiny_error(self):
@@ -330,5 +331,5 @@ class TestReconstructionReport:
         data, _ = gen_clustered(2000, 6, spec, RandomSource(40))
         cfg = QuantizerConfig(num_layers=3, codebook_size=8, dim=6, kmeans_iters=40, seed=40, convergence_tol=0.0)
         cb = train_rq(data, cfg, RandomSource(40))
-        report = reconstruction_report(data, cb)
+        report = encode_all(data, cb)[1][:, 1:].mean(axis=0)
         assert report[-1] < 1e-3
