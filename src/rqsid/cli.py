@@ -1,8 +1,10 @@
 """Command-line front end: gen, train, encode, analyze, mitigate, simulate, sweep.
 
-Every flag can also be supplied through a JSON config file (flat keys, or a
-section named after the command); explicit flags win. Exit codes: 0 success,
-2 configuration error, 3 data error.
+Each option is declared once, in `build_parser`, with its type, choices and
+default. A JSON config file (flat keys, or a section named after the command)
+is read as flags placed before the explicit ones, so the same parser checks
+its values and explicit flags win. Each run's manifest records every option's
+value. Exit codes: 0 success, 2 configuration error, 3 data error.
 """
 
 from __future__ import annotations
@@ -42,61 +44,53 @@ from .quantizer import encode_all, train_rq
 log = logging.getLogger("rqsid")
 
 
-class _Params:
-    """Flag values with config-file fallback."""
-
-    def __init__(self, args: argparse.Namespace, command: str):
-        self._args = vars(args)
-        cfg = {}
-        path = self._args.get("config")
-        if path:
-            try:
-                cfg = json.loads(Path(path).read_text())
-            except FileNotFoundError:
-                raise ConfigError(f"config file {path} does not exist") from None
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
-        self._flat = {k: v for k, v in cfg.items() if not isinstance(v, dict)}
-        self._section = cfg.get(command, {})
-
-    def get(self, key: str, default=None):
-        value = self._args.get(key)
-        if value is not None:
-            return value
-        if key in self._section:
-            return self._section[key]
-        if key in self._flat:
-            return self._flat[key]
-        return default
-
-    def require(self, key: str):
-        value = self.get(key)
-        if value is None:
-            raise ConfigError(f"missing required option --{key.replace('_', '-')}")
-        return value
-
-    def snapshot(self, keys) -> dict:
-        return {k: self.get(k) for k in keys}
-
-
-def _selector(params: _Params, default=None):
-    top_k = params.get("head_top_k")
-    mass = params.get("head_mass")
-    if top_k is not None and mass is not None:
+def _selector(args, default=None):
+    if args.head_top_k is not None and args.head_mass is not None:
         raise ConfigError("give either --head-top-k or --head-mass, not both")
-    if top_k is not None:
-        return Selector.top_k(int(top_k))
-    if mass is not None:
-        return Selector.mass(float(mass))
+    if args.head_top_k is not None:
+        return Selector.top_k(args.head_top_k)
+    if args.head_mass is not None:
+        return Selector.mass(args.head_mass)
     return default
 
 
-def _int_list(text) -> list[int]:
-    items = text if isinstance(text, (list, tuple)) else [v for v in str(text).split(",") if v]
+def _int_list(text: str) -> list[int]:
     try:
-        return [int(v) for v in items]
-    except (TypeError, ValueError):
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
+        return [int(v) for v in text.split(",") if v]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
+def _name_list(text: str) -> list[str]:
+    return [v.strip() for v in text.split(",") if v.strip()]
+
+
+def _options(args) -> dict:
+    """Every option's value as parsed, config-file values included."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "config", "func")}
+
+
+def _cluster_spec(args, size_law: str) -> datagen.ClusterSpec:
+    return datagen.ClusterSpec(
+        num_clusters=args.clusters,
+        radius=args.radius,
+        center_scale=args.center_scale,
+        size_law=size_law,
+        zipf_exponent=args.zipf_s,
+    )
+
+
+def _quantizer_config(args, num_layers, codebook_size, dim, seed) -> QuantizerConfig:
+    return QuantizerConfig(
+        num_layers=num_layers,
+        codebook_size=codebook_size,
+        dim=dim,
+        kmeans_iters=args.kmeans_iters,
+        seed=seed,
+        convergence_tol=args.tol,
+    )
 
 
 def _load_full_sids(path, config):
@@ -113,33 +107,19 @@ def _load_full_sids(path, config):
 
 
 def cmd_gen(args) -> int:
-    p = _Params(args, "gen")
-    out = Path(p.require("out"))
-    seed = int(p.get("seed", 0))
-    kind = p.get("kind", "uniform")
-    n = int(p.require("n"))
-    d = int(p.require("d"))
-    fmt = p.get("format", "binary")
-    rng = RandomSource(seed)
+    out = Path(args.out)
+    rng = RandomSource(args.seed)
 
     t0 = time.perf_counter()
     outputs = []
     with persist.OutputLock(out):
-        if kind == "uniform":
-            data = datagen.gen_uniform(n, d, rng)
+        if args.kind == "uniform":
+            data = datagen.gen_uniform(args.n, args.d, rng)
             labels = None
-        elif kind == "clustered":
-            spec = datagen.ClusterSpec(
-                num_clusters=int(p.get("clusters", 512)),
-                radius=float(p.get("radius", 0.05)),
-                center_scale=float(p.get("center_scale", 1.0)),
-                size_law=p.get("size_law", "zipf"),
-                zipf_exponent=float(p.get("zipf_s", 1.2)),
-            )
-            data, labels = datagen.gen_clustered(n, d, spec, rng)
         else:
-            raise ConfigError(f"unknown generator kind {kind!r}")
-        if fmt == "csv":
+            spec = _cluster_spec(args, args.size_law)
+            data, labels = datagen.gen_clustered(args.n, args.d, spec, rng)
+        if args.format == "csv":
             emb_path = out / "embeddings.csv"
             persist.save_embeddings_csv(emb_path, data)
             outputs.append(emb_path)
@@ -149,34 +129,21 @@ def cmd_gen(args) -> int:
             labels_path = out / "labels.csv"
             persist.save_labels(labels_path, data.ids, labels)
             outputs.append(labels_path)
-        keys = ["kind", "n", "d", "seed", "format", "clusters", "radius",
-                "center_scale", "size_law", "zipf_s"]
-        persist.record_run(out, "gen", p.snapshot(keys),
-                           {"gen": time.perf_counter() - t0}, outputs)
+        persist.record_run(out, "gen", _options(args), {"gen": time.perf_counter() - t0}, outputs)
     print(f"wrote {len(outputs)} files to {out}")
     return 0
 
 
 def cmd_train(args) -> int:
-    p = _Params(args, "train")
-    out = Path(p.require("out"))
-    seed = int(p.get("seed", 0))
-    data = persist.load_embeddings(p.require("embeddings"))
-    config = QuantizerConfig(
-        num_layers=int(p.get("num_layers", 3)),
-        codebook_size=int(p.get("codebook_size", 256)),
-        dim=data.dim,
-        kmeans_iters=int(p.get("kmeans_iters", 25)),
-        seed=seed,
-        convergence_tol=float(p.get("tol", 1e-4)),
-    )
+    out = Path(args.out)
+    data = persist.load_embeddings(args.embeddings)
+    config = _quantizer_config(args, args.num_layers, args.codebook_size, data.dim, args.seed)
     t0 = time.perf_counter()
-    codebook = train_rq(data, config, RandomSource(seed))
+    codebook = train_rq(data, config, RandomSource(args.seed))
     train_s = time.perf_counter() - t0
     with persist.OutputLock(out):
         outputs = persist.save_codebook(out / "codebook.json", codebook)
-        keys = ["embeddings", "num_layers", "codebook_size", "kmeans_iters", "tol", "seed"]
-        persist.record_run(out, "train", p.snapshot(keys), {"train": train_s}, outputs)
+        persist.record_run(out, "train", _options(args), {"train": train_s}, outputs)
     print(
         f"trained {config.num_layers}x{config.codebook_size} codebook on "
         f"{len(data)} vectors; sse per layer: "
@@ -186,10 +153,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    p = _Params(args, "encode")
-    out = Path(p.require("out"))
-    data = persist.load_embeddings(p.require("embeddings"))
-    codebook, _ = persist.load_codebook(p.require("codebook"))
+    out = Path(args.out)
+    data = persist.load_embeddings(args.embeddings)
+    codebook, _ = persist.load_codebook(args.codebook)
     t0 = time.perf_counter()
     sids, sq_norms = encode_all(data, codebook)
     encode_s = time.perf_counter() - t0
@@ -208,30 +174,24 @@ def cmd_encode(args) -> int:
             },
         )
         persist.record_run(
-            out,
-            "encode",
-            p.snapshot(["embeddings", "codebook"]),
-            {"encode": encode_s},
-            [sid_path, report_path],
+            out, "encode", _options(args), {"encode": encode_s}, [sid_path, report_path]
         )
     print(f"encoded {len(data)} vectors; final reconstruction mse {per_layer[-1]:.6g}")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    p = _Params(args, "analyze")
-    out = Path(p.require("out"))
-    codebook, _ = persist.load_codebook(p.require("codebook"))
+    out = Path(args.out)
+    codebook, _ = persist.load_codebook(args.codebook)
     config = codebook.config
-    table = _load_full_sids(p.require("sids"), config)
-    selector = _selector(p, Selector.mass(0.5))
+    table = _load_full_sids(args.sids, config)
+    selector = _selector(args, Selector.mass(0.5))
     t0 = time.perf_counter()
     report = hourglass_report(table.tokens, config, selector, include_histograms=True)
     payload = report.to_dict()
     payload["head_selector"] = selector.describe()
-    emb_path = p.get("embeddings")
-    if emb_path:
-        data = persist.load_embeddings(emb_path)
+    if args.embeddings:
+        data = persist.load_embeddings(args.embeddings)
         _, sq_norms = encode_all(data, codebook)
         payload["small_residual_ratio"] = small_residual_ratio(
             np.sqrt(sq_norms[:, 1]), np.sqrt(sq_norms[:, 0])
@@ -240,13 +200,7 @@ def cmd_analyze(args) -> int:
     with persist.OutputLock(out):
         report_path = out / "hourglass_report.json"
         persist.save_report(report_path, "hourglass_report", payload)
-        persist.record_run(
-            out,
-            "analyze",
-            p.snapshot(["sids", "codebook", "embeddings", "head_top_k", "head_mass"]),
-            {"analyze": analyze_s},
-            [report_path],
-        )
+        persist.record_run(out, "analyze", _options(args), {"analyze": analyze_s}, [report_path])
     print(
         f"analyzed {len(table)} ids: hourglass_flag={report.hourglass_flag}, "
         f"pinch_layer={report.pinch_layer}, path_sparsity={report.path_sparsity:.3g}"
@@ -255,18 +209,17 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_mitigate(args) -> int:
-    p = _Params(args, "mitigate")
-    out = Path(p.require("out"))
-    mode = p.require("mode")
-    codebook, _ = persist.load_codebook(p.require("codebook"))
+    out = Path(args.out)
+    mode = args.mode
+    codebook, _ = persist.load_codebook(args.codebook)
     config = codebook.config
-    table = _load_full_sids(p.require("sids"), config)
+    table = _load_full_sids(args.sids, config)
 
     t0 = time.perf_counter()
     payload: dict = {"mode": mode, "items": len(table)}
     head_set = None
     if mode == "exchange":
-        swap = _int_list(p.get("swap", "1,2"))
+        swap = args.swap
         if len(swap) != 2 or not all(1 <= v <= config.num_layers for v in swap):
             raise ConfigError(f"--swap needs two layers in [1, {config.num_layers}], got {swap}")
         a, b = swap
@@ -278,8 +231,8 @@ def cmd_mitigate(args) -> int:
         transformed = outcome.transformed_sids
         post = post_mitigation_report(outcome, config)
         payload.update(_outcome_payload(outcome, post))
-    elif mode == "varlen":
-        selector = _selector(p)
+    else:
+        selector = _selector(args)
         if selector is None:
             raise ConfigError("varlen mode needs --head-top-k or --head-mass")
         hist = token_histogram(table.tokens, 2, config.codebook_size)
@@ -289,8 +242,6 @@ def cmd_mitigate(args) -> int:
         head_set = outcome.head_set
         payload["head_selector"] = selector.describe()
         payload.update(_outcome_payload(outcome, post))
-    else:
-        raise ConfigError(f"unknown mitigation mode {mode!r}")
     mitigate_s = time.perf_counter() - t0
 
     with persist.OutputLock(out):
@@ -306,8 +257,7 @@ def cmd_mitigate(args) -> int:
             outputs.extend(
                 persist.save_codebook(out / "codebook.json", codebook, head_set=head_set)
             )
-        keys = ["sids", "codebook", "mode", "swap", "head_top_k", "head_mass"]
-        persist.record_run(out, "mitigate", p.snapshot(keys), {"mitigate": mitigate_s}, outputs)
+        persist.record_run(out, "mitigate", _options(args), {"mitigate": mitigate_s}, outputs)
     print(f"applied {mode} to {len(table)} ids; wrote {out / 'sids.csv'}")
     return 0
 
@@ -324,42 +274,36 @@ def _outcome_payload(outcome, post) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    p = _Params(args, "simulate")
-    out = Path(p.require("out"))
-    seed = int(p.get("seed", 0))
-    k_list = _int_list(p.get("k_list", "1,5,10,50"))
-    codebook, stored_head = persist.load_codebook(p.require("codebook"))
+    out = Path(args.out)
+    if args.test_records is None:
+        args.test_records = max(200, args.records // 5)
+    codebook, stored_head = persist.load_codebook(args.codebook)
     config = codebook.config
-    selector = _selector(p)
+    selector = _selector(args)
     if stored_head is not None and selector is not None:
         raise ConfigError(
             "--head-top-k/--head-mass select a head set, but the codebook already stores one"
         )
-    catalog = persist.load_sids(p.require("sids"), config)
+    catalog = persist.load_sids(args.sids, config)
 
-    interactions_path = p.get("interactions")
     generated = None
-    if interactions_path:
-        splits = persist.load_interactions(interactions_path)
+    if args.interactions:
+        splits = persist.load_interactions(args.interactions)
         if "train" not in splits or "test" not in splits:
-            raise DataError(f"{interactions_path} must hold 'train' and 'test' splits")
+            raise DataError(f"{args.interactions} must hold 'train' and 'test' splits")
         train_ds, test_ds = splits["train"], splits["test"]
     else:
-        spec = InteractionSpec(
-            num_records=int(p.get("records", 2000)),
-            min_history=int(p.get("history_min", 2)),
-            max_history=int(p.get("history_max", 5)),
-            pop_exponent=float(p.get("pop_s", 1.0)),
-            repeat_prob=float(p.get("repeat_prob", 0.6)),
+        spec, test_spec = (
+            InteractionSpec(
+                num_records=records,
+                min_history=args.history_min,
+                max_history=args.history_max,
+                pop_exponent=args.pop_s,
+                repeat_prob=args.repeat_prob,
+            )
+            for records in (args.records, args.test_records)
         )
-        test_spec = InteractionSpec(
-            num_records=int(p.get("test_records", max(200, spec.num_records // 5))),
-            min_history=spec.min_history,
-            max_history=spec.max_history,
-            pop_exponent=spec.pop_exponent,
-            repeat_prob=spec.repeat_prob,
-        )
-        train_rng, test_rng = RandomSource(seed).split(2)
+        train_rng, test_rng = RandomSource(args.seed).split(2)
         item_ids = catalog.item_id.tolist()
         train_ds = gen_interactions(item_ids, spec, train_rng, split="train")
         test_ds = gen_interactions(item_ids, test_spec, test_rng, split="test")
@@ -377,7 +321,7 @@ def cmd_simulate(args) -> int:
 
     flat = dict(zip(catalog.item_id.tolist(), sid_to_flat_tokens(catalog, config)))
     t0 = time.perf_counter()
-    model = train_seq_model(train_ds, flat, int(p.get("order", 3)), float(p.get("alpha", 0.1)))
+    model = train_seq_model(train_ds, flat, args.order, args.alpha)
     train_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     report = evaluate(
@@ -386,10 +330,10 @@ def cmd_simulate(args) -> int:
         flat,
         config,
         head_set,
-        beam_width=int(p.get("beam", 50)),
-        k_list=k_list,
-        trie_mode=p.get("trie", "off"),
-        given_prefix_layers=int(p.get("given_layers", 0)),
+        beam_width=args.beam,
+        k_list=args.k_list,
+        trie_mode=args.trie,
+        given_prefix_layers=args.given_layers,
     )
     eval_s = time.perf_counter() - t0
 
@@ -402,10 +346,8 @@ def cmd_simulate(args) -> int:
         report_path = out / "eval_report.json"
         persist.save_report(report_path, "eval_report", report.to_dict())
         outputs.append(report_path)
-        keys = ["sids", "codebook", "interactions", "records", "test_records", "order",
-                "alpha", "beam", "k_list", "trie", "given_layers", "seed"]
         persist.record_run(
-            out, "simulate", p.snapshot(keys),
+            out, "simulate", _options(args),
             {"train_model": train_s, "evaluate": eval_s}, outputs,
         )
     ks = ", ".join(f"r@{k}={report.recall[k]['overall']:.3f}" for k in report.k_list)
@@ -414,14 +356,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    p = _Params(args, "sweep")
-    out = Path(p.require("out"))
-    seed = int(p.get("seed", 0))
-    layer_set = _int_list(p.get("num_layers_set", "3,4"))
-    size_set = _int_list(p.get("codebook_size_set", "64,256"))
-    regimes = [r.strip() for r in str(p.get("regimes", "uniform,zipf")).split(",") if r.strip()]
-    n = int(p.get("n", 20000))
-    d = int(p.get("d", 32))
+    out = Path(args.out)
+    layer_set, size_set, regimes = args.num_layers_set, args.codebook_size_set, args.regimes
     if not layer_set or not size_set or not regimes:
         raise ConfigError("sweep grid must not be empty")
 
@@ -437,11 +373,11 @@ def cmd_sweep(args) -> int:
     for L in layer_set:
         for M in size_set:
             for regime in regimes:
-                cell_seed = seed + 7919 * L + 104729 * M
+                cell_seed = args.seed + 7919 * L + 104729 * M
                 row = {"num_layers": L, "codebook_size": M, "regime": regime,
                        "seed": cell_seed, "error": ""}
                 try:
-                    row.update(_sweep_cell(n, d, L, M, regime, cell_seed, p))
+                    row.update(_sweep_cell(args, L, M, regime, cell_seed))
                 except RqsidError as e:  # record the failure, keep sweeping
                     row["error"] = f"{type(e).__name__}: {e}"
                 rows.append(row)
@@ -455,14 +391,14 @@ def cmd_sweep(args) -> int:
     with persist.OutputLock(out):
         sweep_path = out / "sweep.csv"
         persist.atomic_write_text(sweep_path, buf.getvalue())
-        keys = ["num_layers_set", "codebook_size_set", "regimes", "n", "d", "seed"]
-        persist.record_run(out, "sweep", p.snapshot(keys), {"sweep": sweep_s}, [sweep_path])
+        persist.record_run(out, "sweep", _options(args), {"sweep": sweep_s}, [sweep_path])
     failed = sum(1 for r in rows if r["error"])
     print(f"swept {len(rows)} cells ({failed} failed) -> {out / 'sweep.csv'}")
     return 0
 
 
-def _sweep_cell(n, d, L, M, regime, cell_seed, p) -> dict:
+def _sweep_cell(args, L, M, regime, cell_seed) -> dict:
+    n, d = args.n, args.d
     if M**L > 100 * n:
         log.warning(
             "cell L=%d M=%d: path space %d vastly exceeds n=%d; sparsity will be tiny",
@@ -472,21 +408,10 @@ def _sweep_cell(n, d, L, M, regime, cell_seed, p) -> dict:
     if regime == "uniform":
         data = datagen.gen_uniform(n, d, rng)
     elif regime == "zipf":
-        spec = datagen.ClusterSpec(
-            num_clusters=int(p.get("clusters", 512)),
-            radius=float(p.get("radius", 0.05)),
-            center_scale=float(p.get("center_scale", 1.0)),
-            size_law="zipf",
-            zipf_exponent=float(p.get("zipf_s", 1.2)),
-        )
-        data, _ = datagen.gen_clustered(n, d, spec, rng)
+        data, _ = datagen.gen_clustered(n, d, _cluster_spec(args, "zipf"), rng)
     else:
         raise ConfigError(f"unknown regime {regime!r}")
-    config = QuantizerConfig(
-        num_layers=L, codebook_size=M, dim=d,
-        kmeans_iters=int(p.get("kmeans_iters", 25)),
-        seed=cell_seed, convergence_tol=float(p.get("tol", 1e-4)),
-    )
+    config = _quantizer_config(args, L, M, d, cell_seed)
     codebook = train_rq(data, config, rng.child(1000))
     sids, _ = encode_all(data, codebook)
     report = hourglass_report(sids, config)
@@ -505,120 +430,171 @@ def _sweep_cell(n, d, L, M, regime, cell_seed, p) -> dict:
 # --- parser ------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; flags win on conflict")
-    sub.add_argument("--seed", type=int, help="64-bit unsigned seed (default 0)")
-    sub.add_argument("--out", help="output directory")
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that maps each option's dest to its action, its
+    parents' options included, so that a config file can name options."""
+
+    def __init__(self, *args, parents=(), **kwargs):
+        self.options = {k: a for parent in parents for k, a in parent.options.items()}
+        super().__init__(*args, parents=parents, **kwargs)
+        self.options.pop("help", None)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.options[action.dest] = action
+        return action
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
+    """The rqsid parser, and its command parsers by name."""
+    common = _Parser(add_help=False)
+    common.add_argument("--config", help="JSON config file: flat keys, or a section named "
+                        "after the command; its values are parsed like flags, which win")
+    common.add_argument("--out", required=True, help="output directory")
+    seed = _Parser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="64-bit unsigned seed")
+    clusters = _Parser(add_help=False)
+    clusters.add_argument("--clusters", type=int, default=512, help="cluster count")
+    clusters.add_argument("--radius", type=float, default=0.05, help="within-cluster std")
+    clusters.add_argument("--center-scale", type=float, default=1.0,
+                          help="cluster centers are uniform in [-scale, scale]")
+    clusters.add_argument("--zipf-s", type=float, default=1.2, help="zipf size exponent")
+    lloyd = _Parser(add_help=False)
+    lloyd.add_argument("--kmeans-iters", type=int, default=25, help="Lloyd rounds per layer")
+    lloyd.add_argument("--tol", type=float, default=1e-4, help="relative SSE stop tolerance")
+    head = _Parser(add_help=False)
+    head.add_argument("--head-top-k", type=int,
+                      help="head set: the K most frequent layer-2 tokens")
+    head.add_argument("--head-mass", type=float,
+                      help="head set: the fewest layer-2 tokens covering this share of ids "
+                           "(analyze and simulate default to 0.5; simulate takes neither "
+                           "flag when the codebook stores a head set)")
+    embeddings = _Parser(add_help=False)
+    embeddings.add_argument("--embeddings", required=True, help="embeddings file (.csv or .json)")
+    codebook = _Parser(add_help=False)
+    codebook.add_argument("--codebook", required=True, help="codebook file")
+    sids = _Parser(add_help=False)
+    sids.add_argument("--sids", required=True, help="semantic id file")
+
+    parser = _Parser(
         prog="rqsid",
         description="Residual-quantization semantic ids: train, diagnose, mitigate, simulate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    g = sub.add_parser("gen", help="generate synthetic embeddings")
-    g.add_argument("--kind", choices=["uniform", "clustered"])
-    g.add_argument("--n", type=int, help="number of points")
-    g.add_argument("--d", type=int, help="dimensionality")
-    g.add_argument("--clusters", type=int, help="cluster count (clustered)")
-    g.add_argument("--radius", type=float, help="within-cluster std (clustered)")
-    g.add_argument("--center-scale", dest="center_scale", type=float)
-    g.add_argument("--size-law", dest="size_law", choices=["uniform", "zipf"])
-    g.add_argument("--zipf-s", dest="zipf_s", type=float, help="zipf exponent")
-    g.add_argument("--format", choices=["binary", "csv"])
-    _add_common(g)
-    g.set_defaults(func=cmd_gen)
+    def command(name, func, help, *parents):
+        commands[name] = sub.add_parser(name, help=help, parents=[common, *parents])
+        commands[name].set_defaults(func=func)
+        return commands[name]
 
-    t = sub.add_parser("train", help="train a residual-quantization codebook")
-    t.add_argument("--embeddings", help="embeddings file (.csv or .json)")
-    t.add_argument("--num-layers", dest="num_layers", type=int)
-    t.add_argument("--codebook-size", dest="codebook_size", type=int)
-    t.add_argument("--kmeans-iters", dest="kmeans_iters", type=int)
-    t.add_argument("--tol", type=float, help="relative SSE stop tolerance")
-    _add_common(t)
-    t.set_defaults(func=cmd_train)
+    g = command("gen", cmd_gen, "generate synthetic embeddings", seed, clusters)
+    g.add_argument("--kind", choices=["uniform", "clustered"], default="uniform")
+    g.add_argument("--n", type=int, required=True, help="number of points")
+    g.add_argument("--d", type=int, required=True, help="dimensionality")
+    g.add_argument("--size-law", choices=["uniform", "zipf"], default="zipf",
+                   help="cluster sizes (clustered)")
+    g.add_argument("--format", choices=["binary", "csv"], default="binary")
 
-    e = sub.add_parser("encode", help="assign semantic ids to embeddings")
-    e.add_argument("--embeddings")
-    e.add_argument("--codebook")
-    _add_common(e)
-    e.set_defaults(func=cmd_encode)
+    t = command("train", cmd_train, "train a residual-quantization codebook",
+                seed, lloyd, embeddings)
+    t.add_argument("--num-layers", type=int, default=3)
+    t.add_argument("--codebook-size", type=int, default=256)
 
-    a = sub.add_parser("analyze", help="hourglass diagnostics over an id file")
-    a.add_argument("--sids")
-    a.add_argument("--codebook")
+    command("encode", cmd_encode, "assign semantic ids to embeddings", embeddings, codebook)
+
+    a = command("analyze", cmd_analyze, "hourglass diagnostics over an id file",
+                sids, codebook, head)
     a.add_argument("--embeddings", help="optional, enables the residual-magnitude ratio")
-    a.add_argument("--head-top-k", dest="head_top_k", type=int)
-    a.add_argument("--head-mass", dest="head_mass", type=float)
-    _add_common(a)
-    a.set_defaults(func=cmd_analyze)
 
-    m = sub.add_parser("mitigate", help="transform ids: exchange, remove, varlen")
-    m.add_argument("--sids")
-    m.add_argument("--codebook")
-    m.add_argument("--mode", choices=["exchange", "remove", "varlen"])
-    m.add_argument("--swap", help="layer pair for exchange, e.g. 1,2")
-    m.add_argument("--head-top-k", dest="head_top_k", type=int)
-    m.add_argument("--head-mass", dest="head_mass", type=float)
-    _add_common(m)
-    m.set_defaults(func=cmd_mitigate)
+    m = command("mitigate", cmd_mitigate, "transform ids: exchange, remove, varlen",
+                sids, codebook, head)
+    m.add_argument("--mode", choices=["exchange", "remove", "varlen"], required=True)
+    m.add_argument("--swap", type=_int_list, default="1,2", help="layer pair for exchange")
 
-    s = sub.add_parser("simulate", help="generative-retrieval simulation")
-    s.add_argument("--sids", help="catalog id file")
-    s.add_argument("--codebook")
+    s = command("simulate", cmd_simulate, "generative-retrieval simulation",
+                seed, sids, codebook, head)
     s.add_argument("--interactions", help="existing interaction CSV with train/test splits")
-    s.add_argument("--records", type=int, help="synthesized training records")
-    s.add_argument("--test-records", dest="test_records", type=int)
-    s.add_argument("--history-min", dest="history_min", type=int)
-    s.add_argument("--history-max", dest="history_max", type=int)
-    s.add_argument("--pop-s", dest="pop_s", type=float, help="item popularity exponent")
-    s.add_argument("--repeat-prob", dest="repeat_prob", type=float)
-    s.add_argument("--order", type=int, help="model context length in flat tokens")
-    s.add_argument("--alpha", type=float, help="Laplace smoothing")
-    s.add_argument("--beam", type=int, help="beam width")
-    s.add_argument("--k-list", dest="k_list", help="comma-separated recall cutoffs")
-    s.add_argument("--trie", choices=["on", "off"], help="constrain decoding to the catalog")
-    s.add_argument("--given-layers", dest="given_layers", type=int,
+    s.add_argument("--records", type=int, default=2000, help="synthesized training records")
+    s.add_argument("--test-records", type=int,
+                   help="synthesized test records (default max(200, records / 5))")
+    s.add_argument("--history-min", type=int, default=2)
+    s.add_argument("--history-max", type=int, default=5)
+    s.add_argument("--pop-s", type=float, default=1.0, help="item popularity exponent")
+    s.add_argument("--repeat-prob", type=float, default=0.6)
+    s.add_argument("--order", type=int, default=3, help="model context length in flat tokens")
+    s.add_argument("--alpha", type=float, default=0.1, help="Laplace smoothing")
+    s.add_argument("--beam", type=int, default=50, help="beam width")
+    s.add_argument("--k-list", type=_int_list, default="1,5,10,50", help="recall cutoffs")
+    s.add_argument("--trie", choices=["on", "off"], default="off",
+                   help="constrain decoding to the catalog")
+    s.add_argument("--given-layers", type=int, default=0,
                    help="condition on this many gold prefix tokens")
-    s.add_argument("--head-top-k", dest="head_top_k", type=int,
-                   help="head set for the head/tail split: the K most frequent layer-2 "
-                        "tokens; only for a codebook that stores no head set")
-    s.add_argument("--head-mass", dest="head_mass", type=float,
-                   help="head set for the head/tail split: the fewest layer-2 tokens "
-                        "covering this share of ids (default 0.5); only for a codebook "
-                        "that stores no head set")
-    _add_common(s)
-    s.set_defaults(func=cmd_simulate)
 
-    w = sub.add_parser("sweep", help="hourglass statistics over a parameter grid")
-    w.add_argument("--num-layers-set", dest="num_layers_set", help="e.g. 3,4")
-    w.add_argument("--codebook-size-set", dest="codebook_size_set", help="e.g. 64,256")
-    w.add_argument("--regimes", help="comma-separated subset of uniform,zipf")
-    w.add_argument("--n", type=int)
-    w.add_argument("--d", type=int)
-    w.add_argument("--clusters", type=int)
-    w.add_argument("--radius", type=float)
-    w.add_argument("--center-scale", dest="center_scale", type=float)
-    w.add_argument("--zipf-s", dest="zipf_s", type=float)
-    w.add_argument("--kmeans-iters", dest="kmeans_iters", type=int)
-    w.add_argument("--tol", type=float)
-    _add_common(w)
-    w.set_defaults(func=cmd_sweep)
+    w = command("sweep", cmd_sweep, "hourglass statistics over a parameter grid",
+                seed, clusters, lloyd)
+    w.add_argument("--num-layers-set", type=_int_list, default="3,4")
+    w.add_argument("--codebook-size-set", type=_int_list, default="64,256")
+    w.add_argument("--regimes", type=_name_list, default="uniform,zipf",
+                   help="subset of uniform,zipf")
+    w.add_argument("--n", type=int, default=20000)
+    w.add_argument("--d", type=int, default=32)
+    return parser, commands
 
-    return parser
+
+def _config_argv(argv: list[str], commands: dict[str, _Parser]) -> list[str]:
+    """argv with its --config file's values put between the command and its flags.
+
+    Flat keys apply to every command with such an option, a section named
+    after the command to that command alone. A later token wins, so flags
+    win over the section and the section over flat keys.
+    """
+    if not argv or argv[0] not in commands:
+        return argv
+    # the file may hold required options, so find it before the full parse
+    finder = argparse.ArgumentParser(prog=f"rqsid {argv[0]}", add_help=False)
+    finder.add_argument("--config")
+    path = finder.parse_known_args(argv[1:])[0].config
+    if path is None:
+        return argv
+    try:
+        cfg = json.loads(Path(path).read_text())
+    except OSError as e:
+        raise ConfigError(f"cannot read config file {path}: {e.strerror}") from None
+    except ValueError as e:
+        raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config file {path} does not hold a JSON object")
+    # a key holding an object must name a command, any other key an option
+    known = {k for c in commands.values() for k in c.options}
+    unknown = [k for k, v in cfg.items() if k not in (commands if isinstance(v, dict) else known)]
+    options = commands[argv[0]].options
+    section = cfg[argv[0]] if isinstance(cfg.get(argv[0]), dict) else {}
+    unknown += [f"{argv[0]}.{k}" for k in section if k not in options]
+    if unknown:
+        raise ConfigError(f"config file {path} names no option {unknown}")
+    values = [(k, v) for k, v in cfg.items() if k in options] + list(section.items())
+    return [argv[0], *(_flag(options[k], v) for k, v in values if v is not None), *argv[1:]]
+
+
+def _flag(action: argparse.Action, value) -> str:
+    """The `--flag=value` token for a config value, left to argparse to check."""
+    if isinstance(value, list) and action.type in (_int_list, _name_list):
+        value = ",".join(str(v) for v in value)
+    elif isinstance(value, (list, dict)):
+        raise ConfigError(f"{action.dest} takes one value, got {value!r}")
+    return f"{action.option_strings[-1]}={value}"
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_config_argv(argv, commands))
+        return args.func(args)
     except SystemExit as e:  # argparse exits 2 on bad flags, 0 on --help
         return int(e.code or 0)
-    try:
-        return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

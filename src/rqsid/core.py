@@ -237,8 +237,6 @@ class RandomSource:
     without mutating the parent, so repeated calls agree.
     """
 
-    ALGORITHM_ID = "pcg64/seedseq"
-
     def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):
         if not 0 <= int(seed) <= _U64_MAX:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")

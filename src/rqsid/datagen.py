@@ -22,11 +22,7 @@ class ClusterSpec:
     """Cluster layout for `gen_clustered`.
 
     size_law "uniform" splits points as evenly as possible; "zipf" gives
-    cluster i a share proportional to 1 / i**zipf_exponent. An anisotropy
-    above zero adds a dominant per-cluster noise direction: each point gets
-    an extra Gaussian component of std radius * anisotropy along a random
-    unit vector fixed per cluster, so within-cluster spread is needle-shaped
-    rather than spherical.
+    cluster i a share proportional to 1 / i**zipf_exponent.
     """
 
     num_clusters: int
@@ -34,7 +30,6 @@ class ClusterSpec:
     center_scale: float
     size_law: str = "uniform"
     zipf_exponent: float = 1.0
-    anisotropy: float = 0.0
 
     def __post_init__(self) -> None:
         if self.num_clusters < 1:
@@ -47,8 +42,6 @@ class ClusterSpec:
             raise ConfigError(f"size_law must be 'uniform' or 'zipf', got {self.size_law!r}")
         if self.size_law == "zipf" and self.zipf_exponent <= 0:
             raise ConfigError(f"zipf_exponent must be > 0, got {self.zipf_exponent}")
-        if self.anisotropy < 0:
-            raise ConfigError(f"anisotropy must be >= 0, got {self.anisotropy}")
         if self.radius >= self.center_scale:
             log.warning(
                 "cluster radius %g >= center_scale %g; clusters will overlap heavily",
@@ -118,15 +111,8 @@ def gen_clustered(
     start = 0
     for c, size in enumerate(sizes):
         stop = start + int(size)
-        gen = sources[1 + c].generator()
-        noise = gen.standard_normal((int(size), d))
-        points = centers[c] + spec.radius * noise
-        if spec.anisotropy > 0:
-            axis = gen.standard_normal(d)
-            axis /= np.sqrt(axis @ axis)
-            along = gen.standard_normal((int(size), 1))
-            points += spec.radius * spec.anisotropy * along * axis
-        vectors[start:stop] = points
+        noise = sources[1 + c].generator().standard_normal((int(size), d))
+        vectors[start:stop] = centers[c] + spec.radius * noise
         labels[start:stop] = c
         start = stop
     if not np.all(np.isfinite(vectors)):

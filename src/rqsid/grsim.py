@@ -365,8 +365,6 @@ def beam_search(
             ((*seqs[p], t), logp)
             for p, t, logp in zip(row[best].tolist(), token[best].tolist(), score[best].tolist())
         )
-        finished.sort(key=lambda item: (-item[1], item[0]))
-        del finished[beam_width:]
 
         going = np.flatnonzero(token < first_terminal)
         best = going[_top(score[going], parent_rank[going], token[going], beam_width)]
@@ -378,7 +376,10 @@ def beam_search(
         active_rank[np.lexsort((token[best], parent_rank[best]))] = np.arange(len(best))
         if trie is not None:
             node = edge[best] + 1
-    return finished
+    # each step keeps its best beam_width terminals, so the best beam_width
+    # of their union are the overall best
+    finished.sort(key=lambda item: (-item[1], item[0]))
+    return finished[:beam_width]
 
 
 @dataclass(frozen=True)

@@ -188,9 +188,7 @@ def elision_capacity(config: QuantizerConfig, k: int) -> int:
 
 
 def post_mitigation_report(
-    outcome: MitigationOutcome,
-    config: QuantizerConfig,
-    head_selector: Selector = Selector.mass(0.5),
+    outcome: MitigationOutcome, config: QuantizerConfig
 ) -> PostMitigationReport:
     """Recompute diagnostics over the ids that kept their full length."""
     L, M = config.num_layers, config.codebook_size
@@ -215,7 +213,7 @@ def post_mitigation_report(
         remaining_stats = None
     k = len(outcome.head_set)
     full_space = (M - k) * M ** (L - 1)
-    full_report = hourglass_report(arr, config, head_selector)
+    full_report = hourglass_report(arr, config)
     return PostMitigationReport(
         elision_rate=elision_rate,
         remaining_layer2=remaining_stats,

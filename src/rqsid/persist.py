@@ -76,22 +76,27 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _load_header(path: Path, kind: str, *keys: str) -> dict:
-    """The JSON header of a `kind` file, holding at least `keys`."""
+def _load_header(path: Path, kind: str, **types) -> dict:
+    """The JSON header of a `kind` file, holding each key of `types`."""
     try:
         header = json.loads(path.read_text())
     except ValueError as e:  # undecodable bytes as well as malformed JSON
         raise DataError(f"{path} is not a JSON header: {e}") from None
     if not isinstance(header, dict) or header.get("kind") != kind:
         raise DataError(f"{path} is not a {kind} file")
-    _require_keys(path, header, *keys)
+    _require_keys(path, header, **types)
     return header
 
 
-def _require_keys(path: Path, header: dict, *keys: str) -> None:
-    missing = [k for k in keys if k not in header]
+def _require_keys(path: Path, header: dict, **types) -> None:
+    """Check that `header` holds each key with a value of its type (never a bool)."""
+    missing = [k for k in types if k not in header]
     if missing:
         raise DataError(f"{path} lacks the header keys {missing}")
+    wrong = [k for k, t in types.items()
+             if isinstance(header[k], bool) or not isinstance(header[k], t)]
+    if wrong:
+        raise DataError(f"{path} has header keys of the wrong type: {wrong}")
 
 
 # --- codebook ---------------------------------------------------------------
@@ -142,8 +147,11 @@ def save_codebook(path, codebook: Codebook, head_set=None, inline: bool | None =
 
 def load_codebook(path) -> tuple[Codebook, frozenset[int] | None]:
     path = Path(path)
-    header = _load_header(path, "codebook", "num_layers", "codebook_size", "dim",
-                          "kmeans_iters", "seed", "convergence_tol", "training_sse_per_layer")
+    header = _load_header(path, "codebook", num_layers=int, codebook_size=int, dim=int,
+                          kmeans_iters=int, seed=int, convergence_tol=(int, float),
+                          training_sse_per_layer=list)
+    if header.get("head_set") is not None:
+        _require_keys(path, header, head_set=list)
     cfg = QuantizerConfig(
         num_layers=header["num_layers"],
         codebook_size=header["codebook_size"],
@@ -156,7 +164,7 @@ def load_codebook(path) -> tuple[Codebook, frozenset[int] | None]:
     if "layers" in header:
         layers = np.asarray(header["layers"], dtype=np.float64)
     else:
-        _require_keys(path, header, "layers_file", "layers_sha256")
+        _require_keys(path, header, layers_file=str, layers_sha256=str)
         bin_path = path.parent / header["layers_file"]
         payload = bin_path.read_bytes()
         if sha256_bytes(payload) != header["layers_sha256"]:
@@ -297,8 +305,8 @@ def load_embeddings(path) -> EmbeddingCollection:
         if not ids:
             raise DataError(f"{path} holds no embeddings")
         return EmbeddingCollection(tuple(ids), np.asarray(rows, dtype=np.float64))
-    header = _load_header(path, "embeddings", "count", "dim", "vectors_file", "vectors_sha256",
-                          "item_ids")
+    header = _load_header(path, "embeddings", count=int, dim=int, vectors_file=str,
+                          vectors_sha256=str, item_ids=list)
     bin_path = path.parent / header["vectors_file"]
     payload = bin_path.read_bytes()
     if sha256_bytes(payload) != header["vectors_sha256"]:

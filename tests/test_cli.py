@@ -152,7 +152,15 @@ class TestErrors:
         lambda root: ("mitigate", "--sids", root / "enc" / "sids.csv",
                       "--codebook", root / "train" / "codebook.json",
                       "--mode", "remove", "--layer", 2),
-    ], ids=["threads", "inline-codebook", "layer"])
+        lambda root: ("encode", "--embeddings", root / "gen" / "embeddings.json",
+                      "--codebook", root / "train" / "codebook.json", "--seed", 1),
+        lambda root: ("analyze", "--sids", root / "enc" / "sids.csv",
+                      "--codebook", root / "train" / "codebook.json", "--seed", 1),
+        lambda root: ("mitigate", "--sids", root / "enc" / "sids.csv",
+                      "--codebook", root / "train" / "codebook.json",
+                      "--mode", "remove", "--seed", 1),
+    ], ids=["threads", "inline-codebook", "layer", "encode-seed", "analyze-seed",
+            "mitigate-seed"])
     def test_removed_flags_exit_2(self, pipeline, tmp_path, argv):
         # each argv is valid apart from the removed flag
         assert run(*argv(pipeline), "--out", tmp_path / "out") == 2
@@ -248,6 +256,13 @@ class TestErrors:
         embeddings = self.write_binary_embeddings(tmp_path, 5)
         assert self.train_exit_code(tmp_path, embeddings) == 3
 
+    @pytest.mark.parametrize("key, value, floats", [
+        ("count", 3.0, 6), ("dim", True, 3), ("item_ids", "abc", 6), ("vectors_file", 5, 6),
+    ], ids=["float-count", "bool-dim", "text-item-ids", "number-file"])
+    def test_embedding_header_value_of_wrong_type_exits_3(self, tmp_path, key, value, floats):
+        embeddings = self.write_binary_embeddings(tmp_path, floats, **{key: value})
+        assert self.train_exit_code(tmp_path, embeddings) == 3
+
     @staticmethod
     def analyze_exit_code(pipeline, tmp_path, codebook):
         code = run("analyze", "--sids", pipeline / "enc" / "sids.csv", "--codebook", codebook,
@@ -266,6 +281,17 @@ class TestErrors:
         codebook = tmp_path / "codebook.json"
         codebook.write_text(json.dumps(header))
         assert "layers" in header  # inline, so there is no binary to copy
+        assert self.analyze_exit_code(pipeline, tmp_path, codebook) == 3
+
+    @pytest.mark.parametrize("key, value", [
+        ("num_layers", "3"), ("seed", True), ("convergence_tol", "1e-4"),
+        ("training_sse_per_layer", 5), ("head_set", 3),
+    ], ids=["text-num-layers", "bool-seed", "text-tol", "number-sse", "number-head-set"])
+    def test_codebook_header_value_of_wrong_type_exits_3(self, pipeline, tmp_path, key, value):
+        header = json.loads((pipeline / "train" / "codebook.json").read_text())
+        header[key] = value
+        codebook = tmp_path / "codebook.json"
+        codebook.write_text(json.dumps(header))
         assert self.analyze_exit_code(pipeline, tmp_path, codebook) == 3
 
     def test_bad_sweep_set_exits_2(self, tmp_path):
@@ -287,6 +313,106 @@ class TestConfigFile:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert run("gen", "--config", tmp_path / "nope.json", "--out", tmp_path) == 2
+
+    @pytest.mark.parametrize("argv, cfg", [
+        (("gen", "--d", 2), {"gen": {"n": "abc"}}),
+        (("train", "--embeddings", "e.json"), {"train": {"num_layers": [3]}}),
+        (("train", "--embeddings", "e.json"), {"train": {"num_layer": 2}}),
+        (("gen", "--n", 5, "--d", 2), {"seeed": 2}),
+        (("gen", "--n", 5, "--d", 2), {"gne": {"n": 5}}),
+    ], ids=["text-int", "list-int", "unknown-section-key", "unknown-flat-key",
+            "unknown-section"])
+    def test_bad_config_value_exits_2(self, tmp_path, argv, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run(*argv, "--config", path, "--out", tmp_path / "out") == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_required_options_from_config_only(self, pipeline, tmp_path):
+        out = tmp_path / "out"
+        embeddings = str(pipeline / "gen" / "embeddings.json")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 3, "train": {
+            "embeddings": embeddings, "num_layers": 2, "codebook_size": 4, "out": str(out)}}))
+        assert run("train", "--config", cfg) == 0
+        assert recorded_options(out) == {
+            "embeddings": embeddings, "num_layers": 2, "codebook_size": 4, "kmeans_iters": 25,
+            "tol": 1e-4, "seed": 3, "out": str(out),
+        }
+
+    def test_list_values(self, tmp_path):
+        out = tmp_path / "sweep"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {
+            "num_layers_set": [2], "codebook_size_set": [4, 8], "regimes": ["uniform"],
+            "n": 30, "d": 4}}))
+        assert run("sweep", "--config", cfg, "--out", out) == 0
+        options = recorded_options(out)
+        assert (options["num_layers_set"], options["codebook_size_set"], options["regimes"]) == (
+            [2], [4, 8], ["uniform"])
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 and all(row.endswith(",") for row in rows)  # no error text
+
+
+def recorded_options(out):
+    return json.loads((out / "manifest.json").read_text())["runs"][-1]["config"]
+
+
+class TestManifest:
+    def test_simulate_records_every_option(self, pipeline, tmp_path):
+        out = tmp_path / "sim"
+        sids = str(pipeline / "enc" / "sids.csv")
+        codebook = str(pipeline / "train" / "codebook.json")
+        assert run(
+            "simulate", "--sids", sids, "--codebook", codebook, "--records", 300,
+            "--pop-s", "0.5", "--repeat-prob", "0.2", "--history-min", 3, "--beam", 5,
+            "--k-list", "1,5", "--out", out,
+        ) == 0
+        assert recorded_options(out) == {
+            "sids": sids, "codebook": codebook, "interactions": None, "records": 300,
+            "test_records": 200, "history_min": 3, "history_max": 5, "pop_s": 0.5,
+            "repeat_prob": 0.2, "order": 3, "alpha": 0.1, "beam": 5, "k_list": [1, 5],
+            "trie": "off", "given_layers": 0, "head_top_k": None, "head_mass": None,
+            "seed": 0, "out": str(out),
+        }
+
+    def test_sweep_records_every_option(self, tmp_path):
+        out = tmp_path / "sweep"
+        assert run(
+            "sweep", "--num-layers-set", 2, "--codebook-size-set", 4, "--regimes", "uniform",
+            "--n", 30, "--d", 4, "--out", out,
+        ) == 0
+        assert recorded_options(out) == {
+            "num_layers_set": [2], "codebook_size_set": [4], "regimes": ["uniform"], "n": 30,
+            "d": 4, "clusters": 512, "radius": 0.05, "center_scale": 1.0, "zipf_s": 1.2,
+            "kmeans_iters": 25, "tol": 1e-4, "seed": 0, "out": str(out),
+        }
+
+
+class TestManifestReplay:
+    """A manifest's options, given back as a config file, reproduce its outputs."""
+
+    @staticmethod
+    def replay(run_dir, tmp_path):
+        record = json.loads((run_dir / "manifest.json").read_text())["runs"][-1]
+        cfg = tmp_path / "replay.json"
+        cfg.write_text(json.dumps({record["command"]: record["config"]}))
+        out = tmp_path / "replay"
+        assert run(record["command"], "--config", cfg, "--out", out) == 0
+        assert record["outputs"]
+        for output in record["outputs"]:
+            assert sha256_file(out / output["path"]) == output["sha256"], output["path"]
+
+    @pytest.mark.parametrize("stage", ["gen", "train", "enc"])
+    def test_pipeline_stage(self, pipeline, tmp_path, stage):
+        self.replay(pipeline / stage, tmp_path)
+
+    def test_sweep(self, tmp_path):
+        assert run(
+            "sweep", "--num-layers-set", "2,3", "--codebook-size-set", 4, "--n", 300,
+            "--d", 4, "--clusters", 8, "--tol", 0, "--seed", 5, "--out", tmp_path / "sweep",
+        ) == 0
+        self.replay(tmp_path / "sweep", tmp_path)
 
 
 class TestSweep:
