@@ -63,8 +63,17 @@ def _int_list(text: str) -> list[int]:
         ) from None
 
 
-def _name_list(text: str) -> list[str]:
-    return [v.strip() for v in text.split(",") if v.strip()]
+_REGIMES = ("uniform", "zipf")
+
+
+def _regime_list(text: str) -> list[str]:
+    names = [v.strip() for v in text.split(",") if v.strip()]
+    unknown = [v for v in names if v not in _REGIMES]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown regimes {unknown}, expected a subset of {','.join(_REGIMES)}"
+        )
+    return names
 
 
 def _options(args) -> dict:
@@ -407,10 +416,8 @@ def _sweep_cell(args, L, M, regime, cell_seed) -> dict:
     rng = RandomSource(cell_seed)
     if regime == "uniform":
         data = datagen.gen_uniform(n, d, rng)
-    elif regime == "zipf":
-        data, _ = datagen.gen_clustered(n, d, _cluster_spec(args, "zipf"), rng)
     else:
-        raise ConfigError(f"unknown regime {regime!r}")
+        data, _ = datagen.gen_clustered(n, d, _cluster_spec(args, "zipf"), rng)
     config = _quantizer_config(args, L, M, d, cell_seed)
     codebook = train_rq(data, config, rng.child(1000))
     sids, _ = encode_all(data, codebook)
@@ -535,8 +542,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
                 seed, clusters, lloyd)
     w.add_argument("--num-layers-set", type=_int_list, default="3,4")
     w.add_argument("--codebook-size-set", type=_int_list, default="64,256")
-    w.add_argument("--regimes", type=_name_list, default="uniform,zipf",
-                   help="subset of uniform,zipf")
+    w.add_argument("--regimes", type=_regime_list, default=",".join(_REGIMES),
+                   help=f"subset of {','.join(_REGIMES)}")
     w.add_argument("--n", type=int, default=20000)
     w.add_argument("--d", type=int, default=32)
     return parser, commands
@@ -579,7 +586,7 @@ def _config_argv(argv: list[str], commands: dict[str, _Parser]) -> list[str]:
 
 def _flag(action: argparse.Action, value) -> str:
     """The `--flag=value` token for a config value, left to argparse to check."""
-    if isinstance(value, list) and action.type in (_int_list, _name_list):
+    if isinstance(value, list) and action.type in (_int_list, _regime_list):
         value = ",".join(str(v) for v in value)
     elif isinstance(value, (list, dict)):
         raise ConfigError(f"{action.dest} takes one value, got {value!r}")

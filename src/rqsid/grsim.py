@@ -126,9 +126,11 @@ class SequenceModel:
     contexts is matched with one binary search per width. The contexts of
     all widths share CSR arrays: context g, the `offset` of its width plus
     its rank there, was followed `totals[g]` times, by the tokens
-    `next[starts[g]:starts[g + 1]]` with the counts `counts[...]` of the
-    same slice. A (context, next token) key packs `order + 1` tokens, so
-    `vocab_size ** (order + 1)` must fit in an int64.
+    `pairs[starts[g]:starts[g + 1]] % vocab_size` with the counts
+    `counts[...]` of the same slice. `pairs` holds g * vocab_size + next
+    token, so it is sorted, and one binary search finds the count of any
+    (context, next token) pair. A (context, next token) key packs
+    `order + 1` tokens, so `vocab_size ** (order + 1)` must fit in an int64.
     """
 
     def __init__(self, order: int, alpha: float, vocab_size: int):
@@ -167,7 +169,8 @@ class SequenceModel:
             num_pairs += len(pairs)
         self._starts = np.append(np.concatenate(starts), num_pairs)
         self._totals = np.concatenate(totals)
-        self._next = np.concatenate(pairs_by_width) % v
+        self._pairs = (np.repeat(np.arange(num_contexts), np.diff(self._starts)) * v
+                       + np.concatenate(pairs_by_width) % v)
         self._counts = np.concatenate(counts_by_width)
 
     def _width_pairs(self, w: int) -> tuple[np.ndarray, np.ndarray]:
@@ -175,7 +178,9 @@ class SequenceModel:
         first = self._offset[w - 1]
         bounds = self._starts[first : first + len(self._keys[w - 1]) + 1]
         span = slice(bounds[0], bounds[-1])
-        pairs = np.repeat(self._keys[w - 1], np.diff(bounds)) * self.vocab_size + self._next[span]
+        pairs = np.repeat(self._keys[w - 1], np.diff(bounds)) * self.vocab_size + (
+            self._pairs[span] % self.vocab_size
+        )
         return pairs, self._counts[span]
 
     def observe_stream(self, stream) -> None:
@@ -206,8 +211,8 @@ class SequenceModel:
             pairs_by_width[w - 1], counts_by_width[w - 1] = merged, counts
         self._compile(pairs_by_width, counts_by_width)
 
-    def _prob_rows(self, tails: np.ndarray) -> np.ndarray:
-        """Next-token distributions, one row per row of `tails`.
+    def _match(self, tails: np.ndarray) -> np.ndarray:
+        """The context each row of `tails` backs off to, or -1 for none.
 
         Each row of `tails` ends with the last tokens of one context; all
         rows hold the same number of them. Tokens outside the vocabulary
@@ -228,19 +233,43 @@ class SequenceModel:
             at = table.searchsorted(keys[:, w - 1])
             hit = table[np.minimum(at, len(table) - 1)] == keys[:, w - 1]
             match[hit] = self._offset[w - 1] + at[hit]
+        return match
 
+    def _prob_rows(self, tails: np.ndarray) -> np.ndarray:
+        """Next-token distributions, one row per row of `tails` (see `_match`)."""
+        v = self.vocab_size
+        match = self._match(tails)
+        n = len(match)
         rows = np.flatnonzero(match >= 0)
         ctx = match[rows]
         lo = self._starts[ctx]
         size = self._starts[ctx + 1] - lo
         seg = _ranges(lo, size)
         counts = np.zeros((n, v))
-        counts[np.repeat(rows, size), self._next[seg]] = self._counts[seg]
+        counts[np.repeat(rows, size), self._pairs[seg] % v] = self._counts[seg]
         totals = np.zeros(n)
         totals[rows] = self._totals[ctx]
-        probs = (counts + self.alpha) / (totals + self.alpha * v)[:, None]
-        probs[match < 0] = 1.0 / v
-        return probs
+        counts += self.alpha
+        counts /= (totals + self.alpha * v)[:, None]
+        counts[match < 0] = 1.0 / v
+        return counts
+
+    def _log_probs_at(self, match: np.ndarray, token: np.ndarray) -> np.ndarray:
+        """log P(token[i] | context match[i]), with `match` from `_match`;
+        each equals its entry of `np.log(_prob_rows(...))`, bit for bit."""
+        v = self.vocab_size
+        seen = match >= 0
+        key = np.where(seen, match * v + token, -1)
+        at = self._pairs.searchsorted(key)
+        found = at < len(self._pairs)
+        found[found] = self._pairs[at[found]] == key[found]
+        counts = np.zeros(len(key))
+        counts[found] = self._counts[at[found]]
+        totals = np.zeros(len(key))
+        totals[seen] = self._totals[match[seen]]
+        probs = (counts + self.alpha) / (totals + self.alpha * v)
+        probs[~seen] = 1.0 / v
+        return np.log(probs)
 
     def probs(self, context) -> np.ndarray:
         """Distribution over the next flat token; always sums to 1."""
@@ -282,104 +311,164 @@ def train_seq_model(
     return model
 
 
-def _top(score: np.ndarray, parent_rank: np.ndarray, token: np.ndarray, width: int) -> np.ndarray:
-    """Indices of the `width` best candidates by (-score, parent_rank, token).
+# Records that `evaluate` decodes in one `beam_search` call. A step's
+# arrays grow with the records decoded together (with the trie off, one
+# float per beam and vocabulary token), so the chunk bounds that memory;
+# each chunk is scored before the next is decoded. Larger chunks gained
+# little speed for more memory on the 2000-item retrieval benchmark.
+_DECODE_CHUNK = 8
 
-    Only candidates scoring at least the width-th best score can make the
-    cut, so the lexsort runs on those alone; the order is the same as that
-    of a full sort.
+
+def _top_mask(table: np.ndarray, width: int) -> np.ndarray:
+    """Which entries are among the `width` best of their row of `table`:
+    those above the row's width-th best score, then its first entries equal
+    to it, column by column."""
+    k = table.shape[1] - width
+    if k <= 0:
+        return np.ones(table.shape, dtype=bool)
+    cut = np.partition(table, k, axis=1)[:, [k]]
+    above = table > cut
+    tie = table == cut
+    room = width - above.sum(axis=1, keepdims=True)
+    return above | (tie & (np.cumsum(tie, axis=1, dtype=np.int32) <= room))
+
+
+def _best(score: np.ndarray, record: np.ndarray, num_records: int, width: int) -> np.ndarray:
+    """Indices, in index order, of each record's `width` best candidates.
+
+    Each record's candidates are consecutive and in its tie order. Row r of
+    the table holds record r's scores, padded with -inf after them, so the
+    padding never takes a tie from a candidate.
     """
-    if len(score) > width:
-        cut = np.partition(score, len(score) - width)[len(score) - width]
-        keep = np.flatnonzero(score >= cut)
-    else:
-        keep = np.arange(len(score))
-    order = np.lexsort((token[keep], parent_rank[keep], -score[keep]))
-    return keep[order[:width]]
+    size = np.bincount(record, minlength=num_records)
+    pos = np.arange(len(score)) - (np.cumsum(size) - size)[record]
+    table = np.full((num_records, size.max(initial=0)), -np.inf)
+    table[record, pos] = score
+    return np.flatnonzero(_top_mask(table, width)[record, pos])
 
 
 def beam_search(
     model: SequenceModel,
-    context,
+    contexts,
     beam_width: int,
     max_len: int,
     config: QuantizerConfig,
     trie: CatalogTrie | None = None,
-    fixed_prefix=None,
-) -> list[tuple[tuple[int, ...], float]]:
-    """Beam search over flat tokens.
+    fixed_prefixes=None,
+) -> list[list[tuple[tuple[int, ...], float]]]:
+    """Beam search over flat tokens, one result list per context.
 
     A sequence is complete once it emits a last-layer token, which works for
     both full-length and layer-2-elided ids. When a trie is given, expansion
     is restricted to its children, so only catalog prefixes are ever built.
-    A fixed prefix is scored as given (log-probability 0) and included in the
+    `fixed_prefixes`, when given, holds one prefix (or None) per context. A
+    prefix is scored as given (log-probability 0) and included in the
     outputs; with a trie, a prefix that is no catalog prefix yields nothing.
-    Results are sorted by total log-probability, ties broken by
+    Each list is sorted by total log-probability, ties broken by
     lexicographic order of the token sequence.
 
-    Each step scores every (beam, next token) pair as one array. The active
-    beams all have the same length, so the lexicographic order of their
-    extensions is the order of (the parent's lexicographic rank, the token).
+    All contexts decode in lockstep: each step resolves the back-off of
+    every live beam of every context with one model lookup, then scores the
+    dense (beam, token) block with the trie off, or only each beam's
+    children with it on. A context's beams are kept in lexicographic order,
+    so its candidates, enumerated by (beam, token), are in its tie order,
+    and its best `beam_width` are selected without a sort.
     """
     if beam_width < 1:
         raise ConfigError(f"beam_width must be >= 1, got {beam_width}")
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
-    context = tuple(int(t) for t in context)
-    start = tuple(int(t) for t in fixed_prefix) if fixed_prefix else ()
+    if fixed_prefixes is None:
+        fixed_prefixes = [None] * len(contexts)
+    if len(fixed_prefixes) != len(contexts):
+        raise ConfigError(f"{len(fixed_prefixes)} fixed prefixes for {len(contexts)} contexts")
+    starts = [tuple(int(t) for t in p) if p else () for p in fixed_prefixes]
     first_terminal = (config.num_layers - 1) * config.codebook_size
-    if start and start[-1] >= first_terminal:
-        return [(start, 0.0)]
+    order = model.order
+    results: list[list[tuple[tuple[int, ...], float]]] = [[] for _ in starts]
 
-    if trie is not None:
-        node = np.array([trie.node_of(start)])
-        if node[0] < 0:
-            return []
-    # each row of `active` is one beam's sequence after the last `order`
-    # context tokens, which the model's back-off lookup reads with it; with a
-    # trie, node[b] is the trie node that beam b's sequence leads to
-    history = context[max(0, len(context) - model.order) :]
-    active = np.array([history + start], dtype=np.int64).reshape(1, -1)
-    active_logp = np.zeros(1)
-    active_rank = np.zeros(1, dtype=np.int64)
-    finished: list[tuple[tuple[int, ...], float]] = []
-    for _ in range(max_len):
-        seqs = active[:, len(history) :].tolist()
-        rows = np.log(model._prob_rows(active))
-        # candidate i extends beam row[i] by token[i]; their order is
-        # irrelevant, since _top ranks them by a total order
+    # the contexts that decode: record r is context live[r]
+    live, tails, nodes = [], [], []
+    for c, (context, start) in enumerate(zip(contexts, starts)):
+        if start and start[-1] >= first_terminal:
+            results[c] = [(start, 0.0)]
+            continue
+        node = trie.node_of(start) if trie is not None else 0
+        if node < 0:
+            continue
+        tail = [int(t) for t in context[max(0, len(context) - order) :]] + list(start)
+        tails.append([-1] * (order - len(tail)) + tail[max(0, len(tail) - order) :])
+        nodes.append(node)
+        live.append(c)
+
+    # beam b belongs to record rec[b], and gen[b] holds what it emitted
+    # after its prefix, padded with -1, which sorts a sequence before its
+    # extensions as tuples do. tail[b] holds the last `order` tokens the
+    # model reads, padded on the left with -1, which never matches; with a
+    # trie, node[b] is the node its sequence leads to
+    rec = np.arange(len(live))
+    gen = np.full((len(live), max_len), -1, dtype=np.int64)
+    tail = np.array(tails, dtype=np.int64).reshape(len(live), order)
+    logp = np.zeros(len(live))
+    node = np.array(nodes, dtype=np.int64)
+    done_rec, done_seq, done_logp = [], [], []
+    for depth in range(max_len):
+        if not len(rec):
+            break
+        # each record's best terminal candidates, then its best others, as
+        # (beam, token, score, node) with its beams in lexicographic order
+        parts = []
         if trie is None:
-            row, token = np.divmod(np.arange(len(active) * model.vocab_size), model.vocab_size)
+            scores = model._prob_rows(tail)
+            np.log(scores, out=scores)
+            scores += logp[:, None]
+            # row r of a table holds record r's beams' score rows end to
+            # end, padded with -inf after them, so padding takes no tie
+            size = np.bincount(rec, minlength=len(live))
+            first = np.cumsum(size) - size
+            slot = np.arange(len(rec)) - first[rec]
+            for lo, hi in ((first_terminal, model.vocab_size), (0, first_terminal)):
+                table = np.full((len(live), size.max(), hi - lo), -np.inf)
+                table[rec, slot] = scores[:, lo:hi]
+                r, at = np.nonzero(_top_mask(table.reshape(len(live), -1), beam_width))
+                beam, token = np.divmod(at, hi - lo)
+                beam += first[r]
+                parts.append((beam, token + lo, scores[beam, token + lo], None))
         else:
             lo = trie.first[node]
             size = trie.first[node + 1] - lo
-            row = np.repeat(np.arange(len(node)), size)
+            beam = np.repeat(np.arange(len(node)), size)
             edge = _ranges(lo, size)
             token = trie.token[edge]
-        score = active_logp[row] + rows[row, token]
-        parent_rank = active_rank[row]
+            score = logp[beam] + model._log_probs_at(model._match(tail)[beam], token)
+            terminal = token >= first_terminal
+            for part in (np.flatnonzero(terminal), np.flatnonzero(~terminal)):
+                best = part[_best(score[part], rec[beam[part]], len(live), beam_width)]
+                parts.append((beam[best], token[best], score[best], edge[best] + 1))
 
-        terminal = np.flatnonzero(token >= first_terminal)
-        best = terminal[_top(score[terminal], parent_rank[terminal], token[terminal], beam_width)]
-        finished.extend(
-            ((*seqs[p], t), logp)
-            for p, t, logp in zip(row[best].tolist(), token[best].tolist(), score[best].tolist())
-        )
+        (done_beam, done_token, done_score, _), (beam, token, logp, node) = parts
+        done = gen[done_beam]
+        done[:, depth] = done_token
+        done_rec.append(rec[done_beam])
+        done_seq.append(done)
+        done_logp.append(done_score)
+        rec = rec[beam]
+        gen = gen[beam]
+        gen[:, depth] = token
+        tail = np.column_stack((tail[beam, 1:], token))
 
-        going = np.flatnonzero(token < first_terminal)
-        best = going[_top(score[going], parent_rank[going], token[going], beam_width)]
-        if not len(best):
-            break
-        active = np.column_stack((active[row[best]], token[best]))
-        active_logp = score[best]
-        active_rank = np.empty(len(best), dtype=np.int64)
-        active_rank[np.lexsort((token[best], parent_rank[best]))] = np.arange(len(best))
-        if trie is not None:
-            node = edge[best] + 1
-    # each step keeps its best beam_width terminals, so the best beam_width
-    # of their union are the overall best
-    finished.sort(key=lambda item: (-item[1], item[0]))
-    return finished[:beam_width]
+    if done_rec:
+        # each step kept each record's best beam_width terminals, so the
+        # best beam_width of their union are the record's overall best
+        rec, seq, logp = map(np.concatenate, (done_rec, done_seq, done_logp))
+        ranked = np.lexsort((*seq[:, ::-1].T, -logp, rec))
+        ranked_rec = rec[ranked]
+        keep = ranked[np.arange(len(ranked)) - ranked_rec.searchsorted(ranked_rec) < beam_width]
+        lengths = (seq[keep] >= 0).sum(axis=1)
+        for r, s, n, p in zip(rec[keep].tolist(), seq[keep].tolist(), lengths.tolist(),
+                              logp[keep].tolist()):
+            results[live[r]].append((starts[live[r]] + tuple(s[:n]), p))
+    return results
 
 
 @dataclass(frozen=True)
@@ -423,7 +512,7 @@ def evaluate(
     trie_mode: str = "off",
     given_prefix_layers: int = 0,
 ) -> EvalReport:
-    """Run beam search per test record and score recall@k and invalid ratio.
+    """Decode the test records in chunks and score recall@k and invalid ratio.
 
     `catalog` maps item ids to flat-token ids, as for `train_seq_model`.
     recall@k counts records whose target id appears in the top k sequences.
@@ -452,41 +541,47 @@ def evaluate(
     emitted = {k: {g: 0 for g in groups} for k in k_list}
     counts = {g: 0 for g in groups}
 
-    for rec in test.records:
-        gold = catalog.get(rec.target)
-        if gold is None:
-            raise DataError(f"test target {rec.target!r} is not in the catalog")
-        context: list[int] = []
-        for item in rec.history:
-            tokens = catalog.get(item)
-            if tokens is None:
-                raise DataError(f"test history item {item!r} is not in the catalog")
-            context.extend(tokens)
-        prefix = gold[:given_prefix_layers] if given_prefix_layers else None
-        preds = beam_search(
+    for lo in range(0, len(test), _DECODE_CHUNK):
+        golds, contexts = [], []
+        for rec in test.records[lo : lo + _DECODE_CHUNK]:
+            gold = catalog.get(rec.target)
+            if gold is None:
+                raise DataError(f"test target {rec.target!r} is not in the catalog")
+            context: list[int] = []
+            for item in rec.history:
+                tokens = catalog.get(item)
+                if tokens is None:
+                    raise DataError(f"test history item {item!r} is not in the catalog")
+                context.extend(tokens)
+            golds.append(gold)
+            contexts.append(context)
+        decoded = beam_search(
             model,
-            context,
+            contexts,
             beam_width,
             max_len=config.num_layers,
             config=config,
             trie=trie if constrained else None,
-            fixed_prefix=prefix,
+            fixed_prefixes=[gold[:given_prefix_layers] for gold in golds],
         )
-        group = _partition_of(gold, head_set, config)
-        counts["overall"] += 1
-        counts[group] += 1
-        top = [seq for seq, _ in preds[:max_k]]
-        gold_rank = top.index(gold) if gold in top else max_k
-        # invalid_upto[j] counts the invalid sequences among the first j
-        invalid_upto = [0]
-        for seq in top:
-            invalid_upto.append(invalid_upto[-1] + int(not constrained and not trie.contains(seq)))
-        for k in k_list:
-            shown = min(k, len(top))
-            for g in ("overall", group):
-                hits[k][g] += int(gold_rank < k)
-                invalid[k][g] += invalid_upto[shown]
-                emitted[k][g] += shown
+        for gold, preds in zip(golds, decoded):
+            group = _partition_of(gold, head_set, config)
+            counts["overall"] += 1
+            counts[group] += 1
+            top = [seq for seq, _ in preds[:max_k]]
+            gold_rank = top.index(gold) if gold in top else max_k
+            # invalid_upto[j] counts the invalid sequences among the first j
+            invalid_upto = [0]
+            for seq in top:
+                invalid_upto.append(
+                    invalid_upto[-1] + int(not constrained and not trie.contains(seq))
+                )
+            for k in k_list:
+                shown = min(k, len(top))
+                for g in ("overall", group):
+                    hits[k][g] += int(gold_rank < k)
+                    invalid[k][g] += invalid_upto[shown]
+                    emitted[k][g] += shown
 
     recall = {
         k: {g: (hits[k][g] / counts[g] if counts[g] else 0.0) for g in groups}

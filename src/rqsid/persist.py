@@ -99,6 +99,17 @@ def _require_keys(path: Path, header: dict, **types) -> None:
         raise DataError(f"{path} has header keys of the wrong type: {wrong}")
 
 
+def _number_array(path: Path, key: str, value, ndim: int) -> np.ndarray:
+    """A header value as a float64 array of `ndim` dimensions, from numbers only."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # ragged nesting
+        array = None
+    if array is None or array.dtype.kind not in "iuf" or array.ndim != ndim:
+        raise DataError(f"{path} key {key!r} is not a {ndim}-d array of numbers")
+    return array.astype(np.float64)
+
+
 # --- codebook ---------------------------------------------------------------
 
 
@@ -150,8 +161,11 @@ def load_codebook(path) -> tuple[Codebook, frozenset[int] | None]:
     header = _load_header(path, "codebook", num_layers=int, codebook_size=int, dim=int,
                           kmeans_iters=int, seed=int, convergence_tol=(int, float),
                           training_sse_per_layer=list)
-    if header.get("head_set") is not None:
+    head = header.get("head_set")
+    if head is not None:
         _require_keys(path, header, head_set=list)
+        if not all(isinstance(t, int) and not isinstance(t, bool) for t in head):
+            raise DataError(f"{path} key 'head_set' holds a value that is not an integer")
     cfg = QuantizerConfig(
         num_layers=header["num_layers"],
         codebook_size=header["codebook_size"],
@@ -162,7 +176,7 @@ def load_codebook(path) -> tuple[Codebook, frozenset[int] | None]:
     )
     shape = (cfg.num_layers, cfg.codebook_size, cfg.dim)
     if "layers" in header:
-        layers = np.asarray(header["layers"], dtype=np.float64)
+        layers = _number_array(path, "layers", header["layers"], 3)
     else:
         _require_keys(path, header, layers_file=str, layers_sha256=str)
         bin_path = path.parent / header["layers_file"]
@@ -173,9 +187,9 @@ def load_codebook(path) -> tuple[Codebook, frozenset[int] | None]:
         if layers.size != int(np.prod(shape)):
             raise DataError(f"{bin_path} holds {layers.size} floats, expected {np.prod(shape)}")
         layers = layers.reshape(shape)
-    codebook = Codebook(cfg, layers, tuple(header["training_sse_per_layer"]))
-    head = header.get("head_set")
-    return codebook, (frozenset(int(t) for t in head) if head is not None else None)
+    sse = _number_array(path, "training_sse_per_layer", header["training_sse_per_layer"], 1)
+    codebook = Codebook(cfg, layers, tuple(sse.tolist()))
+    return codebook, (frozenset(head) if head is not None else None)
 
 
 # --- semantic ids -----------------------------------------------------------

@@ -317,7 +317,7 @@ class TestCriterion9:
                 model.observe_stream(gen.integers(0, vocab, size=8).tolist())
             context = tuple(gen.integers(0, vocab, size=int(gen.integers(0, 4))))
             width = vocab ** max_len
-            got = beam_search(model, context, width, max_len, config)
+            (got,) = beam_search(model, [context], width, max_len, config)
             want = brute_force_beam(model, context, max_len, config, width)
             ok &= got == want
         record_criterion(

@@ -294,8 +294,30 @@ class TestErrors:
         codebook.write_text(json.dumps(header))
         assert self.analyze_exit_code(pipeline, tmp_path, codebook) == 3
 
+    @pytest.mark.parametrize("key, value", [
+        ("layers", "abc"), ("layers", [[[0.0, 1.0]], [[2.0]]]), ("layers", [[0.0, 1.0]]),
+        ("layers", [[["0.5"]]]), ("head_set", ["x"]), ("head_set", [1, True]),
+        ("training_sse_per_layer", ["x", 1.0, 2.0]),
+    ], ids=["text-layers", "ragged-layers", "2d-layers", "text-in-layers", "text-in-head-set",
+            "bool-in-head-set", "text-in-sse"])
+    def test_codebook_malformed_list_exits_3(self, pipeline, tmp_path, key, value):
+        header = json.loads((pipeline / "train" / "codebook.json").read_text())
+        header[key] = value
+        codebook = tmp_path / "codebook.json"
+        codebook.write_text(json.dumps(header))
+        assert self.analyze_exit_code(pipeline, tmp_path, codebook) == 3
+
     def test_bad_sweep_set_exits_2(self, tmp_path):
         assert run("sweep", "--num-layers-set", "3,x", "--out", tmp_path / "out") == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_sweep_regime_exits_2(self, tmp_path):
+        # rejected before any cell runs, on the command line or in a config file
+        assert run("sweep", "--regimes", "uniform,zpf", "--out", tmp_path / "out") == 2
+        assert not (tmp_path / "out").exists()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {"regimes": ["zipf", "unifrom"]}}))
+        assert run("sweep", "--config", cfg, "--out", tmp_path / "out") == 2
         assert not (tmp_path / "out").exists()
 
 

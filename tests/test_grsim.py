@@ -166,6 +166,90 @@ def reference_beam(model, context, beam_width, max_len, config, trie=None, fixed
     return finished[:beam_width]
 
 
+def reference_top(score, parent_rank, token, width):
+    """Indices of the `width` best candidates by (-score, parent_rank, token).
+
+    Only candidates scoring at least the width-th best score can make the
+    cut, so the lexsort runs on those alone; the order is the same as that
+    of a full sort.
+    """
+    if len(score) > width:
+        cut = np.partition(score, len(score) - width)[len(score) - width]
+        keep = np.flatnonzero(score >= cut)
+    else:
+        keep = np.arange(len(score))
+    order = np.lexsort((token[keep], parent_rank[keep], -score[keep]))
+    return keep[order[:width]]
+
+
+def reference_array_beam(model, context, beam_width, max_len, config, trie=None,
+                         fixed_prefix=None):
+    """The per-record array beam search that the lockstep batch replaced,
+    verbatim: one call per context, and each step ranks its candidates by a
+    lexsort on (-score, parent's lexicographic rank, token)."""
+    if beam_width < 1:
+        raise ConfigError(f"beam_width must be >= 1, got {beam_width}")
+    if max_len < 1:
+        raise ConfigError(f"max_len must be >= 1, got {max_len}")
+    context = tuple(int(t) for t in context)
+    start = tuple(int(t) for t in fixed_prefix) if fixed_prefix else ()
+    first_terminal = (config.num_layers - 1) * config.codebook_size
+    if start and start[-1] >= first_terminal:
+        return [(start, 0.0)]
+
+    if trie is not None:
+        node = np.array([trie.node_of(start)])
+        if node[0] < 0:
+            return []
+    # each row of `active` is one beam's sequence after the last `order`
+    # context tokens, which the model's back-off lookup reads with it; with a
+    # trie, node[b] is the trie node that beam b's sequence leads to
+    history = context[max(0, len(context) - model.order) :]
+    active = np.array([history + start], dtype=np.int64).reshape(1, -1)
+    active_logp = np.zeros(1)
+    active_rank = np.zeros(1, dtype=np.int64)
+    finished: list[tuple[tuple[int, ...], float]] = []
+    for _ in range(max_len):
+        seqs = active[:, len(history) :].tolist()
+        rows = np.log(model._prob_rows(active))
+        # candidate i extends beam row[i] by token[i]; their order is
+        # irrelevant, since reference_top ranks them by a total order
+        if trie is None:
+            row, token = np.divmod(np.arange(len(active) * model.vocab_size), model.vocab_size)
+        else:
+            lo = trie.first[node]
+            size = trie.first[node + 1] - lo
+            row = np.repeat(np.arange(len(node)), size)
+            edge = grsim._ranges(lo, size)
+            token = trie.token[edge]
+        score = active_logp[row] + rows[row, token]
+        parent_rank = active_rank[row]
+
+        terminal = np.flatnonzero(token >= first_terminal)
+        best = terminal[
+            reference_top(score[terminal], parent_rank[terminal], token[terminal], beam_width)
+        ]
+        finished.extend(
+            ((*seqs[p], t), logp)
+            for p, t, logp in zip(row[best].tolist(), token[best].tolist(), score[best].tolist())
+        )
+
+        going = np.flatnonzero(token < first_terminal)
+        best = going[reference_top(score[going], parent_rank[going], token[going], beam_width)]
+        if not len(best):
+            break
+        active = np.column_stack((active[row[best]], token[best]))
+        active_logp = score[best]
+        active_rank = np.empty(len(best), dtype=np.int64)
+        active_rank[np.lexsort((token[best], parent_rank[best]))] = np.arange(len(best))
+        if trie is not None:
+            node = edge[best] + 1
+    # each step keeps its best beam_width terminals, so the best beam_width
+    # of their union are the overall best
+    finished.sort(key=lambda item: (-item[1], item[0]))
+    return finished[:beam_width]
+
+
 def reference_interactions(item_ids, spec, rng, split="train"):
     """The interaction generator that called gen.choice(n, p=...) per draw."""
     item_ids = [str(i) for i in item_ids]
@@ -258,6 +342,12 @@ def assert_rows_equal(model, ref, context):
         want = getattr(ref, method)(context)
         assert got.dtype == want.dtype, (method, context)
         assert np.array_equal(got, want), (method, context)
+    # the per-pair lookup that trie-constrained decoding scores with
+    tail = [int(t) for t in context[max(0, len(context) - model.order) :]]
+    match = model._match(np.array(tail, dtype=np.int64).reshape(1, -1))
+    tokens = np.arange(model.vocab_size)
+    got = model._log_probs_at(np.repeat(match, len(tokens)), tokens)
+    assert np.array_equal(got, ref.log_probs(context)), context
 
 
 def reference_matched_context(model, context):
@@ -566,7 +656,7 @@ class TestCompiledModelOracle:
                 for width in TestBeamSearch.WIDTHS:
                     for prefix in prefixes:
                         for t, ref_t in tries:
-                            got = beam_search(model, context, width, 3, CFG, t, prefix)
+                            got = beam_search(model, [context], width, 3, CFG, t, [prefix])[0]
                             want = reference_beam(ref, context, width, 3, CFG, ref_t, prefix)
                             assert got == want, (order, context, width, prefix, t)
 
@@ -601,7 +691,7 @@ class TestBeamSearch:
         model = SequenceModel(order=2, alpha=1e-9, vocab_size=4)
         for _ in range(50):
             model.observe_stream([2, 0, 3])
-        result = beam_search(model, (2,), beam_width=1, max_len=2, config=cfg)
+        (result,) = beam_search(model, [(2,)], beam_width=1, max_len=2, config=cfg)
         assert result[0][0] == (0, 3)
 
     def test_brute_force_oracle_small(self):
@@ -612,7 +702,7 @@ class TestBeamSearch:
             for _ in range(30):
                 model.observe_stream(gen.integers(0, 4, size=6).tolist())
             width = 4**3
-            got = beam_search(model, (), beam_width=width, max_len=3, config=cfg)
+            (got,) = beam_search(model, [()], beam_width=width, max_len=3, config=cfg)
             want = brute_force_beam(model, (), 3, cfg, width)
             assert got == want
 
@@ -623,7 +713,7 @@ class TestBeamSearch:
         gen = np.random.default_rng(4)
         for _ in range(20):
             model.observe_stream(gen.integers(0, 12, size=8).tolist())
-        results = beam_search(model, (), beam_width=10, max_len=3, config=CFG, trie=trie)
+        (results,) = beam_search(model, [()], beam_width=10, max_len=3, config=CFG, trie=trie)
         assert results
         for seq, _ in results:
             assert trie.contains(seq)
@@ -631,7 +721,8 @@ class TestBeamSearch:
     def test_fixed_prefix_prepended(self):
         model = SequenceModel(order=1, alpha=1.0, vocab_size=CFG.flat_vocab_size)
         model.observe_stream([0, 5, 9])
-        results = beam_search(model, (), beam_width=3, max_len=2, config=CFG, fixed_prefix=(0,))
+        (results,) = beam_search(model, [()], beam_width=3, max_len=2, config=CFG,
+                                 fixed_prefixes=[(0,)])
         assert all(seq[0] == 0 for seq, _ in results)
 
     # three unconstrained steps over CFG's 12 flat tokens end at most
@@ -661,7 +752,7 @@ class TestBeamSearch:
         ref_trie = reference_trie(catalog) if catalog else None
         for width in self.WIDTHS:
             for prefix in prefixes:
-                got = beam_search(model, context, width, 3, CFG, trie, prefix)
+                got = beam_search(model, [context], width, 3, CFG, trie, [prefix])[0]
                 want = reference_beam(model, context, width, 3, CFG, ref_trie, prefix)
                 # equal sequences, float scores and order; == on floats is exact
                 assert got == want, (width, prefix)
@@ -689,7 +780,7 @@ class TestBeamSearch:
         ref_trie = reference_trie(self.VARLEN_CATALOG)
         model = self.random_model(np.random.default_rng(23), alpha=0.5)
         for prefix in ((2, 4 + 1), (0, 4 + 3), (1, 4 + 0)):
-            assert beam_search(model, (), 10, 3, CFG, trie, prefix) == []
+            assert beam_search(model, [()], 10, 3, CFG, trie, [prefix]) == [[]]
             assert reference_beam(model, (), 10, 3, CFG, ref_trie, prefix) == []
 
     def test_matches_reference_under_ties(self):
@@ -705,7 +796,7 @@ class TestBeamSearch:
                                               prefixes=(None, (1,)))
         uniform = SequenceModel(order=1, alpha=1.0, vocab_size=CFG.flat_vocab_size)
         uniform.observe_stream([0, 0])
-        got = beam_search(uniform, (7,), 3, 3, CFG)
+        (got,) = beam_search(uniform, [(7,)], 3, 3, CFG)
         assert [seq for seq, _ in got] == [(8,), (9,), (10,)]
 
     def test_tie_across_parents_is_lexicographic(self):
@@ -717,14 +808,81 @@ class TestBeamSearch:
         for stream in ([11, 0], [11, 1], [11, 1], [0, 8], [0, 8], [0, 11],
                        [1, 9], [1, 10], [1, 10]):
             model.observe_stream(stream)
-        got = beam_search(model, (11,), 2, 3, CFG)
+        (got,) = beam_search(model, [(11,)], 2, 3, CFG)
         assert [seq for seq, _ in got] == [(1, 10), (0, 8)]
         assert got == reference_beam(model, (11,), 2, 3, CFG)
 
     def test_zero_beam_rejected(self):
         model = SequenceModel(order=1, alpha=1.0, vocab_size=4)
         with pytest.raises(ConfigError):
-            beam_search(model, (), beam_width=0, max_len=1, config=CFG)
+            beam_search(model, [()], beam_width=0, max_len=1, config=CFG)
+
+
+class TestLockstepOracle:
+    """Each context of a lockstep batch gets what the per-record array
+    search it replaced and the scalar reference give it alone."""
+
+    CATALOG = TestBeamSearch.VARLEN_CATALOG
+    # (3, 8), (0, 9) and (1, 11) are elided catalog ids, which end in a
+    # terminal token and are returned as given; (2, 5) and (1, 4) are no
+    # catalog prefixes; below (3,) and (1, 7) the trie holds one terminal
+    # step, so their beams die a step before those of (0, 5) or ()
+    PREFIXES = (None, (), (0,), (3,), (1, 4 + 3), (0, 4 + 1), (3, 2 * 4 + 0),
+                (0, 2 * 4 + 1), (1, 2 * 4 + 3), (2, 4 + 1), (1, 4 + 0))
+
+    def batch(self, gen, order):
+        """Contexts that are empty, shorter than `order` and longer, each
+        with a prefix drawn from PREFIXES; every prefix appears."""
+        lengths = (0, 0, 1, order - 1, order, order + 3)
+        contexts = [gen.integers(0, CFG.flat_vocab_size, size=n).tolist()
+                    for n in lengths for _ in range(2)]
+        prefixes = list(self.PREFIXES) + [
+            self.PREFIXES[i] for i in gen.integers(0, len(self.PREFIXES), size=len(contexts))
+        ]
+        shuffle = gen.permutation(len(prefixes))
+        return [contexts[i % len(contexts)] for i in shuffle], [prefixes[i] for i in shuffle]
+
+    def assert_batch_matches(self, model, contexts, prefixes):
+        tries = ((None, None), (build_trie(self.CATALOG), reference_trie(self.CATALOG)))
+        for width in TestBeamSearch.WIDTHS:
+            for max_len in (1, 2, 3):
+                for trie, ref_trie in tries:
+                    got = beam_search(model, contexts, width, max_len, CFG, trie, prefixes)
+                    assert len(got) == len(contexts)
+                    for context, prefix, result in zip(contexts, prefixes, got):
+                        case = (width, max_len, trie is not None, context, prefix)
+                        assert result == reference_array_beam(
+                            model, context, width, max_len, CFG, trie, prefix), case
+                        assert result == reference_beam(
+                            model, context, width, max_len, CFG, ref_trie, prefix), case
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_mixed_batch_matches_references(self, order):
+        gen = np.random.default_rng(70 + order)
+        model = TestBeamSearch.random_model(gen, float(gen.uniform(0.05, 2.0)), order)
+        self.assert_batch_matches(model, *self.batch(gen, order))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_tie_heavy_batch_matches_references(self, order):
+        # as in TestBeamSearch.test_matches_reference_under_ties: most
+        # scores tie, so each record's tie order decides its ranking
+        gen = np.random.default_rng(80 + order)
+        flat_model = TestBeamSearch.random_model(gen, alpha=1e6, order=order, streams=2)
+        uniform = SequenceModel(order=order, alpha=1.0, vocab_size=CFG.flat_vocab_size)
+        uniform.observe_stream([0, 0])
+        for model in (flat_model, uniform):
+            self.assert_batch_matches(model, *self.batch(gen, order))
+
+    def test_prefixes_default_to_none(self):
+        gen = np.random.default_rng(90)
+        model = TestBeamSearch.random_model(gen, alpha=0.5)
+        contexts = [(), (11,), (0, 4, 9)]
+        assert beam_search(model, contexts, 5, 3, CFG) == [
+            reference_array_beam(model, context, 5, 3, CFG) for context in contexts
+        ]
+        assert beam_search(model, [], 5, 3, CFG) == []
+        with pytest.raises(ConfigError):
+            beam_search(model, contexts, 5, 3, CFG, fixed_prefixes=[None, (0,)])
 
 
 class TestEvaluate:
@@ -766,7 +924,7 @@ class TestEvaluate:
             emitted = {"overall": 0, "head": 0, "tail": 0}
             for rec in test.records:
                 context = [t for item in rec.history for t in self.CATALOG[item]]
-                top = [seq for seq, _ in beam_search(model, context, 10, 3, CFG)[:k]]
+                top = [seq for seq, _ in beam_search(model, [context], 10, 3, CFG)[0][:k]]
                 group = "head" if self.SIDS[rec.target][1] in head_set else "tail"
                 for g in ("overall", group):
                     bad[g] += sum(1 for seq in top if not trie.contains(seq))
@@ -875,6 +1033,24 @@ class TestEvaluateOracle:
                 want = reference_evaluate(args[0], args[1], entries, *args[2:])
                 assert got == want, (trie_mode, given)
                 assert got.to_dict() == want.to_dict()
+
+
+    @pytest.mark.parametrize("chunk", [None, 1, 3])
+    def test_chunks_match_reference(self, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(grsim, "_DECODE_CHUNK", chunk)
+        size = grsim._DECODE_CHUNK
+        config, entries, catalog, model, test = self.setup_case(5, 3, 0.4)
+        head_set = frozenset({1, 3})
+        for count in (1, size, 2 * size + 3):
+            part = InteractionDataset(test.records[:count], split="test")
+            assert len(part) == count
+            for trie_mode in ("off", "on"):
+                for given in (0, 1, 2):
+                    args = (model, part, config, head_set, 10, (1, 5, 10), trie_mode, given)
+                    got = evaluate(args[0], args[1], catalog, *args[2:])
+                    want = reference_evaluate(args[0], args[1], entries, *args[2:])
+                    assert got == want, (count, trie_mode, given)
 
 
 class TestGenInteractions:
