@@ -1,7 +1,7 @@
-"""Shared domain types, semantic-id codecs, and the deterministic random source.
+"""Shared domain types, the semantic-id table, and the deterministic random source.
 
 Every other module builds on the types here. All containers are immutable
-after construction and safe to share across threads; codec functions are pure.
+after construction and safe to share across threads; functions are pure.
 """
 
 from __future__ import annotations
@@ -80,11 +80,6 @@ class QuantizerConfig:
         if self.convergence_tol < 0:
             raise ConfigError(f"convergence_tol must be >= 0, got {self.convergence_tol}")
 
-    @property
-    def flat_vocab_size(self) -> int:
-        """Size of the layer-disjoint flat token vocabulary."""
-        return self.num_layers * self.codebook_size
-
 
 @dataclass(frozen=True)
 class EmbeddingCollection:
@@ -114,16 +109,6 @@ class EmbeddingCollection:
         vectors.flags.writeable = False
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "ids", tuple(self.ids))
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "EmbeddingCollection":
-        """Build from an iterable of (item_id, vector)."""
-        pairs = list(pairs)
-        if not pairs:
-            raise DataError("cannot build an embedding collection from zero pairs")
-        ids = tuple(str(item_id) for item_id, _ in pairs)
-        vectors = np.asarray([vec for _, vec in pairs], dtype=np.float64)
-        return cls(ids, vectors)
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -160,25 +145,6 @@ class Codebook:
         layers.flags.writeable = False
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "training_sse_per_layer", sse)
-
-
-# A full-length semantic id is a plain tuple of per-layer token indices.
-SemanticId = tuple[int, ...]
-
-
-def validate_sid(sid, config: QuantizerConfig) -> SemanticId:
-    """Check length and token ranges of a full-length semantic id."""
-    sid = tuple(int(t) for t in sid)
-    if len(sid) != config.num_layers:
-        raise TokenRangeError(
-            f"semantic id has {len(sid)} tokens, config expects {config.num_layers}"
-        )
-    for token in sid:
-        if not 0 <= token < config.codebook_size:
-            raise TokenRangeError(
-                f"token {token} outside [0, {config.codebook_size})"
-            )
-    return sid
 
 
 def sid_table(item_ids, tokens, config: QuantizerConfig, is_full=None) -> np.recarray:
@@ -259,8 +225,6 @@ class RandomSource:
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, spawn_key={self._spawn_key})"
-
-
 
 
 def sid_to_flat_tokens(table, config: QuantizerConfig) -> list[tuple[int, ...]]:

@@ -36,10 +36,6 @@ class LayerHistogram:
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 @dataclass(frozen=True)
 class Selector:

@@ -113,8 +113,9 @@ def _number_array(path: Path, key: str, value, ndim: int) -> np.ndarray:
 # --- codebook ---------------------------------------------------------------
 
 
-def save_codebook(path, codebook: Codebook, head_set=None, inline: bool | None = None):
-    """Write a codebook header (and binary sidecar unless inlined).
+def save_codebook(path, codebook: Codebook, head_set=None):
+    """Write a codebook header, plus a binary sidecar unless it has at most
+    `INLINE_CODEBOOK_LIMIT` floats, which are embedded in the header.
 
     Returns the list of written paths. Codewords are stored as little-endian
     float32; reload before encoding so file and in-memory codebooks agree.
@@ -122,8 +123,6 @@ def save_codebook(path, codebook: Codebook, head_set=None, inline: bool | None =
     path = Path(path)
     cfg = codebook.config
     weights = codebook.layers.astype("<f4")
-    if inline is None:
-        inline = weights.size <= INLINE_CODEBOOK_LIMIT
     header = {
         "format_version": FORMAT_VERSION,
         "kind": "codebook",
@@ -139,7 +138,7 @@ def save_codebook(path, codebook: Codebook, head_set=None, inline: bool | None =
     if head_set is not None:
         header["head_set"] = sorted(int(t) for t in head_set)
     written = []
-    if inline:
+    if weights.size <= INLINE_CODEBOOK_LIMIT:
         header["layers"] = [
             [[float(v) for v in row] for row in layer] for layer in weights
         ]
@@ -164,8 +163,9 @@ def load_codebook(path) -> tuple[Codebook, frozenset[int] | None]:
     head = header.get("head_set")
     if head is not None:
         _require_keys(path, header, head_set=list)
-        if not all(isinstance(t, int) and not isinstance(t, bool) for t in head):
-            raise DataError(f"{path} key 'head_set' holds a value that is not an integer")
+        M = header["codebook_size"]
+        if not all(isinstance(t, int) and not isinstance(t, bool) and 0 <= t < M for t in head):
+            raise DataError(f"{path} key 'head_set' holds a value that is no token in [0, {M})")
     cfg = QuantizerConfig(
         num_layers=header["num_layers"],
         codebook_size=header["codebook_size"],
@@ -243,8 +243,8 @@ def load_sids(path, config: QuantizerConfig) -> np.recarray:
                 raise DataError(f"{path}: the rows of item {item_id!r} are not contiguous")
             seen.add(item_id)
             try:
-                layers, toks = zip(*((int(row[1]), int(row[2])) for row in block))
-            except (IndexError, ValueError):
+                layers, toks = zip(*((int(layer), int(token)) for _, layer, token in block))
+            except ValueError:  # also a row without exactly three fields
                 raise DataError(f"{path} has a malformed row for item {item_id!r}") from None
             full = is_full_of_layers.get(layers)
             if full is None:
@@ -345,9 +345,7 @@ def save_labels(path, ids, labels) -> None:
 
 
 def save_interactions(path, datasets) -> None:
-    """Write one or more datasets (rows carry their split tag)."""
-    if isinstance(datasets, InteractionDataset):
-        datasets = [datasets]
+    """Write datasets into one file; each row carries its split tag."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["user_context", "target", "split"])
@@ -397,7 +395,7 @@ def record_run(out_dir, command: str, config: dict, timings: dict, outputs) -> P
     manifest_path = out_dir / MANIFEST_NAME
     manifest = {"format_version": FORMAT_VERSION, "kind": "run_manifest", "runs": []}
     if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
+        manifest = _load_header(manifest_path, "run_manifest", runs=list)
     from . import __version__
 
     manifest["runs"].append(
@@ -418,24 +416,6 @@ def record_run(out_dir, command: str, config: dict, timings: dict, outputs) -> P
     )
     atomic_write_text(manifest_path, dump_json(manifest))
     return manifest_path
-
-
-def verify_manifest(out_dir) -> list[str]:
-    """Re-digest every file referenced by the manifest; returns mismatches."""
-    out_dir = Path(out_dir)
-    manifest_path = out_dir / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise DataError(f"no manifest in {out_dir}")
-    manifest = json.loads(manifest_path.read_text())
-    problems = []
-    for run in manifest.get("runs", []):
-        for entry in run.get("outputs", []):
-            target = out_dir / entry["path"]
-            if not target.exists():
-                problems.append(f"missing: {entry['path']}")
-            elif sha256_file(target) != entry["sha256"]:
-                problems.append(f"digest mismatch: {entry['path']}")
-    return problems
 
 
 class OutputLock:

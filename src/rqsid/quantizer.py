@@ -1,4 +1,4 @@
-"""Residual k-means codebooks: train layer by layer, encode, decode, reconstruct.
+"""Residual k-means codebooks: train layer by layer, encode a collection.
 
 Layer 1 clusters the raw vectors; each later layer clusters the residuals left
 by all earlier layers. Encoding greedily picks the nearest codeword per layer
@@ -14,7 +14,6 @@ float64 argmin. Residuals, means, and reported errors stay in float64.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -26,8 +25,6 @@ from .core import (
     EmbeddingCollection,
     QuantizerConfig,
     RandomSource,
-    SemanticId,
-    validate_sid,
 )
 
 log = logging.getLogger(__name__)
@@ -40,18 +37,6 @@ _MIXED_MIN_M = 8
 _MIXED_MIN_N = 1024
 # Norm scale beyond which float32 scoring risks overflow; fall back to exact.
 _MIXED_MAX_SCALE = 1e15
-
-
-@dataclass(frozen=True)
-class ResidualTrace:
-    """Per-layer residuals of one encoded vector.
-
-    residuals[0] is the input; residuals[l] = residuals[l-1] - codeword
-    chosen at layer l, computed by exact componentwise subtraction.
-    """
-
-    residuals: tuple[np.ndarray, ...]
-    chosen: tuple[int, ...]
 
 
 class KMeansResult(NamedTuple):
@@ -290,25 +275,6 @@ def train_rq(
     return Codebook(config, layers, tuple(sse_per_layer))
 
 
-def encode(x, codebook: Codebook) -> tuple[SemanticId, ResidualTrace]:
-    """Quantize one vector: nearest codeword per layer on the running residual."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (codebook.config.dim,):
-        raise DataError(f"vector shape {x.shape}, expected ({codebook.config.dim},)")
-    if not np.all(np.isfinite(x)):
-        raise DataError("vector contains non-finite components")
-    residual = x
-    residuals = [x.copy()]
-    chosen = []
-    for layer in codebook.layers:
-        labels, _ = _nearest(residual[None, :], layer)
-        c = int(labels[0])
-        residual = residual - layer[c]
-        chosen.append(c)
-        residuals.append(residual.copy())
-    return tuple(chosen), ResidualTrace(tuple(residuals), tuple(chosen))
-
-
 def encode_all(data: EmbeddingCollection, codebook: Codebook) -> tuple[np.ndarray, np.ndarray]:
     """Encode a whole collection.
 
@@ -333,11 +299,3 @@ def encode_all(data: EmbeddingCollection, codebook: Codebook) -> tuple[np.ndarra
         sq_norms[:, l + 1] = np.einsum("ij,ij->i", residual, residual)
     return sids, sq_norms
 
-
-def decode(sid, codebook: Codebook) -> np.ndarray:
-    """Sum the selected codewords across layers."""
-    sid = validate_sid(sid, codebook.config)
-    out = np.zeros(codebook.config.dim, dtype=np.float64)
-    for l, token in enumerate(sid):
-        out += codebook.layers[l][token]
-    return out

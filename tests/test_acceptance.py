@@ -21,7 +21,7 @@ import numpy as np
 
 from conftest import record_criterion
 
-from rqsid.core import Codebook, QuantizerConfig
+from rqsid.core import Codebook, EmbeddingCollection, QuantizerConfig
 from rqsid.diagnostics import (
     Selector,
     entropy_bits,
@@ -37,7 +37,7 @@ from rqsid.mitigation import (
     remove_layer,
     varlen_topk,
 )
-from rqsid.quantizer import decode, encode
+from rqsid.quantizer import encode_all
 
 
 class TestCriterion1:
@@ -57,17 +57,20 @@ class TestCriterion1:
                 config, gen.standard_normal((L, M, D)) * 2, (0.0,) * L
             )
             points = gen.standard_normal((n, D)) * 3
-            for x in points:
-                sid, trace = encode(x, codebook)
+            data = EmbeddingCollection(tuple(map(str, range(n))), points)
+            sids, sq_norms = encode_all(data, codebook)
+            for x, sid, norms in zip(points, sids.tolist(), sq_norms):
+                residual = x
                 for l in range(L):
                     dists = [
-                        float(((trace.residuals[l] - codebook.layers[l][m]) ** 2).sum())
+                        float(((residual - codebook.layers[l][m]) ** 2).sum())
                         for m in range(M)
                     ]
                     assert sid[l] == int(np.argmin(dists))
-                lhs = float(((x - decode(sid, codebook)) ** 2).sum())
-                rhs = float((trace.residuals[-1] ** 2).sum())
-                assert abs(lhs - rhs) <= 1e-10
+                    residual = residual - codebook.layers[l][sid[l]]
+                reconstruction = sum(codebook.layers[l][sid[l]] for l in range(L))
+                lhs = float(((x - reconstruction) ** 2).sum())
+                assert abs(lhs - norms[L]) <= 1e-10
                 checked += 1
         elapsed = time.perf_counter() - t0
         ok = elapsed < 10.0

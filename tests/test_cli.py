@@ -6,7 +6,7 @@ import pytest
 
 import rqsid.cli
 from rqsid.cli import main
-from rqsid.persist import sha256_bytes, sha256_file, verify_manifest
+from rqsid.persist import sha256_bytes, sha256_file
 
 
 def run(*argv):
@@ -61,7 +61,11 @@ class TestPipeline:
 
     def test_manifests_verify(self, pipeline):
         for stage in ("gen", "train", "enc"):
-            assert verify_manifest(pipeline / stage) == []
+            manifest = json.loads((pipeline / stage / "manifest.json").read_text())
+            outputs = [o for run_ in manifest["runs"] for o in run_["outputs"]]
+            assert outputs
+            for o in outputs:
+                assert sha256_file(pipeline / stage / o["path"]) == o["sha256"]
 
     def test_mitigate_varlen(self, pipeline):
         out = pipeline / "mitigate"
@@ -205,6 +209,41 @@ class TestErrors:
         sids.write_text("item_id,layer,token\na,1,1\nb,1,1\na,2,2\nb,2,2\na,3,3\nb,3,3\n")
         code = run(
             "analyze", "--sids", sids, "--codebook", pipeline / "train" / "codebook.json",
+            "--out", tmp_path / "out",
+        )
+        assert code == 3
+        assert not (tmp_path / "out").exists()
+
+    def test_sid_row_with_extra_field_exits_3(self, pipeline, tmp_path, capsys):
+        sids = tmp_path / "sids.csv"
+        sids.write_text("item_id,layer,token\na,1,1\na,2,2\na,3,3\n"
+                        "b,1,1\nb,2,2,junk\nb,3,3\n")
+        code = run(
+            "analyze", "--sids", sids, "--codebook", pipeline / "train" / "codebook.json",
+            "--out", tmp_path / "out",
+        )
+        assert code == 3
+        assert "'b'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", ['{"runs": 5}', "not json"], ids=["foreign", "not-json"])
+    def test_unreadable_manifest_exits_3(self, pipeline, tmp_path, text):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text(text)
+        code = run("train", "--embeddings", pipeline / "gen" / "embeddings.json",
+                   "--num-layers", 2, "--codebook-size", 4, "--out", out)
+        assert code == 3
+        assert (out / "manifest.json").read_text() == text
+
+    def test_head_set_token_out_of_range_exits_3(self, pipeline, tmp_path):
+        header = json.loads((pipeline / "train" / "codebook.json").read_text())
+        header["head_set"] = [999, -3]
+        codebook = tmp_path / "codebook.json"
+        codebook.write_text(json.dumps(header))
+        code = run(
+            "simulate", "--sids", pipeline / "enc" / "sids.csv", "--codebook", codebook,
+            "--records", 50, "--test-records", 10, "--beam", 5, "--k-list", "1,5",
             "--out", tmp_path / "out",
         )
         assert code == 3

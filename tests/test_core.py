@@ -15,7 +15,6 @@ from rqsid.core import (
     TokenRangeError,
     sid_table,
     sid_to_flat_tokens,
-    validate_sid,
 )
 from rqsid.diagnostics import token_histogram
 from rqsid.persist import load_sids
@@ -26,7 +25,7 @@ CFG34 = QuantizerConfig(num_layers=3, codebook_size=4, dim=2)
 class TestQuantizerConfig:
     def test_valid(self):
         cfg = QuantizerConfig(num_layers=3, codebook_size=256, dim=32)
-        assert cfg.flat_vocab_size == 768
+        assert cfg.num_layers * cfg.codebook_size == 768
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -48,11 +47,6 @@ class TestQuantizerConfig:
 
 
 class TestEmbeddingCollection:
-    def test_from_pairs(self):
-        ec = EmbeddingCollection.from_pairs([("a", [0.0, 1.0]), ("b", [2.0, 3.0])])
-        assert len(ec) == 2 and ec.dim == 2
-        assert not ec.vectors.flags.writeable
-
     def test_duplicate_ids(self):
         with pytest.raises(DataError):
             EmbeddingCollection(("a", "a"), np.zeros((2, 3)))
@@ -157,7 +151,7 @@ class TestFlatCodec:
             for layer, t in enumerate(flat):
                 by_layer[layer].add(t)
         assert all(len(s) == 7 for s in by_layer)
-        assert set().union(*by_layer) == set(range(cfg.flat_vocab_size))
+        assert set().union(*by_layer) == set(range(cfg.num_layers * cfg.codebook_size))
 
 
 class TestSidTable:
@@ -239,10 +233,6 @@ class TestVarLenValidation:
         assert not elided.is_full.any()
         assert elided.tokens.tolist() == [[1, -1, 3]]
         assert sid_to_flat_tokens(elided, CFG34) == [(1, 2 * 4 + 3)]
-
-    def test_validate_sid_rejects_wrong_length(self):
-        with pytest.raises(TokenRangeError):
-            validate_sid((1, 2), CFG34)
 
 
 class TestRandomSource:

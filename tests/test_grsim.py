@@ -28,6 +28,7 @@ from rqsid.grsim import (
 )
 
 CFG = QuantizerConfig(num_layers=3, codebook_size=4, dim=2)
+VOCAB = CFG.num_layers * CFG.codebook_size  # flat vocabulary size
 
 
 def flat(sid, cfg=CFG):
@@ -472,7 +473,7 @@ class TestCompiledTrieOracle:
                 assert children(trie, prefix) == sorted(ref.valid_next(prefix)), prefix
                 assert trie.contains(prefix) == ref.contains(prefix), prefix
             # random sequences, most of them no catalog prefix
-            vocab = config.flat_vocab_size
+            vocab = config.num_layers * config.codebook_size
             for _ in range(200):
                 seq = tuple(gen.integers(-1, vocab + 1, size=int(gen.integers(1, 6))).tolist())
                 assert trie.contains(seq) == ref.contains(seq), seq
@@ -649,9 +650,9 @@ class TestCompiledModelOracle:
         tries = ((None, None), (build_trie(catalog), reference_trie(catalog)))
         prefixes = (None, (0,), (1, 4 + 1), (3,))
         for order in (1, 2, 3, 4):
-            streams = [gen.integers(0, CFG.flat_vocab_size, size=6).tolist() for _ in range(25)]
+            streams = [gen.integers(0, VOCAB, size=6).tolist() for _ in range(25)]
             model, ref = model_pair(order, float(gen.uniform(0.05, 2.0)),
-                                    CFG.flat_vocab_size, streams)
+                                    VOCAB, streams)
             for context in ((), (11,), tuple(gen.integers(0, 12, size=5).tolist())):
                 for width in TestBeamSearch.WIDTHS:
                     for prefix in prefixes:
@@ -709,7 +710,7 @@ class TestBeamSearch:
     def test_trie_constraint_membership(self):
         catalog = {"i1": flat((0, 1, 2)), "i2": flat((0, 1, 3)), "i3": flat((2, 0, 0))}
         trie = build_trie(catalog)
-        model = SequenceModel(order=2, alpha=0.5, vocab_size=CFG.flat_vocab_size)
+        model = SequenceModel(order=2, alpha=0.5, vocab_size=VOCAB)
         gen = np.random.default_rng(4)
         for _ in range(20):
             model.observe_stream(gen.integers(0, 12, size=8).tolist())
@@ -719,7 +720,7 @@ class TestBeamSearch:
             assert trie.contains(seq)
 
     def test_fixed_prefix_prepended(self):
-        model = SequenceModel(order=1, alpha=1.0, vocab_size=CFG.flat_vocab_size)
+        model = SequenceModel(order=1, alpha=1.0, vocab_size=VOCAB)
         model.observe_stream([0, 5, 9])
         (results,) = beam_search(model, [()], beam_width=3, max_len=2, config=CFG,
                                  fixed_prefixes=[(0,)])
@@ -742,9 +743,9 @@ class TestBeamSearch:
 
     @staticmethod
     def random_model(gen, alpha, order=2, streams=15):
-        model = SequenceModel(order=order, alpha=alpha, vocab_size=CFG.flat_vocab_size)
+        model = SequenceModel(order=order, alpha=alpha, vocab_size=VOCAB)
         for _ in range(streams):
-            model.observe_stream(gen.integers(0, CFG.flat_vocab_size, size=6).tolist())
+            model.observe_stream(gen.integers(0, VOCAB, size=6).tolist())
         return model
 
     def assert_matches_reference(self, model, context, catalog=None, prefixes=(None,)):
@@ -763,7 +764,7 @@ class TestBeamSearch:
         gen = np.random.default_rng(21)
         for _ in range(6):
             model = self.random_model(gen, alpha=float(gen.uniform(0.05, 2.0)))
-            context = gen.integers(0, CFG.flat_vocab_size, size=3).tolist()
+            context = gen.integers(0, VOCAB, size=3).tolist()
             self.assert_matches_reference(model, context, prefixes=(None, (0,), (0, 5), (9,)))
 
     def test_matches_reference_trie_on_varlen(self):
@@ -772,7 +773,7 @@ class TestBeamSearch:
         gen = np.random.default_rng(22)
         for _ in range(6):
             model = self.random_model(gen, alpha=float(gen.uniform(0.05, 2.0)))
-            context = gen.integers(0, CFG.flat_vocab_size, size=3).tolist()
+            context = gen.integers(0, VOCAB, size=3).tolist()
             self.assert_matches_reference(model, context, self.VARLEN_CATALOG, prefixes)
 
     def test_prefix_outside_trie_yields_nothing(self):
@@ -794,7 +795,7 @@ class TestBeamSearch:
                 self.assert_matches_reference(model, context, prefixes=(None, (1,)))
                 self.assert_matches_reference(model, context, self.VARLEN_CATALOG,
                                               prefixes=(None, (1,)))
-        uniform = SequenceModel(order=1, alpha=1.0, vocab_size=CFG.flat_vocab_size)
+        uniform = SequenceModel(order=1, alpha=1.0, vocab_size=VOCAB)
         uniform.observe_stream([0, 0])
         (got,) = beam_search(uniform, [(7,)], 3, 3, CFG)
         assert [seq for seq, _ in got] == [(8,), (9,), (10,)]
@@ -804,7 +805,7 @@ class TestBeamSearch:
         # once scores x and one seen twice scores y > x in each of them:
         # (1,) outscores (0,) after one step, yet (0, 8) and (1, 9) both
         # score x + y; the tie goes to the lexicographically smaller (0, 8)
-        model = SequenceModel(order=1, alpha=0.1, vocab_size=CFG.flat_vocab_size)
+        model = SequenceModel(order=1, alpha=0.1, vocab_size=VOCAB)
         for stream in ([11, 0], [11, 1], [11, 1], [0, 8], [0, 8], [0, 11],
                        [1, 9], [1, 10], [1, 10]):
             model.observe_stream(stream)
@@ -834,7 +835,7 @@ class TestLockstepOracle:
         """Contexts that are empty, shorter than `order` and longer, each
         with a prefix drawn from PREFIXES; every prefix appears."""
         lengths = (0, 0, 1, order - 1, order, order + 3)
-        contexts = [gen.integers(0, CFG.flat_vocab_size, size=n).tolist()
+        contexts = [gen.integers(0, VOCAB, size=n).tolist()
                     for n in lengths for _ in range(2)]
         prefixes = list(self.PREFIXES) + [
             self.PREFIXES[i] for i in gen.integers(0, len(self.PREFIXES), size=len(contexts))
@@ -868,7 +869,7 @@ class TestLockstepOracle:
         # scores tie, so each record's tie order decides its ranking
         gen = np.random.default_rng(80 + order)
         flat_model = TestBeamSearch.random_model(gen, alpha=1e6, order=order, streams=2)
-        uniform = SequenceModel(order=order, alpha=1.0, vocab_size=CFG.flat_vocab_size)
+        uniform = SequenceModel(order=order, alpha=1.0, vocab_size=VOCAB)
         uniform.observe_stream([0, 0])
         for model in (flat_model, uniform):
             self.assert_batch_matches(model, *self.batch(gen, order))

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from rqsid.core import (
 )
 from rqsid.grsim import Interaction, InteractionDataset
 from rqsid.persist import (
+    INLINE_CODEBOOK_LIMIT,
     OutputLock,
     load_codebook,
     load_embeddings,
@@ -29,21 +31,28 @@ from rqsid.persist import (
     save_interactions,
     save_sids,
     sha256_file,
-    verify_manifest,
 )
 
 CFG = QuantizerConfig(num_layers=3, codebook_size=4, dim=2, kmeans_iters=7, seed=11, convergence_tol=1e-3)
 
 
-def small_codebook():
+def sized_codebook(dim):
+    cfg = replace(CFG, dim=dim)
     gen = np.random.default_rng(0)
-    return Codebook(CFG, gen.standard_normal((3, 4, 2)), (3.0, 2.0, 1.0))
+    return Codebook(cfg, gen.standard_normal((3, 4, dim)), (3.0, 2.0, 1.0))
+
+
+# the largest dim at which a 3 x 4 codebook is embedded in its header, and
+# the smallest at which it gets a binary sidecar
+INLINE_DIM = INLINE_CODEBOOK_LIMIT // 12
+BINARY_DIM = INLINE_DIM + 1
 
 
 class TestCodebookFormat:
     def test_round_trip_binary(self, tmp_path):
-        cb = small_codebook()
-        save_codebook(tmp_path / "cb.json", cb, head_set={1, 3}, inline=False)
+        cb = sized_codebook(BINARY_DIM)
+        written = save_codebook(tmp_path / "cb.json", cb, head_set={1, 3})
+        assert written == [tmp_path / "cb.json", tmp_path / "cb.bin"]
         loaded, head = load_codebook(tmp_path / "cb.json")
         assert head == {1, 3}
         assert loaded.config == cb.config
@@ -53,9 +62,9 @@ class TestCodebookFormat:
         )
 
     def test_round_trip_inline(self, tmp_path):
-        cb = small_codebook()
-        written = save_codebook(tmp_path / "cb.json", cb, inline=True)
-        assert len(written) == 1
+        cb = sized_codebook(INLINE_DIM)
+        written = save_codebook(tmp_path / "cb.json", cb)
+        assert written == [tmp_path / "cb.json"]
         loaded, head = load_codebook(tmp_path / "cb.json")
         assert head is None
         np.testing.assert_array_equal(
@@ -63,10 +72,10 @@ class TestCodebookFormat:
         )
 
     def test_save_is_idempotent_after_reload(self, tmp_path):
-        cb = small_codebook()
-        save_codebook(tmp_path / "a.json", cb, inline=False)
+        cb = sized_codebook(BINARY_DIM)
+        save_codebook(tmp_path / "a.json", cb)
         loaded, _ = load_codebook(tmp_path / "a.json")
-        save_codebook(tmp_path / "b.json", loaded, inline=False)
+        save_codebook(tmp_path / "b.json", loaded)
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
         a = json.loads((tmp_path / "a.json").read_text())
         b = json.loads((tmp_path / "b.json").read_text())
@@ -74,8 +83,8 @@ class TestCodebookFormat:
         assert a == b
 
     def test_digest_checked(self, tmp_path):
-        cb = small_codebook()
-        save_codebook(tmp_path / "cb.json", cb, inline=False)
+        cb = sized_codebook(BINARY_DIM)
+        save_codebook(tmp_path / "cb.json", cb)
         blob = bytearray((tmp_path / "cb.bin").read_bytes())
         blob[0] ^= 0xFF
         (tmp_path / "cb.bin").write_bytes(bytes(blob))
@@ -297,16 +306,10 @@ class TestManifest:
         gen = np.random.default_rng(4)
         save_embeddings_csv(out, EmbeddingCollection(("a",), gen.standard_normal((1, 2))))
         record_run(tmp_path, "gen", {"n": 1}, {"gen": 0.1}, [out])
-        assert verify_manifest(tmp_path) == []
-
-    def test_verify_flags_tampering(self, tmp_path):
-        out = tmp_path / "emb.csv"
-        gen = np.random.default_rng(5)
-        save_embeddings_csv(out, EmbeddingCollection(("a",), gen.standard_normal((1, 2))))
-        record_run(tmp_path, "gen", {}, {}, [out])
-        out.write_text("tampered")
-        problems = verify_manifest(tmp_path)
-        assert problems and "mismatch" in problems[0]
+        (run,) = json.loads((tmp_path / "manifest.json").read_text())["runs"]
+        assert run["outputs"] == [
+            {"path": "emb.csv", "bytes": out.stat().st_size, "sha256": sha256_file(out)}
+        ]
 
     def test_runs_accumulate(self, tmp_path):
         out = tmp_path / "emb.csv"

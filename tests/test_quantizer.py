@@ -1,4 +1,4 @@
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 import pytest
@@ -17,8 +17,6 @@ from rqsid.quantizer import (
     _nearest,
     _PointSide,
     _sq_dists,
-    decode,
-    encode,
     encode_all,
     kmeans,
     train_rq,
@@ -174,12 +172,33 @@ def hand_codebook():
     return Codebook(cfg, layers, (0.0, 0.0))
 
 
+def encode_rows(points, cb):
+    """encode_all over the rows of `points`: (sids, residual squared norms)."""
+    points = np.asarray(points, dtype=float)
+    data = EmbeddingCollection(tuple(map(str, range(len(points)))), points)
+    return encode_all(data, cb)
+
+
+def residual_chain(x, sid, cb):
+    """The residuals left after 0..L layers, by exact subtraction of the
+    codewords `sid` names."""
+    chain = [x]
+    for l, token in enumerate(sid):
+        chain.append(chain[-1] - cb.layers[l][token])
+    return chain
+
+
 class TestEncodeDecode:
+    """encode_all against residuals and reconstructions recomputed here."""
+
     def test_hand_computed_example(self):
         cb = hand_codebook()
-        sid, trace = encode(np.array([10.9, 10.1]), cb)
-        assert sid == (1, 0)
-        np.testing.assert_allclose(trace.residuals[2], [-0.1, 0.1], atol=1e-12)
+        x = np.array([10.9, 10.1])
+        sids, sq_norms = encode_rows([x], cb)
+        assert sids.tolist() == [[1, 0]]
+        # reconstruction [11, 10] leaves the residual [-0.1, 0.1]
+        np.testing.assert_allclose(residual_chain(x, sids[0], cb)[2], [-0.1, 0.1], atol=1e-12)
+        assert sq_norms[0, 2] == pytest.approx(0.02, abs=1e-12)
 
     def test_exact_codeword_zero_residual(self):
         cfg = QuantizerConfig(num_layers=2, codebook_size=2, dim=2)
@@ -190,22 +209,19 @@ class TestEncodeDecode:
             ]
         )
         cb = Codebook(cfg, layers, (0.0, 0.0))
-        sid, trace = encode(np.array([5.0, 6.0]), cb)
-        assert sid == (1, 0)
-        np.testing.assert_array_equal(trace.residuals[1], [0.0, 0.0])
-        np.testing.assert_array_equal(trace.residuals[2], [0.0, 0.0])
+        sids, sq_norms = encode_rows([[5.0, 6.0]], cb)
+        assert sids.tolist() == [[1, 0]]
+        np.testing.assert_array_equal(sq_norms[0, 1:], [0.0, 0.0])
 
     def test_residual_identity_exact(self):
         gen = np.random.default_rng(3)
         cfg = QuantizerConfig(num_layers=3, codebook_size=5, dim=4)
         cb = Codebook(cfg, gen.standard_normal((3, 5, 4)), (0.0,) * 3)
-        for _ in range(50):
-            x = gen.standard_normal(4) * 3
-            sid, trace = encode(x, cb)
-            r = x
-            for l, token in enumerate(sid):
-                r = r - cb.layers[l][token]
-                np.testing.assert_array_equal(trace.residuals[l + 1], r)
+        points = gen.standard_normal((50, 4)) * 3
+        sids, sq_norms = encode_rows(points, cb)
+        for x, sid, norms in zip(points, sids, sq_norms):
+            chain = np.array(residual_chain(x, sid, cb))
+            np.testing.assert_array_equal(norms, np.einsum("ij,ij->i", chain, chain))
 
     def test_per_layer_choice_matches_exhaustive_scan(self):
         gen = np.random.default_rng(9)
@@ -216,43 +232,43 @@ class TestEncodeDecode:
             cfg = QuantizerConfig(num_layers=L, codebook_size=M, dim=D)
             cb = Codebook(cfg, gen.standard_normal((L, M, D)), (0.0,) * L)
             x = gen.standard_normal(D)
-            sid, trace = encode(x, cb)
+            sids, _ = encode_rows([x], cb)
+            chain = residual_chain(x, sids[0], cb)
             for l in range(L):
                 scan = [
-                    float(((trace.residuals[l] - cb.layers[l][m]) ** 2).sum())
+                    float(((chain[l] - cb.layers[l][m]) ** 2).sum())
                     for m in range(M)
                 ]
-                assert sid[l] == int(np.argmin(scan))
+                assert sids[0, l] == int(np.argmin(scan))
 
-    def test_decode_hand_example(self):
-        cb = hand_codebook()
-        np.testing.assert_array_equal(decode((1, 0), cb), [11.0, 10.0])
-
-    def test_decode_zero_codebook(self):
-        cfg = QuantizerConfig(num_layers=3, codebook_size=2, dim=4)
-        cb = Codebook(cfg, np.zeros((3, 2, 4)), (0.0,) * 3)
-        np.testing.assert_array_equal(decode((1, 0, 1), cb), np.zeros(4))
+    def test_ties_go_to_the_lowest_index(self):
+        # [5, 5] is equally near the first two layer-1 codewords, and its
+        # layer-1 residual [5, 5] equally near all three layer-2 codewords
+        cfg = QuantizerConfig(num_layers=2, codebook_size=3, dim=2)
+        layers = np.array(
+            [
+                [[0.0, 0.0], [10.0, 10.0], [20.0, 20.0]],
+                [[5.0, 6.0], [6.0, 5.0], [4.0, 5.0]],
+            ]
+        )
+        cb = Codebook(cfg, layers, (0.0, 0.0))
+        sids, _ = encode_rows([[5.0, 5.0]], cb)
+        assert sids.tolist() == [[0, 0]]
 
     def test_reconstruction_identity(self):
         gen = np.random.default_rng(21)
         cfg = QuantizerConfig(num_layers=3, codebook_size=4, dim=6)
         cb = Codebook(cfg, gen.standard_normal((3, 4, 6)), (0.0,) * 3)
-        for _ in range(20):
-            x = gen.standard_normal(6)
-            sid, trace = encode(x, cb)
-            lhs = float(((x - decode(sid, cb)) ** 2).sum())
-            rhs = float((trace.residuals[-1] ** 2).sum())
-            assert lhs == pytest.approx(rhs, abs=1e-10)
+        points = gen.standard_normal((20, 6))
+        sids, sq_norms = encode_rows(points, cb)
+        for x, sid, norms in zip(points, sids, sq_norms):
+            reconstruction = sum(cb.layers[l][t] for l, t in enumerate(sid))
+            lhs = float(((x - reconstruction) ** 2).sum())
+            assert lhs == pytest.approx(norms[-1], abs=1e-10)
 
     def test_dim_mismatch(self):
         with pytest.raises(DataError):
-            encode(np.zeros(3), hand_codebook())
-
-    def test_decode_token_out_of_range(self):
-        from rqsid.core import TokenRangeError
-
-        with pytest.raises(TokenRangeError):
-            decode((2, 0), hand_codebook())
+            encode_rows(np.zeros((1, 3)), hand_codebook())
 
 
 class TestTrainRq:
