@@ -41,6 +41,38 @@ class ConsistencyError(RqsidError):
     """Inputs that must describe the same collection disagree."""
 
 
+# An item id is a nonempty string that holds none of these characters and
+# does not start with "#". Id files and interaction files then need no
+# quoting, a history splits on "|", and comment lines stay apart from rows.
+# NUL is out because the id table's fixed-width strings drop trailing NULs.
+_ID_BREAKS = ',"|\r\n\x00'
+
+
+def _holds_break(text: str) -> bool:
+    return any(c in text for c in _ID_BREAKS)
+
+
+def check_item_ids(item_ids) -> None:
+    """Raise a DataError naming the first id outside the item-id alphabet."""
+    # one scan of the joined ids accepts a valid sequence; only a "#" found
+    # anywhere, or a failed scan, costs a look at each id
+    try:
+        text = "".join(item_ids)
+    except TypeError:  # an id that is no string
+        text = None
+    if (text is not None and all(item_ids) and not _holds_break(text)
+            and ("#" not in text or not any(item[0] == "#" for item in item_ids))):
+        return
+    bad = next(
+        item for item in item_ids
+        if not isinstance(item, str) or item[:1] in ("", "#") or _holds_break(item)
+    )
+    raise DataError(
+        f"item id {bad!r} is not a nonempty string without ',', '\"', '|', CR, LF or NUL "
+        "that does not start with '#'"
+    )
+
+
 @dataclass(frozen=True)
 class QuantizerConfig:
     """Shape and training parameters of a residual quantizer.
@@ -103,6 +135,7 @@ class EmbeddingCollection:
             )
         if len(set(self.ids)) != len(self.ids):
             raise DataError("item ids must be unique")
+        check_item_ids(self.ids)
         if vectors.size and not np.all(np.isfinite(vectors)):
             raise DataError("vectors contain non-finite components")
         vectors = vectors.copy()
@@ -164,11 +197,12 @@ def sid_table(item_ids, tokens, config: QuantizerConfig, is_full=None) -> np.rec
         raise MalformedSequenceError("semantic ids have no tokens")
     if tokens.shape[1] != L:
         raise ConsistencyError(f"ids have {tokens.shape[1]} layers, config expects {L}")
-    item_ids = [str(item) for item in item_ids]
+    item_ids = list(map(str, item_ids))
     if len(item_ids) != n:
         raise ConsistencyError(f"{len(item_ids)} item ids for {n} ids")
     if len(set(item_ids)) != n:
         raise DataError("item ids must be unique")
+    check_item_ids(item_ids)
     is_full = np.ones(n, dtype=bool) if is_full is None else np.array(is_full, dtype=bool)
     if is_full.shape != (n,):
         raise ConsistencyError(f"full-length mask has shape {is_full.shape}, expected ({n},)")

@@ -3,13 +3,15 @@
 Formats:
   codebook  JSON header plus a sibling binary of row-major little-endian
             float32 codewords (embedded in the JSON for tiny codebooks).
-  ids       long-form CSV item_id,layer,token with 0-based tokens.
+  ids       long-form item_id,layer,token rows with 0-based tokens, after
+            a header and the comment lines before it.
   embeddings CSV item_id,v0..v{D-1}, or JSON header plus float64 binary.
   interactions CSV user_context,target,split with pipe-separated context.
   reports   one JSON document with a schema_version field.
 
-All writes go through a temp file and an atomic rename; every emitted file
-is digested into the run manifest.
+Item ids keep to the alphabet of `core.check_item_ids`, so id rows never
+need quoting. All writes go through a temp file and an atomic rename; every
+emitted file is digested into the run manifest.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import itertools
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from operator import itemgetter
 from pathlib import Path
 
@@ -33,6 +36,7 @@ from .core import (
     EmbeddingCollection,
     MalformedSequenceError,
     QuantizerConfig,
+    check_item_ids,
     sid_table,
 )
 from .grsim import Interaction, InteractionDataset
@@ -54,18 +58,25 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
+@contextmanager
+def atomic_writer(path):
+    """A binary file that replaces `path` once the block exits without error."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            yield f
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path, data: bytes) -> None:
+    with atomic_writer(path) as f:
+        f.write(data)
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -195,72 +206,117 @@ def load_codebook(path) -> tuple[Codebook, frozenset[int] | None]:
 # --- semantic ids -----------------------------------------------------------
 
 _SID_COMMENT = "# semantic ids in long form; tokens 0-based, layers 1-based"
+_SID_HEADER = "item_id,layer,token"
+# items per block of text that `save_sids` formats and writes at once
+_SID_WRITE_BLOCK = 8192
 
 
 def save_sids(path, table) -> None:
-    """Write an id table in long form; an elided layer 2 has no row."""
-    buf = io.StringIO()
-    buf.write(_SID_COMMENT + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["item_id", "layer", "token"])
-    layers = range(1, table.tokens.shape[1] + 1)
-    writer.writerows(
-        (item_id, layer, token)
-        for item_id, row, full in zip(
-            table.item_id.tolist(), table.tokens.tolist(), table.is_full.tolist()
-        )
-        for layer, token in zip(layers, row)
-        if full or layer != 2
-    )
-    atomic_write_text(path, buf.getvalue())
+    """Write an id table in long form; an elided layer 2 has no row.
+
+    Item ids hold no character that needs quoting, so each item's rows are
+    one formatted string, written a block of items at a time.
+    """
+    L = table.tokens.shape[1]
+    # "{0}" is the item id and "{l}" its layer-l token
+    full = "".join(f"{{0}},{l},{{{l}}}\n" for l in range(1, L + 1))
+    elided = "".join(f"{{0}},{l},{{{l}}}\n" for l in range(1, L + 1) if l != 2)
+    with atomic_writer(path) as f:
+        f.write(f"{_SID_COMMENT}\n{_SID_HEADER}\n".encode())
+        for start in range(0, len(table), _SID_WRITE_BLOCK):
+            block = table[start : start + _SID_WRITE_BLOCK]
+            formats = [full if is_full else elided for is_full in block.is_full.tolist()]
+            rows = map(str.format, formats, block.item_id.tolist(), *block.tokens.T.tolist())
+            f.write("".join(rows).encode())
 
 
 def load_sids(path, config: QuantizerConfig) -> np.recarray:
     """Read an id file into an id table (see `core.sid_table`).
 
-    The rows of one item must be contiguous and list layers 1..L in order,
-    with only layer 2 allowed to be missing. An item whose rows are split by
-    another item's rows is a DataError.
+    Comment lines may precede the header. Each row is item_id,layer,token;
+    blank lines hold no row. The rows of one item must be contiguous and list
+    layers 1..L in order, with only layer 2 allowed to be missing. An item
+    whose rows are split by another item's rows, or that has a row without
+    exactly three fields or with a layer or token that is no int64 integer,
+    is a DataError naming the first such item; failing that, an item with
+    other layers is a MalformedSequenceError naming the first one.
     """
     L = config.num_layers
-    is_full_of_layers = {tuple(range(1, L + 1)): True}
-    if L >= 3:
-        is_full_of_layers[(1, *range(3, L + 1))] = False
-    item_ids: list[str] = []
-    tokens: list[int] = []
-    is_full: list[bool] = []
-    seen: set[str] = set()
-    # raised once the whole file is read, so that a split item, which can
-    # look like a malformed one, is reported as split
-    malformed: list[MalformedSequenceError] = []
-    with open(path, newline="") as f:
-        rows = (row for row in csv.reader(f) if row and not row[0].startswith("#"))
-        header = next(rows, None)
-        if header != ["item_id", "layer", "token"]:
-            raise DataError(f"{path} has unexpected id header {header}")
-        for item_id, block in itertools.groupby(rows, key=itemgetter(0)):
-            if item_id in seen:
-                raise DataError(f"{path}: the rows of item {item_id!r} are not contiguous")
-            seen.add(item_id)
-            try:
-                layers, toks = zip(*((int(layer), int(token)) for _, layer, token in block))
-            except ValueError:  # also a row without exactly three fields
-                raise DataError(f"{path} has a malformed row for item {item_id!r}") from None
-            full = is_full_of_layers.get(layers)
-            if full is None:
-                malformed.append(MalformedSequenceError(
-                    f"item {item_id!r} has layers {list(layers)}; expected 1..{L} in "
-                    "order, with only layer 2 allowed to be missing"
-                ))
-                continue
-            item_ids.append(item_id)
-            is_full.append(full)
-            tokens.extend(toks if full else (toks[0], -1, *toks[1:]))
-    if malformed:
-        raise malformed[0]
-    if not item_ids:
+    with open(path, encoding="utf-8") as f:  # universal newlines: CRLF reads as LF
+        header = next((line for line in f if line != "\n" and not line.startswith("#")), "")
+        if header.rstrip("\n") != _SID_HEADER:
+            raise DataError(f"{path} has unexpected id header {header.strip()!r}")
+        body = f.read()
+    if body[:1] == "\n" or "\n\n" in body or body[-1:] != "\n":
+        body = "".join(f"{line}\n" for line in body.split("\n") if line)
+    rows = body.count("\n")
+    if not rows:
         raise DataError(f"{path} holds no ids")
-    return sid_table(item_ids, np.reshape(tokens, (-1, L)), config, is_full)
+    # Each row's fields, then a "\n" field: every row has three fields
+    # exactly when every fourth field is one of the rows' "\n" fields.
+    fields = body.replace("\n", ",\n,").split(",")
+    fields.pop()  # the empty field after the last "\n"
+    try:
+        layers = np.array(fields[1::4], dtype=np.int64)
+        tokens = np.array(fields[2::4], dtype=np.int64)
+        aligned = len(fields) == 4 * rows and fields[3::4].count("\n") == rows
+    except (ValueError, OverflowError):  # a field that is no int64 integer
+        aligned = False
+    if not aligned:
+        lines = body.split("\n")[:-1]
+        raise _bad_item(path, [line.split(",", 1)[0] for line in lines],
+                        map(_malformed_sid_row, lines)) from None
+    ids = np.array(fields[0::4], dtype=object)
+    del fields, body  # the row text is the largest thing the loader holds
+    first = np.ones(rows, dtype=bool)  # an item's first row
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    items = ids[starts].tolist()
+    if len(set(items)) != len(items):
+        raise _bad_item(path, ids, itertools.repeat(False))
+
+    sizes = np.diff(starts, append=rows)
+    is_full = sizes == L
+    item_of_row = np.cumsum(first) - 1
+    place = np.arange(rows) - starts[item_of_row]
+    # an elided item lists layers 1, 3..L: each row after its first skips layer 2
+    expected = place + 1 + ((place > 0) & ~is_full[item_of_row])
+    bad = np.logical_or.reduceat(layers != expected, starts)
+    bad |= ~is_full & ((sizes != L - 1) | (L < 3))
+    if bad.any():
+        k = int(bad.argmax())
+        raise MalformedSequenceError(
+            f"item {items[k]!r} has layers {layers[starts[k]:starts[k] + sizes[k]].tolist()}; "
+            f"expected 1..{L} in order, with only layer 2 allowed to be missing"
+        )
+    table_tokens = np.full((len(items), L), -1, dtype=np.int64)
+    table_tokens[item_of_row, layers - 1] = tokens
+    return sid_table(items, table_tokens, config, is_full)
+
+
+def _malformed_sid_row(line: str) -> bool:
+    """Whether an id-file row is no `item_id,layer,token` row of int64 numbers."""
+    fields = line.split(",")
+    if len(fields) != 3:
+        return True
+    try:
+        np.array(fields[1:], dtype=np.int64)
+    except (ValueError, OverflowError):
+        return True
+    return False
+
+
+def _bad_item(path, row_items, malformed) -> DataError:
+    """The error for the first item, in file order, whose rows follow another
+    item's rows or include a malformed row."""
+    seen = set()
+    for item, block in itertools.groupby(zip(row_items, malformed), key=itemgetter(0)):
+        if item in seen:
+            return DataError(f"{path}: the rows of item {item!r} are not contiguous")
+        if any(bad for _, bad in block):
+            return DataError(f"{path} has a malformed row for item {item!r}")
+        seen.add(item)
+    raise AssertionError("a row was rejected, but no item is split or malformed")
 
 
 # --- embeddings -------------------------------------------------------------
@@ -369,7 +425,8 @@ def load_interactions(path) -> dict[str, InteractionDataset]:
             if len(row) != 3:
                 raise DataError(f"{path} row {row} has {len(row)} fields, expected 3")
             context, target, split = row
-            history = tuple(t for t in context.split("|") if t)
+            history = tuple(context.split("|")) if context else ()
+            check_item_ids((*history, target))
             by_split.setdefault(split, []).append(Interaction(history, target))
     return {
         split: InteractionDataset(tuple(records), split=split)
@@ -389,13 +446,19 @@ def save_report(path, kind: str, payload: dict) -> None:
 MANIFEST_NAME = "manifest.json"
 
 
+def _read_manifest(out_dir: Path) -> dict:
+    """The manifest in `out_dir`, or a new one; a foreign or corrupt one is a DataError."""
+    manifest_path = out_dir / MANIFEST_NAME
+    if not manifest_path.exists():
+        return {"format_version": FORMAT_VERSION, "kind": "run_manifest", "runs": []}
+    return _load_header(manifest_path, "run_manifest", runs=list)
+
+
 def record_run(out_dir, command: str, config: dict, timings: dict, outputs) -> Path:
     """Append one run record to the manifest in `out_dir`."""
     out_dir = Path(out_dir)
     manifest_path = out_dir / MANIFEST_NAME
-    manifest = {"format_version": FORMAT_VERSION, "kind": "run_manifest", "runs": []}
-    if manifest_path.exists():
-        manifest = _load_header(manifest_path, "run_manifest", runs=list)
+    manifest = _read_manifest(out_dir)
     from . import __version__
 
     manifest["runs"].append(
@@ -419,13 +482,18 @@ def record_run(out_dir, command: str, config: dict, timings: dict, outputs) -> P
 
 
 class OutputLock:
-    """Exclusive lock on an output directory, held for one command."""
+    """Exclusive lock on an output directory, held for one command.
+
+    Entering it also reads the directory's manifest, so a command refuses a
+    foreign or corrupt one before it writes anything.
+    """
 
     def __init__(self, out_dir):
         self.path = Path(out_dir) / ".lock"
 
     def __enter__(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        _read_manifest(self.path.parent)
         try:
             fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:

@@ -106,6 +106,8 @@ def _nearest(
         return _nearest_exact(points, centroids)
     c32 = centroids.astype(np.float32)
     c_sq32 = np.einsum("ij,ij->i", c32, c32)
+    # scaling by -2 is exact, so p @ (-2 c) equals -2 (p @ c) bit for bit
+    c32_neg2 = -2.0 * c32
     # |float32 score - exact score| <= gamma * (|p| + |c|)^2 per pair.
     gamma = (d + 8) * 1.2e-7
 
@@ -115,8 +117,7 @@ def _nearest(
         stop = min(start + _SCORE_CHUNK, n)
         # score c^2 - 2 p.c ranks like the distance; the p^2 term is constant
         # per row and would only cost another pass over the matrix
-        s = side.p32[start:stop] @ c32.T
-        s *= -2.0
+        s = side.p32[start:stop] @ c32_neg2.T
         s += c_sq32[None, :]
         rows = np.arange(stop - start)
         best = np.argmin(s, axis=1)

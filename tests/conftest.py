@@ -7,7 +7,6 @@ printed in the terminal summary.
 
 import time
 
-import numpy as np
 import pytest
 
 _ACCEPTANCE_LINES: list[tuple[str, bool, str]] = []

@@ -26,7 +26,6 @@ from rqsid.diagnostics import (
     Selector,
     entropy_bits,
     gini,
-    head_tail_split,
     stddev,
     token_histogram,
 )

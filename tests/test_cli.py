@@ -1,5 +1,4 @@
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +234,54 @@ class TestErrors:
                    "--num-layers", 2, "--codebook-size", 4, "--out", out)
         assert code == 3
         assert (out / "manifest.json").read_text() == text
+
+    @pytest.mark.parametrize("text", ['{"runs": 5}', "not json"], ids=["foreign", "not-json"])
+    def test_unreadable_manifest_refused_before_any_write(self, tmp_path, text):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text(text)
+        assert run("gen", "--kind", "uniform", "--n", 50, "--d", 3, "--out", out) == 3
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        assert (out / "manifest.json").read_text() == text
+
+    @pytest.mark.parametrize("odd", ["#item_{:03d}", "a|k{:03d}"], ids=["hash", "pipe"])
+    def test_item_id_outside_alphabet_exits_3_at_train(self, tmp_path, capsys, odd):
+        # one id in ten is odd; "#" ids were dropped from the id file after
+        # encode, and "|" ids broke an interactions replay
+        ids = [odd.format(k) if k % 10 == 0 else f"item_{k:03d}" for k in range(300)]
+        vectors = np.random.default_rng(0).random((300, 3))
+        embeddings = tmp_path / "embeddings.csv"
+        embeddings.write_text("item_id,v0,v1,v2\n" + "".join(
+            ",".join([item, *map(repr, row)]) + "\n" for item, row in zip(ids, vectors.tolist())))
+        assert self.train_exit_code(tmp_path, embeddings) == 3
+        assert repr(odd.format(0)) in capsys.readouterr().err
+
+    def test_comment_like_row_in_sid_file_exits_3(self, pipeline, tmp_path):
+        sids = tmp_path / "sids.csv"
+        sids.write_text("# ids\nitem_id,layer,token\na,1,1\na,2,2\na,3,3\n"
+                        "#b,1,1\n#b,2,2\n#b,3,3\n")
+        code = run(
+            "analyze", "--sids", sids, "--codebook", pipeline / "train" / "codebook.json",
+            "--out", tmp_path / "out",
+        )
+        assert code == 3
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("row", [
+        "item_000000|#item_000001,item_000002,train", "item_000000||item_000001,item_000002,train",
+        'item_000000,"item,000002",train'], ids=["hash", "empty", "comma"])
+    def test_interactions_id_outside_alphabet_exits_3(self, pipeline, tmp_path, capsys, row):
+        interactions = tmp_path / "interactions.csv"
+        interactions.write_text("user_context,target,split\nitem_000000,item_000001,train\n"
+                                f"{row}\nitem_000001,item_000000,test\n")
+        code = run(
+            "simulate", "--sids", pipeline / "enc" / "sids.csv",
+            "--codebook", pipeline / "train" / "codebook.json",
+            "--interactions", interactions, "--out", tmp_path / "out",
+        )
+        assert code == 3
+        assert "item id" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_head_set_token_out_of_range_exits_3(self, pipeline, tmp_path):
         header = json.loads((pipeline / "train" / "codebook.json").read_text())

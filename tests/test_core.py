@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,11 @@ class TestQuantizerConfig:
             QuantizerConfig(**base)
 
 
+# ids outside the item-id alphabet, and ids at its edges
+BAD_ITEM_IDS = ["", "#item", "#", "a,b", 'a"b', "a|k", "a\rb", "a\nb", "a\x00", "|", 7]
+GOOD_ITEM_IDS = ["a#b", "a", " ", " a ", "\t", "é", "a'b", "\u2028", "\x85", "a;b", "-1"]
+
+
 class TestEmbeddingCollection:
     def test_duplicate_ids(self):
         with pytest.raises(DataError):
@@ -58,6 +65,15 @@ class TestEmbeddingCollection:
     def test_dim_mismatch_count(self):
         with pytest.raises(DataError):
             EmbeddingCollection(("a", "b"), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("bad", BAD_ITEM_IDS)
+    def test_id_outside_alphabet(self, bad):
+        with pytest.raises(DataError, match=re.escape(repr(bad))):
+            EmbeddingCollection(("a", bad), np.zeros((2, 3)))
+
+    def test_ids_at_alphabet_edges(self):
+        data = EmbeddingCollection(tuple(GOOD_ITEM_IDS), np.zeros((len(GOOD_ITEM_IDS), 1)))
+        assert data.ids == tuple(GOOD_ITEM_IDS)
 
 
 class TestCodebook:
@@ -172,6 +188,15 @@ class TestSidTable:
     def test_duplicate_item_ids(self):
         with pytest.raises(DataError):
             sid_table(["a", "a"], [(0, 0, 0), (1, 1, 1)], CFG34)
+
+    @pytest.mark.parametrize("bad", [b for b in BAD_ITEM_IDS if isinstance(b, str)])
+    def test_item_id_outside_alphabet(self, bad):
+        with pytest.raises(DataError, match=re.escape(repr(bad))):
+            sid_table(["a", bad], [(0, 0, 0), (1, 1, 1)], CFG34)
+
+    def test_item_ids_at_alphabet_edges(self):
+        t = sid_table(GOOD_ITEM_IDS, [(0, 0, 0)] * len(GOOD_ITEM_IDS), CFG34)
+        assert t.item_id.tolist() == GOOD_ITEM_IDS
 
     def test_missing_item_ids(self):
         with pytest.raises(ConsistencyError):

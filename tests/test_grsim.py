@@ -1,6 +1,3 @@
-import math
-from itertools import product
-
 import numpy as np
 import pytest
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rqsid.core import (
     Codebook,
@@ -123,20 +125,38 @@ def reference_validate(entries, config):
 
 
 def reference_load_sids(path, config):
-    """The object-per-item loader the id table replaced: rows grouped by
-    item in first-appearance order, each item's entries validated."""
+    """The object-per-item loader the id table replaced, row by row: comment
+    lines only before the header, an item's rows contiguous, three fields
+    of integers per row, and each item's entries validated once every row
+    is read."""
     rows_by_item = {}
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header_seen = False
-        for row in reader:
-            if not row or row[0].startswith("#"):
-                continue
-            if not header_seen:
-                header_seen = True
-                continue
-            rows_by_item.setdefault(row[0], []).append((int(row[1]), int(row[2])))
-    return [(item, reference_validate(tuple(e), config)) for item, e in rows_by_item.items()]
+    with open(path, newline="", encoding="utf-8") as f:
+        rows = (row for row in csv.reader(f) if row)
+        header = next((row for row in rows if not row[0].startswith("#")), None)
+        if header != ["item_id", "layer", "token"]:
+            raise DataError(f"unexpected header {header}")
+        previous = None
+        for row in rows:
+            item = row[0]
+            if item != previous and item in rows_by_item:
+                raise DataError(f"the rows of item {item!r} are not contiguous")
+            previous = item
+            entries = rows_by_item.setdefault(item, [])
+            try:
+                if len(row) != 3:
+                    raise ValueError
+                entries.append((int(row[1]), int(row[2])))
+            except ValueError:
+                raise DataError(f"malformed row for item {item!r}") from None
+    if not rows_by_item:
+        raise DataError("no ids")
+    items = []
+    for item, entries in rows_by_item.items():
+        try:
+            items.append((item, reference_validate(tuple(entries), config)))
+        except (MalformedSequenceError, TokenRangeError) as e:
+            raise type(e)(f"item {item!r}: {e}") from None
+    return items
 
 
 def reference_save_sids(path, items):
@@ -154,6 +174,31 @@ def reference_save_sids(path, items):
 def write_sids(path, rows):
     path.write_text("# comment\nitem_id,layer,token\n" + "".join(f"{r}\n" for r in rows))
     return path
+
+
+# Characters an item id may hold, with one of each kind a file format could
+# trip on: space and tab, "#" past the first place, a quote other than '"',
+# other separators, and line breaks that universal newlines do not split on.
+ID_CHARS = st.sampled_from(list(" \t#'abz09_-;:\\/é\x85\x0b\x0c\x1c\u2028\u00a0")) | (
+    st.characters(exclude_characters=',"|\r\n\x00', exclude_categories=("Cs",)))
+ITEM_IDS = st.builds(
+    lambda head, tail: head + tail,
+    ID_CHARS.filter(lambda c: c != "#"), st.text(ID_CHARS, max_size=6),
+)
+
+
+@st.composite
+def id_tables(draw):
+    """A random id table whose ids sit at the alphabet's edges, with elided rows."""
+    L = draw(st.integers(min_value=1, max_value=4))
+    M = draw(st.integers(min_value=1, max_value=300))
+    config = QuantizerConfig(num_layers=L, codebook_size=M, dim=1)
+    items = draw(st.lists(ITEM_IDS, min_size=1, max_size=25, unique=True))
+    tokens = draw(st.lists(st.lists(st.integers(0, M - 1), min_size=L, max_size=L),
+                           min_size=len(items), max_size=len(items)))
+    is_full = draw(st.lists(st.booleans() if L >= 3 else st.just(True),
+                            min_size=len(items), max_size=len(items)))
+    return sid_table(items, tokens, config, is_full), config
 
 
 def random_entries(gen, n, config, elide_share):
@@ -235,7 +280,133 @@ class TestSidOracle:
         assert not load_sids(root / "mit" / "sids.csv", config).is_full.all()
 
 
+class TestSidRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(id_tables())
+    def test_round_trip_matches_reference(self, tmp_path_factory, drawn):
+        table, config = drawn
+        root = tmp_path_factory.mktemp("sids")
+        save_sids(root / "sids.csv", table)
+        reference_save_sids(root / "ref.csv", table_entries(table))
+        assert (root / "sids.csv").read_bytes() == (root / "ref.csv").read_bytes()
+        loaded = load_sids(root / "sids.csv", config)
+        assert loaded.tobytes() == table.tobytes()
+        assert loaded.item_id.tolist() == table.item_id.tolist()
+        assert table_entries(loaded) == reference_load_sids(root / "sids.csv", config)
+
+    def test_written_in_blocks(self, tmp_path, monkeypatch):
+        items = random_entries(np.random.default_rng(5), 23, CFG, 0.5)
+        reference_save_sids(tmp_path / "ref.csv", items)
+        table = load_sids(tmp_path / "ref.csv", CFG)
+        monkeypatch.setattr("rqsid.persist._SID_WRITE_BLOCK", 4)
+        save_sids(tmp_path / "sids.csv", table)
+        assert (tmp_path / "sids.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        class FailingTable:
+            """An id table whose second block of rows fails to arrive."""
+
+            def __init__(self, table):
+                self.table, self.tokens = table, table.tokens
+
+            def __len__(self):
+                return len(self.table)
+
+            def __getitem__(self, rows):
+                if rows.start:
+                    raise OSError("device full")
+                return self.table[rows]
+
+        path = write_sids(tmp_path / "sids.csv", ["a,1,0", "a,2,1", "a,3,2"])
+        before = path.read_bytes()
+        monkeypatch.setattr("rqsid.persist._SID_WRITE_BLOCK", 1)
+        with pytest.raises(OSError, match="device full"):
+            save_sids(path, FailingTable(sid_table(["b", "c"], [(0, 1, 2), (1, 2, 3)], CFG)))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["sids.csv"]
+
+
+# Malformed id-file bodies, each with the item its error must name.
+MALFORMED_BODIES = {
+    "short-row": (["a,1,1", "a,2,2", "a,3,3", "b,1,1", "b,2", "b,3,3"], DataError, "b"),
+    "extra-field": (["a,1,1", "a,2,2,junk", "a,3,3"], DataError, "a"),
+    "id-only": (["a,1,1", "a,2,2", "a,3,3", "b"], DataError, "b"),
+    "text-layer": (["a,1,1", "a,two,2", "a,3,3"], DataError, "a"),
+    "text-token": (["a,1,1", "a,2,2", "a,3,x"], DataError, "a"),
+    "float-token": (["a,1,1", "a,2,2.0", "a,3,3"], DataError, "a"),
+    "empty-token": (["a,1,1", "a,2,", "a,3,3"], DataError, "a"),
+    "interleaved": (["a,1,1", "b,1,1", "a,2,2", "b,2,2", "a,3,3", "b,3,3"], DataError, "a"),
+    "repeated": (["a,1,1", "a,2,2", "a,3,3", "b,1,1", "b,2,2", "b,3,3", "a,1,1"],
+                 DataError, "a"),
+    "split-before-malformed": (["a,1,1", "b,1,1", "a,2,2", "c,1,x"], DataError, "a"),
+    "malformed-before-split": (["c,1,x", "a,1,1", "b,1,1", "a,2,2"], DataError, "c"),
+    "split-after-bad-layers": (["c,1,1", "c,3,3", "c,2,2", "a,1,1", "b,1,1", "a,2,2"],
+                               DataError, "a"),
+    "layers-out-of-order": (["a,1,1", "a,3,3", "a,2,2"], MalformedSequenceError, "a"),
+    "layer-1-missing": (["a,1,1", "a,2,2", "a,3,3", "b,2,2", "b,3,3"],
+                        MalformedSequenceError, "b"),
+    "layer-3-missing": (["a,1,1", "a,2,2"], MalformedSequenceError, "a"),
+    "layer-repeated": (["a,1,1", "a,2,2", "a,2,2", "a,3,3"], MalformedSequenceError, "a"),
+    "too-many-layers": (["a,1,1", "a,2,2", "a,3,3", "a,4,0"], MalformedSequenceError, "a"),
+    "one-row": (["a,1,1", "a,2,2", "a,3,3", "b,1,1"], MalformedSequenceError, "b"),
+    "first-bad-layers-named": (["a,1,1", "a,2,2", "b,3,3", "b,1,1", "b,2,2"],
+                               MalformedSequenceError, "a"),
+    "token-out-of-range": (["a,1,1", "a,2,9", "a,3,3"], TokenRangeError, "a"),
+    "empty-body": ([], DataError, None),
+    "blank-body": (["", ""], DataError, None),
+}
+
+
 class TestLoaderContract:
+    @pytest.mark.parametrize("case", MALFORMED_BODIES, ids=list(MALFORMED_BODIES))
+    def test_malformed_file_fails_as_reference(self, tmp_path, case):
+        rows, error, item = MALFORMED_BODIES[case]
+        path = write_sids(tmp_path / "sids.csv", rows)
+        with pytest.raises(error) as found:
+            load_sids(path, CFG)
+        with pytest.raises(error) as expected:
+            reference_load_sids(path, CFG)
+        if item is not None:
+            assert repr(item) in str(found.value)
+            assert repr(item) in str(expected.value)
+
+    def test_int_leniency_kept(self, tmp_path):
+        # int() reads " 3", "+3" and "3_0"; the loader reads them alike
+        path = write_sids(tmp_path / "sids.csv", ["a, 1,+3", "a,+2, 0", "a,3 ,0_3"])
+        assert table_entries(load_sids(path, CFG)) == reference_load_sids(path, CFG)
+        assert load_sids(path, CFG).tokens.tolist() == [[3, 0, 3]]
+
+    @pytest.mark.parametrize("value", [str(2**63), str(-(2**63) - 1)])
+    def test_int64_overflow_is_malformed(self, tmp_path, value):
+        for row in (f"a,2,{value}", f"a,{value},2"):
+            path = write_sids(tmp_path / "sids.csv", ["a,1,1", row, "a,3,3"])
+            with pytest.raises(DataError, match="malformed row for item 'a'"):
+                load_sids(path, CFG)
+
+    def test_crlf_blank_lines_and_no_final_newline(self, tmp_path):
+        text = "# c\r\n\r\nitem_id,layer,token\r\na,1,1\r\n\r\na,2,2\r\na,3,3\r\nb,1,0\r\nb,3,1"
+        path = tmp_path / "sids.csv"
+        path.write_bytes(text.encode())
+        loaded = load_sids(path, CFG)
+        assert table_entries(loaded) == reference_load_sids(path, CFG)
+        assert table_entries(loaded) == [("a", ((1, 1), (2, 2), (3, 3))), ("b", ((1, 0), (3, 1)))]
+
+    def test_comment_lines_only_before_header(self, tmp_path):
+        rows = ["a,1,1", "a,2,2", "a,3,3", "#b,1,1", "#b,2,2", "#b,3,3"]
+        path = write_sids(tmp_path / "sids.csv", rows)
+        with pytest.raises(DataError, match="'#b'"):
+            load_sids(path, CFG)
+        path = write_sids(tmp_path / "sids.csv", ["a,1,1", "# note", "a,2,2", "a,3,3"])
+        with pytest.raises(DataError, match="'# note'"):
+            load_sids(path, CFG)
+
+    @pytest.mark.parametrize("bad", ['"a"', "a|k", ""], ids=["quoted", "pipe", "empty"])
+    def test_id_outside_alphabet_rejected(self, tmp_path, bad):
+        path = write_sids(tmp_path / "sids.csv", [f"{bad},1,1", f"{bad},2,2", f"{bad},3,3"])
+        with pytest.raises(DataError):
+            load_sids(path, CFG)
+
+
     @pytest.mark.parametrize("rows", [
         ["a,1,1", "b,1,1", "a,2,2", "b,2,2", "a,3,3", "b,3,3"],
         ["a,1,1", "a,2,2", "a,3,3", "b,1,1", "b,2,2", "b,3,3", "a,1,1", "a,2,2", "a,3,3"],
