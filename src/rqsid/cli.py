@@ -28,7 +28,6 @@ from .core import (
     RandomSource,
     RqsidError,
     sid_table,
-    sid_to_flat_tokens,
 )
 from .diagnostics import (
     Selector,
@@ -226,7 +225,7 @@ def cmd_mitigate(args) -> int:
 
     t0 = time.perf_counter()
     payload: dict = {"mode": mode, "items": len(table)}
-    head_set = None
+    outcome = None
     if mode == "exchange":
         swap = args.swap
         if len(swap) != 2 or not all(1 <= v <= config.num_layers for v in swap):
@@ -237,20 +236,16 @@ def cmd_mitigate(args) -> int:
         payload["report"] = hourglass_report(transformed.tokens, config).to_dict()
     elif mode == "remove":
         outcome = remove_layer(table, config)
-        transformed = outcome.transformed_sids
-        post = post_mitigation_report(outcome, config)
-        payload.update(_outcome_payload(outcome, post))
     else:
         selector = _selector(args)
         if selector is None:
             raise ConfigError("varlen mode needs --head-top-k or --head-mass")
         hist = token_histogram(table.tokens, 2, config.codebook_size)
         outcome = varlen_topk(table, hist, selector, config)
-        transformed = outcome.transformed_sids
-        post = post_mitigation_report(outcome, config)
-        head_set = outcome.head_set
         payload["head_selector"] = selector.describe()
-        payload.update(_outcome_payload(outcome, post))
+    if outcome is not None:
+        transformed = outcome.transformed_sids
+        payload.update(_outcome_payload(outcome, post_mitigation_report(outcome, config)))
     mitigate_s = time.perf_counter() - t0
 
     with persist.OutputLock(out):
@@ -261,10 +256,11 @@ def cmd_mitigate(args) -> int:
         report_path = out / "mitigation_report.json"
         persist.save_report(report_path, "mitigation_report", payload)
         outputs.append(report_path)
-        if head_set is not None:
-            # Persist the head set with the codebook so later stages agree.
+        if outcome is not None:
+            # Persist the head set with the codebook so later stages agree
+            # on which ids are elided; after remove it holds all M tokens.
             outputs.extend(
-                persist.save_codebook(out / "codebook.json", codebook, head_set=head_set)
+                persist.save_codebook(out / "codebook.json", codebook, head_set=outcome.head_set)
             )
         persist.record_run(out, "mitigate", _options(args), {"mitigate": mitigate_s}, outputs)
     print(f"applied {mode} to {len(table)} ids; wrote {out / 'sids.csv'}")
@@ -328,15 +324,14 @@ def cmd_simulate(args) -> int:
         hist = token_histogram(catalog.tokens, 2, config.codebook_size)
         head_set, _ = head_tail_split(hist, selector or Selector.mass(0.5))
 
-    flat = dict(zip(catalog.item_id.tolist(), sid_to_flat_tokens(catalog, config)))
     t0 = time.perf_counter()
-    model = train_seq_model(train_ds, flat, args.order, args.alpha)
+    model = train_seq_model(train_ds, catalog, config, args.order, args.alpha)
     train_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     report = evaluate(
         model,
         test_ds,
-        flat,
+        catalog,
         config,
         head_set,
         beam_width=args.beam,

@@ -261,16 +261,17 @@ class RandomSource:
         return f"RandomSource(seed={self.seed}, spawn_key={self._spawn_key})"
 
 
-def sid_to_flat_tokens(table, config: QuantizerConfig) -> list[tuple[int, ...]]:
+def sid_to_flat_tokens(table, config: QuantizerConfig) -> np.ndarray:
     """Map every id of an id table onto the layer-disjoint flat vocabulary.
 
     The token of layer l becomes (l - 1) * codebook_size + token, so tokens
     from different layers never collide and an elided layer 2 is detectable
-    from the flat ids alone. Returns one tuple per row, in table order.
+    from the flat ids alone. Returns an (n, L) int64 matrix in table order,
+    an elided id's row shifted left past its layer-2 slot and padded with -1.
     """
     L, M = config.num_layers, config.codebook_size
-    flat = (table.tokens + M * np.arange(L)).tolist()
-    return [
-        tuple(row) if full else (row[0], *row[2:])
-        for row, full in zip(flat, table.is_full.tolist())
-    ]
+    flat = table.tokens + M * np.arange(L)
+    elided = ~table.is_full
+    flat[elided, 1:-1] = flat[elided, 2:]
+    flat[elided, -1] = -1
+    return flat

@@ -1,9 +1,9 @@
 """Desk-scale generative-retrieval simulation.
 
-A catalog trie over flat-token id sequences, a Laplace-smoothed count model
-with longest-suffix back-off standing in for a trained generator, beam search
-with optional trie constraint, and recall / invalid-ratio evaluation split by
-head and tail layer-2 tokens.
+Over a catalog that is an id table, read as its flat-token matrix: a catalog
+trie, a Laplace-smoothed count model with longest-suffix back-off standing in
+for a trained generator, beam search with optional trie constraint, and
+recall / invalid-ratio evaluation split by head and tail layer-2 tokens.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .core import (
     QuantizerConfig,
     RandomSource,
     TokenRangeError,
+    sid_to_flat_tokens,
 )
 
 
@@ -46,60 +47,84 @@ class InteractionDataset:
 
 @dataclass(frozen=True, eq=False)
 class CatalogTrie:
-    """Prefix tree over the flat-token sequences of catalog ids, as arrays.
+    """Prefix tree over the flat-token ids of a catalog, as arrays.
 
     Nodes are numbered level by level, the root 0 first, and each node's
     children are consecutive and sorted by token: node g's children are the
     nodes `first[g] + 1 .. first[g + 1]`, reached by the tokens
     `token[first[g] : first[g + 1]]`, so edge e leads to node e + 1. Fixed
-    and variable-length sequences coexist because layer membership is
-    encoded in the flat tokens themselves. Membership is a set of the ids.
+    and variable-length ids coexist because layer membership is encoded in
+    the flat tokens themselves. Ids are self-delimiting, so a sequence is a
+    catalog id exactly when `walk` finds it and it ends in a last-layer
+    token.
     """
 
     first: np.ndarray
     token: np.ndarray
-    ids: frozenset
 
-    def contains(self, tokens) -> bool:
-        return tuple(tokens) in self.ids
+    def walk(self, seqs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """The node each sequence leads to, or -1 when it is no catalog prefix.
 
-    def node_of(self, prefix) -> int:
-        """The node `prefix` leads to, or -1 when it is not a catalog prefix."""
-        node = 0
-        for t in prefix:
-            lo, hi = self.first[node], self.first[node + 1]
-            at = lo + int(self.token[lo:hi].searchsorted(t))
-            if at == hi or self.token[at] != t:
-                return -1
-            node = at + 1
-        return int(node)
+        Sequence i is the first `lengths[i]` entries of row i of `seqs`; a
+        token outside the vocabulary, -1 included, never matches. The edge
+        keys `parent * V + token` are sorted: a depth is one binary search.
+        """
+        v = int(self.token.max()) + 1
+        keys = np.repeat(np.arange(len(self.first) - 1) * v, np.diff(self.first)) + self.token
+        # an outside token, or any token below node -1, makes a negative key
+        seqs = np.where((seqs >= 0) & (seqs < v), seqs, -len(self.first) * v)
+        path = np.zeros((len(seqs), seqs.shape[1] + 1), dtype=np.int64)  # node at each depth
+        for d in range(seqs.shape[1]):
+            key = path[:, d] * v + seqs[:, d]
+            at = keys.searchsorted(key)
+            path[:, d + 1] = np.where(keys[np.minimum(at, len(keys) - 1)] == key, at + 1, -1)
+        return path[np.arange(len(seqs)), lengths]
 
 
-def build_trie(catalog: dict[str, tuple[int, ...]]) -> CatalogTrie:
-    """Trie over a catalog mapping item ids to flat-token sequences."""
-    if not catalog:
+def build_trie(catalog: np.recarray, config: QuantizerConfig) -> CatalogTrie:
+    """Trie over the flat-token ids of an id table."""
+    if not len(catalog):
         raise DataError("cannot build a trie from an empty catalog")
-    ids = frozenset(map(tuple, catalog.values()))
-    lengths = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
-    flat = np.fromiter(chain.from_iterable(ids), dtype=np.int64, count=lengths.sum())
-    if len(flat) and flat.min() < 0:
-        raise TokenRangeError(f"catalog token {flat.min()} is negative")
-    v = int(flat.max()) + 1 if len(flat) else 1
-    # column d of `tokens` holds each id's token at depth d
-    tokens = np.full((len(ids), lengths.max(initial=0)), -1, dtype=np.int64)
-    tokens[np.arange(tokens.shape[1]) < lengths[:, None]] = flat
-    node = np.zeros(len(ids), dtype=np.int64)  # each id's node at the current depth
+    tokens = sid_to_flat_tokens(catalog, config)
+    v = config.num_layers * config.codebook_size
+    node = np.zeros(len(tokens), dtype=np.int64)  # each id's node at the current depth
     parents, edges = [], []
     num_nodes = 1
     for d in range(tokens.shape[1]):
-        deeper = np.flatnonzero(lengths > d)
+        deeper = np.flatnonzero(tokens[:, d] >= 0)
         keys, inverse = np.unique(node[deeper] * v + tokens[deeper, d], return_inverse=True)
         node[deeper] = num_nodes + inverse
         num_nodes += len(keys)
         parents.append(keys // v)
         edges.append(keys % v)
     first = np.concatenate(parents).searchsorted(np.arange(num_nodes + 1))
-    return CatalogTrie(first, np.concatenate(edges), ids)
+    return CatalogTrie(first, np.concatenate(edges))
+
+
+def _rows(row_of: dict[str, int], items, what: str) -> np.ndarray:
+    """The catalog rows of `items`; a DataError names the first unknown one."""
+    try:
+        return np.fromiter(map(row_of.__getitem__, items), dtype=np.int64, count=len(items))
+    except KeyError as e:
+        raise DataError(f"{what} {e.args[0]!r} is not in the catalog") from None
+
+
+def _streams(flat: np.ndarray, rows: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """The flat tokens of the ids in `rows` laid end to end, and the token
+    count of each run of `sizes[i]` consecutive ids."""
+    tokens = flat[rows]
+    present = tokens >= 0
+    upto = np.cumsum(present.sum(axis=1))[np.cumsum(sizes, dtype=np.int64) - 1]
+    return tokens[present], np.diff(upto, prepend=0)
+
+
+def _pad(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """Sequences as the rows of a matrix padded with -1, and their lengths."""
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    padded = np.full((len(seqs), lengths.max(initial=0)), -1, dtype=np.int64)
+    tokens = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=int(lengths.sum()))
+    padded[np.arange(padded.shape[1]) < lengths[:, None]] = tokens
+    return padded, lengths
 
 
 def _ranges(lo: np.ndarray, size: np.ndarray) -> np.ndarray:
@@ -282,32 +307,28 @@ class SequenceModel:
 
 def train_seq_model(
     data: InteractionDataset,
-    catalog_sids: dict[str, tuple[int, ...]],
+    catalog: np.recarray,
+    config: QuantizerConfig,
     order: int,
     alpha: float,
 ) -> SequenceModel:
     """Fit the count model on flattened interaction streams.
 
-    Each record becomes one stream: the history items' flat tokens in order
-    with the target item's tokens appended. Streams are counted
-    `_COUNT_CHUNK` records at a time.
+    `catalog` is the id table of the items. Each record becomes one stream:
+    the history items' flat tokens in order with the target item's tokens
+    appended. The vocabulary ends at the largest flat token of the catalog.
+    Streams are counted `_COUNT_CHUNK` records at a time.
     """
     if len(data) == 0:
         raise DataError("cannot train a sequence model on an empty dataset")
-    vocab = max(max(ts) for ts in catalog_sids.values()) + 1
-    model = SequenceModel(order, alpha, vocab)
+    flat = sid_to_flat_tokens(catalog, config)
+    row_of = dict(zip(catalog.item_id.tolist(), range(len(catalog))))
+    model = SequenceModel(order, alpha, int(flat.max()) + 1)
     for lo in range(0, len(data), _COUNT_CHUNK):
-        tokens: list[int] = []
-        lengths: list[int] = []
-        for rec in data.records[lo : lo + _COUNT_CHUNK]:
-            start = len(tokens)
-            for item in (*rec.history, rec.target):
-                ids = catalog_sids.get(item)
-                if ids is None:
-                    raise DataError(f"interaction references unknown item {item!r}")
-                tokens.extend(ids)
-            lengths.append(len(tokens) - start)
-        model._observe(np.array(tokens, dtype=np.int64), np.array(lengths))
+        records = data.records[lo : lo + _COUNT_CHUNK]
+        items = [item for rec in records for item in (*rec.history, rec.target)]
+        sizes = [len(rec.history) + 1 for rec in records]
+        model._observe(*_streams(flat, _rows(row_of, items, "interaction item"), sizes))
     return model
 
 
@@ -382,23 +403,23 @@ def beam_search(
         fixed_prefixes = [None] * len(contexts)
     if len(fixed_prefixes) != len(contexts):
         raise ConfigError(f"{len(fixed_prefixes)} fixed prefixes for {len(contexts)} contexts")
-    starts = [tuple(int(t) for t in p) if p else () for p in fixed_prefixes]
+    starts = [() if p is None else tuple(int(t) for t in p) for p in fixed_prefixes]
     first_terminal = (config.num_layers - 1) * config.codebook_size
     order = model.order
     results: list[list[tuple[tuple[int, ...], float]]] = [[] for _ in starts]
+    start_node = (trie.walk(*_pad(starts)) if trie is not None and any(starts)
+                  else np.zeros(len(starts), dtype=np.int64))
 
     # the contexts that decode: record r is context live[r]
-    live, tails, nodes = [], [], []
+    live, tails = [], []
     for c, (context, start) in enumerate(zip(contexts, starts)):
         if start and start[-1] >= first_terminal:
             results[c] = [(start, 0.0)]
             continue
-        node = trie.node_of(start) if trie is not None else 0
-        if node < 0:
+        if start_node[c] < 0:
             continue
         tail = [int(t) for t in context[max(0, len(context) - order) :]] + list(start)
         tails.append([-1] * (order - len(tail)) + tail[max(0, len(tail) - order) :])
-        nodes.append(node)
         live.append(c)
 
     # beam b belongs to record rec[b], and gen[b] holds what it emitted
@@ -410,7 +431,7 @@ def beam_search(
     gen = np.full((len(live), max_len), -1, dtype=np.int64)
     tail = np.array(tails, dtype=np.int64).reshape(len(live), order)
     logp = np.zeros(len(live))
-    node = np.array(nodes, dtype=np.int64)
+    node = start_node[live]
     done_rec, done_seq, done_logp = [], [], []
     for depth in range(max_len):
         if not len(rec):
@@ -493,18 +514,10 @@ class EvalReport:
         }
 
 
-def _partition_of(gold: tuple[int, ...], head_set: frozenset[int], config: QuantizerConfig) -> str:
-    """Head when the flat gold id has no layer-2 token (it is elided, or L is
-    1) or its layer-2 token is in the head set."""
-    M = config.codebook_size
-    has_layer2 = len(gold) > 1 and gold[1] < 2 * M
-    return "head" if not has_layer2 or gold[1] - M in head_set else "tail"
-
-
 def evaluate(
     model: SequenceModel,
     test: InteractionDataset,
-    catalog: dict[str, tuple[int, ...]],
+    catalog: np.recarray,
     config: QuantizerConfig,
     head_set: frozenset[int],
     beam_width: int,
@@ -514,12 +527,13 @@ def evaluate(
 ) -> EvalReport:
     """Decode the test records in chunks and score recall@k and invalid ratio.
 
-    `catalog` maps item ids to flat-token ids, as for `train_seq_model`.
+    `catalog` is the id table of the items, as for `train_seq_model`.
     recall@k counts records whose target id appears in the top k sequences.
     invalid_ratio@k is the share of emitted top-k sequences matching no
     catalog item; with the trie constraint on it is zero by construction
     and reported as such. Records are partitioned by the target's layer-2
-    token (elided ids count as head).
+    token: elided ids, and every id when L is 1, count as head. With the
+    trie off, each chunk's top-k sequences are walked as one padded block.
     """
     if trie_mode not in ("off", "on"):
         raise ConfigError(f"trie_mode must be 'off' or 'on', got {trie_mode!r}")
@@ -532,75 +546,63 @@ def evaluate(
     if given_prefix_layers < 0:
         raise ConfigError("given_prefix_layers must be >= 0")
 
-    trie = build_trie(catalog)
+    trie = build_trie(catalog, config)
     constrained = trie_mode == "on"
+    L = config.num_layers
+    flat = sid_to_flat_tokens(catalog, config)
+    row_of = dict(zip(catalog.item_id.tolist(), range(len(catalog))))
+    target = _rows(row_of, [rec.target for rec in test.records], "test target")
+    history = _rows(row_of, [item for rec in test.records for item in rec.history],
+                    "test history item")
+    tokens, lengths = _streams(flat, history, [len(rec.history) for rec in test.records])
+    ends, tokens = np.cumsum(lengths).tolist(), tokens.tolist()
+    contexts = [tokens[end - n : end] for end, n in zip(ends, lengths.tolist())]
+    gold = flat[target]
+    golds = [tuple(g[:n]) for g, n in zip(gold.tolist(), (gold >= 0).sum(axis=1).tolist())]
+    ks = np.array(k_list)
 
-    groups = ("overall", "head", "tail")
-    hits = {k: {g: 0 for g in groups} for k in k_list}
-    invalid = {k: {g: 0 for g in groups} for k in k_list}
-    emitted = {k: {g: 0 for g in groups} for k in k_list}
-    counts = {g: 0 for g in groups}
-
+    # per test record: how many top sequences it shows, the rank of its gold
+    # id among them (max_k when absent), and for each k how many of its
+    # first k match no catalog id
+    shown = np.zeros(len(test), dtype=np.int64)
+    gold_rank = np.full(len(test), max_k)
+    invalid = np.zeros((len(test), len(ks)), dtype=np.int64)
     for lo in range(0, len(test), _DECODE_CHUNK):
-        golds, contexts = [], []
-        for rec in test.records[lo : lo + _DECODE_CHUNK]:
-            gold = catalog.get(rec.target)
-            if gold is None:
-                raise DataError(f"test target {rec.target!r} is not in the catalog")
-            context: list[int] = []
-            for item in rec.history:
-                tokens = catalog.get(item)
-                if tokens is None:
-                    raise DataError(f"test history item {item!r} is not in the catalog")
-                context.extend(tokens)
-            golds.append(gold)
-            contexts.append(context)
-        decoded = beam_search(
-            model,
-            contexts,
-            beam_width,
-            max_len=config.num_layers,
-            config=config,
-            trie=trie if constrained else None,
-            fixed_prefixes=[gold[:given_prefix_layers] for gold in golds],
-        )
-        for gold, preds in zip(golds, decoded):
-            group = _partition_of(gold, head_set, config)
-            counts["overall"] += 1
-            counts[group] += 1
-            top = [seq for seq, _ in preds[:max_k]]
-            gold_rank = top.index(gold) if gold in top else max_k
-            # invalid_upto[j] counts the invalid sequences among the first j
-            invalid_upto = [0]
-            for seq in top:
-                invalid_upto.append(
-                    invalid_upto[-1] + int(not constrained and not trie.contains(seq))
-                )
-            for k in k_list:
-                shown = min(k, len(top))
-                for g in ("overall", group):
-                    hits[k][g] += int(gold_rank < k)
-                    invalid[k][g] += invalid_upto[shown]
-                    emitted[k][g] += shown
+        hi = min(lo + _DECODE_CHUNK, len(test))
+        decoded = beam_search(model, contexts[lo:hi], beam_width, max_len=L, config=config,
+                              trie=trie if constrained else None,
+                              fixed_prefixes=[g[:given_prefix_layers] for g in golds[lo:hi]])
+        tops = [[seq for seq, _ in preds[:max_k]] for preds in decoded]
+        shown[lo:hi] = [len(top) for top in tops]
+        gold_rank[lo:hi] = [top.index(g) if g in top else max_k
+                            for top, g in zip(tops, golds[lo:hi])]
+        if not constrained:
+            # the chunk's top sequences, record after record, walked as one block
+            seqs, seq_len = _pad(list(chain.from_iterable(tops)))
+            last = seqs[np.arange(len(seqs)), seq_len - 1]
+            bad = (trie.walk(seqs, seq_len) < 0) | (last < (L - 1) * config.codebook_size)
+            upto = np.concatenate(([0], np.cumsum(bad)))  # among the first i sequences
+            first = (np.cumsum(shown[lo:hi]) - shown[lo:hi])[:, None]
+            invalid[lo:hi] = upto[first + np.minimum(ks, shown[lo:hi, None])] - upto[first]
 
-    recall = {
-        k: {g: (hits[k][g] / counts[g] if counts[g] else 0.0) for g in groups}
-        for k in k_list
-    }
-    invalid_ratio = {
-        k: {
-            g: (0.0 if constrained else (invalid[k][g] / emitted[k][g] if emitted[k][g] else 0.0))
-            for g in groups
-        }
-        for k in k_list
-    }
+    head = (np.ones(len(test), dtype=bool) if L == 1
+            else ~catalog.is_full[target] | np.isin(catalog.tokens[target, 1], sorted(head_set)))
+    # rows: overall, head, tail; columns: k_list. An empty group scores 0
+    member = np.array([np.ones_like(head), head, ~head], dtype=np.int64)
+    counts = member.sum(axis=1)
+    recall = member @ (gold_rank[:, None] < ks) / np.maximum(counts, 1)[:, None]
+    emitted = member @ np.minimum(ks, shown[:, None])
+    invalid_ratio = (np.zeros(emitted.shape) if constrained
+                     else member @ invalid / np.maximum(emitted, 1))
+    groups = ("overall", "head", "tail")
     return EvalReport(
         beam_width=beam_width,
         k_list=k_list,
         trie_constrained=constrained,
-        record_counts=counts,
-        recall=recall,
-        invalid_ratio=invalid_ratio,
+        record_counts=dict(zip(groups, counts.tolist())),
+        recall={k: dict(zip(groups, col)) for k, col in zip(k_list, recall.T.tolist())},
+        invalid_ratio={k: dict(zip(groups, col))
+                       for k, col in zip(k_list, invalid_ratio.T.tolist())},
     )
 
 

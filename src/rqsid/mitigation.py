@@ -96,9 +96,10 @@ def _outcome(table, head_set, capacity_paper_formula: int, config) -> Mitigation
     by_id = np.argsort(inverse.reshape(-1), kind="stable")
     starts = np.cumsum(counts) - counts
     item_ids = table.item_id
+    keys = sid_to_flat_tokens(table[first[shared]], config)
     collisions = {
-        key: tuple(item_ids[by_id[starts[g] : starts[g] + counts[g]]].tolist())
-        for key, g in zip(sid_to_flat_tokens(table[first[shared]], config), shared.tolist())
+        tuple(key[:n]): tuple(item_ids[by_id[starts[g] : starts[g] + counts[g]]].tolist())
+        for key, n, g in zip(keys.tolist(), (keys >= 0).sum(axis=1).tolist(), shared.tolist())
     }
     return MitigationOutcome(
         transformed_sids=table,

@@ -112,7 +112,7 @@ def uniform_bench():
 @pytest.fixture(scope="session")
 def gr_bench():
     """Ten seeds of the retrieval simulation over a skewed catalog."""
-    from rqsid.core import QuantizerConfig, RandomSource, sid_table, sid_to_flat_tokens
+    from rqsid.core import QuantizerConfig, RandomSource, sid_table
     from rqsid.datagen import ClusterSpec, gen_clustered
     from rqsid.diagnostics import Selector, head_tail_split, token_histogram
     from rqsid.grsim import InteractionSpec, evaluate, gen_interactions, train_seq_model
@@ -143,14 +143,13 @@ def gr_bench():
         test = gen_interactions(
             data.ids, InteractionSpec(num_records=600, **inter), test_rng, "test"
         )
-        catalog = dict(zip(data.ids, sid_to_flat_tokens(table, config)))
-        model = train_seq_model(train, catalog, order=3, alpha=0.1)
+        model = train_seq_model(train, table, config, order=3, alpha=0.1)
         k_list = (1, 5, 10, 50)
         runs.append(
             {
                 "seed": seed,
-                "off": evaluate(model, test, catalog, config, head, 50, k_list, "off"),
-                "on": evaluate(model, test, catalog, config, head, 50, k_list, "on"),
+                "off": evaluate(model, test, table, config, head, 50, k_list, "off"),
+                "on": evaluate(model, test, table, config, head, 50, k_list, "on"),
             }
         )
     return runs

@@ -3,19 +3,21 @@ are still called.
 
 `perfbench/layers.py` names each function it traces by module and attribute,
 and labels decoding spans by the `trie` and `trie_mode` arguments. The traced
-run fails when `grsim.beam_search` records no calls in a trie mode it
-expects. A rename, or a decoding path that bypasses `beam_search`, would
-otherwise surface only in a full traced benchmark run.
+run fails when an expected function, such as `grsim.beam_search` in a trie
+mode, records no calls. A rename, a lazy import, a moved call or a decoding
+path that bypasses `beam_search` would otherwise surface only in a full
+traced benchmark run.
 """
 
 import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rqsid import grsim
-from rqsid.core import QuantizerConfig
+from rqsid import cli, grsim, persist
+from rqsid.core import Codebook, QuantizerConfig, sid_table
 from rqsid.grsim import Interaction, InteractionDataset
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -43,12 +45,14 @@ def test_evaluate_decodes_through_module_beam_search(monkeypatch):
     """evaluate calls the module-level beam_search, binding `trie` to match
     its trie mode, so the traced run labels and counts its decoding spans."""
     config = QuantizerConfig(num_layers=3, codebook_size=4, dim=1)
-    catalog = {"a": (0, 5, 10), "b": (1, 6, 11), "c": (2, 9)}
+    # flat ids (0, 5, 10), (1, 6, 11) and (2, 9): c elides layer 2
+    catalog = sid_table(["a", "b", "c"], [(0, 1, 2), (1, 2, 3), (2, 0, 1)], config,
+                        [True, True, False])
     train = InteractionDataset(tuple(Interaction((x,), y) for x, y in
                                      [("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")]))
     test = InteractionDataset(tuple(Interaction((x,), y) for x, y in
                                     [("a", "b"), ("b", "c"), ("c", "a")]), split="test")
-    model = grsim.train_seq_model(train, catalog, order=2, alpha=0.5)
+    model = grsim.train_seq_model(train, catalog, config, order=2, alpha=0.5)
     signature = inspect.signature(grsim.beam_search)
     decode = grsim.beam_search
     tries = []
@@ -63,3 +67,31 @@ def test_evaluate_decodes_through_module_beam_search(monkeypatch):
         grsim.evaluate(model, test, catalog, config, frozenset({1}), 4, (1, 4), trie_mode)
         assert tries, trie_mode
         assert all((trie is not None) == (trie_mode == "on") for trie in tries), trie_mode
+
+
+def test_traced_simulate_calls_every_expected_grsim_function(layers, tmp_path):
+    """`simulate` with the trie off, then on, under the benchmark's tracer
+    calls every function a simulating workload expects, in both trie modes."""
+    spans = importlib.import_module("spans")
+    workloads = importlib.import_module("workloads")
+    config = QuantizerConfig(num_layers=3, codebook_size=4, dim=2)
+    gen = np.random.default_rng(0)
+    codebook = Codebook(config, gen.normal(size=(3, 4, 2)), (1.0, 0.5, 0.25))
+    persist.save_codebook(tmp_path / "codebook.json", codebook)
+    items = [f"item_{k}" for k in range(24)]
+    persist.save_sids(tmp_path / "sids.csv",
+                      sid_table(items, gen.integers(0, 4, size=(24, 3)), config))
+    tracer = spans.Tracer("contract")
+    tracer.install(layers.TARGETS)
+    try:
+        for trie in ("off", "on"):
+            assert cli.main([
+                "simulate", "--sids", str(tmp_path / "sids.csv"),
+                "--codebook", str(tmp_path / "codebook.json"), "--records", "60",
+                "--test-records", "10", "--beam", "5", "--k-list", "1,5",
+                "--trie", trie, "--out", str(tmp_path / trie),
+            ]) == 0
+    finally:
+        tracer.uninstall()
+    expected = workloads._GRSIM | {"grsim.evaluate.off", "grsim.beam_search.off"}
+    assert layers.missing_calls(tracer, expected) == []

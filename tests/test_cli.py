@@ -89,6 +89,26 @@ class TestPipeline:
         ) == 0
         assert (out / "sids.csv").exists()
 
+    def test_simulate_after_remove(self, pipeline, tmp_path):
+        # remove elides every id, so its codebook stores all M tokens as the
+        # head set, and every test record is head
+        removed = tmp_path / "removed"
+        assert run(
+            "mitigate", "--sids", pipeline / "enc" / "sids.csv",
+            "--codebook", pipeline / "train" / "codebook.json",
+            "--mode", "remove", "--out", removed,
+        ) == 0
+        header = json.loads((removed / "codebook.json").read_text())
+        assert header["head_set"] == list(range(16))
+        out = tmp_path / "sim"
+        assert run(
+            "simulate", "--sids", removed / "sids.csv",
+            "--codebook", removed / "codebook.json", "--records", 300,
+            "--test-records", 60, "--beam", 10, "--k-list", "1,10", "--out", out,
+        ) == 0
+        counts = json.loads((out / "eval_report.json").read_text())["record_counts"]
+        assert counts == {"overall": 60, "head": 60, "tail": 0}
+
     def test_simulate_after_mitigation(self, pipeline):
         out = pipeline / "sim"
         assert run(

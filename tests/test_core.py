@@ -102,21 +102,34 @@ def load(tmp_path, rows, cfg=CFG34):
 
 
 def entries_of_flat(flat, cfg):
-    """(layer, token) pairs recovered from flat tokens by arithmetic."""
-    return tuple((t // cfg.codebook_size + 1, t % cfg.codebook_size) for t in flat)
+    """(layer, token) pairs recovered from a padded flat-token row by arithmetic."""
+    return tuple((t // cfg.codebook_size + 1, t % cfg.codebook_size) for t in flat if t >= 0)
+
+
+def flat_tuples(table, cfg):
+    """The flattening that the padded matrix replaced: one tuple per row."""
+    L, M = cfg.num_layers, cfg.codebook_size
+    flat = (table.tokens + M * np.arange(L)).tolist()
+    return [
+        tuple(row) if full else (row[0], *row[2:])
+        for row, full in zip(flat, table.is_full.tolist())
+    ]
 
 
 class TestFlatCodec:
     def test_full_sid_flattens(self):
-        assert sid_to_flat_tokens(table([(3, 1, 2)]), CFG34) == [(3, 5, 10)]
+        flat = sid_to_flat_tokens(table([(3, 1, 2)]), CFG34)
+        assert flat.dtype == np.int64
+        assert flat.tolist() == [[3, 5, 10]]
 
     def test_varlen_flattens(self):
-        elided = table([(3, 0, 2)], is_full=[False])
-        assert sid_to_flat_tokens(elided, CFG34) == [(3, 10)]
+        # an elided id shifts left past its layer-2 slot and pads with -1
+        elided = table([(3, 0, 2), (1, 2, 3)], is_full=[False, True])
+        assert sid_to_flat_tokens(elided, CFG34).tolist() == [[3, 10, -1], [1, 6, 11]]
 
     def test_round_trip_of_flat_example(self):
-        (flat,) = sid_to_flat_tokens(table([(3, 1, 2)]), CFG34)
-        assert flat == (3, 5, 10)
+        (flat,) = sid_to_flat_tokens(table([(3, 1, 2)]), CFG34).tolist()
+        assert flat == [3, 5, 10]
         assert entries_of_flat(flat, CFG34) == ((1, 3), (2, 1), (3, 2))
 
     def test_parse_elided(self, tmp_path):
@@ -162,7 +175,7 @@ class TestFlatCodec:
         cfg = QuantizerConfig(num_layers=4, codebook_size=7, dim=1)
         rows = [(token,) * 4 for token in range(7)]
         by_layer = [set() for _ in range(4)]
-        for sid, flat in zip(rows, sid_to_flat_tokens(table(rows, cfg), cfg)):
+        for sid, flat in zip(rows, sid_to_flat_tokens(table(rows, cfg), cfg).tolist()):
             assert entries_of_flat(flat, cfg) == tuple(enumerate(sid, start=1))
             for layer, t in enumerate(flat):
                 by_layer[layer].add(t)
@@ -236,12 +249,33 @@ class TestRoundTripProperty:
     def test_flat_round_trip(self, case):
         rows, is_full, cfg = case
         flat = sid_to_flat_tokens(table(rows, cfg, is_full), cfg)
-        assert len(flat) == len(rows)
-        for sid, full, tokens in zip(rows, is_full, flat):
+        assert flat.shape == (len(rows), cfg.num_layers)
+        for sid, full, tokens in zip(rows, is_full, flat.tolist()):
             expected = tuple(
                 (layer, t) for layer, t in enumerate(sid, start=1) if full or layer != 2
             )
             assert entries_of_flat(tokens, cfg) == expected
+            # the padding follows the id's tokens
+            assert tokens == [t for t in tokens if t >= 0] + [-1] * (not full)
+
+
+class TestFlatMatrixOracle:
+    @pytest.mark.parametrize("num_layers", [1, 2, 3, 4])
+    def test_matches_tuple_oracle(self, num_layers):
+        gen = np.random.default_rng(num_layers)
+        for M in (1, 3, 16):
+            cfg = QuantizerConfig(num_layers=num_layers, codebook_size=M, dim=1)
+            for n in (1, 5, 200):
+                rows = gen.integers(0, M, size=(n, num_layers))
+                is_full = gen.random(n) < 0.5 if num_layers >= 3 else np.ones(n, dtype=bool)
+                t = table(rows, cfg, is_full)
+                flat = sid_to_flat_tokens(t, cfg)
+                want = flat_tuples(t, cfg)
+                assert flat.shape == (n, num_layers)
+                assert [tuple(t for t in row if t >= 0) for row in flat.tolist()] == want
+                lengths = (flat >= 0).sum(axis=1)
+                assert lengths.tolist() == [len(w) for w in want]
+                assert (flat[np.arange(num_layers) >= lengths[:, None]] == -1).all()
 
 
 class TestVarLenValidation:
@@ -257,7 +291,7 @@ class TestVarLenValidation:
         elided = table([(1, 2, 3)], is_full=[False])
         assert not elided.is_full.any()
         assert elided.tokens.tolist() == [[1, -1, 3]]
-        assert sid_to_flat_tokens(elided, CFG34) == [(1, 2 * 4 + 3)]
+        assert sid_to_flat_tokens(elided, CFG34).tolist() == [[1, 2 * 4 + 3, -1]]
 
 
 class TestRandomSource:

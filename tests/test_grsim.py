@@ -30,8 +30,45 @@ VOCAB = CFG.num_layers * CFG.codebook_size  # flat vocabulary size
 
 def flat(sid, cfg=CFG):
     """Flat tokens of one full-length id."""
-    (tokens,) = sid_to_flat_tokens(sid_table(["x"], [sid], cfg), cfg)
-    return tokens
+    return tuple(sid_to_flat_tokens(sid_table(["x"], [sid], cfg), cfg)[0].tolist())
+
+
+def table_of(catalog, cfg=CFG):
+    """The id table whose flat ids are those of `catalog`, a dict from item
+    ids to flat-token tuples; a tuple one token short elides layer 2."""
+    L, M = cfg.num_layers, cfg.codebook_size
+    rows = []
+    for seq in catalog.values():
+        row = [-1] * L
+        for t in seq:
+            row[t // M] = t % M
+        rows.append(row)
+    is_full = [len(seq) == L for seq in catalog.values()]
+    return sid_table(list(catalog), rows, cfg, is_full)
+
+
+def catalog_of(table, cfg=CFG):
+    """The dict from item ids to flat-token tuples of an id table."""
+    flat_rows = sid_to_flat_tokens(table, cfg).tolist()
+    return {item: tuple(t for t in row if t >= 0)
+            for item, row in zip(table.item_id.tolist(), flat_rows)}
+
+
+def walk(trie, seqs):
+    """The compiled trie's node for each sequence, all walked as one block."""
+    return trie.walk(*grsim._pad([tuple(seq) for seq in seqs])).tolist()
+
+
+def node_of(trie, prefix):
+    (node,) = walk(trie, [prefix])
+    return node
+
+
+def contains(trie, seq, cfg=CFG):
+    """Whether `seq` is a catalog id: ids are self-delimiting, so it is one
+    exactly when it is a trie path ending in a last-layer token."""
+    terminal = (cfg.num_layers - 1) * cfg.codebook_size
+    return len(seq) > 0 and seq[-1] >= terminal and node_of(trie, seq) >= 0
 
 
 class PrefixNotFoundError(LookupError):
@@ -93,7 +130,7 @@ def reference_trie(catalog):
 
 def children(trie, prefix):
     """The compiled trie's child tokens after `prefix`, as its CSR slice."""
-    node = trie.node_of(prefix)
+    node = node_of(trie, prefix)
     assert node >= 0, prefix
     return trie.token[trie.first[node] : trie.first[node + 1]].tolist()
 
@@ -196,7 +233,7 @@ def reference_array_beam(model, context, beam_width, max_len, config, trie=None,
         return [(start, 0.0)]
 
     if trie is not None:
-        node = np.array([trie.node_of(start)])
+        node = np.array([node_of(trie, start)])
         if node[0] < 0:
             return []
     # each row of `active` is one beam's sequence after the last `order`
@@ -410,40 +447,46 @@ def reference_evaluate(model, test, catalog, config, head_set, beam_width, k_lis
 
 class TestCatalogTrie:
     CATALOG = {"i1": flat((0, 1, 2)), "i2": flat((0, 1, 3))}
+    TABLE = table_of(CATALOG)
 
     def test_membership(self):
-        trie = build_trie(self.CATALOG)
-        assert trie.contains(flat((0, 1, 2)))
-        assert not trie.contains(flat((0, 2, 2)))
+        trie = build_trie(self.TABLE, CFG)
+        assert contains(trie, flat((0, 1, 2)))
+        assert not contains(trie, flat((0, 2, 2)))
+        # a catalog prefix is a path but no id
+        assert not contains(trie, flat((0, 1, 2))[:2])
 
     def test_valid_next(self):
-        trie = build_trie(self.CATALOG)
+        trie = build_trie(self.TABLE, CFG)
         prefix = flat((0, 1, 2))[:2]
         assert children(trie, prefix) == [2 * 4 + 2, 2 * 4 + 3]
 
     def test_terminal_has_no_children(self):
-        trie = build_trie(self.CATALOG)
+        trie = build_trie(self.TABLE, CFG)
         assert children(trie, flat((0, 1, 2))) == []
 
     def test_unknown_prefix_signals(self):
-        trie = build_trie(self.CATALOG)
-        assert trie.node_of((3,)) == -1
+        trie = build_trie(self.TABLE, CFG)
+        assert node_of(trie, (3,)) == -1
         # a missing prefix is told apart from a terminal, which has a node
-        assert trie.node_of(flat((0, 1, 2))) > 0
-        assert trie.node_of(flat((0, 1, 2)) + (0,)) == -1
+        assert node_of(trie, flat((0, 1, 2))) > 0
+        assert node_of(trie, flat((0, 1, 2)) + (0,)) == -1
+        # -1 never matches, not even where the padding of a walk would be
+        assert node_of(trie, (0, -1)) == -1
+        assert walk(trie, [(), (0,), (0, -1, 10), (0, 5, 10)]) == [
+            0, node_of(trie, (0,)), -1, node_of(trie, flat((0, 1, 2)))]
 
     def test_varlen_coexists(self):
         # i3 elides layer 2: layer-1 token 0, then layer-3 token 2
-        catalog = {**self.CATALOG, "i3": (0, 2 * 4 + 2)}
-        trie = build_trie(catalog)
-        assert trie.contains((0, 2 * 4 + 2))
-        assert trie.contains(flat((0, 1, 2)))
+        trie = build_trie(table_of({**self.CATALOG, "i3": (0, 2 * 4 + 2)}), CFG)
+        assert contains(trie, (0, 2 * 4 + 2))
+        assert contains(trie, flat((0, 1, 2)))
         # after the shared layer-1 token both layer-2 and layer-3 moves exist
         assert children(trie, (0,)) == [4 + 1, 2 * 4 + 2]
 
     def test_empty_catalog(self):
         with pytest.raises(DataError):
-            build_trie({})
+            build_trie(self.TABLE[:0], CFG)
 
 
 class TestCompiledTrieOracle:
@@ -456,38 +499,42 @@ class TestCompiledTrieOracle:
         rows = gen.integers(0, M, size=(n, num_layers)).tolist()
         is_full = [not (num_layers >= 3 and gen.random() < elide_share) for _ in range(n)]
         table = sid_table([f"i{k}" for k in range(n)], rows, config, is_full)
-        return config, dict(zip(table.item_id.tolist(), sid_to_flat_tokens(table, config)))
+        return config, table, catalog_of(table, config)
 
     @pytest.mark.parametrize("num_layers", [1, 2, 3, 4])
     @pytest.mark.parametrize("elide_share", [0.0, 0.5])
     def test_matches_reference(self, num_layers, elide_share):
         gen = np.random.default_rng(10 * num_layers + int(10 * elide_share))
         for n in (1, 2, 7, 60):
-            config, catalog = self.random_catalog(gen, num_layers, elide_share, n)
-            trie, ref = build_trie(catalog), reference_trie(catalog)
+            config, table, catalog = self.random_catalog(gen, num_layers, elide_share, n)
+            trie, ref = build_trie(table, config), reference_trie(catalog)
             prefixes = {seq[:d] for seq in catalog.values() for d in range(len(seq) + 1)}
             for prefix in prefixes:
                 assert children(trie, prefix) == sorted(ref.valid_next(prefix)), prefix
-                assert trie.contains(prefix) == ref.contains(prefix), prefix
-            # random sequences, most of them no catalog prefix
+                assert contains(trie, prefix, config) == ref.contains(prefix), prefix
+            # random sequences, most of them no catalog prefix, walked one
+            # by one and as one block
             vocab = config.num_layers * config.codebook_size
-            for _ in range(200):
-                seq = tuple(gen.integers(-1, vocab + 1, size=int(gen.integers(1, 6))).tolist())
-                assert trie.contains(seq) == ref.contains(seq), seq
+            seqs = [tuple(gen.integers(-1, vocab + 1, size=int(gen.integers(1, 6))).tolist())
+                    for _ in range(200)]
+            for seq, node in zip(seqs, walk(trie, seqs)):
+                assert node == node_of(trie, seq), seq
+                assert contains(trie, seq, config) == ref.contains(seq), seq
                 if seq in prefixes:
                     assert children(trie, seq) == sorted(ref.valid_next(seq)), seq
                 else:
                     with pytest.raises(PrefixNotFoundError):
                         ref.valid_next(seq)
-                    assert trie.node_of(seq) == -1, seq
+                    assert node == -1, seq
             # nodes are numbered level by level with each node's children
             # consecutive and sorted: the edges leave their parents in order
             assert np.all(np.diff(trie.first) >= 0)
             assert trie.first[0] == 0 and trie.first[-1] == len(trie.token) == len(prefixes) - 1
 
     def test_negative_token_rejected(self):
+        # the id table refuses it, so no trie is built over a negative token
         with pytest.raises(TokenRangeError):
-            build_trie({"a": (0, 4, 8), "b": (1, -1, 9)})
+            build_trie(sid_table(["a", "b"], [(0, 0, 0), (1, -1, 1)], CFG), CFG)
 
 
 class TestSequenceModel:
@@ -612,7 +659,8 @@ class TestCompiledModelOracle:
         ref = ReferenceSequenceModel(order, alpha, vocab)
         for rec in records:
             ref.observe_stream([t for item in (*rec.history, rec.target) for t in catalog[item]])
-        model = train_seq_model(InteractionDataset(tuple(records)), catalog, order, alpha)
+        model = train_seq_model(InteractionDataset(tuple(records)), table_of(catalog), CFG,
+                                order, alpha)
         return model, ref
 
     @pytest.mark.parametrize("chunk", [None, 1, 3])
@@ -644,7 +692,7 @@ class TestCompiledModelOracle:
     def test_beam_search_matches_reference_model(self):
         gen = np.random.default_rng(61)
         catalog = TestBeamSearch.VARLEN_CATALOG
-        tries = ((None, None), (build_trie(catalog), reference_trie(catalog)))
+        tries = ((None, None), (build_trie(table_of(catalog), CFG), reference_trie(catalog)))
         prefixes = (None, (0,), (1, 4 + 1), (3,))
         for order in (1, 2, 3, 4):
             streams = [gen.integers(0, VOCAB, size=6).tolist() for _ in range(25)]
@@ -661,25 +709,27 @@ class TestCompiledModelOracle:
 
 class TestTrainSeqModel:
     def test_streams_are_history_plus_target(self):
-        catalog = {"a": (0, 4, 8), "b": (1, 5, 9)}
+        catalog = table_of({"a": (0, 4, 8), "b": (1, 5, 9)})
         data = InteractionDataset((Interaction(("a",), "b"),))
-        model = train_seq_model(data, catalog, order=1, alpha=1.0)
+        model = train_seq_model(data, catalog, CFG, order=1, alpha=1.0)
         # transition 8 -> 1 crosses from history into the target tokens
         assert model.probs([8])[1] > model.probs([8])[2]
 
     def test_unknown_item(self):
         data = InteractionDataset((Interaction(("missing",), "a"),))
         with pytest.raises(DataError):
-            train_seq_model(data, {"a": (0, 4, 8)}, order=1, alpha=1.0)
+            train_seq_model(data, table_of({"a": (0, 4, 8)}), CFG, order=1, alpha=1.0)
 
     def test_empty_dataset(self):
         with pytest.raises(DataError):
-            train_seq_model(InteractionDataset(()), {"a": (0, 4, 8)}, 1, 1.0)
+            train_seq_model(InteractionDataset(()), table_of({"a": (0, 4, 8)}), CFG, 1, 1.0)
 
     def test_negative_token_rejected(self):
+        # raised where the table is built, before any stream is counted
         data = InteractionDataset((Interaction(("a",), "b"),))
         with pytest.raises(TokenRangeError):
-            train_seq_model(data, {"a": (0, 4, 8), "b": (1, -1, 9)}, order=2, alpha=1.0)
+            catalog = sid_table(["a", "b"], [(0, 0, 0), (1, -1, 1)], CFG)
+            train_seq_model(data, catalog, CFG, order=2, alpha=1.0)
 
 
 class TestBeamSearch:
@@ -706,7 +756,7 @@ class TestBeamSearch:
 
     def test_trie_constraint_membership(self):
         catalog = {"i1": flat((0, 1, 2)), "i2": flat((0, 1, 3)), "i3": flat((2, 0, 0))}
-        trie = build_trie(catalog)
+        trie = build_trie(table_of(catalog), CFG)
         model = SequenceModel(order=2, alpha=0.5, vocab_size=VOCAB)
         gen = np.random.default_rng(4)
         for _ in range(20):
@@ -714,7 +764,8 @@ class TestBeamSearch:
         (results,) = beam_search(model, [()], beam_width=10, max_len=3, config=CFG, trie=trie)
         assert results
         for seq, _ in results:
-            assert trie.contains(seq)
+            assert contains(trie, seq)
+            assert seq in catalog.values()
 
     def test_fixed_prefix_prepended(self):
         model = SequenceModel(order=1, alpha=1.0, vocab_size=VOCAB)
@@ -746,7 +797,7 @@ class TestBeamSearch:
         return model
 
     def assert_matches_reference(self, model, context, catalog=None, prefixes=(None,)):
-        trie = build_trie(catalog) if catalog else None
+        trie = build_trie(table_of(catalog), CFG) if catalog else None
         ref_trie = reference_trie(catalog) if catalog else None
         for width in self.WIDTHS:
             for prefix in prefixes:
@@ -774,7 +825,7 @@ class TestBeamSearch:
             self.assert_matches_reference(model, context, self.VARLEN_CATALOG, prefixes)
 
     def test_prefix_outside_trie_yields_nothing(self):
-        trie = build_trie(self.VARLEN_CATALOG)
+        trie = build_trie(table_of(self.VARLEN_CATALOG), CFG)
         ref_trie = reference_trie(self.VARLEN_CATALOG)
         model = self.random_model(np.random.default_rng(23), alpha=0.5)
         for prefix in ((2, 4 + 1), (0, 4 + 3), (1, 4 + 0)):
@@ -841,7 +892,8 @@ class TestLockstepOracle:
         return [contexts[i % len(contexts)] for i in shuffle], [prefixes[i] for i in shuffle]
 
     def assert_batch_matches(self, model, contexts, prefixes):
-        tries = ((None, None), (build_trie(self.CATALOG), reference_trie(self.CATALOG)))
+        tries = ((None, None),
+                 (build_trie(table_of(self.CATALOG), CFG), reference_trie(self.CATALOG)))
         for width in TestBeamSearch.WIDTHS:
             for max_len in (1, 2, 3):
                 for trie, ref_trie in tries:
@@ -886,6 +938,7 @@ class TestLockstepOracle:
 class TestEvaluate:
     SIDS = {"i1": (0, 1, 2), "i2": (0, 1, 3), "i3": (1, 0, 0)}
     CATALOG = {item: flat(sid) for item, sid in SIDS.items()}
+    TABLE = table_of(CATALOG)
 
     def make_model(self):
         train = InteractionDataset(
@@ -894,13 +947,13 @@ class TestEvaluate:
                 for a, b in [("i1", "i2"), ("i2", "i1"), ("i1", "i2"), ("i3", "i2")]
             )
         )
-        return train_seq_model(train, self.CATALOG, order=3, alpha=0.3), train
+        return train_seq_model(train, self.TABLE, CFG, order=3, alpha=0.3), train
 
     def test_recall_positions(self):
         model, _ = self.make_model()
         test = InteractionDataset((Interaction(("i1",), "i2"),), split="test")
         report = evaluate(
-            model, test, self.CATALOG, CFG, head_set=frozenset({1}),
+            model, test, self.TABLE, CFG, head_set=frozenset({1}),
             beam_width=27, k_list=(1, 3), trie_mode="on",
         )
         assert report.recall[3]["overall"] >= report.recall[1]["overall"]
@@ -915,8 +968,8 @@ class TestEvaluate:
         )
         k_list = (1, 3, 10)
         head_set = frozenset({1})
-        report = evaluate(model, test, self.CATALOG, CFG, head_set, 10, k_list, "off")
-        trie = build_trie(self.CATALOG)
+        report = evaluate(model, test, self.TABLE, CFG, head_set, 10, k_list, "off")
+        trie = reference_trie(self.CATALOG)
         for k in k_list:
             bad = {"overall": 0, "head": 0, "tail": 0}
             emitted = {"overall": 0, "head": 0, "tail": 0}
@@ -938,7 +991,7 @@ class TestEvaluate:
             (Interaction(("i1",), "i2"), Interaction(("i2",), "i1")), split="test"
         )
         report = evaluate(
-            model, test, self.CATALOG, CFG, head_set=frozenset({1}),
+            model, test, self.TABLE, CFG, head_set=frozenset({1}),
             beam_width=5, k_list=(1, 3, 5), trie_mode="on",
         )
         assert all(v == 0.0 for k in report.k_list for v in report.invalid_ratio[k].values())
@@ -949,7 +1002,7 @@ class TestEvaluate:
             (Interaction(("i1",), "i2"), Interaction(("i3",), "i1")), split="test"
         )
         report = evaluate(
-            model, test, self.CATALOG, CFG, head_set=frozenset({1}),
+            model, test, self.TABLE, CFG, head_set=frozenset({1}),
             beam_width=30, k_list=(1, 3, 10, 30), trie_mode="off",
         )
         overall = [report.recall[k]["overall"] for k in report.k_list]
@@ -961,24 +1014,33 @@ class TestEvaluate:
             (Interaction(("i1",), "i2"), Interaction(("i2",), "i3")), split="test"
         )
         report = evaluate(
-            model, test, self.CATALOG, CFG, head_set=frozenset({1}),
+            model, test, self.TABLE, CFG, head_set=frozenset({1}),
             beam_width=4, k_list=(1,), trie_mode="on",
         )
         rc = report.record_counts
         assert rc["head"] + rc["tail"] == rc["overall"] == 2
 
+    def test_empty_test_set_scores_zero(self):
+        model, _ = self.make_model()
+        for trie_mode in ("off", "on"):
+            report = evaluate(model, InteractionDataset((), split="test"), self.TABLE, CFG,
+                              frozenset({1}), 4, (1, 4), trie_mode)
+            assert report.record_counts == {"overall": 0, "head": 0, "tail": 0}
+            assert all(v == 0.0 for k in (1, 4) for v in report.recall[k].values())
+            assert all(v == 0.0 for k in (1, 4) for v in report.invalid_ratio[k].values())
+
     def test_k_exceeding_beam_rejected(self):
         model, _ = self.make_model()
         test = InteractionDataset((Interaction(("i1",), "i2"),), split="test")
         with pytest.raises(ConfigError):
-            evaluate(model, test, self.CATALOG, CFG, frozenset(), 3, (5,), "on")
+            evaluate(model, test, self.TABLE, CFG, frozenset(), 3, (5,), "on")
 
     def test_given_prefix_layers(self):
         model, _ = self.make_model()
         test = InteractionDataset((Interaction(("i3",), "i1"),), split="test")
-        free = evaluate(model, test, self.CATALOG, CFG, frozenset({1}), 27, (1,), "on")
+        free = evaluate(model, test, self.TABLE, CFG, frozenset({1}), 27, (1,), "on")
         fixed = evaluate(
-            model, test, self.CATALOG, CFG, frozenset({1}), 27, (1,), "on",
+            model, test, self.TABLE, CFG, frozenset({1}), 27, (1,), "on",
             given_prefix_layers=1,
         )
         assert fixed.recall[1]["overall"] >= free.recall[1]["overall"]
@@ -986,17 +1048,18 @@ class TestEvaluate:
     def test_elided_gold_counts_as_head(self):
         cfg = QuantizerConfig(num_layers=3, codebook_size=4, dim=1)
         # h elides layer 2; t is the full id (1, 2, 3)
-        catalog = {"h": (0, 10), "t": (1, 6, 11)}
+        catalog = table_of({"h": (0, 10), "t": (1, 6, 11)}, cfg)
         train = InteractionDataset((Interaction(("t",), "h"), Interaction(("h",), "t")))
-        model = train_seq_model(train, catalog, order=2, alpha=0.5)
+        model = train_seq_model(train, catalog, cfg, order=2, alpha=0.5)
         test = InteractionDataset((Interaction(("t",), "h"),), split="test")
         report = evaluate(model, test, catalog, cfg, frozenset(), 4, (1,), "on")
         assert report.record_counts["head"] == 1
 
 
 class TestEvaluateOracle:
-    """evaluate over the flat catalog equals the evaluation over per-item
-    (layer, token) entries that it replaced."""
+    """evaluate over the id table equals the evaluation over per-item
+    (layer, token) entries, decoded one record at a time and scored per
+    sequence, that it replaced."""
 
     @staticmethod
     def setup_case(seed, num_layers, elide_share):
@@ -1011,23 +1074,22 @@ class TestEvaluateOracle:
             for item, row, full in zip(item_ids, rows, is_full)
         ]
         table = sid_table(item_ids, rows, config, is_full)
-        catalog = dict(zip(item_ids, sid_to_flat_tokens(table, config)))
         spec = InteractionSpec(num_records=300, min_history=1, max_history=3)
         train = gen_interactions(item_ids, spec, RandomSource(seed))
         test = gen_interactions(item_ids, InteractionSpec(num_records=40), RandomSource(seed + 1),
                                 "test")
-        model = train_seq_model(train, catalog, order=3, alpha=0.2)
-        return config, entries, catalog, model, test
+        model = train_seq_model(train, table, config, order=3, alpha=0.2)
+        return config, entries, table, model, test
 
     @pytest.mark.parametrize("seed,num_layers,elide_share",
                              [(0, 3, 0.4), (1, 3, 0.0), (2, 4, 0.6), (3, 2, 0.0), (4, 1, 0.0)])
     def test_matches_reference(self, seed, num_layers, elide_share):
-        config, entries, catalog, model, test = self.setup_case(seed, num_layers, elide_share)
+        config, entries, table, model, test = self.setup_case(seed, num_layers, elide_share)
         head_set = frozenset({0, 2})
         for trie_mode in ("off", "on"):
             for given in range(min(num_layers, 3)):
                 args = (model, test, config, head_set, 10, (1, 3, 10), trie_mode, given)
-                got = evaluate(args[0], args[1], catalog, *args[2:])
+                got = evaluate(args[0], args[1], table, *args[2:])
                 want = reference_evaluate(args[0], args[1], entries, *args[2:])
                 assert got == want, (trie_mode, given)
                 assert got.to_dict() == want.to_dict()
@@ -1038,7 +1100,7 @@ class TestEvaluateOracle:
         if chunk is not None:
             monkeypatch.setattr(grsim, "_DECODE_CHUNK", chunk)
         size = grsim._DECODE_CHUNK
-        config, entries, catalog, model, test = self.setup_case(5, 3, 0.4)
+        config, entries, table, model, test = self.setup_case(5, 3, 0.4)
         head_set = frozenset({1, 3})
         for count in (1, size, 2 * size + 3):
             part = InteractionDataset(test.records[:count], split="test")
@@ -1046,7 +1108,7 @@ class TestEvaluateOracle:
             for trie_mode in ("off", "on"):
                 for given in (0, 1, 2):
                     args = (model, part, config, head_set, 10, (1, 5, 10), trie_mode, given)
-                    got = evaluate(args[0], args[1], catalog, *args[2:])
+                    got = evaluate(args[0], args[1], table, *args[2:])
                     want = reference_evaluate(args[0], args[1], entries, *args[2:])
                     assert got == want, (count, trie_mode, given)
 
