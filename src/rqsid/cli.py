@@ -293,7 +293,7 @@ def cmd_simulate(args) -> int:
 
     generated = None
     if args.interactions:
-        splits = persist.load_interactions(args.interactions)
+        splits = persist.load_interactions(args.interactions, catalog)
         if "train" not in splits or "test" not in splits:
             raise DataError(f"{args.interactions} must hold 'train' and 'test' splits")
         train_ds, test_ds = splits["train"], splits["test"]
@@ -309,9 +309,8 @@ def cmd_simulate(args) -> int:
             for records in (args.records, args.test_records)
         )
         train_rng, test_rng = RandomSource(args.seed).split(2)
-        item_ids = catalog.item_id.tolist()
-        train_ds = gen_interactions(item_ids, spec, train_rng, split="train")
-        test_ds = gen_interactions(item_ids, test_spec, test_rng, split="test")
+        train_ds = gen_interactions(len(catalog), spec, train_rng, split="train")
+        test_ds = gen_interactions(len(catalog), test_spec, test_rng, split="test")
         generated = [train_ds, test_ds]
 
     if stored_head is not None:
@@ -345,7 +344,7 @@ def cmd_simulate(args) -> int:
         outputs = []
         if generated is not None:
             inter_path = out / "interactions.csv"
-            persist.save_interactions(inter_path, generated)
+            persist.save_interactions(inter_path, generated, catalog)
             outputs.append(inter_path)
         report_path = out / "eval_report.json"
         persist.save_report(report_path, "eval_report", report.to_dict())

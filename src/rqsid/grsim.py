@@ -23,26 +23,39 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class Interaction:
-    """One user record: a nonempty item history and the next item chosen."""
-
-    history: tuple[str, ...]
-    target: str
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InteractionDataset:
-    records: tuple[Interaction, ...]
+    """User records over the rows of an id table, as two int64 arrays.
+
+    `items` holds each record's history rows followed by its target row,
+    record after record; `sizes` holds each record's item count, at least
+    2 since a history is nonempty.
+    """
+
+    items: np.ndarray
+    sizes: np.ndarray
     split: str = "train"
 
     def __post_init__(self) -> None:
-        for rec in self.records:
-            if not rec.history:
-                raise DataError(f"record targeting {rec.target!r} has an empty history")
+        items, sizes = (np.array(a, dtype=np.int64) for a in (self.items, self.sizes))
+        if items.ndim != 1 or sizes.ndim != 1 or sizes.sum() != len(items):
+            raise DataError(f"{self.split} record sizes do not sum to the 1-D item count")
+        if (sizes < 2).any():
+            raise DataError(f"{self.split} record {np.argmax(sizes < 2)} has an empty history")
+        if (items < 0).any():
+            raise DataError(f"{self.split} item row {items.min()} is negative")
+        items.flags.writeable = sizes.flags.writeable = False
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "sizes", sizes)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.sizes)
+
+
+def _check_rows(data: InteractionDataset, catalog: np.recarray) -> None:
+    """Reject a record row past the end of the catalog."""
+    if len(data.items) and data.items.max() >= len(catalog):
+        raise DataError(f"{data.split} item row {data.items.max()} is not in the catalog")
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,21 +69,22 @@ class CatalogTrie:
     and variable-length ids coexist because layer membership is encoded in
     the flat tokens themselves. Ids are self-delimiting, so a sequence is a
     catalog id exactly when `walk` finds it and it ends in a last-layer
-    token.
+    token. Edge e's key `parent * vocab + token[e]` is the e-th sorted key.
     """
 
     first: np.ndarray
     token: np.ndarray
+    keys: np.ndarray
+    vocab: int
 
     def walk(self, seqs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """The node each sequence leads to, or -1 when it is no catalog prefix.
 
         Sequence i is the first `lengths[i]` entries of row i of `seqs`; a
-        token outside the vocabulary, -1 included, never matches. The edge
-        keys `parent * V + token` are sorted: a depth is one binary search.
+        token outside the vocabulary, -1 included, never matches. A depth is
+        one binary search of the edge keys.
         """
-        v = int(self.token.max()) + 1
-        keys = np.repeat(np.arange(len(self.first) - 1) * v, np.diff(self.first)) + self.token
+        v, keys = self.vocab, self.keys
         # an outside token, or any token below node -1, makes a negative key
         seqs = np.where((seqs >= 0) & (seqs < v), seqs, -len(self.first) * v)
         path = np.zeros((len(seqs), seqs.shape[1] + 1), dtype=np.int64)  # node at each depth
@@ -88,25 +102,17 @@ def build_trie(catalog: np.recarray, config: QuantizerConfig) -> CatalogTrie:
     tokens = sid_to_flat_tokens(catalog, config)
     v = config.num_layers * config.codebook_size
     node = np.zeros(len(tokens), dtype=np.int64)  # each id's node at the current depth
-    parents, edges = [], []
+    keys = []
     num_nodes = 1
     for d in range(tokens.shape[1]):
         deeper = np.flatnonzero(tokens[:, d] >= 0)
-        keys, inverse = np.unique(node[deeper] * v + tokens[deeper, d], return_inverse=True)
+        depth_keys, inverse = np.unique(node[deeper] * v + tokens[deeper, d], return_inverse=True)
         node[deeper] = num_nodes + inverse
-        num_nodes += len(keys)
-        parents.append(keys // v)
-        edges.append(keys % v)
-    first = np.concatenate(parents).searchsorted(np.arange(num_nodes + 1))
-    return CatalogTrie(first, np.concatenate(edges))
-
-
-def _rows(row_of: dict[str, int], items, what: str) -> np.ndarray:
-    """The catalog rows of `items`; a DataError names the first unknown one."""
-    try:
-        return np.fromiter(map(row_of.__getitem__, items), dtype=np.int64, count=len(items))
-    except KeyError as e:
-        raise DataError(f"{what} {e.args[0]!r} is not in the catalog") from None
+        num_nodes += len(depth_keys)
+        keys.append(depth_keys)
+    keys = np.concatenate(keys)
+    first = (keys // v).searchsorted(np.arange(num_nodes + 1))
+    return CatalogTrie(first, keys % v, keys, v)
 
 
 def _streams(flat: np.ndarray, rows: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
@@ -314,21 +320,20 @@ def train_seq_model(
 ) -> SequenceModel:
     """Fit the count model on flattened interaction streams.
 
-    `catalog` is the id table of the items. Each record becomes one stream:
-    the history items' flat tokens in order with the target item's tokens
-    appended. The vocabulary ends at the largest flat token of the catalog.
-    Streams are counted `_COUNT_CHUNK` records at a time.
+    `catalog` is the id table the records index. Each record becomes one
+    stream: the history items' flat tokens in order with the target item's
+    tokens appended. The vocabulary ends at the largest flat token of the
+    catalog. Streams are counted `_COUNT_CHUNK` records at a time.
     """
     if len(data) == 0:
         raise DataError("cannot train a sequence model on an empty dataset")
+    _check_rows(data, catalog)
     flat = sid_to_flat_tokens(catalog, config)
-    row_of = dict(zip(catalog.item_id.tolist(), range(len(catalog))))
     model = SequenceModel(order, alpha, int(flat.max()) + 1)
+    starts = np.r_[0, np.cumsum(data.sizes)]
     for lo in range(0, len(data), _COUNT_CHUNK):
-        records = data.records[lo : lo + _COUNT_CHUNK]
-        items = [item for rec in records for item in (*rec.history, rec.target)]
-        sizes = [len(rec.history) + 1 for rec in records]
-        model._observe(*_streams(flat, _rows(row_of, items, "interaction item"), sizes))
+        hi = min(lo + _COUNT_CHUNK, len(data))
+        model._observe(*_streams(flat, data.items[starts[lo] : starts[hi]], data.sizes[lo:hi]))
     return model
 
 
@@ -527,7 +532,7 @@ def evaluate(
 ) -> EvalReport:
     """Decode the test records in chunks and score recall@k and invalid ratio.
 
-    `catalog` is the id table of the items, as for `train_seq_model`.
+    `catalog` is the id table the records index, as for `train_seq_model`.
     recall@k counts records whose target id appears in the top k sequences.
     invalid_ratio@k is the share of emitted top-k sequences matching no
     catalog item; with the trie constraint on it is zero by construction
@@ -546,15 +551,15 @@ def evaluate(
     if given_prefix_layers < 0:
         raise ConfigError("given_prefix_layers must be >= 0")
 
+    _check_rows(test, catalog)
+
     trie = build_trie(catalog, config)
     constrained = trie_mode == "on"
     L = config.num_layers
     flat = sid_to_flat_tokens(catalog, config)
-    row_of = dict(zip(catalog.item_id.tolist(), range(len(catalog))))
-    target = _rows(row_of, [rec.target for rec in test.records], "test target")
-    history = _rows(row_of, [item for rec in test.records for item in rec.history],
-                    "test history item")
-    tokens, lengths = _streams(flat, history, [len(rec.history) for rec in test.records])
+    last = np.cumsum(test.sizes) - 1
+    target = test.items[last]
+    tokens, lengths = _streams(flat, np.delete(test.items, last), test.sizes - 1)
     ends, tokens = np.cumsum(lengths).tolist(), tokens.tolist()
     contexts = [tokens[end - n : end] for end, n in zip(ends, lengths.tolist())]
     gold = flat[target]
@@ -636,20 +641,19 @@ class InteractionSpec:
 
 
 def gen_interactions(
-    item_ids,
+    num_items: int,
     spec: InteractionSpec,
     rng: RandomSource,
     split: str = "train",
 ) -> InteractionDataset:
-    """Synthesize interaction records over a catalog."""
-    item_ids = [str(i) for i in item_ids]
-    if not item_ids:
+    """Synthesize interaction records over the rows of a `num_items`-row catalog."""
+    n = int(num_items)
+    if n < 1:
         raise DataError("cannot generate interactions over an empty catalog")
-    n = len(item_ids)
     weights = 1.0 / np.arange(1, n + 1, dtype=np.float64) ** spec.pop_exponent
     popularity = weights / weights.sum()
     succ_rng, walk_rng = rng.split(2)
-    successors = succ_rng.generator().choice(n, size=n, p=popularity)
+    successors = succ_rng.generator().choice(n, size=n, p=popularity).tolist()
     gen = walk_rng.generator()
     # numpy's own algorithm for gen.choice(n, p=popularity), with the cdf
     # computed once instead of on every draw; the random stream is the same
@@ -659,19 +663,10 @@ def gen_interactions(
     def draw() -> int:
         return int(cdf.searchsorted(gen.random(), side="right"))
 
-    records = []
+    items, sizes = [], []
     for _ in range(spec.num_records):
-        length = int(gen.integers(spec.min_history, spec.max_history + 1)) + 1
-        seq = [draw()]
-        for _ in range(length - 1):
-            if gen.random() < spec.repeat_prob:
-                seq.append(int(successors[seq[-1]]))
-            else:
-                seq.append(draw())
-        records.append(
-            Interaction(
-                history=tuple(item_ids[i] for i in seq[:-1]),
-                target=item_ids[seq[-1]],
-            )
-        )
-    return InteractionDataset(tuple(records), split=split)
+        sizes.append(int(gen.integers(spec.min_history, spec.max_history + 1)) + 1)
+        items.append(draw())
+        for _ in range(sizes[-1] - 1):
+            items.append(successors[items[-1]] if gen.random() < spec.repeat_prob else draw())
+    return InteractionDataset(items, sizes, split)

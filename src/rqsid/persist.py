@@ -39,7 +39,7 @@ from .core import (
     check_item_ids,
     sid_table,
 )
-from .grsim import Interaction, InteractionDataset
+from .grsim import InteractionDataset
 
 FORMAT_VERSION = 1
 # Codebooks at or below this many floats are embedded directly in the JSON.
@@ -400,20 +400,22 @@ def save_labels(path, ids, labels) -> None:
 # --- interactions -----------------------------------------------------------
 
 
-def save_interactions(path, datasets) -> None:
-    """Write datasets into one file; each row carries its split tag."""
+def save_interactions(path, datasets, catalog) -> None:
+    """Write datasets over the rows of `catalog` into one file, by item id."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["user_context", "target", "split"])
     for ds in datasets:
-        for rec in ds.records:
-            writer.writerow(["|".join(rec.history), rec.target, ds.split])
+        items = catalog.item_id[ds.items].tolist()
+        for end, size in zip(np.cumsum(ds.sizes).tolist(), ds.sizes.tolist()):
+            writer.writerow(["|".join(items[end - size : end - 1]), items[end - 1], ds.split])
     atomic_write_text(path, buf.getvalue())
 
 
-def load_interactions(path) -> dict[str, InteractionDataset]:
-    """Read interaction records grouped by split tag."""
-    by_split: dict[str, list[Interaction]] = {}
+def load_interactions(path, catalog) -> dict[str, InteractionDataset]:
+    """Read interaction records grouped by split tag, as rows of `catalog`."""
+    row_of = dict(zip(catalog.item_id.tolist(), range(len(catalog))))
+    by_split: dict[str, tuple[list[int], list[int]]] = {}
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -425,13 +427,15 @@ def load_interactions(path) -> dict[str, InteractionDataset]:
             if len(row) != 3:
                 raise DataError(f"{path} row {row} has {len(row)} fields, expected 3")
             context, target, split = row
-            history = tuple(context.split("|")) if context else ()
-            check_item_ids((*history, target))
-            by_split.setdefault(split, []).append(Interaction(history, target))
-    return {
-        split: InteractionDataset(tuple(records), split=split)
-        for split, records in by_split.items()
-    }
+            record = [*(context.split("|") if context else ()), target]
+            check_item_ids(record)
+            items, sizes = by_split.setdefault(split, ([], []))
+            try:
+                items.extend(map(row_of.__getitem__, record))
+            except KeyError as e:
+                raise DataError(f"{path}: {split} item {e.args[0]!r} not in catalog") from None
+            sizes.append(len(record))
+    return {split: InteractionDataset(*lists, split) for split, lists in by_split.items()}
 
 
 # --- reports and manifest ---------------------------------------------------

@@ -138,10 +138,10 @@ def gr_bench():
         inter = dict(min_history=2, max_history=4, pop_exponent=0.8, repeat_prob=0.7)
         train_rng, test_rng = RandomSource(seed + 1000).split(2)
         train = gen_interactions(
-            data.ids, InteractionSpec(num_records=4000, **inter), train_rng, "train"
+            len(data.ids), InteractionSpec(num_records=4000, **inter), train_rng, "train"
         )
         test = gen_interactions(
-            data.ids, InteractionSpec(num_records=600, **inter), test_rng, "test"
+            len(data.ids), InteractionSpec(num_records=600, **inter), test_rng, "test"
         )
         model = train_seq_model(train, table, config, order=3, alpha=0.1)
         k_list = (1, 5, 10, 50)

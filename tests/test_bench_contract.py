@@ -18,7 +18,7 @@ import pytest
 
 from rqsid import cli, grsim, persist
 from rqsid.core import Codebook, QuantizerConfig, sid_table
-from rqsid.grsim import Interaction, InteractionDataset
+from rqsid.grsim import InteractionDataset
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -48,10 +48,9 @@ def test_evaluate_decodes_through_module_beam_search(monkeypatch):
     # flat ids (0, 5, 10), (1, 6, 11) and (2, 9): c elides layer 2
     catalog = sid_table(["a", "b", "c"], [(0, 1, 2), (1, 2, 3), (2, 0, 1)], config,
                         [True, True, False])
-    train = InteractionDataset(tuple(Interaction((x,), y) for x, y in
-                                     [("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")]))
-    test = InteractionDataset(tuple(Interaction((x,), y) for x, y in
-                                    [("a", "b"), ("b", "c"), ("c", "a")]), split="test")
+    # records a -> b, b -> c, c -> a and a -> c as catalog rows
+    train = InteractionDataset([0, 1, 1, 2, 2, 0, 0, 2], [2, 2, 2, 2])
+    test = InteractionDataset([0, 1, 1, 2, 2, 0], [2, 2, 2], split="test")
     model = grsim.train_seq_model(train, catalog, config, order=2, alpha=0.5)
     signature = inspect.signature(grsim.beam_search)
     decode = grsim.beam_search

@@ -5,7 +5,14 @@ import pytest
 
 import rqsid.cli
 from rqsid.cli import main
-from rqsid.persist import sha256_bytes, sha256_file
+from rqsid.persist import (
+    load_codebook,
+    load_interactions,
+    load_sids,
+    save_interactions,
+    sha256_bytes,
+    sha256_file,
+)
 
 
 def run(*argv):
@@ -121,6 +128,23 @@ class TestPipeline:
         assert report["trie_constrained"] is True
         assert all(v == 0.0 for k in ("1", "5", "10") for v in report["invalid_ratio"][k].values())
         assert (out / "interactions.csv").exists()
+
+    def test_interactions_load_save_round_trip(self, pipeline, tmp_path):
+        """A CLI-written interactions file, read as catalog rows and written
+        again, is byte-identical."""
+        sids, codebook = pipeline / "enc" / "sids.csv", pipeline / "train" / "codebook.json"
+        assert run(
+            "simulate", "--sids", sids, "--codebook", codebook, "--records", 300,
+            "--test-records", 60, "--beam", 5, "--k-list", "1,5", "--seed", 3,
+            "--out", tmp_path / "sim",
+        ) == 0
+        catalog = load_sids(sids, load_codebook(codebook)[0].config)
+        written = tmp_path / "sim" / "interactions.csv"
+        splits = load_interactions(written, catalog)
+        assert list(splits) == ["train", "test"]
+        assert [len(ds) for ds in splits.values()] == [300, 60]
+        save_interactions(tmp_path / "again.csv", list(splits.values()), catalog)
+        assert (tmp_path / "again.csv").read_bytes() == written.read_bytes()
 
 
 class TestDeterminism:
@@ -301,6 +325,24 @@ class TestErrors:
         )
         assert code == 3
         assert "item id" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rows,item", [
+        ("item_000000|item_missing,item_000001,train\nitem_000001,item_000000,test\n",
+         "train item 'item_missing'"),
+        ("item_000000,item_000001,train\nitem_000001,item_gone,test\n", "test item 'item_gone'"),
+    ], ids=["train-history", "test-target"])
+    def test_interactions_item_outside_catalog_exits_3(self, pipeline, tmp_path, capsys, rows,
+                                                        item):
+        interactions = tmp_path / "interactions.csv"
+        interactions.write_text("user_context,target,split\n" + rows)
+        code = run(
+            "simulate", "--sids", pipeline / "enc" / "sids.csv",
+            "--codebook", pipeline / "train" / "codebook.json",
+            "--interactions", interactions, "--out", tmp_path / "out",
+        )
+        assert code == 3
+        assert item in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_head_set_token_out_of_range_exits_3(self, pipeline, tmp_path):

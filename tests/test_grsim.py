@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,6 @@ from rqsid.core import (
 from rqsid import grsim
 from rqsid.grsim import (
     EvalReport,
-    Interaction,
     InteractionDataset,
     InteractionSpec,
     SequenceModel,
@@ -23,6 +25,7 @@ from rqsid.grsim import (
     gen_interactions,
     train_seq_model,
 )
+from rqsid.persist import save_interactions
 
 CFG = QuantizerConfig(num_layers=3, codebook_size=4, dim=2)
 VOCAB = CFG.num_layers * CFG.codebook_size  # flat vocabulary size
@@ -52,6 +55,26 @@ def catalog_of(table, cfg=CFG):
     flat_rows = sid_to_flat_tokens(table, cfg).tolist()
     return {item: tuple(t for t in row if t >= 0)
             for item, row in zip(table.item_id.tolist(), flat_rows)}
+
+
+def dataset(table, records, split="train"):
+    """The dataset of `(history, target)` records of item ids over an id table."""
+    row_of = {item: row for row, item in enumerate(table.item_id.tolist())}
+    items = [row_of[item] for history, target in records for item in (*history, target)]
+    return InteractionDataset(items, [len(history) + 1 for history, _ in records], split)
+
+
+def records_of(data, item_ids):
+    """The `(history, target)` records of a dataset, as item ids."""
+    items = [item_ids[row] for row in data.items.tolist()]
+    return [(tuple(items[end - size : end - 1]), items[end - 1])
+            for end, size in zip(np.cumsum(data.sizes).tolist(), data.sizes.tolist())]
+
+
+def same(a, b):
+    """Whether two datasets hold the same records and split."""
+    return (a.split == b.split and np.array_equal(a.items, b.items)
+            and np.array_equal(a.sizes, b.sizes))
 
 
 def walk(trie, seqs):
@@ -285,8 +308,9 @@ def reference_array_beam(model, context, beam_width, max_len, config, trie=None,
     return finished[:beam_width]
 
 
-def reference_interactions(item_ids, spec, rng, split="train"):
-    """The interaction generator that called gen.choice(n, p=...) per draw."""
+def reference_interactions(item_ids, spec, rng):
+    """The interaction generator that called gen.choice(n, p=...) per draw
+    and named each record's items by id, as `(history, target)` pairs."""
     item_ids = [str(i) for i in item_ids]
     n = len(item_ids)
     weights = 1.0 / np.arange(1, n + 1, dtype=np.float64) ** spec.pop_exponent
@@ -303,13 +327,20 @@ def reference_interactions(item_ids, spec, rng, split="train"):
                 seq.append(int(successors[seq[-1]]))
             else:
                 seq.append(int(gen.choice(n, p=popularity)))
-        records.append(
-            Interaction(
-                history=tuple(item_ids[i] for i in seq[:-1]),
-                target=item_ids[seq[-1]],
-            )
-        )
-    return InteractionDataset(tuple(records), split=split)
+        records.append((tuple(item_ids[i] for i in seq[:-1]), item_ids[seq[-1]]))
+    return records
+
+
+def reference_interactions_csv(datasets):
+    """The interactions file that the writer of `(history, target)` id
+    records wrote, from `(records, split)` pairs."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["user_context", "target", "split"])
+    for records, split in datasets:
+        for history, target in records:
+            writer.writerow(["|".join(history), target, split])
+    return buf.getvalue()
 
 
 class ReferenceSequenceModel:
@@ -412,13 +443,13 @@ def reference_evaluate(model, test, catalog, config, head_set, beam_width, k_lis
     invalid = {k: {g: 0 for g in groups} for k in k_list}
     emitted = {k: {g: 0 for g in groups} for k in k_list}
     counts = {g: 0 for g in groups}
-    for rec in test.records:
-        gold = flat_by_item[rec.target]
-        context = [t for item in rec.history for t in flat_by_item[item]]
+    for history, target in records_of(test, [item for item, _ in catalog]):
+        gold = flat_by_item[target]
+        context = [t for item in history for t in flat_by_item[item]]
         prefix = gold[:given_prefix_layers] if given_prefix_layers else None
         preds = reference_beam(model, context, beam_width, config.num_layers, config,
                                trie if constrained else None, prefix)
-        layer2 = dict(entries_by_item[rec.target]).get(2)
+        layer2 = dict(entries_by_item[target]).get(2)
         group = "head" if layer2 is None or layer2 in head_set else "tail"
         counts["overall"] += 1
         counts[group] += 1
@@ -657,10 +688,10 @@ class TestCompiledModelOracle:
     @staticmethod
     def train_both(records, catalog, order, alpha, vocab):
         ref = ReferenceSequenceModel(order, alpha, vocab)
-        for rec in records:
-            ref.observe_stream([t for item in (*rec.history, rec.target) for t in catalog[item]])
-        model = train_seq_model(InteractionDataset(tuple(records)), table_of(catalog), CFG,
-                                order, alpha)
+        for history, target in records:
+            ref.observe_stream([t for item in (*history, target) for t in catalog[item]])
+        table = table_of(catalog)
+        model = train_seq_model(dataset(table, records), table, CFG, order, alpha)
         return model, ref
 
     @pytest.mark.parametrize("chunk", [None, 1, 3])
@@ -678,7 +709,7 @@ class TestCompiledModelOracle:
 
         def record():
             history = tuple(gen.choice(items, size=int(gen.integers(1, 4))).tolist())
-            return Interaction(history, str(gen.choice(items)))
+            return history, str(gen.choice(items))
 
         for count in (1, size, 2 * size + 3):
             records = [record() for _ in range(count)]
@@ -710,23 +741,24 @@ class TestCompiledModelOracle:
 class TestTrainSeqModel:
     def test_streams_are_history_plus_target(self):
         catalog = table_of({"a": (0, 4, 8), "b": (1, 5, 9)})
-        data = InteractionDataset((Interaction(("a",), "b"),))
+        data = dataset(catalog, [(("a",), "b")])
         model = train_seq_model(data, catalog, CFG, order=1, alpha=1.0)
         # transition 8 -> 1 crosses from history into the target tokens
         assert model.probs([8])[1] > model.probs([8])[2]
 
     def test_unknown_item(self):
-        data = InteractionDataset((Interaction(("missing",), "a"),))
+        # row 1 is past the end of a one-row catalog
+        data = InteractionDataset([1, 0], [2])
         with pytest.raises(DataError):
             train_seq_model(data, table_of({"a": (0, 4, 8)}), CFG, order=1, alpha=1.0)
 
     def test_empty_dataset(self):
         with pytest.raises(DataError):
-            train_seq_model(InteractionDataset(()), table_of({"a": (0, 4, 8)}), CFG, 1, 1.0)
+            train_seq_model(InteractionDataset([], []), table_of({"a": (0, 4, 8)}), CFG, 1, 1.0)
 
     def test_negative_token_rejected(self):
         # raised where the table is built, before any stream is counted
-        data = InteractionDataset((Interaction(("a",), "b"),))
+        data = InteractionDataset([0, 1], [2])
         with pytest.raises(TokenRangeError):
             catalog = sid_table(["a", "b"], [(0, 0, 0), (1, -1, 1)], CFG)
             train_seq_model(data, catalog, CFG, order=2, alpha=1.0)
@@ -941,17 +973,13 @@ class TestEvaluate:
     TABLE = table_of(CATALOG)
 
     def make_model(self):
-        train = InteractionDataset(
-            tuple(
-                Interaction((a,), b)
-                for a, b in [("i1", "i2"), ("i2", "i1"), ("i1", "i2"), ("i3", "i2")]
-            )
-        )
+        train = dataset(self.TABLE, [((a,), b) for a, b in
+                                     [("i1", "i2"), ("i2", "i1"), ("i1", "i2"), ("i3", "i2")]])
         return train_seq_model(train, self.TABLE, CFG, order=3, alpha=0.3), train
 
     def test_recall_positions(self):
         model, _ = self.make_model()
-        test = InteractionDataset((Interaction(("i1",), "i2"),), split="test")
+        test = dataset(self.TABLE, [(("i1",), "i2")], "test")
         report = evaluate(
             model, test, self.TABLE, CFG, head_set=frozenset({1}),
             beam_width=27, k_list=(1, 3), trie_mode="on",
@@ -962,10 +990,8 @@ class TestEvaluate:
         # with the trie off, invalid_ratio@k is the share of the emitted top-k
         # sequences that match no catalog id, per partition of the targets
         model, _ = self.make_model()
-        test = InteractionDataset(
-            (Interaction(("i1",), "i2"), Interaction(("i3",), "i3"), Interaction(("i2",), "i1")),
-            split="test",
-        )
+        records = [(("i1",), "i2"), (("i3",), "i3"), (("i2",), "i1")]
+        test = dataset(self.TABLE, records, "test")
         k_list = (1, 3, 10)
         head_set = frozenset({1})
         report = evaluate(model, test, self.TABLE, CFG, head_set, 10, k_list, "off")
@@ -973,10 +999,10 @@ class TestEvaluate:
         for k in k_list:
             bad = {"overall": 0, "head": 0, "tail": 0}
             emitted = {"overall": 0, "head": 0, "tail": 0}
-            for rec in test.records:
-                context = [t for item in rec.history for t in self.CATALOG[item]]
+            for history, target in records:
+                context = [t for item in history for t in self.CATALOG[item]]
                 top = [seq for seq, _ in beam_search(model, [context], 10, 3, CFG)[0][:k]]
-                group = "head" if self.SIDS[rec.target][1] in head_set else "tail"
+                group = "head" if self.SIDS[target][1] in head_set else "tail"
                 for g in ("overall", group):
                     bad[g] += sum(1 for seq in top if not trie.contains(seq))
                     emitted[g] += len(top)
@@ -987,9 +1013,7 @@ class TestEvaluate:
 
     def test_trie_mode_on_zero_invalid(self):
         model, _ = self.make_model()
-        test = InteractionDataset(
-            (Interaction(("i1",), "i2"), Interaction(("i2",), "i1")), split="test"
-        )
+        test = dataset(self.TABLE, [(("i1",), "i2"), (("i2",), "i1")], "test")
         report = evaluate(
             model, test, self.TABLE, CFG, head_set=frozenset({1}),
             beam_width=5, k_list=(1, 3, 5), trie_mode="on",
@@ -998,9 +1022,7 @@ class TestEvaluate:
 
     def test_recall_non_decreasing_in_k(self):
         model, _ = self.make_model()
-        test = InteractionDataset(
-            (Interaction(("i1",), "i2"), Interaction(("i3",), "i1")), split="test"
-        )
+        test = dataset(self.TABLE, [(("i1",), "i2"), (("i3",), "i1")], "test")
         report = evaluate(
             model, test, self.TABLE, CFG, head_set=frozenset({1}),
             beam_width=30, k_list=(1, 3, 10, 30), trie_mode="off",
@@ -1010,9 +1032,7 @@ class TestEvaluate:
 
     def test_partition_exhaustive_and_disjoint(self):
         model, _ = self.make_model()
-        test = InteractionDataset(
-            (Interaction(("i1",), "i2"), Interaction(("i2",), "i3")), split="test"
-        )
+        test = dataset(self.TABLE, [(("i1",), "i2"), (("i2",), "i3")], "test")
         report = evaluate(
             model, test, self.TABLE, CFG, head_set=frozenset({1}),
             beam_width=4, k_list=(1,), trie_mode="on",
@@ -1023,7 +1043,7 @@ class TestEvaluate:
     def test_empty_test_set_scores_zero(self):
         model, _ = self.make_model()
         for trie_mode in ("off", "on"):
-            report = evaluate(model, InteractionDataset((), split="test"), self.TABLE, CFG,
+            report = evaluate(model, InteractionDataset([], [], "test"), self.TABLE, CFG,
                               frozenset({1}), 4, (1, 4), trie_mode)
             assert report.record_counts == {"overall": 0, "head": 0, "tail": 0}
             assert all(v == 0.0 for k in (1, 4) for v in report.recall[k].values())
@@ -1031,13 +1051,13 @@ class TestEvaluate:
 
     def test_k_exceeding_beam_rejected(self):
         model, _ = self.make_model()
-        test = InteractionDataset((Interaction(("i1",), "i2"),), split="test")
+        test = dataset(self.TABLE, [(("i1",), "i2")], "test")
         with pytest.raises(ConfigError):
             evaluate(model, test, self.TABLE, CFG, frozenset(), 3, (5,), "on")
 
     def test_given_prefix_layers(self):
         model, _ = self.make_model()
-        test = InteractionDataset((Interaction(("i3",), "i1"),), split="test")
+        test = dataset(self.TABLE, [(("i3",), "i1")], "test")
         free = evaluate(model, test, self.TABLE, CFG, frozenset({1}), 27, (1,), "on")
         fixed = evaluate(
             model, test, self.TABLE, CFG, frozenset({1}), 27, (1,), "on",
@@ -1049,9 +1069,9 @@ class TestEvaluate:
         cfg = QuantizerConfig(num_layers=3, codebook_size=4, dim=1)
         # h elides layer 2; t is the full id (1, 2, 3)
         catalog = table_of({"h": (0, 10), "t": (1, 6, 11)}, cfg)
-        train = InteractionDataset((Interaction(("t",), "h"), Interaction(("h",), "t")))
+        train = dataset(catalog, [(("t",), "h"), (("h",), "t")])
         model = train_seq_model(train, catalog, cfg, order=2, alpha=0.5)
-        test = InteractionDataset((Interaction(("t",), "h"),), split="test")
+        test = dataset(catalog, [(("t",), "h")], "test")
         report = evaluate(model, test, catalog, cfg, frozenset(), 4, (1,), "on")
         assert report.record_counts["head"] == 1
 
@@ -1075,9 +1095,8 @@ class TestEvaluateOracle:
         ]
         table = sid_table(item_ids, rows, config, is_full)
         spec = InteractionSpec(num_records=300, min_history=1, max_history=3)
-        train = gen_interactions(item_ids, spec, RandomSource(seed))
-        test = gen_interactions(item_ids, InteractionSpec(num_records=40), RandomSource(seed + 1),
-                                "test")
+        train = gen_interactions(n, spec, RandomSource(seed))
+        test = gen_interactions(n, InteractionSpec(num_records=40), RandomSource(seed + 1), "test")
         model = train_seq_model(train, table, config, order=3, alpha=0.2)
         return config, entries, table, model, test
 
@@ -1103,7 +1122,8 @@ class TestEvaluateOracle:
         config, entries, table, model, test = self.setup_case(5, 3, 0.4)
         head_set = frozenset({1, 3})
         for count in (1, size, 2 * size + 3):
-            part = InteractionDataset(test.records[:count], split="test")
+            part = InteractionDataset(test.items[: test.sizes[:count].sum()], test.sizes[:count],
+                                      "test")
             assert len(part) == count
             for trie_mode in ("off", "on"):
                 for given in (0, 1, 2):
@@ -1116,39 +1136,87 @@ class TestEvaluateOracle:
 class TestGenInteractions:
     def test_deterministic(self):
         spec = InteractionSpec(num_records=50, min_history=2, max_history=4)
-        items = [f"i{k}" for k in range(20)]
-        a = gen_interactions(items, spec, RandomSource(3))
-        b = gen_interactions(items, spec, RandomSource(3))
-        assert a == b
+        a = gen_interactions(20, spec, RandomSource(3))
+        b = gen_interactions(20, spec, RandomSource(3))
+        assert same(a, b)
 
     def test_histories_within_bounds(self):
         spec = InteractionSpec(num_records=100, min_history=2, max_history=5)
-        ds = gen_interactions([f"i{k}" for k in range(10)], spec, RandomSource(1))
+        ds = gen_interactions(10, spec, RandomSource(1))
         assert len(ds) == 100
-        for rec in ds.records:
-            assert 2 <= len(rec.history) <= 5
+        for size in ds.sizes - 1:
+            assert 2 <= size <= 5
 
     def test_popularity_skew(self):
         spec = InteractionSpec(num_records=400, pop_exponent=1.5, repeat_prob=0.0)
-        items = [f"i{k}" for k in range(50)]
-        ds = gen_interactions(items, spec, RandomSource(5))
-        first = sum(1 for r in ds.records for it in (*r.history, r.target) if it == "i0")
-        last = sum(1 for r in ds.records for it in (*r.history, r.target) if it == "i49")
+        ds = gen_interactions(50, spec, RandomSource(5))
+        first = np.count_nonzero(ds.items == 0)
+        last = np.count_nonzero(ds.items == 49)
         assert first > last
 
     def test_empty_catalog(self):
         with pytest.raises(DataError):
-            gen_interactions([], InteractionSpec(num_records=5), RandomSource(0))
+            gen_interactions(0, InteractionSpec(num_records=5), RandomSource(0))
+
+    SPECS = [(pop_exponent, repeat_prob) for pop_exponent in (0.5, 1.0, 1.7)
+             for repeat_prob in (0.0, 0.6, 1.0)]
+
+    @staticmethod
+    def choice_case(n, pop_exponent, repeat_prob):
+        spec = InteractionSpec(num_records=150, pop_exponent=pop_exponent, repeat_prob=repeat_prob)
+        return spec, n + int(10 * pop_exponent) + int(10 * repeat_prob)
 
     @pytest.mark.parametrize("n", [1, 7, 2000])
     def test_matches_choice_reference(self, n):
         items = [f"i{k}" for k in range(n)]
-        for pop_exponent in (0.5, 1.0, 1.7):
-            for repeat_prob in (0.0, 0.6, 1.0):
-                spec = InteractionSpec(
-                    num_records=150, pop_exponent=pop_exponent, repeat_prob=repeat_prob
-                )
-                seed = n + int(10 * pop_exponent) + int(10 * repeat_prob)
-                got = gen_interactions(items, spec, RandomSource(seed), "test")
-                want = reference_interactions(items, spec, RandomSource(seed), "test")
-                assert got == want, (pop_exponent, repeat_prob)
+        for pop_exponent, repeat_prob in self.SPECS:
+            spec, seed = self.choice_case(n, pop_exponent, repeat_prob)
+            got = gen_interactions(n, spec, RandomSource(seed), "test")
+            want = reference_interactions(items, spec, RandomSource(seed))
+            assert got.split == "test"
+            assert records_of(got, items) == want, (pop_exponent, repeat_prob)
+
+    @pytest.mark.parametrize("n", [1, 7, 2000])
+    def test_saved_file_matches_reference_writer(self, n, tmp_path):
+        """save_interactions of generated rows writes the bytes that the
+        writer of id records wrote for the reference generator's records."""
+        items = [f"i{k}" for k in range(n)]
+        table = sid_table(items, np.zeros((n, CFG.num_layers), dtype=np.int64), CFG)
+        for pop_exponent, repeat_prob in self.SPECS:
+            spec, seed = self.choice_case(n, pop_exponent, repeat_prob)
+            got = [gen_interactions(n, spec, RandomSource(seed + k), split)
+                   for k, split in enumerate(("train", "test"))]
+            want = [(reference_interactions(items, spec, RandomSource(seed + k)), split)
+                    for k, split in enumerate(("train", "test"))]
+            save_interactions(tmp_path / "interactions.csv", got, table)
+            assert ((tmp_path / "interactions.csv").read_bytes()
+                    == reference_interactions_csv(want).encode()), (pop_exponent, repeat_prob)
+
+
+class TestInteractionDataset:
+    def test_negative_row_rejected(self):
+        with pytest.raises(DataError, match="negative"):
+            InteractionDataset([0, -1], [2])
+
+    def test_empty_history_rejected(self):
+        with pytest.raises(DataError, match="record 1 has an empty history"):
+            InteractionDataset([0, 1, 2], [2, 1])
+
+    @pytest.mark.parametrize("items,sizes", [([0, 1, 2], [2]), ([[0, 1]], [2]), ([0, 1], 2)])
+    def test_sizes_must_cover_items(self, items, sizes):
+        with pytest.raises(DataError, match="sizes"):
+            InteractionDataset(items, sizes)
+
+    def test_arrays_are_read_only(self):
+        data = InteractionDataset([0, 1], [2])
+        assert data.items.dtype == data.sizes.dtype == np.int64
+        with pytest.raises(ValueError):
+            data.items[0] = 1
+
+    def test_evaluate_rejects_row_past_catalog(self):
+        table = table_of({"a": (0, 4, 8), "b": (1, 5, 9)})
+        model = train_seq_model(dataset(table, [(("a",), "b")]), table, CFG, 1, 1.0)
+        for test in (InteractionDataset([0, 2], [2], "test"),
+                     InteractionDataset([2, 0], [2], "test")):
+            with pytest.raises(DataError, match="test item row 2 is not in the catalog"):
+                evaluate(model, test, table, CFG, frozenset(), 2, (1,), "on")

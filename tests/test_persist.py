@@ -18,7 +18,7 @@ from rqsid.core import (
     TokenRangeError,
     sid_table,
 )
-from rqsid.grsim import Interaction, InteractionDataset
+from rqsid.grsim import InteractionDataset
 from rqsid.persist import (
     INLINE_CODEBOOK_LIMIT,
     OutputLock,
@@ -461,14 +461,29 @@ class TestEmbeddingFormats:
 
 class TestInteractionFormat:
     def test_round_trip_with_splits(self, tmp_path):
-        train = InteractionDataset(
-            (Interaction(("a", "b"), "c"), Interaction(("c",), "a")), split="train"
-        )
-        test = InteractionDataset((Interaction(("b",), "c"),), split="test")
-        save_interactions(tmp_path / "inter.csv", [train, test])
-        loaded = load_interactions(tmp_path / "inter.csv")
-        assert loaded["train"] == train
-        assert loaded["test"] == test
+        catalog = sid_table(["a", "b", "c"], [(0, 0, 0), (1, 1, 1), (2, 2, 2)], CFG)
+        # records a b -> c and c -> a, then b -> c
+        train = InteractionDataset([0, 1, 2, 2, 0], [3, 2], split="train")
+        test = InteractionDataset([1, 2], [2], split="test")
+        save_interactions(tmp_path / "inter.csv", [train, test], catalog)
+        assert (tmp_path / "inter.csv").read_text() == (
+            "user_context,target,split\na|b,c,train\nc,a,train\nb,c,test\n")
+        loaded = load_interactions(tmp_path / "inter.csv", catalog)
+        for got, want in ((loaded["train"], train), (loaded["test"], test)):
+            assert got.split == want.split
+            np.testing.assert_array_equal(got.items, want.items)
+            np.testing.assert_array_equal(got.sizes, want.sizes)
+
+    @pytest.mark.parametrize("row,message", [
+        ("a|x,b,train", "train item 'x' not in catalog"),
+        ("a,y,valid", "valid item 'y' not in catalog"),
+        (",b,train", "train record 1 has an empty history"),
+    ], ids=["history", "other-split", "empty-history"])
+    def test_load_rejects_rows_outside_catalog(self, tmp_path, row, message):
+        catalog = sid_table(["a", "b"], [(0, 0, 0), (1, 1, 1)], CFG)
+        (tmp_path / "inter.csv").write_text(f"user_context,target,split\na,b,train\n{row}\n")
+        with pytest.raises(DataError, match=message):
+            load_interactions(tmp_path / "inter.csv", catalog)
 
 
 class TestManifest:
