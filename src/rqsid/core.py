@@ -117,14 +117,21 @@ class QuantizerConfig:
 class EmbeddingCollection:
     """An ordered set of item vectors with opaque string ids.
 
-    `vectors` is an (n, dim) float64 array, made read-only on construction.
+    `vectors` is a read-only (n, dim) float64 array. A read-only, C-contiguous
+    float64 array that owns its buffer, as the loader and the generators
+    hand over, is adopted; anything else is copied, so no writable array of
+    a caller's can reach `vectors`.
     """
 
     ids: tuple[str, ...]
     vectors: np.ndarray
 
     def __post_init__(self) -> None:
-        vectors = np.asarray(self.vectors, dtype=np.float64)
+        vectors = self.vectors
+        if not (isinstance(vectors, np.ndarray) and vectors.dtype == np.float64
+                and vectors.flags.c_contiguous and vectors.flags.owndata
+                and not vectors.flags.writeable):
+            vectors = np.array(vectors, dtype=np.float64, order="C")
         if vectors.ndim != 2:
             raise DataError(f"vectors must be 2-D, got shape {vectors.shape}")
         if vectors.shape[1] < 1:
@@ -138,7 +145,6 @@ class EmbeddingCollection:
         check_item_ids(self.ids)
         if vectors.size and not np.all(np.isfinite(vectors)):
             raise DataError("vectors contain non-finite components")
-        vectors = vectors.copy()
         vectors.flags.writeable = False
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "ids", tuple(self.ids))
@@ -192,7 +198,7 @@ def sid_table(item_ids, tokens, config: QuantizerConfig, is_full=None) -> np.rec
     tokens = np.array(tokens, dtype=np.int64)
     if tokens.ndim != 2 or tokens.shape[0] == 0:
         raise ConfigError(f"expected a nonempty (n, L) id array, got shape {tokens.shape}")
-    n, L, M = tokens.shape[0], config.num_layers, config.codebook_size
+    n, L = tokens.shape[0], config.num_layers
     if tokens.shape[1] == 0:
         raise MalformedSequenceError("semantic ids have no tokens")
     if tokens.shape[1] != L:
@@ -203,6 +209,27 @@ def sid_table(item_ids, tokens, config: QuantizerConfig, is_full=None) -> np.rec
     if len(set(item_ids)) != n:
         raise DataError("item ids must be unique")
     check_item_ids(item_ids)
+    table = np.recarray(
+        n, dtype=[("item_id", np.str_, max(1, max(map(len, item_ids)))),
+                  ("tokens", np.int64, (L,)), ("is_full", bool)]
+    )
+    table.item_id = item_ids
+    return _fill(table, tokens, config, is_full)
+
+
+def with_tokens(table, tokens, config: QuantizerConfig, is_full=None) -> np.recarray:
+    """A new id table of the items of `table`, whose ids are already
+    checked, holding new tokens and full-length mask (see `sid_table`)."""
+    out = np.recarray(len(table), dtype=table.dtype)
+    out.item_id = table.item_id
+    return _fill(out, np.array(tokens, dtype=np.int64), config, is_full)
+
+
+def _fill(table, tokens: np.ndarray, config: QuantizerConfig, is_full) -> np.recarray:
+    """Store `tokens` and the mask in `table`, whose item ids are set, with
+    each elided layer-2 slot at -1 and every other token in range."""
+    n, L = tokens.shape
+    M = config.codebook_size
     is_full = np.ones(n, dtype=bool) if is_full is None else np.array(is_full, dtype=bool)
     if is_full.shape != (n,):
         raise ConsistencyError(f"full-length mask has shape {is_full.shape}, expected ({n},)")
@@ -216,13 +243,9 @@ def sid_table(item_ids, tokens, config: QuantizerConfig, is_full=None) -> np.rec
     if bad.any():
         row, col = np.argwhere(bad)[0]
         raise TokenRangeError(
-            f"item {item_ids[row]!r} layer {col + 1} token {tokens[row, col]} outside [0, {M})"
+            f"item {str(table.item_id[row])!r} layer {col + 1} token {tokens[row, col]} "
+            f"outside [0, {M})"
         )
-    table = np.recarray(
-        n, dtype=[("item_id", np.str_, max(1, max(map(len, item_ids)))),
-                  ("tokens", np.int64, (L,)), ("is_full", bool)]
-    )
-    table.item_id = item_ids
     table.tokens = tokens
     table.is_full = is_full
     table.flags.writeable = False

@@ -85,6 +85,7 @@ def gen_uniform(n: int, d: int, rng: RandomSource) -> EmbeddingCollection:
     if d < 1:
         raise ConfigError(f"d must be >= 1, got {d}")
     vectors = rng.generator().uniform(-1.0, 1.0, size=(n, d))
+    vectors.flags.writeable = False  # the collection adopts it
     return EmbeddingCollection(_item_ids(n), vectors)
 
 
@@ -117,4 +118,5 @@ def gen_clustered(
         start = stop
     if not np.all(np.isfinite(vectors)):
         raise DataError("generated vectors contain non-finite components")
+    vectors.flags.writeable = False  # the collection adopts it
     return EmbeddingCollection(_item_ids(n), vectors), labels

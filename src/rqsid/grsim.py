@@ -338,11 +338,14 @@ def train_seq_model(
 
 
 # Records that `evaluate` decodes in one `beam_search` call. A step's
-# arrays grow with the records decoded together (with the trie off, one
-# float per beam and vocabulary token), so the chunk bounds that memory;
-# each chunk is scored before the next is decoded. Larger chunks gained
-# little speed for more memory on the 2000-item retrieval benchmark.
+# arrays grow with the records decoded together, so the chunk bounds that
+# memory; each chunk is scored before the next is decoded. Larger chunks
+# gained little speed for more memory on the 2000-item retrieval benchmark.
 _DECODE_CHUNK = 8
+# With the trie off a step scores beam_width * vocab_size floats per record;
+# a chunk then holds no more records than keep it within this many floats,
+# and at least one.
+_DECODE_FLOATS = 1 << 16
 
 
 def _top_mask(table: np.ndarray, width: int) -> np.ndarray:
@@ -572,8 +575,11 @@ def evaluate(
     shown = np.zeros(len(test), dtype=np.int64)
     gold_rank = np.full(len(test), max_k)
     invalid = np.zeros((len(test), len(ks)), dtype=np.int64)
-    for lo in range(0, len(test), _DECODE_CHUNK):
-        hi = min(lo + _DECODE_CHUNK, len(test))
+    chunk = _DECODE_CHUNK
+    if not constrained:
+        chunk = min(chunk, max(1, _DECODE_FLOATS // (beam_width * model.vocab_size)))
+    for lo in range(0, len(test), chunk):
+        hi = min(lo + chunk, len(test))
         decoded = beam_search(model, contexts[lo:hi], beam_width, max_len=L, config=config,
                               trie=trie if constrained else None,
                               fixed_prefixes=[g[:given_prefix_layers] for g in golds[lo:hi]])

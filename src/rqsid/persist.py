@@ -74,7 +74,8 @@ def atomic_writer(path):
         raise
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
+def atomic_write_bytes(path, data) -> None:
+    """Write a bytes-like object to `path` atomically."""
     with atomic_writer(path) as f:
         f.write(data)
 
@@ -209,6 +210,8 @@ _SID_COMMENT = "# semantic ids in long form; tokens 0-based, layers 1-based"
 _SID_HEADER = "item_id,layer,token"
 # items per block of text that `save_sids` formats and writes at once
 _SID_WRITE_BLOCK = 8192
+# characters of an id file's body that `load_sids` converts at once
+_SID_READ_BLOCK = 1 << 18
 
 
 def save_sids(path, table) -> None:
@@ -240,41 +243,47 @@ def load_sids(path, config: QuantizerConfig) -> np.recarray:
     exactly three fields or with a layer or token that is no int64 integer,
     is a DataError naming the first such item; failing that, an item with
     other layers is a MalformedSequenceError naming the first one.
+
+    The body is converted a block of whole lines at a time, so only one
+    block's fields are alive as strings; an item's rows may span blocks.
     """
     L = config.num_layers
+    items, firsts, layer_blocks, token_blocks = [], [], [], []
+    last = None  # the item of the row before the block
     with open(path, encoding="utf-8") as f:  # universal newlines: CRLF reads as LF
-        header = next((line for line in f if line != "\n" and not line.startswith("#")), "")
-        if header.rstrip("\n") != _SID_HEADER:
-            raise DataError(f"{path} has unexpected id header {header.strip()!r}")
-        body = f.read()
-    if body[:1] == "\n" or "\n\n" in body or body[-1:] != "\n":
-        body = "".join(f"{line}\n" for line in body.split("\n") if line)
-    rows = body.count("\n")
-    if not rows:
+        _skip_sid_header(f, path)
+        for text in _line_blocks(f):
+            if text[:1] == "\n" or "\n\n" in text:
+                text = "".join(f"{line}\n" for line in text.split("\n") if line)
+            rows = text.count("\n")
+            if not rows:
+                continue
+            # Each row's fields, then a "\n" field: every row has three fields
+            # exactly when every fourth field is one of the rows' "\n" fields.
+            fields = text.replace("\n", ",\n,").split(",")
+            fields.pop()  # the empty field after the last "\n"
+            try:
+                layer_blocks.append(np.array(fields[1::4], dtype=np.int64))
+                token_blocks.append(np.array(fields[2::4], dtype=np.int64))
+                aligned = len(fields) == 4 * rows and fields[3::4].count("\n") == rows
+            except (ValueError, OverflowError):  # a field that is no int64 integer
+                aligned = False
+            if not aligned:
+                raise _bad_item(path) from None
+            ids = np.array(fields[0::4], dtype=object)
+            first = np.empty(rows, dtype=bool)  # an item's first row
+            first[0] = ids[0] != last
+            np.not_equal(ids[1:], ids[:-1], out=first[1:])
+            items += ids[first].tolist()
+            firsts.append(first)
+            last = ids[-1]
+    if not items:
         raise DataError(f"{path} holds no ids")
-    # Each row's fields, then a "\n" field: every row has three fields
-    # exactly when every fourth field is one of the rows' "\n" fields.
-    fields = body.replace("\n", ",\n,").split(",")
-    fields.pop()  # the empty field after the last "\n"
-    try:
-        layers = np.array(fields[1::4], dtype=np.int64)
-        tokens = np.array(fields[2::4], dtype=np.int64)
-        aligned = len(fields) == 4 * rows and fields[3::4].count("\n") == rows
-    except (ValueError, OverflowError):  # a field that is no int64 integer
-        aligned = False
-    if not aligned:
-        lines = body.split("\n")[:-1]
-        raise _bad_item(path, [line.split(",", 1)[0] for line in lines],
-                        map(_malformed_sid_row, lines)) from None
-    ids = np.array(fields[0::4], dtype=object)
-    del fields, body  # the row text is the largest thing the loader holds
-    first = np.ones(rows, dtype=bool)  # an item's first row
-    np.not_equal(ids[1:], ids[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    items = ids[starts].tolist()
     if len(set(items)) != len(items):
-        raise _bad_item(path, ids, itertools.repeat(False))
-
+        raise _bad_item(path)
+    first, layers, tokens = map(np.concatenate, (firsts, layer_blocks, token_blocks))
+    rows = len(first)
+    starts = np.flatnonzero(first)
     sizes = np.diff(starts, append=rows)
     is_full = sizes == L
     item_of_row = np.cumsum(first) - 1
@@ -294,6 +303,27 @@ def load_sids(path, config: QuantizerConfig) -> np.recarray:
     return sid_table(items, table_tokens, config, is_full)
 
 
+def _skip_sid_header(f, path) -> None:
+    """Read an id file's comment lines and header."""
+    header = next((line for line in f if line != "\n" and not line.startswith("#")), "")
+    if header.rstrip("\n") != _SID_HEADER:
+        raise DataError(f"{path} has unexpected id header {header.strip()!r}")
+
+
+def _line_blocks(f):
+    """The rest of the text file `f` in blocks of whole lines of about
+    `_SID_READ_BLOCK` characters; a last line without a newline gets one."""
+    rest = ""
+    for chunk in iter(lambda: f.read(_SID_READ_BLOCK), ""):
+        rest += chunk
+        cut = rest.rfind("\n") + 1
+        if cut:
+            yield rest[:cut]
+            rest = rest[cut:]
+    if rest:
+        yield rest + "\n"
+
+
 def _malformed_sid_row(line: str) -> bool:
     """Whether an id-file row is no `item_id,layer,token` row of int64 numbers."""
     fields = line.split(",")
@@ -306,11 +336,15 @@ def _malformed_sid_row(line: str) -> bool:
     return False
 
 
-def _bad_item(path, row_items, malformed) -> DataError:
+def _bad_item(path) -> DataError:
     """The error for the first item, in file order, whose rows follow another
-    item's rows or include a malformed row."""
+    item's rows or include a malformed row, from a second read of the body."""
+    with open(path, encoding="utf-8") as f:
+        _skip_sid_header(f, path)
+        lines = [line for line in f.read().split("\n") if line]
     seen = set()
-    for item, block in itertools.groupby(zip(row_items, malformed), key=itemgetter(0)):
+    rows = zip((line.split(",", 1)[0] for line in lines), map(_malformed_sid_row, lines))
+    for item, block in itertools.groupby(rows, key=itemgetter(0)):
         if item in seen:
             return DataError(f"{path}: the rows of item {item!r} are not contiguous")
         if any(bad for _, bad in block):
@@ -332,10 +366,14 @@ def save_embeddings_csv(path, data: EmbeddingCollection) -> None:
 
 
 def save_embeddings_binary(path, data: EmbeddingCollection):
-    """JSON header plus float64 little-endian binary; lossless."""
+    """JSON header plus float64 little-endian binary; lossless. On a
+    little-endian host the vectors' own buffer is written and hashed."""
     path = Path(path)
     bin_path = path.with_suffix(".bin")
-    payload = data.vectors.astype("<f8").tobytes(order="C")
+    vectors = data.vectors  # C-contiguous native float64, as the collection holds it
+    if vectors.dtype != np.dtype("<f8"):
+        vectors = vectors.astype("<f8")
+    payload = memoryview(vectors).cast("B")
     atomic_write_bytes(bin_path, payload)
     header = {
         "format_version": FORMAT_VERSION,
@@ -378,14 +416,28 @@ def load_embeddings(path) -> EmbeddingCollection:
     header = _load_header(path, "embeddings", count=int, dim=int, vectors_file=str,
                           vectors_sha256=str, item_ids=list)
     bin_path = path.parent / header["vectors_file"]
-    payload = bin_path.read_bytes()
-    if sha256_bytes(payload) != header["vectors_sha256"]:
-        raise DataError(f"digest mismatch for {bin_path}")
     shape = (header["count"], header["dim"])
-    if len(payload) != 8 * shape[0] * shape[1]:
-        raise DataError(f"{bin_path} holds {len(payload)} bytes, expected {shape[0]}x{shape[1]} float64")
-    vectors = np.frombuffer(payload, dtype="<f8").reshape(shape)
+    vectors = _read_vectors(bin_path, shape, header["vectors_sha256"])
     return EmbeddingCollection(tuple(header["item_ids"]), vectors)
+
+
+def _read_vectors(bin_path: Path, shape: tuple[int, int], digest: str) -> np.ndarray:
+    """The (count, dim) float64 matrix in `bin_path`, read into the array
+    the collection adopts and hashed in place. A file of any other size is
+    read whole, to name its first fault: its digest, then its size."""
+    with open(bin_path, "rb") as f:
+        if min(shape) >= 0 and os.fstat(f.fileno()).st_size == 8 * shape[0] * shape[1]:
+            vectors = np.empty(shape, dtype="<f8")
+            buffer = memoryview(vectors).cast("B")
+            if f.readinto(buffer) == len(buffer) and not f.read(1):
+                if sha256_bytes(buffer) != digest:
+                    raise DataError(f"digest mismatch for {bin_path}")
+                vectors.flags.writeable = False
+                return vectors
+    payload = bin_path.read_bytes()
+    if sha256_bytes(payload) != digest:
+        raise DataError(f"digest mismatch for {bin_path}")
+    raise DataError(f"{bin_path} holds {len(payload)} bytes, expected {shape[0]}x{shape[1]} float64")
 
 
 def save_labels(path, ids, labels) -> None:
@@ -428,11 +480,12 @@ def load_interactions(path, catalog) -> dict[str, InteractionDataset]:
                 raise DataError(f"{path} row {row} has {len(row)} fields, expected 3")
             context, target, split = row
             record = [*(context.split("|") if context else ()), target]
-            check_item_ids(record)
             items, sizes = by_split.setdefault(split, ([], []))
             try:
                 items.extend(map(row_of.__getitem__, record))
             except KeyError as e:
+                # catalog ids are checked, so only a missing id can break the alphabet
+                check_item_ids(record)
                 raise DataError(f"{path}: {split} item {e.args[0]!r} not in catalog") from None
             sizes.append(len(record))
     return {split: InteractionDataset(*lists, split) for split, lists in by_split.items()}

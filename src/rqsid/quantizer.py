@@ -37,6 +37,9 @@ _MIXED_MIN_M = 8
 _MIXED_MIN_N = 1024
 # Norm scale beyond which float32 scoring risks overflow; fall back to exact.
 _MIXED_MAX_SCALE = 1e15
+# Rows that `train_rq` updates and `encode_all` encodes at once, so neither
+# builds an (n, dim) temporary; only `train_rq` holds all rows' residuals.
+_ROW_BLOCK = 8 * _SCORE_CHUNK
 
 
 class KMeansResult(NamedTuple):
@@ -272,7 +275,9 @@ def train_rq(
         )
         layers[l] = result.centroids
         sse_per_layer.append(result.sse)
-        residuals -= result.centroids[result.assignments]
+        for start in range(0, len(data), _ROW_BLOCK):
+            block = slice(start, start + _ROW_BLOCK)
+            residuals[block] -= result.centroids[result.assignments[block]]
     return Codebook(config, layers, tuple(sse_per_layer))
 
 
@@ -281,7 +286,9 @@ def encode_all(data: EmbeddingCollection, codebook: Codebook) -> tuple[np.ndarra
 
     Returns (sids, residual_sq_norms): sids is (n, L) token indices and
     residual_sq_norms is (n, L+1) with column l holding the squared norm of
-    the residual after l layers (column 0 is the raw squared norm).
+    the residual after l layers (column 0 is the raw squared norm). Each
+    block of rows passes through all L layers before the next starts, so
+    one block's residual is alive at a time.
     """
     if data.dim != codebook.config.dim:
         raise DataError(
@@ -289,14 +296,15 @@ def encode_all(data: EmbeddingCollection, codebook: Codebook) -> tuple[np.ndarra
         )
     n = len(data)
     L = codebook.config.num_layers
-    residual = data.vectors.copy()
     sids = np.empty((n, L), dtype=np.int64)
     sq_norms = np.empty((n, L + 1), dtype=np.float64)
-    sq_norms[:, 0] = np.einsum("ij,ij->i", residual, residual)
-    for l in range(L):
-        labels, _ = _nearest(residual, codebook.layers[l])
-        sids[:, l] = labels
-        residual -= codebook.layers[l][labels]
-        sq_norms[:, l + 1] = np.einsum("ij,ij->i", residual, residual)
+    for start in range(0, n, _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        residual = data.vectors[block].copy()
+        sq_norms[block, 0] = np.einsum("ij,ij->i", residual, residual)
+        for l in range(L):
+            labels, _ = _nearest(residual, codebook.layers[l])
+            sids[block, l] = labels
+            residual -= codebook.layers[l][labels]
+            sq_norms[block, l + 1] = np.einsum("ij,ij->i", residual, residual)
     return sids, sq_norms
-

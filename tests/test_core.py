@@ -75,6 +75,31 @@ class TestEmbeddingCollection:
         data = EmbeddingCollection(tuple(GOOD_ITEM_IDS), np.zeros((len(GOOD_ITEM_IDS), 1)))
         assert data.ids == tuple(GOOD_ITEM_IDS)
 
+    def test_read_only_owned_array_adopted(self):
+        vectors = np.empty((3, 2))
+        vectors[:] = [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+        vectors.flags.writeable = False
+        data = EmbeddingCollection(("a", "b", "c"), vectors)
+        assert data.vectors is vectors
+        assert not data.vectors.flags.writeable
+
+    @pytest.mark.parametrize("kind", ["writable", "read-only view", "float32", "fortran"])
+    def test_other_arrays_copied(self, kind):
+        base = np.arange(6, dtype=np.float64).reshape(3, 2).copy()  # owns its buffer
+        vectors = {"writable": base, "read-only view": base.view(),
+                   "float32": base.astype(np.float32), "fortran": np.asfortranarray(base)}[kind]
+        if kind == "read-only view":
+            vectors.flags.writeable = False
+        data = EmbeddingCollection(("a", "b", "c"), vectors)
+        assert not np.shares_memory(data.vectors, vectors)
+        assert not data.vectors.flags.writeable and data.vectors.flags.c_contiguous
+        assert data.vectors.dtype == np.float64
+        # a write to the caller's array after construction does not reach `vectors`
+        (base if kind == "read-only view" else vectors)[0, 0] = 99.0
+        np.testing.assert_array_equal(data.vectors, np.arange(6.0).reshape(3, 2))
+        with pytest.raises(ValueError):
+            data.vectors[0, 0] = 1.0
+
 
 class TestCodebook:
     def test_shape_checked(self):

@@ -1133,6 +1133,26 @@ class TestEvaluateOracle:
                     assert got == want, (count, trie_mode, given)
 
 
+    @pytest.mark.parametrize("fit,chunk", [(0, 1), (2, 2), (100, grsim._DECODE_CHUNK)])
+    def test_trie_off_chunk_bounded_by_its_scores(self, monkeypatch, fit, chunk):
+        """With the trie off a chunk holds as many records as `fit` in
+        _DECODE_FLOATS at beam_width * vocab_size floats each (at least one,
+        at most _DECODE_CHUNK); with it on, _DECODE_CHUNK."""
+        config, entries, table, model, test = self.setup_case(6, 3, 0.4)
+        monkeypatch.setattr(grsim, "_DECODE_FLOATS", fit * 10 * model.vocab_size)
+        sizes = []
+        decode = grsim.beam_search
+        monkeypatch.setattr(grsim, "beam_search", lambda model, contexts, *args, **kwargs: (
+            sizes.append(len(contexts)) or decode(model, contexts, *args, **kwargs)))
+        head_set = frozenset({0, 3})
+        for trie_mode, most in (("off", chunk), ("on", grsim._DECODE_CHUNK)):
+            sizes.clear()
+            args = (model, test, config, head_set, 10, (1, 5, 10), trie_mode, 0)
+            got = evaluate(args[0], args[1], table, *args[2:])
+            assert got == reference_evaluate(args[0], args[1], entries, *args[2:]), trie_mode
+            assert max(sizes) == most and sum(sizes) == len(test), trie_mode
+
+
 class TestGenInteractions:
     def test_deterministic(self):
         spec = InteractionSpec(num_records=50, min_history=2, max_history=4)

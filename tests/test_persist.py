@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from dataclasses import replace
@@ -18,6 +19,7 @@ from rqsid.core import (
     TokenRangeError,
     sid_table,
 )
+from rqsid import persist
 from rqsid.grsim import InteractionDataset
 from rqsid.persist import (
     INLINE_CODEBOOK_LIMIT,
@@ -431,6 +433,73 @@ class TestLoaderContract:
             load_sids(tmp_path / "sids.csv", CFG)
 
 
+class TestStreamedSidLoad:
+    """load_sids, which converts a block of lines at a time, against the
+    reference on TestSidOracle's files, with blocks a few rows long."""
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """Shrink the read block to `size` characters; the list fills with
+        the blocks of lines that load_sids converts."""
+        seen = []
+        line_blocks = persist._line_blocks
+        monkeypatch.setattr(persist, "_line_blocks",
+                            lambda f: (seen.append(b) or b for b in line_blocks(f)))
+
+        def shrink(size):
+            monkeypatch.setattr(persist, "_SID_READ_BLOCK", size)
+            seen.clear()
+            return seen
+        return shrink
+
+    @pytest.mark.parametrize("size", [1, 7, 64, 1000])
+    @pytest.mark.parametrize("num_layers,elide_share", [(3, 0.0), (3, 0.5), (4, 0.7), (2, 0.0)])
+    def test_load_matches_reference(self, tmp_path, blocks, size, num_layers, elide_share):
+        config = QuantizerConfig(num_layers=num_layers, codebook_size=5, dim=1)
+        items = random_entries(np.random.default_rng(num_layers), 300, config, elide_share)
+        path = tmp_path / "sids.csv"
+        reference_save_sids(path, items)
+        seen = blocks(size)
+        loaded = load_sids(path, config)
+        assert table_entries(loaded) == items
+        assert loaded.is_full.tolist() == [len(e) == num_layers for _, e in items]
+        # some item's rows straddle a block boundary
+        assert len(seen) > 1
+        assert any(a.rsplit("\n", 2)[-2].split(",")[0] == b.split(",")[0]
+                   for a, b in zip(seen, seen[1:]))
+
+    @pytest.mark.parametrize("size", [1, 5, 16])
+    def test_crlf_blank_lines_and_no_final_newline(self, tmp_path, blocks, size):
+        text = "# c\r\n\r\nitem_id,layer,token\r\na,1,1\r\n\r\na,2,2\r\na,3,3\r\nb,1,0\r\nb,3,1"
+        path = tmp_path / "sids.csv"
+        path.write_bytes(text.encode())
+        blocks(size)
+        assert table_entries(load_sids(path, CFG)) == reference_load_sids(path, CFG)
+
+    def test_split_item_across_blocks(self, tmp_path, blocks):
+        rows = ["a,1,1", "a,2,2", "b,1,1", "b,2,2", "b,3,3", "a,3,3"]
+        path = write_sids(tmp_path / "sids.csv", rows)
+        seen = blocks(6)
+        with pytest.raises(DataError, match="the rows of item 'a' are not contiguous"):
+            load_sids(path, CFG)
+        # the halves of item a were converted in different blocks
+        assert seen[0] == "a,1,1\n" and "a,3,3\n" in seen[-1]
+        with pytest.raises(DataError, match="not contiguous"):
+            reference_load_sids(path, CFG)
+
+    @pytest.mark.parametrize("size", [1, 5, 13])
+    @pytest.mark.parametrize("case", MALFORMED_BODIES, ids=list(MALFORMED_BODIES))
+    def test_malformed_file_fails_as_in_one_block(self, tmp_path, blocks, size, case):
+        rows, error, _ = MALFORMED_BODIES[case]
+        path = write_sids(tmp_path / "sids.csv", rows)
+        with pytest.raises(error) as whole:
+            load_sids(path, CFG)
+        blocks(size)
+        with pytest.raises(error) as streamed:
+            load_sids(path, CFG)
+        assert str(streamed.value) == str(whole.value)
+
+
 class TestEmbeddingFormats:
     def test_csv_round_trip_lossless(self, tmp_path):
         gen = np.random.default_rng(1)
@@ -457,6 +526,87 @@ class TestEmbeddingFormats:
         (tmp_path / "emb.bin").write_bytes(bytes(blob))
         with pytest.raises(DataError):
             load_embeddings(tmp_path / "emb.json")
+
+
+def reference_load_embeddings_binary(path):
+    """The binary loader that read the whole file before it built the array."""
+    header = json.loads(path.read_text())
+    bin_path = path.parent / header["vectors_file"]
+    payload = bin_path.read_bytes()
+    if hashlib.sha256(payload).hexdigest() != header["vectors_sha256"]:
+        raise DataError(f"digest mismatch for {bin_path}")
+    shape = (header["count"], header["dim"])
+    if len(payload) != 8 * shape[0] * shape[1]:
+        raise DataError(f"{bin_path} holds {len(payload)} bytes, expected {shape[0]}x{shape[1]} float64")
+    vectors = np.frombuffer(payload, dtype="<f8").reshape(shape)
+    return EmbeddingCollection(tuple(header["item_ids"]), vectors)
+
+
+def _resized(blob, header, size, rehash):
+    """The .bin cut or padded to `size` bytes, its digest updated if `rehash`."""
+    blob = (blob + bytes(8 * 8))[:size]
+    if rehash:
+        header["vectors_sha256"] = hashlib.sha256(blob).hexdigest()
+    return blob
+
+
+def _flipped(blob, header):
+    blob = bytearray(blob)
+    blob[-1] ^= 0x01
+    return bytes(blob)
+
+
+def _counted(blob, header, count):
+    header["count"] = count
+    return blob
+
+
+def _extra_vector(blob, header):
+    """One more vector than item ids, with count and digest to match."""
+    header["count"] += 1
+    return _resized(blob, header, len(blob) + 8 * header["dim"], rehash=True)
+
+
+# each damages a binary embeddings file of 3 vectors of dim 4 (96 bytes)
+DAMAGED_EMBEDDINGS = {
+    "short": (lambda b, h: _resized(b, h, 88, rehash=False), "digest mismatch"),
+    "long": (lambda b, h: _resized(b, h, 104, rehash=False), "digest mismatch"),
+    "short-rehashed": (lambda b, h: _resized(b, h, 88, rehash=True), "holds 88 bytes"),
+    "long-rehashed": (lambda b, h: _resized(b, h, 104, rehash=True), "holds 104 bytes"),
+    "wrong-digest": (_flipped, "digest mismatch"),
+    "count-too-high": (lambda b, h: _counted(b, h, 4), "holds 96 bytes, expected 4x4"),
+    "count-negative": (lambda b, h: _counted(b, h, -3), "holds 96 bytes, expected -3x4"),
+    "count-beyond-ids": (_extra_vector, "3 ids for 4 vectors"),
+}
+
+
+class TestDamagedEmbeddings:
+    @pytest.mark.parametrize("case", DAMAGED_EMBEDDINGS, ids=list(DAMAGED_EMBEDDINGS))
+    def test_fails_as_reference(self, tmp_path, case):
+        damage, message = DAMAGED_EMBEDDINGS[case]
+        data = EmbeddingCollection(("x", "y", "z"), np.random.default_rng(7).standard_normal((3, 4)))
+        path = tmp_path / "emb.json"
+        save_embeddings_binary(path, data)
+        header = json.loads(path.read_text())
+        blob = damage((tmp_path / "emb.bin").read_bytes(), header)
+        (tmp_path / "emb.bin").write_bytes(blob)
+        path.write_text(json.dumps(header))
+        with pytest.raises(DataError, match=message) as found:
+            load_embeddings(path)
+        with pytest.raises(DataError) as expected:
+            reference_load_embeddings_binary(path)
+        assert str(found.value) == str(expected.value)
+
+    def test_written_from_the_vectors_buffer(self, tmp_path):
+        data = EmbeddingCollection(("x", "y"), np.random.default_rng(8).standard_normal((2, 3)))
+        save_embeddings_binary(tmp_path / "emb.json", data)
+        payload = data.vectors.astype("<f8").tobytes()
+        assert (tmp_path / "emb.bin").read_bytes() == payload
+        header = json.loads((tmp_path / "emb.json").read_text())
+        assert header["vectors_sha256"] == hashlib.sha256(payload).hexdigest()
+        loaded = load_embeddings(tmp_path / "emb.json")
+        assert loaded.vectors.tobytes() == data.vectors.tobytes()
+        assert not loaded.vectors.flags.writeable
 
 
 class TestInteractionFormat:

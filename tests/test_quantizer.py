@@ -13,6 +13,8 @@ from rqsid.core import (
 )
 from rqsid.quantizer import (
     _MIXED_MAX_SCALE,
+    _MIXED_MIN_N,
+    _ROW_BLOCK,
     _kmeanspp_init,
     _nearest,
     _PointSide,
@@ -186,6 +188,65 @@ def residual_chain(x, sid, cb):
     for l, token in enumerate(sid):
         chain.append(chain[-1] - cb.layers[l][token])
     return chain
+
+
+def reference_encode_all(data, codebook):
+    """The whole-array encode_all that encoding by row blocks replaced."""
+    n = len(data)
+    L = codebook.config.num_layers
+    residual = data.vectors.copy()
+    sids = np.empty((n, L), dtype=np.int64)
+    sq_norms = np.empty((n, L + 1), dtype=np.float64)
+    sq_norms[:, 0] = np.einsum("ij,ij->i", residual, residual)
+    for l in range(L):
+        labels, _ = _nearest(residual, codebook.layers[l])
+        sids[:, l] = labels
+        residual -= codebook.layers[l][labels]
+        sq_norms[:, l + 1] = np.einsum("ij,ij->i", residual, residual)
+    return sids, sq_norms
+
+
+def reference_train_rq(data, config, rng):
+    """The train_rq that subtracted each layer's codewords from all rows at once."""
+    residuals = data.vectors.copy()
+    layer_rngs = rng.split(config.num_layers)
+    layers, sse = [], []
+    for l in range(config.num_layers):
+        result = kmeans(residuals, config.codebook_size, config.kmeans_iters,
+                        config.convergence_tol, layer_rngs[l])
+        layers.append(result.centroids)
+        sse.append(result.sse)
+        residuals -= result.centroids[result.assignments]
+    return np.array(layers), tuple(sse)
+
+
+class TestRowBlocks:
+    """encode_all and train_rq by row blocks against the whole-array code."""
+
+    # the tail block of the last case is too small for the mixed-precision
+    # path, so it takes the exact one
+    @pytest.mark.parametrize("n", [1, _ROW_BLOCK - 1, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1000])
+    def test_encode_matches_whole_array_reference(self, n):
+        assert (2 * _ROW_BLOCK + 1000) % _ROW_BLOCK < _MIXED_MIN_N
+        gen = np.random.default_rng(n)
+        cfg = QuantizerConfig(num_layers=3, codebook_size=32, dim=8)
+        scales = np.array([1.0, 0.3, 0.1])[:, None, None]
+        cb = Codebook(cfg, gen.standard_normal((3, 32, 8)) * scales, (0.0,) * 3)
+        data = EmbeddingCollection(tuple(map(str, range(n))), gen.standard_normal((n, 8)))
+        sids, sq_norms = encode_all(data, cb)
+        ref_sids, ref_sq_norms = reference_encode_all(data, cb)
+        assert sids.tobytes() == ref_sids.tobytes()
+        assert sq_norms.tobytes() == ref_sq_norms.tobytes()
+
+    def test_train_matches_whole_array_reference(self):
+        n = _ROW_BLOCK + 1000
+        gen = np.random.default_rng(4)
+        data = EmbeddingCollection(tuple(map(str, range(n))), gen.standard_normal((n, 4)))
+        cfg = QuantizerConfig(num_layers=2, codebook_size=8, dim=4, kmeans_iters=3, seed=4)
+        cb = train_rq(data, cfg, RandomSource(4))
+        layers, sse = reference_train_rq(data, cfg, RandomSource(4))
+        assert cb.layers.tobytes() == layers.tobytes()
+        assert cb.training_sse_per_layer == sse
 
 
 class TestEncodeDecode:
