@@ -127,12 +127,7 @@ def cmd_gen(args) -> int:
         else:
             spec = _cluster_spec(args, args.size_law)
             data, labels = datagen.gen_clustered(args.n, args.d, spec, rng)
-        if args.format == "csv":
-            emb_path = out / "embeddings.csv"
-            persist.save_embeddings_csv(emb_path, data)
-            outputs.append(emb_path)
-        else:
-            outputs.extend(persist.save_embeddings_binary(out / "embeddings.json", data))
+        outputs.extend(persist.save_embeddings_binary(out / "embeddings.json", data))
         if labels is not None:
             labels_path = out / "labels.csv"
             persist.save_labels(labels_path, data.ids, labels)
@@ -219,6 +214,11 @@ def cmd_analyze(args) -> int:
 def cmd_mitigate(args) -> int:
     out = Path(args.out)
     mode = args.mode
+    selector = _selector(args)
+    if mode == "varlen" and selector is None:
+        raise ConfigError("varlen mode needs --head-top-k or --head-mass")
+    if mode != "varlen" and selector is not None:
+        raise ConfigError(f"--head-top-k/--head-mass apply to --mode varlen, not {mode}")
     codebook, _ = persist.load_codebook(args.codebook)
     config = codebook.config
     table = _load_full_sids(args.sids, config)
@@ -237,9 +237,6 @@ def cmd_mitigate(args) -> int:
     elif mode == "remove":
         outcome = remove_layer(table, config)
     else:
-        selector = _selector(args)
-        if selector is None:
-            raise ConfigError("varlen mode needs --head-top-k or --head-mass")
         hist = token_histogram(table.tokens, 2, config.codebook_size)
         outcome = varlen_topk(table, hist, selector, config)
         payload["head_selector"] = selector.describe()
@@ -465,11 +462,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     lloyd.add_argument("--tol", type=float, default=1e-4, help="relative SSE stop tolerance")
     head = _Parser(add_help=False)
     head.add_argument("--head-top-k", type=int,
-                      help="head set: the K most frequent layer-2 tokens")
+                      help="head set: the K most frequent layer-2 tokens (mitigate takes "
+                           "it with --mode varlen only)")
     head.add_argument("--head-mass", type=float,
                       help="head set: the fewest layer-2 tokens covering this share of ids "
-                           "(analyze and simulate default to 0.5; simulate takes neither "
-                           "flag when the codebook stores a head set)")
+                           "(analyze and simulate default to 0.5; mitigate takes it with "
+                           "--mode varlen only; simulate takes neither flag when the "
+                           "codebook stores a head set)")
     embeddings = _Parser(add_help=False)
     embeddings.add_argument("--embeddings", required=True, help="embeddings file (.csv or .json)")
     codebook = _Parser(add_help=False)
@@ -495,7 +494,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     g.add_argument("--d", type=int, required=True, help="dimensionality")
     g.add_argument("--size-law", choices=["uniform", "zipf"], default="zipf",
                    help="cluster sizes (clustered)")
-    g.add_argument("--format", choices=["binary", "csv"], default="binary")
 
     t = command("train", cmd_train, "train a residual-quantization codebook",
                 seed, lloyd, embeddings)

@@ -1,8 +1,9 @@
 """Token-distribution diagnostics: histograms, concentration statistics,
 path sparsity, adjacent-layer edge density, and the hourglass report.
 
-All statistics are computed over every codebook slot, zero-count tokens
-included, because under-used slots are exactly what is being measured.
+A histogram is a 1-D array of non-negative counts, one per codebook slot.
+All statistics are computed over every slot, zero-count tokens included,
+because under-used slots are exactly what is being measured.
 """
 
 from __future__ import annotations
@@ -17,24 +18,6 @@ from .core import (
     TokenRangeError,
     UndefinedStatError,
 )
-
-
-@dataclass(frozen=True)
-class LayerHistogram:
-    """Token occurrence counts for one layer; length equals the slot count."""
-
-    layer: int
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.ndim != 1:
-            raise ConfigError(f"counts must be 1-D, got shape {counts.shape}")
-        if (counts < 0).any():
-            raise ConfigError("counts must be non-negative")
-        counts = counts.copy()
-        counts.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
 
 
 @dataclass(frozen=True)
@@ -63,7 +46,7 @@ class Selector:
 
 @dataclass(frozen=True)
 class LayerStats:
-    """Concentration summary of one layer's token histogram."""
+    """Concentration summary of one layer's token histogram (count array)."""
 
     entropy_bits: float
     gini: float
@@ -72,12 +55,12 @@ class LayerStats:
     utilization: float
 
     @classmethod
-    def from_histogram(cls, hist: LayerHistogram) -> "LayerStats":
-        counts = hist.counts
+    def from_histogram(cls, counts) -> "LayerStats":
+        counts = _counts_of(counts)
         return cls(
-            entropy_bits=entropy_bits(hist),
-            gini=gini(hist),
-            stddev=stddev(hist),
+            entropy_bits=entropy_bits(counts),
+            gini=gini(counts),
+            stddev=stddev(counts),
             distinct_tokens=int((counts > 0).sum()),
             utilization=float((counts > 0).sum() / counts.size),
         )
@@ -122,27 +105,26 @@ def _as_sid_array(sids) -> np.ndarray:
 
 
 def _counts_of(h) -> np.ndarray:
-    if isinstance(h, LayerHistogram):
-        return h.counts
     counts = np.asarray(h, dtype=np.int64)
     if counts.ndim != 1 or (counts < 0).any():
         raise ConfigError("histogram must be a 1-D array of non-negative counts")
     return counts
 
 
-def token_histogram(sids, layer: int, num_tokens: int) -> LayerHistogram:
-    """Exact occurrence counts of layer `layer` tokens, zero slots included."""
+def token_histogram(sids, layer: int, num_tokens: int) -> np.ndarray:
+    """Exact occurrence counts of layer `layer` tokens, zero slots included:
+    an int64 array of length `num_tokens`."""
     if num_tokens < 1:
         raise ConfigError(f"num_tokens must be >= 1, got {num_tokens}")
     if len(sids) == 0:
-        return LayerHistogram(layer, np.zeros(num_tokens, dtype=np.int64))
+        return np.zeros(num_tokens, dtype=np.int64)
     arr = _as_sid_array(sids)
     if not 1 <= layer <= arr.shape[1]:
         raise TokenRangeError(f"layer {layer} outside [1, {arr.shape[1]}]")
     col = arr[:, layer - 1]
     if col.min() < 0 or col.max() >= num_tokens:
         raise TokenRangeError(f"token outside [0, {num_tokens}) in layer {layer}")
-    return LayerHistogram(layer, np.bincount(col, minlength=num_tokens))
+    return np.bincount(col, minlength=num_tokens)
 
 
 def entropy_bits(h) -> float:
@@ -182,7 +164,7 @@ def adjacent_pair_count(sids, layer: int, codebook_size: int) -> int:
     return len(np.unique(arr[:, layer - 1] * codebook_size + arr[:, layer]))
 
 
-def head_tail_split(h: LayerHistogram, selector: Selector) -> tuple[frozenset[int], frozenset[int]]:
+def head_tail_split(h, selector: Selector) -> tuple[frozenset[int], frozenset[int]]:
     """Split tokens into head and tail sets.
 
     Tokens are ordered by descending count with ties broken by ascending
@@ -243,25 +225,16 @@ def hourglass_report(
     entropies = [s.entropy_bits for s in stats]
     ginis = [s.gini for s in stats]
 
-    flag = False
-    pinch = None
-    interior = range(2, L)  # 1-based interior layers exist only for L >= 3
-    if L >= 3:
-        pinch = min(interior, key=lambda l: (entropies[l - 1], l))
-        for l in interior:
-            e, g = entropies[l - 1], ginis[l - 1]
-            others = [j for j in range(1, L + 1) if j != l]
-            if all(e < entropies[j - 1] for j in others) and all(
-                g > ginis[j - 1] for j in others
-            ):
-                flag = True
-                break
-
-    head_layer = 2 if L >= 2 else 1
-    head, _ = head_tail_split(hists[head_layer - 1], head_selector)
-    density = tuple(
-        adjacent_pair_count(arr, l, M) / (M * M) for l in range(1, L)
+    # a strict global entropy minimum at an interior layer is the pinch
+    pinch = min(range(2, L), key=lambda l: (entropies[l - 1], l), default=None)
+    flag = pinch is not None and all(
+        entropies[pinch - 1] < e and ginis[pinch - 1] > g
+        for l, (e, g) in enumerate(zip(entropies, ginis), 1)
+        if l != pinch
     )
+
+    head, _ = head_tail_split(hists[min(L, 2) - 1], head_selector)
+    density = tuple(adjacent_pair_count(arr, l, M) / (M * M) for l in range(1, L))
     distinct = int(np.unique(arr, axis=0).shape[0])
     return HourglassReport(
         per_layer=stats,
@@ -272,7 +245,5 @@ def hourglass_report(
         pinch_layer=pinch,
         num_items=int(arr.shape[0]),
         distinct_sids=distinct,
-        histograms=tuple(tuple(int(c) for c in h.counts) for h in hists)
-        if include_histograms
-        else (),
+        histograms=tuple(tuple(h.tolist()) for h in hists) if include_histograms else (),
     )

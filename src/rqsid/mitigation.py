@@ -26,7 +26,6 @@ from .core import (
 )
 from .diagnostics import (
     HourglassReport,
-    LayerHistogram,
     LayerStats,
     Selector,
     head_tail_split,
@@ -87,19 +86,19 @@ def _table(sids, config: QuantizerConfig) -> np.recarray:
 
 
 def _outcome(table, head_set, capacity_paper_formula: int, config) -> MitigationOutcome:
-    """Count distinct ids and group collisions with one np.unique over rows."""
-    _, first, inverse, counts = np.unique(
-        table.tokens, axis=0, return_index=True, return_inverse=True, return_counts=True
-    )
+    """Count distinct ids and group collisions with one stable row sort."""
+    order = np.lexsort(table.tokens.T[::-1])  # rows by id, each id's rows in table order
+    rows = table.tokens[order]
+    # a group starts at each sorted row that differs from the row before it
+    starts = np.flatnonzero(np.r_[len(rows) > 0, (rows[1:] != rows[:-1]).any(axis=1)])
+    counts = np.diff(starts, append=len(rows))
+    first = order[starts]
     shared = np.flatnonzero(counts >= 2)
     shared = shared[np.argsort(first[shared])]
-    # rows grouped by id, each group in table order
-    by_id = np.argsort(inverse.reshape(-1), kind="stable")
-    starts = np.cumsum(counts) - counts
     item_ids = table.item_id
     keys = sid_to_flat_tokens(table[first[shared]], config)
     collisions = {
-        tuple(key[:n]): tuple(item_ids[by_id[starts[g] : starts[g] + counts[g]]].tolist())
+        tuple(key[:n]): tuple(item_ids[order[starts[g] : starts[g] + counts[g]]].tolist())
         for key, n, g in zip(keys.tolist(), (keys >= 0).sum(axis=1).tolist(), shared.tolist())
     }
     return MitigationOutcome(
@@ -146,27 +145,21 @@ def remove_layer(sids, config: QuantizerConfig) -> MitigationOutcome:
 
 def varlen_topk(
     sids,
-    hist: LayerHistogram,
+    hist: np.ndarray,
     selector: Selector,
     config: QuantizerConfig,
 ) -> MitigationOutcome:
     """Elide layer 2 for ids whose layer-2 token is in the head set.
 
     `sids` is an id table of full-length ids, and `hist` must be the layer-2
-    histogram of exactly those ids; tail ids pass through untouched.
+    count array of exactly those ids; tail ids pass through untouched.
     """
     L, M = config.num_layers, config.codebook_size
     if L < 3:
         raise ConfigError("variable-length elision needs at least three layers")
     table = _table(sids, config)
-    if hist.layer != 2 or hist.counts.size != M:
-        raise ConsistencyError(
-            f"histogram is for layer {hist.layer} with {hist.counts.size} slots, "
-            f"expected layer 2 with {M}"
-        )
-    recomputed = token_histogram(table.tokens, 2, M)
-    if not np.array_equal(recomputed.counts, hist.counts):
-        raise ConsistencyError("histogram does not match the id multiset")
+    if not np.array_equal(token_histogram(table.tokens, 2, M), hist):
+        raise ConsistencyError(f"histogram is not the {M}-slot layer-2 count of the ids")
 
     head, _ = head_tail_split(hist, selector)
     k = len(head)
@@ -204,11 +197,7 @@ def post_mitigation_report(
             full_report=None,
             full_length_utilization=None,
         )
-    tail_tokens = np.array(
-        sorted(set(range(M)) - set(outcome.head_set)), dtype=np.int64
-    )
-    layer2 = token_histogram(arr, 2, M)
-    remaining = LayerHistogram(2, layer2.counts[tail_tokens])
+    remaining = np.delete(token_histogram(arr, 2, M), list(outcome.head_set))
     try:
         remaining_stats = LayerStats.from_histogram(remaining)
     except UndefinedStatError:

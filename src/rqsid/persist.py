@@ -5,7 +5,8 @@ Formats:
             float32 codewords (embedded in the JSON for tiny codebooks).
   ids       long-form item_id,layer,token rows with 0-based tokens, after
             a header and the comment lines before it.
-  embeddings CSV item_id,v0..v{D-1}, or JSON header plus float64 binary.
+  embeddings JSON header plus float64 binary; CSV item_id,v0..v{D-1} is
+            read too, to import embeddings made elsewhere.
   interactions CSV user_context,target,split with pipe-separated context.
   reports   one JSON document with a schema_version field.
 
@@ -354,15 +355,6 @@ def _bad_item(path) -> DataError:
 
 
 # --- embeddings -------------------------------------------------------------
-
-
-def save_embeddings_csv(path, data: EmbeddingCollection) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["item_id"] + [f"v{i}" for i in range(data.dim)])
-    for item_id, vec in zip(data.ids, data.vectors):
-        writer.writerow([item_id] + [repr(float(v)) for v in vec])
-    atomic_write_text(path, buf.getvalue())
 
 
 def save_embeddings_binary(path, data: EmbeddingCollection):

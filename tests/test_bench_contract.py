@@ -18,7 +18,9 @@ import pytest
 
 from rqsid import cli, grsim, persist
 from rqsid.core import Codebook, QuantizerConfig, sid_table
+from rqsid.diagnostics import Selector, token_histogram
 from rqsid.grsim import InteractionDataset
+from rqsid.mitigation import varlen_topk
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -94,3 +96,31 @@ def test_traced_simulate_calls_every_expected_grsim_function(layers, tmp_path):
         tracer.uninstall()
     expected = workloads._GRSIM | {"grsim.evaluate.off", "grsim.beam_search.off"}
     assert layers.missing_calls(tracer, expected) == []
+
+
+def test_varlen_topk_takes_a_token_histogram_positionally():
+    """The span tests call varlen_topk(sids, hist, selector, config) with a
+    token_histogram result, as `mitigate` does."""
+    config = QuantizerConfig(num_layers=3, codebook_size=4, dim=2, seed=0)
+    sids = [(0, 1, 2), (1, 1, 3), (2, 0, 3)]
+    hist = token_histogram(sids, 2, 4)
+    outcome = varlen_topk(sids, hist, Selector.top_k(1), config)
+    assert outcome.head_set == {1}
+    assert outcome.transformed_sids.is_full.tolist() == [False, False, True]
+
+
+def test_small_codebook_is_one_file(tmp_path):
+    """The stage-check tests copy only `codebook.json` of a small codebook,
+    so one of at most INLINE_CODEBOOK_LIMIT floats must need no sidecar."""
+    config = QuantizerConfig(num_layers=4, codebook_size=32, dim=32)
+    assert config.num_layers * config.codebook_size * config.dim == persist.INLINE_CODEBOOK_LIMIT
+    codebook = Codebook(config, np.random.default_rng(0).normal(size=(4, 32, 32)),
+                        (1.0, 0.5, 0.25, 0.125))
+    written = persist.save_codebook(tmp_path / "codebook.json", codebook, head_set={3})
+    assert written == [tmp_path / "codebook.json"]
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    (alone / "codebook.json").write_bytes((tmp_path / "codebook.json").read_bytes())
+    loaded, head = persist.load_codebook(alone / "codebook.json")
+    assert head == {3}
+    np.testing.assert_array_equal(loaded.layers, codebook.layers.astype(np.float32))

@@ -206,8 +206,9 @@ class TestErrors:
         lambda root: ("mitigate", "--sids", root / "enc" / "sids.csv",
                       "--codebook", root / "train" / "codebook.json",
                       "--mode", "remove", "--seed", 1),
+        lambda root: ("gen", "--kind", "uniform", "--n", 5, "--d", 2, "--format", "csv"),
     ], ids=["threads", "inline-codebook", "layer", "encode-seed", "analyze-seed",
-            "mitigate-seed"])
+            "mitigate-seed", "gen-format"])
     def test_removed_flags_exit_2(self, pipeline, tmp_path, argv):
         # each argv is valid apart from the removed flag
         assert run(*argv(pipeline), "--out", tmp_path / "out") == 2
@@ -224,6 +225,19 @@ class TestErrors:
         code = run(
             *argv, "--sids", pipeline / "enc" / "sids.csv",
             "--codebook", pipeline / "train" / "codebook.json", "--out", tmp_path / "out",
+        )
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode,flags", [
+        ("exchange", ("--head-top-k", 1)), ("remove", ("--head-mass", "0.5")),
+    ], ids=["exchange", "remove"])
+    def test_head_flag_outside_varlen_mode_exits_2(self, pipeline, tmp_path, mode, flags):
+        # exchange and remove take no head set
+        code = run(
+            "mitigate", "--sids", pipeline / "enc" / "sids.csv",
+            "--codebook", pipeline / "train" / "codebook.json",
+            "--mode", mode, *flags, "--out", tmp_path / "out",
         )
         assert code == 2
         assert not (tmp_path / "out").exists()

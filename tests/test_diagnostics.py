@@ -12,7 +12,7 @@ from rqsid.core import (
     UndefinedStatError,
 )
 from rqsid.diagnostics import (
-    LayerHistogram,
+    LayerStats,
     Selector,
     entropy_bits,
     gini,
@@ -39,15 +39,15 @@ class TestTokenHistogram:
 
     def test_layer2(self):
         h = token_histogram(self.SIDS, 2, 4)
-        np.testing.assert_array_equal(h.counts, [0, 3, 0, 0])
+        np.testing.assert_array_equal(h, [0, 3, 0, 0])
 
     def test_layer1(self):
         h = token_histogram(self.SIDS, 1, 4)
-        np.testing.assert_array_equal(h.counts, [2, 1, 0, 0])
+        np.testing.assert_array_equal(h, [2, 1, 0, 0])
 
     def test_empty_input(self):
         h = token_histogram([], 2, 4)
-        np.testing.assert_array_equal(h.counts, [0, 0, 0, 0])
+        np.testing.assert_array_equal(h, [0, 0, 0, 0])
 
     def test_layer_out_of_range(self):
         with pytest.raises(TokenRangeError):
@@ -56,6 +56,29 @@ class TestTokenHistogram:
     def test_token_out_of_range(self):
         with pytest.raises(TokenRangeError):
             token_histogram([(0, 9, 0)], 2, 4)
+
+    def test_is_an_int64_count_array(self):
+        h = token_histogram(np.array(self.SIDS), 3, 4)
+        assert h.dtype == np.int64 and h.shape == (4,)
+
+
+class TestCountValidation:
+    """Every histogram consumer takes a 1-D array of non-negative counts."""
+
+    @pytest.mark.parametrize("counts", [[[1, 2], [3, 4]], [3, -1, 2]], ids=["2-d", "negative"])
+    @pytest.mark.parametrize("consume", [
+        lambda c: head_tail_split(c, Selector.top_k(1)),
+        entropy_bits,
+        LayerStats.from_histogram,
+    ], ids=["head_tail_split", "entropy_bits", "from_histogram"])
+    def test_rejected(self, consume, counts):
+        with pytest.raises(ConfigError):
+            consume(counts)
+
+    def test_from_histogram_takes_a_list(self):
+        stats = LayerStats.from_histogram([2, 2, 0, 0])
+        assert stats.entropy_bits == pytest.approx(1.0, abs=1e-12)
+        assert (stats.distinct_tokens, stats.utilization) == (2, 0.5)
 
 
 class TestEntropy:
@@ -167,7 +190,7 @@ class TestPathSparsity:
 
 
 class TestHeadTailSplit:
-    COUNTS = LayerHistogram(2, [50, 30, 15, 5])
+    COUNTS = np.array([50, 30, 15, 5])
 
     def test_top1(self):
         head, tail = head_tail_split(self.COUNTS, Selector.top_k(1))
@@ -184,7 +207,7 @@ class TestHeadTailSplit:
         assert tail == set()
 
     def test_ties_break_by_index(self):
-        head, _ = head_tail_split(LayerHistogram(2, [7, 9, 7, 1]), Selector.top_k(2))
+        head, _ = head_tail_split([7, 9, 7, 1], Selector.top_k(2))
         assert head == {0, 1}
 
     def test_k_too_large(self):
@@ -255,6 +278,42 @@ class TestHourglassReport:
         assert doc["num_items"] == 40
         assert [s["layer"] for s in doc["per_layer"]] == [1, 2, 3]
         assert len(doc["histograms"]) == 3
+
+
+def reference_flag(entropies, ginis):
+    """The interior-layer loop that the report's single pinch test replaced."""
+    L = len(entropies)
+    for l in range(2, L):
+        others = [j for j in range(1, L + 1) if j != l]
+        if all(entropies[l - 1] < entropies[j - 1] for j in others) and all(
+            ginis[l - 1] > ginis[j - 1] for j in others
+        ):
+            return True
+    return False
+
+
+@st.composite
+def small_id_sets(draw):
+    """A config with L in 1..5 and M in 1..3, and ids over it: few slots and
+    few rows, so layers often tie in entropy or gini."""
+    L, M = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    row = st.lists(st.integers(0, M - 1), min_size=L, max_size=L)
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    return QuantizerConfig(num_layers=L, codebook_size=M, dim=1), np.array(rows)
+
+
+class TestHourglassFlagOracle:
+    @given(small_id_sets())
+    @settings(max_examples=400, deadline=None)
+    def test_flag_and_pinch_match_the_interior_loop(self, case):
+        cfg, sids = case
+        report = hourglass_report(sids, cfg)
+        entropies = [s.entropy_bits for s in report.per_layer]
+        ginis = [s.gini for s in report.per_layer]
+        assert report.hourglass_flag == reference_flag(entropies, ginis)
+        L = cfg.num_layers
+        want_pinch = min(range(2, L), key=lambda l: (entropies[l - 1], l)) if L >= 3 else None
+        assert report.pinch_layer == want_pinch
 
 
 class TestSmallResidualRatio:

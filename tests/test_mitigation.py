@@ -12,7 +12,6 @@ from rqsid.core import (
     sid_table,
 )
 from rqsid.diagnostics import (
-    LayerHistogram,
     LayerStats,
     Selector,
     gini,
@@ -58,7 +57,7 @@ class TestExchangeLayers:
         swapped = exchange_layers(table(sids, CFG), 1, 2, CFG)
         h1 = token_histogram(sids, 1, 4)
         h2_after = token_histogram(swapped.tokens, 2, 4)
-        np.testing.assert_array_equal(h1.counts, h2_after.counts)
+        np.testing.assert_array_equal(h1, h2_after)
 
     def test_preserves_token_multiset(self):
         gen = np.random.default_rng(2)
@@ -138,9 +137,18 @@ class TestVarlenTopK:
 
     def test_histogram_mismatch(self):
         sids = [(1, 2, 3)]
-        hist = LayerHistogram(2, [0, 0, 5, 0])
+        hist = np.array([0, 0, 5, 0])
         with pytest.raises(ConsistencyError):
             varlen_topk(sids, hist, Selector.top_k(1),
+                        QuantizerConfig(num_layers=3, codebook_size=4, dim=1))
+
+    @pytest.mark.parametrize("hist", [
+        [0, 0, 1, 0, 0], [0, 0, 1], [[0, 0, 1, 0]], [0, 1, 0, 0],
+    ], ids=["extra-slot", "short", "2-d", "layer-1"])
+    def test_histogram_not_the_layer2_count_array(self, hist):
+        # the ids' layer-2 count array is [0, 0, 1, 0]
+        with pytest.raises(ConsistencyError):
+            varlen_topk([(1, 2, 3)], hist, Selector.top_k(1),
                         QuantizerConfig(num_layers=3, codebook_size=4, dim=1))
 
     def test_partition_property(self):
@@ -217,7 +225,7 @@ def reference_post(transformed, head_set, config, head_selector=Selector.mass(0.
         return PostMitigationReport(elision_rate, None, None, None)
     arr = np.asarray(full, dtype=np.int64)
     tail_tokens = np.array(sorted(set(range(M)) - set(head_set)), dtype=np.int64)
-    remaining = LayerHistogram(2, token_histogram(arr, 2, M).counts[tail_tokens])
+    remaining = token_histogram(arr, 2, M)[tail_tokens]
     try:
         remaining_stats = LayerStats.from_histogram(remaining)
     except UndefinedStatError:

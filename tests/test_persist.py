@@ -31,7 +31,6 @@ from rqsid.persist import (
     record_run,
     save_codebook,
     save_embeddings_binary,
-    save_embeddings_csv,
     save_interactions,
     save_sids,
     sha256_file,
@@ -504,7 +503,10 @@ class TestEmbeddingFormats:
     def test_csv_round_trip_lossless(self, tmp_path):
         gen = np.random.default_rng(1)
         data = EmbeddingCollection(("a", "b", "c"), gen.standard_normal((3, 5)))
-        save_embeddings_csv(tmp_path / "emb.csv", data)
+        # the CSV form is read only, as the import path for outside embeddings
+        (tmp_path / "emb.csv").write_text("item_id,v0,v1,v2,v3,v4\n" + "".join(
+            ",".join([item, *map(repr, row)]) + "\n"
+            for item, row in zip(data.ids, data.vectors.tolist())))
         loaded = load_embeddings(tmp_path / "emb.csv")
         assert loaded.ids == data.ids
         np.testing.assert_array_equal(loaded.vectors, data.vectors)
@@ -639,8 +641,7 @@ class TestInteractionFormat:
 class TestManifest:
     def test_record_and_verify(self, tmp_path):
         out = tmp_path / "emb.csv"
-        gen = np.random.default_rng(4)
-        save_embeddings_csv(out, EmbeddingCollection(("a",), gen.standard_normal((1, 2))))
+        out.write_text("item_id,v0,v1\na,0.5,-1.25\n")
         record_run(tmp_path, "gen", {"n": 1}, {"gen": 0.1}, [out])
         (run,) = json.loads((tmp_path / "manifest.json").read_text())["runs"]
         assert run["outputs"] == [
@@ -649,8 +650,7 @@ class TestManifest:
 
     def test_runs_accumulate(self, tmp_path):
         out = tmp_path / "emb.csv"
-        gen = np.random.default_rng(6)
-        save_embeddings_csv(out, EmbeddingCollection(("a",), gen.standard_normal((1, 2))))
+        out.write_text("item_id,v0,v1\na,0.5,-1.25\n")
         record_run(tmp_path, "gen", {}, {}, [out])
         record_run(tmp_path, "train", {}, {}, [out])
         manifest = json.loads((tmp_path / "manifest.json").read_text())
