@@ -151,17 +151,17 @@ class SequenceModel:
     uses the longest context suffix that was ever observed; if none was,
     the distribution is uniform over the flat vocabulary.
 
-    The counts are compiled into arrays. A context of width w is packed
-    into one int64 key, its tokens as base-`vocab_size` digits, oldest
-    first; each width keeps its contexts' keys sorted, so a batch of
-    contexts is matched with one binary search per width. The contexts of
-    all widths share CSR arrays: context g, the `offset` of its width plus
-    its rank there, was followed `totals[g]` times, by the tokens
-    `pairs[starts[g]:starts[g + 1]] % vocab_size` with the counts
-    `counts[...]` of the same slice. `pairs` holds g * vocab_size + next
-    token, so it is sorted, and one binary search finds the count of any
-    (context, next token) pair. A (context, next token) key packs
-    `order + 1` tokens, so `vocab_size ** (order + 1)` must fit in an int64.
+    The counts are one sorted array. A context of any width is packed into
+    one int64 key, its tokens plus 1 as base-`vocab_size + 1` digits,
+    oldest first, so no two widths share a key and 0 is no context. Each
+    observed (context, next token) pair is the key `context * vocab_size +
+    next` in the sorted `pairs`, with the count `counts[...]`. `contexts`
+    holds the distinct context keys of `pairs` in order: context g was
+    followed `totals[g]` times, by the pairs `starts[g]:starts[g + 1]`. A
+    batch of contexts is matched with one binary search of all their suffix
+    keys, and one binary search of `pairs` finds the count of any (context,
+    next token) pair. A pair key is below `(vocab_size + 1) ** order *
+    vocab_size`, which must fit in an int64.
     """
 
     def __init__(self, order: int, alpha: float, vocab_size: int):
@@ -171,48 +171,35 @@ class SequenceModel:
             raise ConfigError(f"alpha must be > 0, got {alpha}")
         if vocab_size < 1:
             raise ConfigError(f"vocab_size must be >= 1, got {vocab_size}")
-        if vocab_size ** (order + 1) > np.iinfo(np.int64).max:
+        if (vocab_size + 1) ** order * vocab_size > np.iinfo(np.int64).max:
             raise ConfigError(
-                f"vocab_size {vocab_size} ** (order {order} + 1) does not fit in an int64 key"
+                f"(vocab_size {vocab_size} + 1) ** order {order} * vocab_size does not fit"
+                " in an int64 key"
             )
         self.order = order
         self.alpha = alpha
         self.vocab_size = vocab_size
-        empty = np.zeros(0, dtype=np.int64)
-        self._compile([empty] * order, [empty] * order)
+        self._pairs = self._counts = np.zeros(0, dtype=np.int64)
+        self._compile()
 
-    def _compile(self, pairs_by_width, counts_by_width) -> None:
-        """Set the lookup arrays from each width's sorted distinct
-        (context, next token) keys and their counts."""
-        v = self.vocab_size
-        self._keys: list[np.ndarray] = []
-        self._offset: list[int] = []
-        starts, totals = [], []
-        num_contexts = num_pairs = 0
-        for pairs, counts in zip(pairs_by_width, counts_by_width):
-            contexts = pairs // v
-            first = np.flatnonzero(np.r_[True, contexts[1:] != contexts[:-1]])[: len(pairs)]
-            self._keys.append(contexts[first])
-            self._offset.append(num_contexts)
-            starts.append(first + num_pairs)
-            totals.append(np.add.reduceat(counts, first) if len(first) else counts)
-            num_contexts += len(first)
-            num_pairs += len(pairs)
-        self._starts = np.append(np.concatenate(starts), num_pairs)
-        self._totals = np.concatenate(totals)
-        self._pairs = (np.repeat(np.arange(num_contexts), np.diff(self._starts)) * v
-                       + np.concatenate(pairs_by_width) % v)
-        self._counts = np.concatenate(counts_by_width)
+    def _compile(self) -> None:
+        """Set `_contexts`, `_starts` and `_totals` from `_pairs` and `_counts`."""
+        contexts = self._pairs // self.vocab_size
+        first = np.flatnonzero(np.r_[True, contexts[1:] != contexts[:-1]])[: len(contexts)]
+        self._contexts = contexts[first]
+        self._starts = np.append(first, len(contexts))
+        self._totals = np.add.reduceat(self._counts, first) if len(first) else self._counts
 
-    def _width_pairs(self, w: int) -> tuple[np.ndarray, np.ndarray]:
-        """Width w's sorted distinct (context, next token) keys and their counts."""
-        first = self._offset[w - 1]
-        bounds = self._starts[first : first + len(self._keys[w - 1]) + 1]
-        span = slice(bounds[0], bounds[-1])
-        pairs = np.repeat(self._keys[w - 1], np.diff(bounds)) * self.vocab_size + (
-            self._pairs[span] % self.vocab_size
-        )
-        return pairs, self._counts[span]
+    def _suffix_keys(self, tails: np.ndarray) -> np.ndarray:
+        """Column w holds the key of each row's last w tokens, for w from 0
+        up to `order`; 0 where the row is shorter or one of them lies
+        outside the vocabulary."""
+        digits = tails[:, max(0, tails.shape[1] - self.order) :][:, ::-1] + 1  # newest first
+        bad = np.cumsum((digits < 1) | (digits > self.vocab_size), axis=1) > 0
+        powers = (self.vocab_size + 1) ** np.arange(digits.shape[1])
+        keys = np.cumsum(np.where(bad, 0, digits) * powers, axis=1)
+        keys[bad] = 0
+        return np.column_stack((np.zeros(len(keys), dtype=np.int64), keys))
 
     def observe_stream(self, stream) -> None:
         stream = np.array([int(t) for t in stream], dtype=np.int64)
@@ -226,21 +213,18 @@ class SequenceModel:
             raise TokenRangeError(f"stream token {bad} outside [0, {v})")
         # each token's position in its own stream
         pos = np.arange(len(tokens)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        pairs_by_width, counts_by_width = map(
-            list, zip(*(self._width_pairs(w) for w in range(1, self.order + 1)))
-        )
-        # pairs[j] packs tokens[j : j + w + 1], a width-w context and its next token
-        pairs = tokens
-        for w in range(1, min(self.order, len(tokens) - 1) + 1):
-            pairs = tokens[: len(tokens) - w] * v**w + pairs[1:]
-            new = pairs[pos[w:] >= w]
-            merged, inverse = np.unique(
-                np.concatenate((pairs_by_width[w - 1], new)), return_inverse=True
-            )
-            counts = np.zeros(len(merged), dtype=np.int64)
-            np.add.at(counts, inverse, np.r_[counts_by_width[w - 1], np.ones(len(new), np.int64)])
-            pairs_by_width[w - 1], counts_by_width[w - 1] = merged, counts
-        self._compile(pairs_by_width, counts_by_width)
+        follows = np.flatnonzero(pos[1:] > 0)  # tokens[j + 1] continues tokens[j]'s stream
+        # row i holds the `order` tokens up to tokens[follows[i]], -1 before its stream
+        back = np.arange(self.order)[::-1]
+        tails = np.where(pos[follows, None] >= back,
+                         tokens.take(follows[:, None] - back, mode="clip"), -1)
+        contexts = self._suffix_keys(tails)
+        new = (contexts * v + tokens[follows + 1, None])[contexts > 0]
+        self._pairs, inverse = np.unique(np.r_[self._pairs, new], return_inverse=True)
+        counts = np.zeros(len(self._pairs), dtype=np.int64)
+        np.add.at(counts, inverse, np.r_[self._counts, np.ones(len(new), np.int64)])
+        self._counts = counts
+        self._compile()
 
     def _match(self, tails: np.ndarray) -> np.ndarray:
         """The context each row of `tails` backs off to, or -1 for none.
@@ -249,22 +233,12 @@ class SequenceModel:
         rows hold the same number of them. Tokens outside the vocabulary
         never match, so a context containing one backs off past it.
         """
-        v = self.vocab_size
-        digits = tails[:, max(0, tails.shape[1] - self.order) :][:, ::-1]  # newest first
-        n, width = digits.shape
-        bad = (digits < 0) | (digits >= v)
-        # keys[:, w - 1] packs each context's last w tokens
-        keys = np.cumsum(np.where(bad, 0, digits) * v ** np.arange(width), axis=1)
-        keys[np.cumsum(bad, axis=1) > 0] = -1
-        match = np.full(n, -1)
-        for w in range(1, width + 1):  # shortest first: a longer match overwrites
-            table = self._keys[w - 1]
-            if not len(table):
-                continue
-            at = table.searchsorted(keys[:, w - 1])
-            hit = table[np.minimum(at, len(table) - 1)] == keys[:, w - 1]
-            match[hit] = self._offset[w - 1] + at[hit]
-        return match
+        keys = self._suffix_keys(tails)
+        at = self._contexts.searchsorted(keys)
+        hit = at < len(self._contexts)
+        hit[hit] = self._contexts[at[hit]] == keys[hit]
+        longest = (hit * np.arange(keys.shape[1])).max(axis=1)  # 0 when none hit
+        return np.where(longest > 0, at[np.arange(len(at)), longest], -1)
 
     def _prob_rows(self, tails: np.ndarray) -> np.ndarray:
         """Next-token distributions, one row per row of `tails` (see `_match`)."""
@@ -290,7 +264,8 @@ class SequenceModel:
         each equals its entry of `np.log(_prob_rows(...))`, bit for bit."""
         v = self.vocab_size
         seen = match >= 0
-        key = np.where(seen, match * v + token, -1)
+        key = np.full(len(match), -1)
+        key[seen] = self._contexts[match[seen]] * v + token[seen]
         at = self._pairs.searchsorted(key)
         found = at < len(self._pairs)
         found[found] = self._pairs[at[found]] == key[found]

@@ -446,14 +446,17 @@ def save_labels(path, ids, labels) -> None:
 
 def save_interactions(path, datasets, catalog) -> None:
     """Write datasets over the rows of `catalog` into one file, by item id."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["user_context", "target", "split"])
+    parts = ["user_context,target,split\n"]
     for ds in datasets:
-        items = catalog.item_id[ds.items].tolist()
-        for end, size in zip(np.cumsum(ds.sizes).tolist(), ds.sizes.tolist()):
-            writer.writerow(["|".join(items[end - size : end - 1]), items[end - 1], ds.split])
-    atomic_write_text(path, buf.getvalue())
+        # the text after each item: a history item's "|" or ",", a target's ",split\n"
+        targets = np.cumsum(ds.sizes) - 1
+        seps = np.full(len(ds.items), "|", dtype=object)
+        seps[targets - 1] = ","
+        seps[targets] = f",{ds.split}\n"
+        parts += itertools.chain.from_iterable(
+            zip(catalog.item_id[ds.items].tolist(), seps.tolist())
+        )
+    atomic_write_text(path, "".join(parts))
 
 
 def load_interactions(path, catalog) -> dict[str, InteractionDataset]:

@@ -626,6 +626,23 @@ class TestSequenceModel:
             SequenceModel(order=6, alpha=1.0, vocab_size=768)
         SequenceModel(order=5, alpha=1.0, vocab_size=768)
 
+    # the largest vocabulary each order accepts: a pair key is below
+    # (V + 1) ** order * V, which must not pass 2 ** 63 - 1
+    @pytest.mark.parametrize("order,largest", [
+        (1, 3037000499), (2, 2097151), (3, 55108), (4, 6207), (5, 1447)])
+    def test_key_bound_edge(self, order, largest):
+        top = np.iinfo(np.int64).max
+        assert (largest + 1) ** order * largest <= top < (largest + 2) ** order * (largest + 1)
+        SequenceModel(order, 1.0, largest)
+        with pytest.raises(ConfigError, match="int64"):
+            SequenceModel(order, 1.0, largest + 1)
+        if order >= 3:  # the largest keys count and score without overflow
+            last = largest - 1
+            model, ref = model_pair(order, 1.0, largest, [[last] * (order + 2), [0, last]])
+            assert model._pairs[-1] == (largest + 1) ** order * largest - 1
+            for context in ([last] * order, [0], [last, 0]):
+                assert_rows_equal(model, ref, context)
+
     @pytest.mark.parametrize("bad", [-1, 3, 5])
     def test_out_of_range_token_rejected(self, bad):
         # counted, -1 would alias token 2 as a negative index, and 5 would
@@ -954,6 +971,22 @@ class TestLockstepOracle:
         uniform.observe_stream([0, 0])
         for model in (flat_model, uniform):
             self.assert_batch_matches(model, *self.batch(gen, order))
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_unfitted_model_matches_reference(self, order):
+        # every context backs off to the uniform distribution, and no
+        # lookup may read the empty count arrays
+        gen = np.random.default_rng(95 + order)
+        contexts, prefixes = self.batch(gen, order)
+        model = SequenceModel(order, 0.5, VOCAB)
+        ref = ReferenceSequenceModel(order, 0.5, VOCAB)
+        tries = ((None, None),
+                 (build_trie(table_of(self.CATALOG), CFG), reference_trie(self.CATALOG)))
+        for width in TestBeamSearch.WIDTHS:
+            for trie, ref_trie in tries:
+                got = beam_search(model, contexts, width, 3, CFG, trie, prefixes)
+                assert got == [reference_beam(ref, context, width, 3, CFG, ref_trie, prefix)
+                               for context, prefix in zip(contexts, prefixes)], width
 
     def test_prefixes_default_to_none(self):
         gen = np.random.default_rng(90)
