@@ -317,7 +317,7 @@ def cmd_simulate(args) -> int:
             raise DataError(
                 "catalog has variable-length ids but the codebook stores no head set"
             )
-        hist = token_histogram(catalog.tokens, 2, config.codebook_size)
+        hist = token_histogram(catalog.tokens, min(config.num_layers, 2), config.codebook_size)
         head_set, _ = head_tail_split(hist, selector or Selector.mass(0.5))
 
     t0 = time.perf_counter()

@@ -155,6 +155,20 @@ def stddev(h) -> float:
     return float(np.std(counts))
 
 
+def row_groups(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Equal rows of an (n, L) id array, grouped with one stable row sort.
+
+    Returns the order that sorts the rows, with each group's rows in index
+    order, and the position in it where each group starts; the number of
+    groups is the number of distinct ids.
+    """
+    order = np.lexsort(arr.T[::-1])
+    rows = arr[order]
+    # a group starts at each sorted row that differs from the row before it
+    starts = np.flatnonzero(np.r_[len(rows) > 0, (rows[1:] != rows[:-1]).any(axis=1)])
+    return order, starts
+
+
 def adjacent_pair_count(sids, layer: int, codebook_size: int) -> int:
     """Distinct (layer, layer+1) token pairs; numerator of the edge density.
 
@@ -235,7 +249,7 @@ def hourglass_report(
 
     head, _ = head_tail_split(hists[min(L, 2) - 1], head_selector)
     density = tuple(adjacent_pair_count(arr, l, M) / (M * M) for l in range(1, L))
-    distinct = int(np.unique(arr, axis=0).shape[0])
+    distinct = len(row_groups(arr)[1])
     return HourglassReport(
         per_layer=stats,
         path_sparsity=distinct / M**L,  # exact big-integer path-space size

@@ -159,9 +159,9 @@ class SequenceModel:
     holds the distinct context keys of `pairs` in order: context g was
     followed `totals[g]` times, by the pairs `starts[g]:starts[g + 1]`. A
     batch of contexts is matched with one binary search of all their suffix
-    keys, and one binary search of `pairs` finds the count of any (context,
-    next token) pair. A pair key is below `(vocab_size + 1) ** order *
-    vocab_size`, which must fit in an int64.
+    keys, and each matched context's pairs fill its row of a dense
+    (context, next token) block. A pair key is below `(vocab_size + 1) **
+    order * vocab_size`, which must fit in an int64.
     """
 
     def __init__(self, order: int, alpha: float, vocab_size: int):
@@ -259,24 +259,6 @@ class SequenceModel:
         counts[match < 0] = 1.0 / v
         return counts
 
-    def _log_probs_at(self, match: np.ndarray, token: np.ndarray) -> np.ndarray:
-        """log P(token[i] | context match[i]), with `match` from `_match`;
-        each equals its entry of `np.log(_prob_rows(...))`, bit for bit."""
-        v = self.vocab_size
-        seen = match >= 0
-        key = np.full(len(match), -1)
-        key[seen] = self._contexts[match[seen]] * v + token[seen]
-        at = self._pairs.searchsorted(key)
-        found = at < len(self._pairs)
-        found[found] = self._pairs[at[found]] == key[found]
-        counts = np.zeros(len(key))
-        counts[found] = self._counts[at[found]]
-        totals = np.zeros(len(key))
-        totals[seen] = self._totals[match[seen]]
-        probs = (counts + self.alpha) / (totals + self.alpha * v)
-        probs[~seen] = 1.0 / v
-        return np.log(probs)
-
     def probs(self, context) -> np.ndarray:
         """Distribution over the next flat token; always sums to 1."""
         tail = [int(t) for t in context[max(0, len(context) - self.order) :]]
@@ -317,9 +299,10 @@ def train_seq_model(
 # memory; each chunk is scored before the next is decoded. Larger chunks
 # gained little speed for more memory on the 2000-item retrieval benchmark.
 _DECODE_CHUNK = 8
-# With the trie off a step scores beam_width * vocab_size floats per record;
-# a chunk then holds no more records than keep it within this many floats,
-# and at least one.
+# A step scores up to beam_width * vocab_size floats per record in either
+# mode. With the trie off its selection copies them all again, so a chunk
+# then holds no more records than keep it within this many floats, and at
+# least one; with the trie on the selection copies only each beam's children.
 _DECODE_FLOATS = 1 << 16
 
 
@@ -371,12 +354,13 @@ def beam_search(
     Each list is sorted by total log-probability, ties broken by
     lexicographic order of the token sequence.
 
-    All contexts decode in lockstep: each step resolves the back-off of
-    every live beam of every context with one model lookup, then scores the
-    dense (beam, token) block with the trie off, or only each beam's
-    children with it on. A context's beams are kept in lexicographic order,
-    so its candidates, enumerated by (beam, token), are in its tie order,
-    and its best `beam_width` are selected without a sort.
+    All contexts decode in lockstep: each step scores the dense (beam,
+    token) block of every live beam of every context with one model lookup.
+    With the trie off every entry competes, and every context holds the same
+    number of beams, in consecutive rows; with it on, only each beam's
+    children compete. A context's beams are kept in lexicographic order, so
+    its candidates, enumerated by (beam, token), are in its tie order, and
+    its best `beam_width` are selected without a sort.
     """
     if beam_width < 1:
         raise ConfigError(f"beam_width must be >= 1, got {beam_width}")
@@ -419,24 +403,21 @@ def beam_search(
     for depth in range(max_len):
         if not len(rec):
             break
+        scores = model._prob_rows(tail)
+        np.log(scores, out=scores)
+        scores += logp[:, None]
         # each record's best terminal candidates, then its best others, as
         # (beam, token, score, node) with its beams in lexicographic order
         parts = []
         if trie is None:
-            scores = model._prob_rows(tail)
-            np.log(scores, out=scores)
-            scores += logp[:, None]
-            # row r of a table holds record r's beams' score rows end to
-            # end, padded with -inf after them, so padding takes no tie
-            size = np.bincount(rec, minlength=len(live))
-            first = np.cumsum(size) - size
-            slot = np.arange(len(rec)) - first[rec]
+            # every record holds the same number of beams, in consecutive
+            # rows, so row r of a table holds record r's score rows end to end
+            per_rec = len(rec) // len(live)
             for lo, hi in ((first_terminal, model.vocab_size), (0, first_terminal)):
-                table = np.full((len(live), size.max(), hi - lo), -np.inf)
-                table[rec, slot] = scores[:, lo:hi]
-                r, at = np.nonzero(_top_mask(table.reshape(len(live), -1), beam_width))
+                table = scores[:, lo:hi].reshape(len(live), per_rec * (hi - lo))
+                r, at = np.nonzero(_top_mask(table, beam_width))
                 beam, token = np.divmod(at, hi - lo)
-                beam += first[r]
+                beam += r * per_rec
                 parts.append((beam, token + lo, scores[beam, token + lo], None))
         else:
             lo = trie.first[node]
@@ -444,7 +425,7 @@ def beam_search(
             beam = np.repeat(np.arange(len(node)), size)
             edge = _ranges(lo, size)
             token = trie.token[edge]
-            score = logp[beam] + model._log_probs_at(model._match(tail)[beam], token)
+            score = scores[beam, token]
             terminal = token >= first_terminal
             for part in (np.flatnonzero(terminal), np.flatnonzero(~terminal)):
                 best = part[_best(score[part], rec[beam[part]], len(live), beam_width)]
@@ -563,10 +544,11 @@ def evaluate(
         gold_rank[lo:hi] = [top.index(g) if g in top else max_k
                             for top, g in zip(tops, golds[lo:hi])]
         if not constrained:
-            # the chunk's top sequences, record after record, walked as one block
+            # the chunk's top sequences, record after record, walked as one
+            # block; each ends in a last-layer token, so it is a catalog id
+            # exactly when the trie walks it
             seqs, seq_len = _pad(list(chain.from_iterable(tops)))
-            last = seqs[np.arange(len(seqs)), seq_len - 1]
-            bad = (trie.walk(seqs, seq_len) < 0) | (last < (L - 1) * config.codebook_size)
+            bad = trie.walk(seqs, seq_len) < 0
             upto = np.concatenate(([0], np.cumsum(bad)))  # among the first i sequences
             first = (np.cumsum(shown[lo:hi]) - shown[lo:hi])[:, None]
             invalid[lo:hi] = upto[first + np.minimum(ks, shown[lo:hi, None])] - upto[first]

@@ -30,6 +30,7 @@ from .diagnostics import (
     Selector,
     head_tail_split,
     hourglass_report,
+    row_groups,
     token_histogram,
 )
 
@@ -87,11 +88,8 @@ def _table(sids, config: QuantizerConfig) -> np.recarray:
 
 def _outcome(table, head_set, capacity_paper_formula: int, config) -> MitigationOutcome:
     """Count distinct ids and group collisions with one stable row sort."""
-    order = np.lexsort(table.tokens.T[::-1])  # rows by id, each id's rows in table order
-    rows = table.tokens[order]
-    # a group starts at each sorted row that differs from the row before it
-    starts = np.flatnonzero(np.r_[len(rows) > 0, (rows[1:] != rows[:-1]).any(axis=1)])
-    counts = np.diff(starts, append=len(rows))
+    order, starts = row_groups(table.tokens)
+    counts = np.diff(starts, append=len(order))
     first = order[starts]
     shared = np.flatnonzero(counts >= 2)
     shared = shared[np.argsort(first[shared])]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import itertools
 import json
 import os
@@ -433,12 +432,10 @@ def _read_vectors(bin_path: Path, shape: tuple[int, int], digest: str) -> np.nda
 
 
 def save_labels(path, ids, labels) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["item_id", "cluster"])
-    for item_id, label in zip(ids, labels):
-        writer.writerow([item_id, int(label)])
-    atomic_write_text(path, buf.getvalue())
+    """Write item_id,cluster rows, one per item."""
+    labels = np.asarray(labels, dtype=np.int64).tolist()
+    rows = "".join([f"{item_id},{label}\n" for item_id, label in zip(ids, labels)])
+    atomic_write_text(path, "item_id,cluster\n" + rows)
 
 
 # --- interactions -----------------------------------------------------------

@@ -129,6 +129,25 @@ class TestPipeline:
         assert all(v == 0.0 for k in ("1", "5", "10") for v in report["invalid_ratio"][k].values())
         assert (out / "interactions.csv").exists()
 
+    def test_simulate_one_layer_codebook(self, tmp_path):
+        # the head set comes from layer 1, and every test record is head
+        gen, train, enc = tmp_path / "gen", tmp_path / "train", tmp_path / "enc"
+        assert run("gen", "--kind", "clustered", "--n", 300, "--d", 4, "--clusters", 8,
+                   "--seed", 5, "--out", gen) == 0
+        assert run("train", "--embeddings", gen / "embeddings.json", "--num-layers", 1,
+                   "--codebook-size", 8, "--seed", 5, "--out", train) == 0
+        assert run("encode", "--embeddings", gen / "embeddings.json",
+                   "--codebook", train / "codebook.json", "--out", enc) == 0
+        for trie in ("off", "on"):
+            out = tmp_path / f"sim-{trie}"
+            assert run(
+                "simulate", "--sids", enc / "sids.csv", "--codebook", train / "codebook.json",
+                "--records", 200, "--test-records", 40, "--beam", 8, "--k-list", "1,8",
+                "--trie", trie, "--out", out,
+            ) == 0
+            counts = json.loads((out / "eval_report.json").read_text())["record_counts"]
+            assert counts == {"overall": 40, "head": 40, "tail": 0}
+
     def test_interactions_load_save_round_trip(self, pipeline, tmp_path):
         """A CLI-written interactions file, read as catalog rows and written
         again, is byte-identical."""

@@ -18,6 +18,7 @@ from rqsid.diagnostics import (
     gini,
     head_tail_split,
     hourglass_report,
+    row_groups,
     small_residual_ratio,
     stddev,
     token_histogram,
@@ -314,6 +315,37 @@ class TestHourglassFlagOracle:
         L = cfg.num_layers
         want_pinch = min(range(2, L), key=lambda l: (entropies[l - 1], l)) if L >= 3 else None
         assert report.pinch_layer == want_pinch
+
+
+@st.composite
+def id_sets_with_duplicates(draw):
+    """A config with L in 1..4 and M in 1..4, and ids over it drawn from a
+    small pool of rows, the first row repeated last, so ids always repeat."""
+    L, M = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, M - 1), min_size=L, max_size=L)
+    pool = draw(st.lists(row, min_size=1, max_size=6))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20))
+    return QuantizerConfig(num_layers=L, codebook_size=M, dim=1), np.array(rows + rows[:1])
+
+
+class TestRowGroups:
+    @given(id_sets_with_duplicates())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_row_unique(self, case):
+        cfg, sids = case
+        order, starts = row_groups(sids)
+        want, inverse, counts = np.unique(sids, axis=0, return_inverse=True,
+                                          return_counts=True)
+        np.testing.assert_array_equal(sids[order[starts]], want)
+        np.testing.assert_array_equal(np.diff(starts, append=len(sids)), counts)
+        # each group's rows in index order
+        inverse = inverse.ravel().tolist()
+        assert order.tolist() == sorted(range(len(sids)), key=lambda i: (inverse[i], i))
+        assert hourglass_report(sids, cfg).distinct_sids == len(want)
+
+    def test_no_rows(self):
+        order, starts = row_groups(np.zeros((0, 3), dtype=np.int64))
+        assert len(order) == len(starts) == 0
 
 
 class TestSmallResidualRatio:

@@ -408,12 +408,6 @@ def assert_rows_equal(model, ref, context):
         want = getattr(ref, method)(context)
         assert got.dtype == want.dtype, (method, context)
         assert np.array_equal(got, want), (method, context)
-    # the per-pair lookup that trie-constrained decoding scores with
-    tail = [int(t) for t in context[max(0, len(context) - model.order) :]]
-    match = model._match(np.array(tail, dtype=np.int64).reshape(1, -1))
-    tokens = np.arange(model.vocab_size)
-    got = model._log_probs_at(np.repeat(match, len(tokens)), tokens)
-    assert np.array_equal(got, ref.log_probs(context)), context
 
 
 def reference_matched_context(model, context):
@@ -998,6 +992,58 @@ class TestLockstepOracle:
         assert beam_search(model, [], 5, 3, CFG) == []
         with pytest.raises(ConfigError):
             beam_search(model, contexts, 5, 3, CFG, fixed_prefixes=[None, (0,)])
+
+
+class TestBatchLayers:
+    """At one, two and three layers, over a batch that mixes no prefix, a
+    1-token prefix and a terminal prefix."""
+
+    M = 3
+
+    def case(self, L):
+        cfg = QuantizerConfig(num_layers=L, codebook_size=self.M, dim=1)
+        vocab = L * self.M
+        gen = np.random.default_rng(100 + L)
+        model = SequenceModel(order=2, alpha=0.3, vocab_size=vocab)
+        for _ in range(20):
+            model.observe_stream(gen.integers(0, vocab, size=6).tolist())
+        terminal = (L - 1) * self.M
+        full = tuple(l * self.M for l in range(L - 1)) + (terminal + 1,)
+        prefixes = [None, (1,), full, None, (self.M - 1,), (terminal,)]
+        contexts = [gen.integers(0, vocab, size=n).tolist() for n in (0, 1, 3, 4, 2, 0)]
+        return cfg, model, contexts, prefixes
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_trie_off_batch_decodes_each_context_alone(self, L):
+        # every live context holds the same number of beams, in consecutive
+        # rows, whatever its prefix, so each decodes as it does by itself
+        cfg, model, contexts, prefixes = self.case(L)
+        for width in (1, 2, 5, model.vocab_size ** L):
+            for max_len in range(1, L + 2):
+                got = beam_search(model, contexts, width, max_len, cfg, fixed_prefixes=prefixes)
+                for context, prefix, result in zip(contexts, prefixes, got):
+                    case = (width, max_len, context, prefix)
+                    (alone,) = beam_search(model, [context], width, max_len, cfg,
+                                           fixed_prefixes=[prefix])
+                    assert result == alone, case
+                    assert result == reference_beam(model, context, width, max_len, cfg,
+                                                    None, prefix), case
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_sequences_end_in_a_last_layer_token(self, L):
+        # so evaluate counts a trie-off sequence valid when the trie walks it
+        cfg, model, contexts, prefixes = self.case(L)
+        gen = np.random.default_rng(110 + L)
+        rows = np.vstack([[1] * L, [self.M - 1] * L, gen.integers(0, self.M, size=(10, L))])
+        catalog = sid_table([f"i{k}" for k in range(len(rows))], rows, cfg)
+        terminal = (L - 1) * self.M
+        for trie in (None, build_trie(catalog, cfg)):
+            for width in (1, 5, model.vocab_size ** L):
+                for max_len in range(1, L + 2):
+                    got = beam_search(model, contexts, width, max_len, cfg, trie, prefixes)
+                    seqs = [seq for result in got for seq, _ in result]
+                    assert len(got) == len(contexts) and seqs
+                    assert all(seq[-1] >= terminal for seq in seqs), (trie, width, max_len)
 
 
 class TestEvaluate:

@@ -32,6 +32,7 @@ from rqsid.persist import (
     save_codebook,
     save_embeddings_binary,
     save_interactions,
+    save_labels,
     save_sids,
     sha256_file,
 )
@@ -609,6 +610,28 @@ class TestDamagedEmbeddings:
         loaded = load_embeddings(tmp_path / "emb.json")
         assert loaded.vectors.tobytes() == data.vectors.tobytes()
         assert not loaded.vectors.flags.writeable
+
+
+def reference_labels_csv(ids, labels):
+    """The labels file that the csv.writer version of save_labels wrote."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["item_id", "cluster"])
+    for item_id, label in zip(ids, labels):
+        writer.writerow([item_id, int(label)])
+    return buf.getvalue()
+
+
+class TestLabelFormat:
+    @given(st.lists(ITEM_IDS, max_size=30, unique=True), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_writer(self, tmp_path_factory, ids, data):
+        # ids at the alphabet's edges need no quoting, so no writer quotes them
+        labels = np.array(data.draw(st.lists(st.integers(0, 10**6), min_size=len(ids),
+                                             max_size=len(ids))), dtype=np.int64)
+        path = tmp_path_factory.mktemp("labels") / "labels.csv"
+        save_labels(path, tuple(ids), labels)
+        assert path.read_bytes() == reference_labels_csv(ids, labels).encode("utf-8")
 
 
 class TestInteractionFormat:
