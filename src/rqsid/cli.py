@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import logging
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import datagen, persist
 from .core import (
+    Codebook,
     ConfigError,
     DataError,
     QuantizerConfig,
@@ -195,7 +197,13 @@ def cmd_analyze(args) -> int:
     payload["head_selector"] = selector.describe()
     if args.embeddings:
         data = persist.load_embeddings(args.embeddings)
-        _, sq_norms = encode_all(data, codebook)
+        # the ratio reads only the raw and layer-1 residual norms
+        layer1 = Codebook(
+            dataclasses.replace(config, num_layers=1),
+            codebook.layers[:1],
+            codebook.training_sse_per_layer[:1],
+        )
+        _, sq_norms = encode_all(data, layer1)
         payload["small_residual_ratio"] = small_residual_ratio(
             np.sqrt(sq_norms[:, 1]), np.sqrt(sq_norms[:, 0])
         )

@@ -9,6 +9,13 @@ Nearest-codeword selection on large inputs is scored in float32 and certified
 against a rounding-error bound; rows whose best/second-best margin falls
 inside the bound are rescored in float64, so selections always equal the
 float64 argmin. Residuals, means, and reported errors stay in float64.
+
+`train_rq` holds its residuals column-major (the transpose of a C-order
+(dim, n) array), so each per-dimension column the k-means mean update reads
+is contiguous. Every float64 row reduction (squared norms, exact distances)
+reads a C-order copy of a small row block instead of the strided rows: the
+reduction then sums in the same order as on C-order input, and both layouts
+give the same bytes.
 """
 
 from __future__ import annotations
@@ -38,7 +45,8 @@ _MIXED_MIN_N = 1024
 # Norm scale beyond which float32 scoring risks overflow; fall back to exact.
 _MIXED_MAX_SCALE = 1e15
 # Rows that `train_rq` updates and `encode_all` encodes at once, so neither
-# builds an (n, dim) temporary; only `train_rq` holds all rows' residuals.
+# builds an (n, dim) temporary. `train_rq` holds all rows' residuals, in one
+# column-major array; `encode_all` holds one block's.
 _ROW_BLOCK = 8 * _SCORE_CHUNK
 
 
@@ -46,6 +54,15 @@ class KMeansResult(NamedTuple):
     centroids: np.ndarray
     assignments: np.ndarray
     sse: float
+
+
+def _row_blocks(points: np.ndarray, size: int):
+    """(start, stop, block) over consecutive blocks of `size` rows, each
+    block C-order: a view of C-order input, a copy of column-major input."""
+    n = points.shape[0]
+    for start in range(0, n, size):
+        stop = min(start + size, n)
+        yield start, stop, np.ascontiguousarray(points[start:stop])
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -64,8 +81,10 @@ class _PointSide:
 
     def __init__(self, points: np.ndarray):
         self.points = points
-        self.p32 = points.astype(np.float32)
-        self.p_sq = np.einsum("ij,ij->i", points, points)
+        self.p32 = points.astype(np.float32, order="C")
+        self.p_sq = np.empty(points.shape[0], dtype=np.float64)
+        for start, stop, block in _row_blocks(points, _SCORE_CHUNK):
+            self.p_sq[start:stop] = np.einsum("ij,ij->i", block, block)
         self.p_sq32 = np.einsum("ij,ij->i", self.p32, self.p32)
         self.p_norm = np.sqrt(self.p_sq)
         self.norm_max = float(self.p_norm.max()) if len(points) else 0.0
@@ -77,9 +96,8 @@ def _nearest_exact(
     n = points.shape[0]
     labels = np.empty(n, dtype=np.int64)
     dists = np.empty(n, dtype=np.float64)
-    for start in range(0, n, 1 << 15):
-        stop = min(start + (1 << 15), n)
-        d = _sq_dists(points[start:stop], centroids)
+    for start, stop, block in _row_blocks(points, 1 << 15):
+        d = _sq_dists(block, centroids)
         labels[start:stop] = np.argmin(d, axis=1)
         dists[start:stop] = d[np.arange(stop - start), labels[start:stop]]
     return labels, dists
@@ -116,8 +134,7 @@ def _nearest(
 
     labels = np.empty(n, dtype=np.int64)
     dists = np.empty(n, dtype=np.float64)
-    for start in range(0, n, _SCORE_CHUNK):
-        stop = min(start + _SCORE_CHUNK, n)
+    for start, stop, block in _row_blocks(points, _SCORE_CHUNK):
         # score c^2 - 2 p.c ranks like the distance; the p^2 term is constant
         # per row and would only cost another pass over the matrix
         s = side.p32[start:stop] @ c32_neg2.T
@@ -131,11 +148,11 @@ def _nearest(
         chunk_labels = best.astype(np.int64)
         ambiguous = np.flatnonzero(s_second - s_best <= 2.0 * margin)
         if ambiguous.size:
-            exact = _sq_dists(points[start:stop][ambiguous], centroids)
+            exact = _sq_dists(block[ambiguous], centroids)
             chunk_labels[ambiguous] = np.argmin(exact, axis=1)
         chunk_dists = (
             side.p_sq[start:stop]
-            - 2.0 * np.einsum("ij,ij->i", points[start:stop], centroids[chunk_labels])
+            - 2.0 * np.einsum("ij,ij->i", block, centroids[chunk_labels])
             + c_sq[chunk_labels]
         )
         np.maximum(chunk_dists, 0.0, out=chunk_dists)
@@ -162,7 +179,10 @@ def _kmeanspp_init(
             c32 = c.astype(np.float32)
             w = side.p_sq32 - 2.0 * (side.p32 @ c32) + np.float32(c32 @ c32)
             return np.maximum(w, 0.0, out=w)
-        return _sq_dists(points, c[None, :])[:, 0]
+        w = np.empty(n, dtype=np.float64)
+        for start, stop, block in _row_blocks(points, _SCORE_CHUNK):
+            w[start:stop] = _sq_dists(block, c[None, :])[:, 0]
+        return w
 
     min_d2 = np.asarray(dist_to(centroids[0]), dtype=np.float64)
     warned = False
@@ -215,6 +235,7 @@ def kmeans(
     Stops after `iters` update rounds, when the assignment reaches a fixed
     point, or when the relative SSE improvement drops below `tol`. The
     returned assignment is the argmin against the returned centroids.
+    C-order and column-major `points` give the same bytes.
     """
     if num_centroids < 1:
         raise ConfigError(f"num_centroids must be >= 1, got {num_centroids}")
@@ -259,7 +280,8 @@ def train_rq(
         raise DataError("cannot train on an empty collection")
     if data.dim != config.dim:
         raise DataError(f"data dim {data.dim} does not match config dim {config.dim}")
-    residuals = data.vectors.copy()
+    # column-major, so `_cluster_means` reads contiguous columns
+    residuals = np.array(data.vectors, dtype=np.float64, order="F")
     layer_rngs = rng.split(config.num_layers)
     layers = np.empty(
         (config.num_layers, config.codebook_size, config.dim), dtype=np.float64

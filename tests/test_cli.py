@@ -5,14 +5,18 @@ import pytest
 
 import rqsid.cli
 from rqsid.cli import main
+from rqsid.diagnostics import Selector, hourglass_report, small_residual_ratio
 from rqsid.persist import (
     load_codebook,
+    load_embeddings,
     load_interactions,
     load_sids,
     save_interactions,
+    save_report,
     sha256_bytes,
     sha256_file,
 )
+from rqsid.quantizer import encode_all
 
 
 def run(*argv):
@@ -59,6 +63,31 @@ class TestPipeline:
         assert report["hourglass_flag"] is True
         assert report["pinch_layer"] == 2
         assert 0 <= report["small_residual_ratio"] <= 1
+
+    def test_analyze_report_matches_full_encode(self, pipeline, tmp_path):
+        # analyze encodes with layer 1 alone; the report must equal the one
+        # computed from a full L-layer encode
+        embeddings = pipeline / "gen" / "embeddings.json"
+        codebook_path = pipeline / "train" / "codebook.json"
+        assert run(
+            "analyze", "--sids", pipeline / "enc" / "sids.csv", "--codebook", codebook_path,
+            "--embeddings", embeddings, "--out", tmp_path / "analyze",
+        ) == 0
+        data = load_embeddings(embeddings)
+        codebook, _ = load_codebook(codebook_path)
+        sids, sq_norms = encode_all(data, codebook)
+        selector = Selector.mass(0.5)
+        payload = hourglass_report(
+            sids, codebook.config, selector, include_histograms=True
+        ).to_dict()
+        payload["head_selector"] = selector.describe()
+        payload["small_residual_ratio"] = small_residual_ratio(
+            np.sqrt(sq_norms[:, 1]), np.sqrt(sq_norms[:, 0])
+        )
+        save_report(tmp_path / "reference.json", "hourglass_report", payload)
+        assert (tmp_path / "analyze" / "hourglass_report.json").read_bytes() == (
+            tmp_path / "reference.json"
+        ).read_bytes()
 
     def test_encode_report_monotone(self, pipeline):
         report = json.loads((pipeline / "enc" / "encode_report.json").read_text())

@@ -11,10 +11,14 @@ from rqsid.core import (
     QuantizerConfig,
     RandomSource,
 )
+import rqsid.quantizer as quantizer
 from rqsid.quantizer import (
     _MIXED_MAX_SCALE,
+    _MIXED_MIN_M,
     _MIXED_MIN_N,
     _ROW_BLOCK,
+    _SCORE_CHUNK,
+    _cluster_means,
     _kmeanspp_init,
     _nearest,
     _PointSide,
@@ -65,6 +69,146 @@ def reference_seed(points, m, gen, side):
         centroids[j] = points[idx]
         np.minimum(min_d2, dist_to(centroids[j]), out=min_d2)
     return centroids
+
+
+def column_major(points):
+    """The same points as `train_rq` holds its residuals: the transpose of a
+    C-order (d, n) array."""
+    return np.ascontiguousarray(np.asarray(points, dtype=np.float64).T).T
+
+
+def reference_cluster_means(points, labels, m, dists):
+    """The mean update summing strided columns of C-order points, one
+    bincount per dimension."""
+    d = points.shape[1]
+    counts = np.bincount(labels, minlength=m).astype(np.float64)
+    sums = np.empty((m, d), dtype=np.float64)
+    for j in range(d):
+        sums[:, j] = np.bincount(labels, weights=points[:, j], minlength=m)
+    empty = counts == 0
+    counts[empty] = 1.0
+    means = sums / counts[:, None]
+    if empty.any():
+        order = np.argsort(-dists, kind="stable")
+        means[np.flatnonzero(empty)] = points[order[: int(empty.sum())]]
+    return means
+
+
+class TestLayouts:
+    """kmeans on column-major points, as train_rq passes them, returns the
+    bytes it returns for the same points in C order."""
+
+    @staticmethod
+    def both_layouts(points, m, seed, iters=10, tol=0.0):
+        points = np.ascontiguousarray(points, dtype=np.float64)
+        fortran = column_major(points)
+        assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+        c = kmeans(points, m, iters, tol, RandomSource(seed))
+        f = kmeans(fortran, m, iters, tol, RandomSource(seed))
+        assert c.centroids.tobytes() == f.centroids.tobytes()
+        assert c.assignments.tobytes() == f.assignments.tobytes()
+        assert c.sse == f.sse
+        return c
+
+    @staticmethod
+    def spy_empty_clusters(monkeypatch):
+        """Record, per mean update, whether some cluster had no points."""
+        seen = []
+
+        def spy(points, labels, m, dists):
+            seen.append(bool((np.bincount(labels, minlength=m) == 0).any()))
+            return _cluster_means(points, labels, m, dists)
+
+        monkeypatch.setattr(quantizer, "_cluster_means", spy)
+        return seen
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixed_precision_path(self, seed):
+        gen = np.random.default_rng(seed)
+        n = 2 * _SCORE_CHUNK + 517
+        points = gen.standard_normal((n, 24)) * gen.uniform(0.1, 3.0, size=24)
+        self.both_layouts(points, 40, seed, tol=1e-4)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_exact_path(self, seed):
+        gen = np.random.default_rng(10 + seed)
+        points = gen.standard_normal((300, 24))
+        assert len(points) < _MIXED_MIN_N
+        self.both_layouts(points, 16, seed)
+
+    def test_empty_cluster_reseed(self, monkeypatch):
+        # distinct, heavy-tailed points crowded near the origin; on this
+        # seed some cluster is left empty and reseeded
+        gen = np.random.default_rng(19)
+        points = gen.standard_normal((1100, 2)) ** 5
+        assert len(np.unique(points, axis=0)) == len(points)
+        seen = self.spy_empty_clusters(monkeypatch)
+        self.both_layouts(points, 400, 19)
+        assert any(seen)
+
+    def test_fewer_distinct_points_than_centroids(self, monkeypatch, caplog):
+        # integer points, so float32 seeding weights reach exactly zero
+        gen = np.random.default_rng(6)
+        points = np.repeat(gen.integers(-3, 4, size=(20, 4)).astype(float), 60, axis=0)
+        assert len(points) >= _MIXED_MIN_N
+        seen = self.spy_empty_clusters(monkeypatch)
+        with caplog.at_level("WARNING"):
+            result = self.both_layouts(points, 32, 7)
+        assert any("duplicating" in r.message for r in caplog.records)
+        assert any(seen)
+        assert result.sse == 0.0
+
+    def test_exact_seeding_path(self):
+        gen = np.random.default_rng(8)
+        points = gen.standard_normal((2500, 24)) * 1e8
+        side = _PointSide(points)
+        assert (side.norm_max * 2.0) ** 2 > _MIXED_MAX_SCALE
+        self.both_layouts(points, 16, 9)
+
+    def test_seeding_and_point_side(self, monkeypatch):
+        # a last-bit change in a seeding weight rarely moves a seed, so the
+        # exact path's weights, computed per row block, are compared too
+        distances = []
+
+        def spy(points, centroids):
+            distances.append(_sq_dists(points, centroids))
+            return distances[-1]
+
+        monkeypatch.setattr(quantizer, "_sq_dists", spy)
+        gen = np.random.default_rng(12)
+        for scale in (1.0, 1e8):
+            points = gen.standard_normal((_SCORE_CHUNK + 3, 24)) * scale
+            c_side, f_side = _PointSide(points), _PointSide(column_major(points))
+            for name in ("p32", "p_sq", "p_sq32", "p_norm"):
+                assert getattr(c_side, name).tobytes() == getattr(f_side, name).tobytes()
+            assert f_side.p32.flags.c_contiguous
+            weights = {}
+            for layout, side in (("C", c_side), ("F", f_side)):
+                distances.clear()
+                got = _kmeanspp_init(side.points, 24, RandomSource(3).generator(), side)
+                weights[layout] = b"".join(d.tobytes() for d in distances)
+                assert got.tobytes() == reference_seed(
+                    points, 24, RandomSource(3).generator(), c_side
+                ).tobytes()
+            whole = np.stack([_sq_dists(points, c[None, :])[:, 0] for c in got])
+            assert weights["C"] == weights["F"] == (whole.tobytes() if scale > 1.0 else b"")
+
+
+class TestClusterMeans:
+    """The mean update on contiguous columns against the strided loop."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_strided_reference(self, seed):
+        gen = np.random.default_rng(seed)
+        n, d, m = int(gen.integers(1, 5000)), int(gen.integers(1, 40)), int(gen.integers(1, 300))
+        points = gen.standard_normal((n, d)) * 10 ** gen.uniform(-3, 3)
+        # every other cluster id unused, so some clusters are reseeded
+        labels = 2 * gen.integers(0, (m + 1) // 2, size=n)
+        dists = gen.uniform(0.0, 1.0, size=n)
+        dists[gen.integers(0, n, size=n // 3)] = 0.5  # ties in the reseed order
+        want = reference_cluster_means(points, labels, m, dists)
+        for layout in (points, column_major(points)):
+            assert _cluster_means(layout, labels, m, dists).tobytes() == want.tobytes()
 
 
 class TestKMeans:
@@ -137,8 +281,20 @@ class TestSeeding:
             np.testing.assert_array_equal(got, want)
 
 
+def nearest_in_layout(points, centroids, layout):
+    """_nearest on `points` held in `layout`; column-major results must equal
+    the C-order ones byte for byte."""
+    labels, dists = _nearest(points, centroids)
+    if layout == "F":
+        f_labels, f_dists = _nearest(column_major(points), centroids)
+        assert f_labels.tobytes() == labels.tobytes()
+        assert f_dists.tobytes() == dists.tobytes()
+    return labels, dists
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
 class TestMixedPrecisionNearest:
-    def test_matches_float64_argmin(self):
+    def test_matches_float64_argmin(self, layout):
         gen = np.random.default_rng(17)
         for _ in range(25):
             n = int(gen.integers(1024, 4096))
@@ -147,18 +303,18 @@ class TestMixedPrecisionNearest:
             scale = 10 ** gen.uniform(-3, 3)
             points = gen.standard_normal((n, d)) * scale
             centroids = gen.standard_normal((m, d)) * scale
-            labels, dists = _nearest(points, centroids)
+            labels, dists = nearest_in_layout(points, centroids, layout)
             ref = np.argmin(_sq_dists(points, centroids), axis=1)
             np.testing.assert_array_equal(labels, ref)
             direct = ((points - centroids[labels]) ** 2).sum(axis=1)
             np.testing.assert_allclose(dists, direct, rtol=1e-9, atol=1e-12 * scale**2)
 
-    def test_near_duplicate_centroids(self):
+    def test_near_duplicate_centroids(self, layout):
         gen = np.random.default_rng(23)
         points = gen.standard_normal((2048, 8))
         centroids = np.repeat(gen.standard_normal((32, 8)), 2, axis=0)
         centroids[1::2] += 1e-10
-        labels, _ = _nearest(points, centroids)
+        labels, _ = nearest_in_layout(points, centroids, layout)
         ref = np.argmin(_sq_dists(points, centroids), axis=1)
         np.testing.assert_array_equal(labels, ref)
 
@@ -247,6 +403,32 @@ class TestRowBlocks:
         layers, sse = reference_train_rq(data, cfg, RandomSource(4))
         assert cb.layers.tobytes() == layers.tobytes()
         assert cb.training_sse_per_layer == sse
+
+    def test_train_crosses_two_row_blocks(self):
+        # the reference trains on C-order residuals, train_rq on column-major
+        n = 2 * _ROW_BLOCK + 1000
+        gen = np.random.default_rng(5)
+        data = EmbeddingCollection(tuple(map(str, range(n))), gen.standard_normal((n, 6)))
+        cfg = QuantizerConfig(num_layers=3, codebook_size=2 * _MIXED_MIN_M, dim=6,
+                              kmeans_iters=3, seed=5)
+        cb = train_rq(data, cfg, RandomSource(5))
+        layers, sse = reference_train_rq(data, cfg, RandomSource(5))
+        assert cb.layers.tobytes() == layers.tobytes()
+        assert cb.training_sse_per_layer == sse
+
+    def test_one_layer_slice_encodes_layer_one_alone(self):
+        # `analyze --embeddings` encodes with the first layer only
+        gen = np.random.default_rng(6)
+        n = _ROW_BLOCK + 2000
+        cfg = QuantizerConfig(num_layers=3, codebook_size=32, dim=8)
+        cb = Codebook(cfg, gen.standard_normal((3, 32, 8)), (3.0, 2.0, 1.0))
+        first = Codebook(QuantizerConfig(num_layers=1, codebook_size=32, dim=8),
+                         cb.layers[:1], cb.training_sse_per_layer[:1])
+        data = EmbeddingCollection(tuple(map(str, range(n))), gen.standard_normal((n, 8)))
+        sids, sq_norms = encode_all(data, cb)
+        sids1, sq_norms1 = encode_all(data, first)
+        assert sids1.tobytes() == np.ascontiguousarray(sids[:, :1]).tobytes()
+        assert sq_norms1.tobytes() == np.ascontiguousarray(sq_norms[:, :2]).tobytes()
 
 
 class TestEncodeDecode:
@@ -373,6 +555,19 @@ class TestTrainRq:
         cb2 = train_rq(data, cfg, RandomSource(77))
         assert cb1.layers.tobytes() == cb2.layers.tobytes()
         assert cb1.training_sse_per_layer == cb2.training_sse_per_layer
+
+    def test_kmeans_reads_column_major_residuals(self, monkeypatch):
+        layouts = []
+
+        def spy(points, *args):
+            layouts.append(points.flags.f_contiguous and not points.flags.c_contiguous)
+            return kmeans(points, *args)
+
+        monkeypatch.setattr(quantizer, "kmeans", spy)
+        data = EmbeddingCollection(tuple(map(str, range(50))), np.arange(150.0).reshape(50, 3))
+        cfg = QuantizerConfig(num_layers=2, codebook_size=4, dim=3, kmeans_iters=5)
+        train_rq(data, cfg, RandomSource(0))
+        assert layouts == [True, True]
 
     def test_empty_data(self):
         data = EmbeddingCollection((), np.zeros((0, 3)))
