@@ -119,15 +119,16 @@ def _load_full_sids(path, config):
 def cmd_gen(args) -> int:
     out = Path(args.out)
     rng = RandomSource(args.seed)
+    # checked before the output directory is made
+    spec = None if args.kind == "uniform" else _cluster_spec(args, args.size_law)
 
     t0 = time.perf_counter()
     outputs = []
     with persist.OutputLock(out):
-        if args.kind == "uniform":
+        if spec is None:
             data = datagen.gen_uniform(args.n, args.d, rng)
             labels = None
         else:
-            spec = _cluster_spec(args, args.size_law)
             data, labels = datagen.gen_clustered(args.n, args.d, spec, rng)
         outputs.extend(persist.save_embeddings_binary(out / "embeddings.json", data))
         if labels is not None:

@@ -6,6 +6,7 @@ after construction and safe to share across threads; functions are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,8 +110,10 @@ class QuantizerConfig:
             raise ConfigError(f"kmeans_iters must be >= 1, got {self.kmeans_iters}")
         if not 0 <= self.seed <= _U64_MAX:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if self.convergence_tol < 0:
-            raise ConfigError(f"convergence_tol must be >= 0, got {self.convergence_tol}")
+        if not (math.isfinite(self.convergence_tol) and self.convergence_tol >= 0):
+            raise ConfigError(
+                f"convergence_tol must be finite and >= 0, got {self.convergence_tol}"
+            )
 
 
 @dataclass(frozen=True)

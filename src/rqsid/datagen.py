@@ -8,6 +8,7 @@ quantization layer are strongly mixed.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,14 +35,16 @@ class ClusterSpec:
     def __post_init__(self) -> None:
         if self.num_clusters < 1:
             raise ConfigError(f"num_clusters must be >= 1, got {self.num_clusters}")
-        if self.radius <= 0:
-            raise ConfigError(f"radius must be > 0, got {self.radius}")
-        if self.center_scale <= 0:
-            raise ConfigError(f"center_scale must be > 0, got {self.center_scale}")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ConfigError(f"radius must be finite and > 0, got {self.radius}")
+        if not (math.isfinite(self.center_scale) and self.center_scale > 0):
+            raise ConfigError(f"center_scale must be finite and > 0, got {self.center_scale}")
         if self.size_law not in ("uniform", "zipf"):
             raise ConfigError(f"size_law must be 'uniform' or 'zipf', got {self.size_law!r}")
-        if self.size_law == "zipf" and self.zipf_exponent <= 0:
-            raise ConfigError(f"zipf_exponent must be > 0, got {self.zipf_exponent}")
+        if not math.isfinite(self.zipf_exponent) or (
+            self.size_law == "zipf" and self.zipf_exponent <= 0
+        ):
+            raise ConfigError(f"zipf_exponent must be finite and > 0, got {self.zipf_exponent}")
         if self.radius >= self.center_scale:
             log.warning(
                 "cluster radius %g >= center_scale %g; clusters will overlap heavily",

@@ -8,6 +8,7 @@ recall / invalid-ratio evaluation split by head and tail layer-2 tokens.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -167,8 +168,8 @@ class SequenceModel:
     def __init__(self, order: int, alpha: float, vocab_size: int):
         if order < 1:
             raise ConfigError(f"order must be >= 1, got {order}")
-        if alpha <= 0:
-            raise ConfigError(f"alpha must be > 0, got {alpha}")
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise ConfigError(f"alpha must be finite and > 0, got {alpha}")
         if vocab_size < 1:
             raise ConfigError(f"vocab_size must be >= 1, got {vocab_size}")
         if (vocab_size + 1) ** order * vocab_size > np.iinfo(np.int64).max:

@@ -8,7 +8,11 @@ equals an exhaustive scan of that layer's codewords.
 Nearest-codeword selection on large inputs is scored in float32 and certified
 against a rounding-error bound; rows whose best/second-best margin falls
 inside the bound are rescored in float64, so selections always equal the
-float64 argmin. Residuals, means, and reported errors stay in float64.
+float64 argmin. Each block of rows is scored by one float32 GEMM, with the
+codeword norms folded into the product: [p | 1] . [-2c | c^2] = c^2 - 2 p.c.
+The best and the runner-up are then two `argmin` passes over the block (the
+best slot set to inf between them). Residuals, means, and reported errors
+stay in float64.
 
 `train_rq` holds its residuals column-major (the transpose of a C-order
 (dim, n) array), so each per-dimension column the k-means mean update reads
@@ -21,6 +25,7 @@ give the same bytes.
 from __future__ import annotations
 
 import logging
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -36,9 +41,11 @@ from .core import (
 
 log = logging.getLogger(__name__)
 
-# Rows per scoring block; small enough that the (rows x M) float32 score
-# matrix stays cache-resident.
-_SCORE_CHUNK = 2048
+# Rows per scoring block. The (rows x M) float32 score block is read by two
+# argmin passes after the GEMM writes it; at M = 256 a 1024-row block is
+# 1 MB. 512, 1024 and 2048 rows measured within noise of each other with the
+# one-GEMM scorer.
+_SCORE_CHUNK = 1024
 # Inputs smaller than this skip the mixed-precision path entirely.
 _MIXED_MIN_M = 8
 _MIXED_MIN_N = 1024
@@ -47,7 +54,7 @@ _MIXED_MAX_SCALE = 1e15
 # Rows that `train_rq` updates and `encode_all` encodes at once, so neither
 # builds an (n, dim) temporary. `train_rq` holds all rows' residuals, in one
 # column-major array; `encode_all` holds one block's.
-_ROW_BLOCK = 8 * _SCORE_CHUNK
+_ROW_BLOCK = 16384
 
 
 class KMeansResult(NamedTuple):
@@ -126,24 +133,38 @@ def _nearest(
     if (side.norm_max + c_norm_max) ** 2 > _MIXED_MAX_SCALE:
         return _nearest_exact(points, centroids)
     c32 = centroids.astype(np.float32)
-    c_sq32 = np.einsum("ij,ij->i", c32, c32)
-    # scaling by -2 is exact, so p @ (-2 c) equals -2 (p @ c) bit for bit
-    c32_neg2 = -2.0 * c32
-    # |float32 score - exact score| <= gamma * (|p| + |c|)^2 per pair.
+    # c_aug = [-2 c | c^2]: one GEMM of [p | 1] with it scores c^2 - 2 p.c,
+    # which ranks like the distance (p^2 is constant per row). Scaling by -2
+    # is exact.
+    c_aug = np.empty((m, d + 1), dtype=np.float32)
+    np.multiply(c32, -2.0, out=c_aug[:, :d])
+    c_aug[:, d] = np.einsum("ij,ij->i", c32, c32)
+    # |float32 score - exact score| <= gamma * (|p| + |c|)^2 per pair, as long
+    # as no float32 product underflows. With u = 2^-24 and g_k = k u / (1 - k u):
+    # rounding p and c to float32 errs by (2u + u^2) (2|p||c| + |c|^2), the
+    # float32 c^2 by g_d |c|^2, and the (d+1)-term float32 dot product
+    # [p | 1] . [-2c | c^2], in any summation order, with or without FMA, by
+    # g_{d+1} (2|p||c| + |c|^2) (1 + 3u + g_d). The total is below
+    # (2d + 3) u (1 + 2 (d + 1) u) (|p| + |c|)^2, and gamma = 2.013 (d + 8) u
+    # exceeds that for every d < 4000.
     gamma = (d + 8) * 1.2e-7
 
+    p_aug = np.empty((_SCORE_CHUNK, d + 1), dtype=np.float32)
+    p_aug[:, d] = 1.0
+    scores = np.empty((_SCORE_CHUNK, m), dtype=np.float32)
+    all_rows = np.arange(_SCORE_CHUNK)
     labels = np.empty(n, dtype=np.int64)
     dists = np.empty(n, dtype=np.float64)
     for start, stop, block in _row_blocks(points, _SCORE_CHUNK):
-        # score c^2 - 2 p.c ranks like the distance; the p^2 term is constant
-        # per row and would only cost another pass over the matrix
-        s = side.p32[start:stop] @ c32_neg2.T
-        s += c_sq32[None, :]
-        rows = np.arange(stop - start)
+        k = stop - start
+        p_aug[:k, :d] = side.p32[start:stop]
+        s = np.matmul(p_aug[:k], c_aug.T, out=scores[:k])
+        rows = all_rows[:k]
         best = np.argmin(s, axis=1)
         s_best = s[rows, best].astype(np.float64)
         s[rows, best] = np.inf
-        s_second = s.min(axis=1).astype(np.float64)
+        # for finite scores the runner-up's value is the row min
+        s_second = s[rows, np.argmin(s, axis=1)].astype(np.float64)
         margin = gamma * (side.p_norm[start:stop] + c_norm_max) ** 2
         chunk_labels = best.astype(np.int64)
         ambiguous = np.flatnonzero(s_second - s_best <= 2.0 * margin)
@@ -241,8 +262,8 @@ def kmeans(
         raise ConfigError(f"num_centroids must be >= 1, got {num_centroids}")
     if iters < 1:
         raise ConfigError(f"iters must be >= 1, got {iters}")
-    if tol < 0:
-        raise ConfigError(f"tol must be >= 0, got {tol}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"tol must be finite and >= 0, got {tol}")
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
         raise DataError(f"points must be a nonempty (n, d) array, got shape {points.shape}")

@@ -263,6 +263,24 @@ class TestErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
+        lambda root: ("train", "--embeddings", root / "gen" / "embeddings.json",
+                      "--num-layers", 2, "--codebook-size", 4, "--tol", "nan"),
+        lambda root: ("gen", "--kind", "clustered", "--n", 50, "--d", 2, "--clusters", 4,
+                      "--zipf-s", "nan"),
+        lambda root: ("gen", "--kind", "clustered", "--n", 50, "--d", 2, "--clusters", 4,
+                      "--center-scale", "inf"),
+        lambda root: ("gen", "--kind", "clustered", "--n", 50, "--d", 2, "--clusters", 4,
+                      "--radius", "nan"),
+        lambda root: ("simulate", "--sids", root / "enc" / "sids.csv",
+                      "--codebook", root / "train" / "codebook.json",
+                      "--records", 50, "--test-records", 10, "--alpha", "nan"),
+    ], ids=["train-tol", "gen-zipf-s", "gen-center-scale", "gen-radius", "simulate-alpha"])
+    def test_non_finite_float_option_exits_2(self, pipeline, tmp_path, argv):
+        # each check is a comparison that NaN passes unless finiteness is tested
+        assert run(*argv(pipeline), "--out", tmp_path / "out") == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
         ("mitigate", "--mode", "exchange", "--swap", "1"),
         ("mitigate", "--mode", "exchange", "--swap", "1,2,3"),
         ("mitigate", "--mode", "exchange", "--swap", "1,x"),

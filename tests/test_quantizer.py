@@ -21,7 +21,9 @@ from rqsid.quantizer import (
     _cluster_means,
     _kmeanspp_init,
     _nearest,
+    _nearest_exact,
     _PointSide,
+    _row_blocks,
     _sq_dists,
     encode_all,
     kmeans,
@@ -240,6 +242,11 @@ class TestKMeans:
         with pytest.raises(DataError):
             kmeans(np.array([[np.inf, 0.0]]), 1, 5, 0.0, RandomSource(0))
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ConfigError):
+            kmeans(np.zeros((3, 2)), 1, 5, tol, RandomSource(0))
+
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             kmeans(np.zeros((0, 2)), 1, 5, 0.0, RandomSource(0))
@@ -317,6 +324,116 @@ class TestMixedPrecisionNearest:
         labels, _ = nearest_in_layout(points, centroids, layout)
         ref = np.argmin(_sq_dists(points, centroids), axis=1)
         np.testing.assert_array_equal(labels, ref)
+
+
+def reference_nearest(points, centroids, side=None):
+    """The two-pass float32 scorer the one-GEMM scorer replaced: a GEMM
+    against -2c, a pass adding c^2, the best by argmin and the runner-up by a
+    row min, over 2048-row blocks."""
+    n, d = points.shape
+    m = centroids.shape[0]
+    if m < _MIXED_MIN_M or n < _MIXED_MIN_N:
+        return _nearest_exact(points, centroids)
+    if side is None:
+        side = _PointSide(points)
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)
+    c_norm_max = float(np.sqrt(c_sq.max()))
+    if (side.norm_max + c_norm_max) ** 2 > _MIXED_MAX_SCALE:
+        return _nearest_exact(points, centroids)
+    c32 = centroids.astype(np.float32)
+    c_sq32 = np.einsum("ij,ij->i", c32, c32)
+    c32_neg2 = -2.0 * c32
+    gamma = (d + 8) * 1.2e-7
+    labels = np.empty(n, dtype=np.int64)
+    dists = np.empty(n, dtype=np.float64)
+    for start, stop, block in _row_blocks(points, 2048):
+        s = side.p32[start:stop] @ c32_neg2.T
+        s += c_sq32[None, :]
+        rows = np.arange(stop - start)
+        best = np.argmin(s, axis=1)
+        s_best = s[rows, best].astype(np.float64)
+        s[rows, best] = np.inf
+        s_second = s.min(axis=1).astype(np.float64)
+        margin = gamma * (side.p_norm[start:stop] + c_norm_max) ** 2
+        chunk_labels = best.astype(np.int64)
+        ambiguous = np.flatnonzero(s_second - s_best <= 2.0 * margin)
+        if ambiguous.size:
+            exact = _sq_dists(block[ambiguous], centroids)
+            chunk_labels[ambiguous] = np.argmin(exact, axis=1)
+        chunk_dists = (
+            side.p_sq[start:stop]
+            - 2.0 * np.einsum("ij,ij->i", block, centroids[chunk_labels])
+            + c_sq[chunk_labels]
+        )
+        np.maximum(chunk_dists, 0.0, out=chunk_dists)
+        labels[start:stop] = chunk_labels
+        dists[start:stop] = chunk_dists
+    return labels, dists
+
+
+def scorer_cases():
+    """(points, centroids) that take the float32 path: random shapes and
+    scales, every row count next to a multiple of _SCORE_CHUNK, near-duplicate
+    centroids, and norms just under the _MIXED_MAX_SCALE cutoff."""
+    gen = np.random.default_rng(41)
+    cases = []
+    for n in [k * _SCORE_CHUNK + e for k in (1, 2, 3) for e in (-1, 0, 1)]:
+        if n < _MIXED_MIN_N:
+            continue
+        m = int(gen.integers(_MIXED_MIN_M, 300))
+        d = int(gen.integers(1, 65))
+        scale = 10 ** gen.uniform(-3, 3)
+        cases.append((gen.standard_normal((n, d)) * scale,
+                      gen.standard_normal((m, d)) * scale))
+    centroids = np.repeat(gen.standard_normal((40, 12)), 2, axis=0)
+    centroids[1::2] += 1e-7 * gen.standard_normal((40, 12))
+    cases.append((gen.standard_normal((_SCORE_CHUNK + 300, 12)), centroids))
+    for d in (3, 32):
+        points = gen.standard_normal((2 * _SCORE_CHUNK + 5, d))
+        centroids = points[gen.choice(len(points), 64, replace=False)] * 1.001
+        p_max = np.sqrt((points**2).sum(axis=1).max())
+        c_max = np.sqrt((centroids**2).sum(axis=1).max())
+        scale = 0.999 * np.sqrt(_MIXED_MAX_SCALE) / (p_max + c_max)
+        cases.append((points * scale, centroids * scale))
+    return cases
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+class TestOneGemmScorer:
+    """The one-GEMM float32 scorer against the two-pass scorer it replaced."""
+
+    def test_matches_two_pass_reference(self, layout, monkeypatch):
+        exact_calls = []
+
+        def spy(points, centroids):
+            exact_calls.append(len(points))
+            return _nearest_exact(points, centroids)
+
+        monkeypatch.setattr(quantizer, "_nearest_exact", spy)
+        for points, centroids in scorer_cases():
+            labels, dists = nearest_in_layout(points, centroids, layout)
+            ref_labels, ref_dists = reference_nearest(points, centroids)
+            assert labels.tobytes() == ref_labels.tobytes()
+            assert dists.tobytes() == ref_dists.tobytes()
+        assert exact_calls == []
+
+    def test_fused_score_within_bound(self, layout):
+        # the score [p | 1] . [-2c | c^2] in float32, as _nearest forms it,
+        # against c^2 - 2 p.c in float64
+        for points, centroids in scorer_cases():
+            if layout == "F":
+                points = column_major(points)
+            d = points.shape[1]
+            side = _PointSide(points)
+            c32 = centroids.astype(np.float32)
+            c_aug = np.hstack([-2.0 * c32, np.einsum("ij,ij->i", c32, c32)[:, None]])
+            p_aug = np.hstack([side.p32, np.ones((len(points), 1), dtype=np.float32)])
+            fused = (p_aug @ c_aug.T).astype(np.float64)
+            c_sq = np.einsum("ij,ij->i", centroids, centroids)
+            exact = c_sq[None, :] - 2.0 * (points @ centroids.T)
+            c_norm = np.sqrt(c_sq)
+            bound = (d + 8) * 1.2e-7 * (side.p_norm[:, None] + c_norm[None, :]) ** 2
+            assert (np.abs(fused - exact) <= bound).all()
 
 
 def hand_codebook():
