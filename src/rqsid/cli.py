@@ -40,7 +40,7 @@ from .diagnostics import (
 )
 from .grsim import InteractionSpec, evaluate, gen_interactions, train_seq_model
 from .mitigation import exchange_layers, post_mitigation_report, remove_layer, varlen_topk
-from .quantizer import encode_all, train_rq
+from .quantizer import encode_all, train_rq, worker_info
 
 log = logging.getLogger("rqsid")
 
@@ -149,7 +149,9 @@ def cmd_train(args) -> int:
     train_s = time.perf_counter() - t0
     with persist.OutputLock(out):
         outputs = persist.save_codebook(out / "codebook.json", codebook)
-        persist.record_run(out, "train", _options(args), {"train": train_s}, outputs)
+        persist.record_run(
+            out, "train", _options(args), {"train": train_s}, outputs, worker_info()
+        )
     print(
         f"trained {config.num_layers}x{config.codebook_size} codebook on "
         f"{len(data)} vectors; sse per layer: "
@@ -180,7 +182,8 @@ def cmd_encode(args) -> int:
             },
         )
         persist.record_run(
-            out, "encode", _options(args), {"encode": encode_s}, [sid_path, report_path]
+            out, "encode", _options(args), {"encode": encode_s}, [sid_path, report_path],
+            worker_info(),
         )
     print(f"encoded {len(data)} vectors; final reconstruction mse {per_layer[-1]:.6g}")
     return 0
@@ -212,7 +215,10 @@ def cmd_analyze(args) -> int:
     with persist.OutputLock(out):
         report_path = out / "hourglass_report.json"
         persist.save_report(report_path, "hourglass_report", payload)
-        persist.record_run(out, "analyze", _options(args), {"analyze": analyze_s}, [report_path])
+        persist.record_run(
+            out, "analyze", _options(args), {"analyze": analyze_s}, [report_path],
+            worker_info(),
+        )
     print(
         f"analyzed {len(table)} ids: hourglass_flag={report.hourglass_flag}, "
         f"pinch_layer={report.pinch_layer}, path_sparsity={report.path_sparsity:.3g}"
@@ -400,7 +406,9 @@ def cmd_sweep(args) -> int:
     with persist.OutputLock(out):
         sweep_path = out / "sweep.csv"
         persist.atomic_write_text(sweep_path, buf.getvalue())
-        persist.record_run(out, "sweep", _options(args), {"sweep": sweep_s}, [sweep_path])
+        persist.record_run(
+            out, "sweep", _options(args), {"sweep": sweep_s}, [sweep_path], worker_info()
+        )
     failed = sum(1 for r in rows if r["error"])
     print(f"swept {len(rows)} cells ({failed} failed) -> {out / 'sweep.csv'}")
     return 0

@@ -503,29 +503,33 @@ def _read_manifest(out_dir: Path) -> dict:
     return _load_header(manifest_path, "run_manifest", runs=list)
 
 
-def record_run(out_dir, command: str, config: dict, timings: dict, outputs) -> Path:
-    """Append one run record to the manifest in `out_dir`."""
+def record_run(
+    out_dir, command: str, config: dict, timings: dict, outputs, kmeans: dict | None = None
+) -> Path:
+    """Append one run record to the manifest in `out_dir`. `kmeans`, given by
+    the commands that run k-means, records how its rounds were split."""
     out_dir = Path(out_dir)
     manifest_path = out_dir / MANIFEST_NAME
     manifest = _read_manifest(out_dir)
     from . import __version__
 
-    manifest["runs"].append(
-        {
-            "command": command,
-            "tool_version": __version__,
-            "config": config,
-            "timings_s": {k: round(float(v), 6) for k, v in timings.items()},
-            "outputs": [
-                {
-                    "path": str(Path(p).relative_to(out_dir)),
-                    "bytes": Path(p).stat().st_size,
-                    "sha256": sha256_file(p),
-                }
-                for p in outputs
-            ],
-        }
-    )
+    record = {
+        "command": command,
+        "tool_version": __version__,
+        "config": config,
+        "timings_s": {k: round(float(v), 6) for k, v in timings.items()},
+        "outputs": [
+            {
+                "path": str(Path(p).relative_to(out_dir)),
+                "bytes": Path(p).stat().st_size,
+                "sha256": sha256_file(p),
+            }
+            for p in outputs
+        ],
+    }
+    if kmeans is not None:
+        record["kmeans"] = kmeans
+    manifest["runs"].append(record)
     atomic_write_text(manifest_path, dump_json(manifest))
     return manifest_path
 

@@ -20,12 +20,27 @@ is contiguous. Every float64 row reduction (squared norms, exact distances)
 reads a C-order copy of a small row block instead of the strided rows: the
 reduction then sums in the same order as on C-order input, and both layouts
 give the same bytes.
+
+Both phases of a Lloyd round use the CPUs that the BLAS thread cap grants:
+`_nearest` hands contiguous row ranges, aligned to `_SCORE_CHUNK`, and the
+mean update hands column ranges (one `bincount` per column) to a small
+thread pool, with OpenBLAS held at one thread meanwhile. Every label, distance
+and mean comes from the same per-row or per-column operations as in one
+thread, so the worker count changes no byte. Calls with fewer than
+`_SPLIT_MIN_ROWS` rows per worker, and processes with one CPU, one BLAS
+thread or no recognised OpenBLAS thread setter, run in the calling thread.
+The pool and the BLAS lookup start on first use, not at import.
 """
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import math
+import os
+import threading
+from collections.abc import Callable
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +70,9 @@ _MIXED_MAX_SCALE = 1e15
 # builds an (n, dim) temporary. `train_rq` holds all rows' residuals, in one
 # column-major array; `encode_all` holds one block's.
 _ROW_BLOCK = 16384
+# Rows each worker gets at least when a call is split: a few score chunks,
+# so a 2000-row input never splits and a `_ROW_BLOCK` splits in two.
+_SPLIT_MIN_ROWS = 4 * _SCORE_CHUNK
 
 
 class KMeansResult(NamedTuple):
@@ -110,6 +128,166 @@ def _nearest_exact(
     return labels, dists
 
 
+class _Blas(NamedTuple):
+    """The thread-count getter and setter of the OpenBLAS that numpy loaded."""
+
+    setter: str
+    get: Callable[[], int]
+    set: Callable[[int], None]
+
+
+# (getter, setter) symbol pairs, looked for in this order: numpy's wheel
+# build (scipy-openblas with 64-bit ints), then OpenBLAS built with 64-bit
+# and with 32-bit ints.
+_BLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _find_blas() -> _Blas | None:
+    """The thread-count pair of an OpenBLAS mapped into this process, found
+    through /proc/self/maps; None without one (Accelerate, MKL, no /proc)."""
+    paths = set()
+    try:
+        with open("/proc/self/maps") as maps:
+            for line in maps:
+                fields = line.split(maxsplit=5)
+                if len(fields) == 6 and "openblas" in os.path.basename(fields[5]):
+                    paths.add(fields[5].rstrip("\n"))
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_SYMBOLS:
+            get = getattr(lib, get_name, None)
+            set_ = getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return _Blas(set_name, get, set_)
+    return None
+
+
+class _Workers:
+    """The threads that Lloyd rounds split their rows and columns over.
+
+    The BLAS lookup runs on first use, and the pool starts at the first
+    call that is split, not at import. There are as many workers as BLAS
+    threads, capped at the CPUs this process may run on: the BLAS cap is the
+    process's CPU budget. Without a recognised BLAS setter, or with a budget
+    of one, every task runs on the calling thread. While tasks run on the
+    pool, BLAS is held at one thread, so that the workers' own GEMMs do not
+    compete with BLAS threads for the CPUs.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._started = False
+        self._pool = None
+        self.blas: _Blas | None = None
+        self.count = 1
+
+    def _start(self) -> None:
+        with self._lock:
+            if self._started:
+                return
+            self._started = True
+            self.blas = _find_blas()
+            if self.blas is not None:
+                self.count = max(1, min(self.blas.get(), len(os.sched_getaffinity(0))))
+
+    def parts(self, n: int) -> int:
+        """How many tasks a call over `n` rows is split into: at most one
+        per worker, each with at least `_SPLIT_MIN_ROWS` rows."""
+        self._start()
+        return max(1, min(self.count, n // _SPLIT_MIN_ROWS))
+
+    def info(self) -> dict:
+        """The worker count and the BLAS setter used (None if none found)."""
+        self._start()
+        return {"workers": self.count, "blas_setter": self.blas.setter if self.blas else None}
+
+    def run(self, tasks) -> None:
+        """Run every zero-argument task; more than one run on the pool.
+
+        The BLAS thread count is restored once every task has finished;
+        then the exception of the first task (in list order) that raised,
+        if any, is raised.
+        """
+        if len(tasks) == 1:
+            tasks[0]()
+            return
+        self._start()
+        with self._lock:
+            if self._pool is None:
+                # imported at the first split, which a process of small
+                # inputs never makes
+                from concurrent.futures import ThreadPoolExecutor
+
+                self._pool = ThreadPoolExecutor(self.count, thread_name_prefix="rqsid-kmeans")
+            threads = self.blas.get()
+            self.blas.set(1)
+            try:
+                futures = [self._pool.submit(task) for task in tasks]
+                for future in futures:
+                    future.exception()
+                for future in futures:
+                    future.result()
+            finally:
+                self.blas.set(threads)
+
+
+_WORKERS = _Workers()
+
+
+def worker_info() -> dict:
+    """How Lloyd rounds are split in this process: the worker count and the
+    BLAS thread setter found (None if none was), for run records."""
+    return _WORKERS.info()
+
+
+def _ranges(total: int, parts: int, align: int = 1) -> list[tuple[int, int]]:
+    """`parts` consecutive (lo, hi) ranges covering [0, total), each inner
+    bound a multiple of `align`, the `align`-sized units shared out evenly."""
+    units = -(-total // align)
+    bounds = [min(total, align * (units * i // parts)) for i in range(parts + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+class _ScoreScratch:
+    """One task's buffers for scoring `_SCORE_CHUNK`-row chunks in `_nearest`.
+
+    The caller makes them, so a worker thread allocates nothing large: glibc
+    keeps what a thread frees in that thread's own arena.
+    """
+
+    __slots__ = ("p_aug", "scores", "exact", "idx", "best", "second", "gap",
+                 "bound", "ambiguous", "block", "rows", "vec")
+
+    def __init__(self, d: int, m: int):
+        c = _SCORE_CHUNK
+        self.p_aug = np.empty((c, d + 1), dtype=np.float32)
+        self.p_aug[:, d] = 1.0
+        self.scores = np.empty((c, m), dtype=np.float32)
+        # float64 rescoring of c/2 rows at a time reuses the score block,
+        # which is spent by then
+        self.exact = self.scores.reshape(-1).view(np.float64).reshape(c // 2, m)
+        self.idx = np.empty(c, dtype=np.intp)
+        self.best = np.empty(c, dtype=np.float32)
+        self.second = np.empty(c, dtype=np.float32)
+        self.gap = np.empty(c, dtype=np.float64)
+        self.bound = np.empty(c, dtype=np.float64)
+        self.ambiguous = np.empty(c, dtype=bool)
+        self.block = np.empty((c, d), dtype=np.float64)
+        self.rows = np.empty((c, d), dtype=np.float64)
+        self.vec = np.empty(c, dtype=np.float64)
+
+
 def _nearest(
     points: np.ndarray,
     centroids: np.ndarray,
@@ -139,46 +317,88 @@ def _nearest(
     c_aug = np.empty((m, d + 1), dtype=np.float32)
     np.multiply(c32, -2.0, out=c_aug[:, :d])
     c_aug[:, d] = np.einsum("ij,ij->i", c32, c32)
-    # |float32 score - exact score| <= gamma * (|p| + |c|)^2 per pair, as long
-    # as no float32 product underflows. With u = 2^-24 and g_k = k u / (1 - k u):
-    # rounding p and c to float32 errs by (2u + u^2) (2|p||c| + |c|^2), the
-    # float32 c^2 by g_d |c|^2, and the (d+1)-term float32 dot product
-    # [p | 1] . [-2c | c^2], in any summation order, with or without FMA, by
-    # g_{d+1} (2|p||c| + |c|^2) (1 + 3u + g_d). The total is below
-    # (2d + 3) u (1 + 2 (d + 1) u) (|p| + |c|)^2, and gamma = 2.013 (d + 8) u
-    # exceeds that for every d < 4000.
+    # |float32 score - exact score| <= gamma * (|p| + |c|)^2 + tau per pair.
+    # With u = 2^-24 and g_k = k u / (1 - k u), and no float32 result below
+    # the normal range: rounding p and c to float32 errs by (2u + u^2)
+    # (2|p||c| + |c|^2), the float32 c^2 by g_d |c|^2, and the (d+1)-term
+    # float32 dot product [p | 1] . [-2c | c^2], in any summation order,
+    # with or without FMA, by g_{d+1} (2|p||c| + |c|^2) (1 + 3u + g_d). The
+    # total is below (2d + 3) u (1 + 2 (d + 1) u) (|p| + |c|)^2, and
+    # gamma = 2.013 (d + 8) u exceeds that by at least 13 u (|p| + |c|)^2
+    # for every d < 4000. Below the normal range a product or a rounding to
+    # float32 also errs by up to 2^-150 absolute; an addition never does.
+    # The 2d products, d in c^2 and d in the dot product, add at most
+    # 2.001 d 2^-150 after summation. Rounding a component of p or c adds
+    # at most 2^-150, which the score carries times 2|c_k|, 2|p_k| or
+    # 2|c_k|: at most a (|p| + |c|) in all, a = 4.01 sqrt(d) 2^-150, which
+    # is below u (|p| + |c|)^2 + a^2 / (4u) by AM-GM. The first part fits in
+    # gamma's slack and a^2 / (4u) is below d 2^-270, so tau = (d + 1) 2^-148
+    # covers the rest.
     gamma = (d + 8) * 1.2e-7
+    tau = (d + 1) * 2.0**-148
 
-    p_aug = np.empty((_SCORE_CHUNK, d + 1), dtype=np.float32)
-    p_aug[:, d] = 1.0
-    scores = np.empty((_SCORE_CHUNK, m), dtype=np.float32)
-    all_rows = np.arange(_SCORE_CHUNK)
     labels = np.empty(n, dtype=np.int64)
     dists = np.empty(n, dtype=np.float64)
-    for start, stop, block in _row_blocks(points, _SCORE_CHUNK):
-        k = stop - start
-        p_aug[:k, :d] = side.p32[start:stop]
-        s = np.matmul(p_aug[:k], c_aug.T, out=scores[:k])
-        rows = all_rows[:k]
-        best = np.argmin(s, axis=1)
-        s_best = s[rows, best].astype(np.float64)
-        s[rows, best] = np.inf
-        # for finite scores the runner-up's value is the row min
-        s_second = s[rows, np.argmin(s, axis=1)].astype(np.float64)
-        margin = gamma * (side.p_norm[start:stop] + c_norm_max) ** 2
-        chunk_labels = best.astype(np.int64)
-        ambiguous = np.flatnonzero(s_second - s_best <= 2.0 * margin)
-        if ambiguous.size:
-            exact = _sq_dists(block[ambiguous], centroids)
-            chunk_labels[ambiguous] = np.argmin(exact, axis=1)
-        chunk_dists = (
-            side.p_sq[start:stop]
-            - 2.0 * np.einsum("ij,ij->i", block, centroids[chunk_labels])
-            + c_sq[chunk_labels]
-        )
-        np.maximum(chunk_dists, 0.0, out=chunk_dists)
-        labels[start:stop] = chunk_labels
-        dists[start:stop] = chunk_dists
+    row_base = np.arange(0, _SCORE_CHUNK * m, m)
+    c_order = points.flags.c_contiguous
+
+    def score(lo: int, hi: int, buf: _ScoreScratch) -> None:
+        # Every array a chunk needs is a view of `buf`, of the inputs or of
+        # the outputs. The float64 arithmetic keeps the order of the plain
+        # expressions in the comments, so the bytes do not depend on the split.
+        flat = buf.scores.reshape(-1)
+        for start in range(lo, hi, _SCORE_CHUNK):
+            stop = min(start + _SCORE_CHUNK, hi)
+            k = stop - start
+            lab, idx = labels[start:stop], buf.idx[:k]
+            buf.p_aug[:k, :d] = side.p32[start:stop]
+            s = np.matmul(buf.p_aug[:k], c_aug.T, out=buf.scores[:k])
+            np.argmin(s, axis=1, out=lab)
+            # the best, then with its slot set to inf the runner-up (for
+            # finite scores its value is the row min), as flat indices
+            np.add(row_base[:k], lab, out=idx)
+            np.take(flat, idx, out=buf.best[:k], mode="clip")
+            np.put(flat, idx, np.inf, mode="clip")
+            np.argmin(s, axis=1, out=idx)
+            np.add(row_base[:k], idx, out=idx)
+            np.take(flat, idx, out=buf.second[:k], mode="clip")
+            # ambiguous: second - best <= 2 (gamma (|p| + c_norm_max)^2 + tau)
+            gap = np.subtract(buf.second[:k], buf.best[:k], out=buf.gap[:k], dtype=np.float64)
+            bound = np.add(side.p_norm[start:stop], c_norm_max, out=buf.bound[:k])
+            np.square(bound, out=bound)
+            bound *= 2.0 * gamma
+            bound += 2.0 * tau
+            ambiguous = np.flatnonzero(np.less_equal(gap, bound, out=buf.ambiguous[:k]))
+            if c_order:
+                block = points[start:stop]
+            else:
+                block = buf.block[:k]
+                np.copyto(block, points[start:stop])
+            half = len(buf.exact)
+            for g in range(0, ambiguous.size, half):
+                # exact = max(p^2 - 2.0 * (p @ c.T) + c^2, 0), as `_sq_dists`
+                at = ambiguous[g : g + half]
+                a = at.size
+                rows = np.take(block, at, axis=0, out=buf.rows[:a], mode="clip")
+                p_sq = np.einsum("ij,ij->i", rows, rows, out=buf.vec[:a])
+                exact = np.matmul(rows, centroids.T, out=buf.exact[:a])
+                exact *= 2.0
+                np.subtract(p_sq[:, None], exact, out=exact)
+                exact += c_sq
+                np.maximum(exact, 0.0, out=exact)
+                lab[at] = np.argmin(exact, axis=1, out=idx[:a])
+            # dists = max(p^2 - 2.0 * (p . c[lab]) + c^2[lab], 0)
+            gathered = np.take(centroids, lab, axis=0, out=buf.rows[:k], mode="clip")
+            e = np.einsum("ij,ij->i", block, gathered, out=buf.vec[:k])
+            e *= 2.0
+            out = np.subtract(side.p_sq[start:stop], e, out=dists[start:stop])
+            out += np.take(c_sq, lab, out=buf.vec[:k], mode="clip")
+            np.maximum(out, 0.0, out=out)
+
+    parts = _WORKERS.parts(n)
+    _WORKERS.run(
+        [partial(score, lo, hi, _ScoreScratch(d, m)) for lo, hi in _ranges(n, parts, _SCORE_CHUNK)]
+    )
     return labels, dists
 
 
@@ -230,11 +450,16 @@ def _cluster_means(
 ) -> np.ndarray:
     """Per-cluster means; empty clusters are re-seeded to the points currently
     farthest from their centroid (ties to the lowest point index)."""
-    d = points.shape[1]
+    n, d = points.shape
     counts = np.bincount(labels, minlength=m).astype(np.float64)
     sums = np.empty((m, d), dtype=np.float64)
-    for j in range(d):
-        sums[:, j] = np.bincount(labels, weights=points[:, j], minlength=m)
+
+    def column_sums(lo: int, hi: int) -> None:
+        for j in range(lo, hi):
+            sums[:, j] = np.bincount(labels, weights=points[:, j], minlength=m)
+
+    parts = min(_WORKERS.parts(n), d)
+    _WORKERS.run([partial(column_sums, lo, hi) for lo, hi in _ranges(d, parts)])
     empty = counts == 0
     counts[empty] = 1.0
     means = sums / counts[:, None]

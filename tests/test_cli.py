@@ -16,7 +16,8 @@ from rqsid.persist import (
     sha256_bytes,
     sha256_file,
 )
-from rqsid.quantizer import encode_all
+import rqsid.quantizer as quantizer
+from rqsid.quantizer import encode_all, worker_info
 
 
 def run(*argv):
@@ -637,6 +638,25 @@ class TestManifest:
             "d": 4, "clusters": 512, "radius": 0.05, "center_scale": 1.0, "zipf_s": 1.2,
             "kmeans_iters": 25, "tol": 1e-4, "seed": 0, "out": str(out),
         }
+
+
+class TestKMeansWorkersRecorded:
+    def test_train_encode_analyze_record_the_split(self, pipeline, tmp_path):
+        out = tmp_path / "analyze"
+        assert run(
+            "analyze", "--sids", pipeline / "enc" / "sids.csv",
+            "--codebook", pipeline / "train" / "codebook.json", "--out", out,
+        ) == 0
+        info = worker_info()
+        assert info["workers"] >= 1
+        assert info["blas_setter"] in {None} | {s for _, s in quantizer._BLAS_SYMBOLS}
+        for run_dir, command in [(pipeline / "train", "train"), (pipeline / "enc", "encode"),
+                                 (out, "analyze")]:
+            record = json.loads((run_dir / "manifest.json").read_text())["runs"][-1]
+            assert record["command"] == command
+            assert record["kmeans"] == info
+        gen_record = json.loads((pipeline / "gen" / "manifest.json").read_text())["runs"][-1]
+        assert "kmeans" not in gen_record
 
 
 class TestManifestReplay:

@@ -1,4 +1,11 @@
+import json
+import os
+import subprocess
+import sys
+import threading
+import time
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -722,3 +729,296 @@ class TestReconstructionReport:
         cb = train_rq(data, cfg, RandomSource(40))
         report = encode_all(data, cb)[1][:, 1:].mean(axis=0)
         assert report[-1] < 1e-3
+
+
+class FakeBlas:
+    """A BLAS thread count held in Python, recording every set."""
+
+    def __init__(self, threads):
+        self.threads = threads
+        self.sets = []
+
+    def get(self):
+        return self.threads
+
+    def set(self, threads):
+        self.sets.append(threads)
+        self.threads = threads
+
+
+@pytest.fixture
+def use_workers(monkeypatch):
+    """install(count) makes k-means split over `count` workers, from a fresh
+    `_Workers` whose lookup finds a fake BLAS reporting `count` threads, or
+    no setter at all for count 1. Returns the workers and the fake."""
+
+    def install(count):
+        fake = FakeBlas(count) if count > 1 else None
+        found = fake and quantizer._Blas("fake_set_num_threads", fake.get, fake.set)
+        monkeypatch.setattr(quantizer, "_find_blas", lambda: found)
+        monkeypatch.setattr(quantizer.os, "sched_getaffinity", lambda pid: set(range(count)))
+        workers = quantizer._Workers()
+        monkeypatch.setattr(quantizer, "_WORKERS", workers)
+        return workers, fake
+
+    return install
+
+
+def split_and_serial(use_workers, fn, count=2):
+    """fn() with one worker and with `count`; both results must be equal."""
+    use_workers(1)
+    serial = fn()
+    workers, _ = use_workers(count)
+    split = fn()
+    assert workers.count == count
+    return serial, split
+
+
+def assert_same_bytes(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+        else:
+            assert x == y
+
+
+class TestRanges:
+    @pytest.mark.parametrize("total,parts,align", [
+        (10, 1, 1), (10, 3, 1), (32, 2, 1), (3, 3, 1), (8193, 2, 1024), (20000, 3, 1024),
+    ])
+    def test_cover_in_order_and_aligned(self, total, parts, align):
+        ranges = quantizer._ranges(total, parts, align)
+        assert len(ranges) == parts
+        assert ranges[0][0] == 0 and ranges[-1][1] == total
+        assert all(lo < hi for lo, hi in ranges)
+        assert all(a[1] == b[0] and a[1] % align == 0 for a, b in zip(ranges, ranges[1:]))
+
+
+@pytest.mark.parametrize("count", [2, 3])
+class TestSplitOracle:
+    """Every result with the rows or columns split over workers equals, byte
+    for byte, the one-worker result."""
+
+    @staticmethod
+    def row_counts(count):
+        threshold = count * quantizer._SPLIT_MIN_ROWS
+        return [threshold - 1, threshold, threshold + 1,
+                9 * _SCORE_CHUNK - 1, 9 * _SCORE_CHUNK + 1]
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_nearest(self, use_workers, count, layout):
+        gen = np.random.default_rng(count)
+        for n in self.row_counts(count):
+            d, m = int(gen.integers(2, 40)), int(gen.integers(_MIXED_MIN_M, 300))
+            points = gen.standard_normal((n, d)) * 10 ** gen.uniform(-3, 3)
+            if layout == "F":
+                points = column_major(points)
+            centroids = gen.standard_normal((m, d)) * np.sqrt((points**2).mean())
+            serial, split = split_and_serial(
+                use_workers, lambda: _nearest(points, centroids), count)
+            assert_same_bytes(serial, split)
+            assert_same_bytes(split, reference_nearest(points, centroids))
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_nearest_rescores_most_rows(self, use_workers, count, layout, monkeypatch):
+        # near-duplicate centroids leave most rows inside the margin, more
+        # than half a chunk, so rescoring takes several passes per chunk
+        gen = np.random.default_rng(30 + count)
+        points = gen.standard_normal((count * quantizer._SPLIT_MIN_ROWS + 517, 8))
+        if layout == "F":
+            points = column_major(points)
+        centroids = np.repeat(gen.standard_normal((40, 8)), 2, axis=0)
+        centroids[1::2] += 1e-9
+        rescored = []
+        einsum = np.einsum
+
+        def spy(spec, a, *rest, **kw):
+            if kw.get("out") is not None and rest and rest[0] is a:
+                rescored.append(len(a))
+            return einsum(spec, a, *rest, **kw)
+
+        monkeypatch.setattr(quantizer.np, "einsum", spy)
+        serial, split = split_and_serial(use_workers, lambda: _nearest(points, centroids), count)
+        monkeypatch.undo()
+        assert sum(rescored) > len(points)  # both runs together
+        assert max(rescored) == _SCORE_CHUNK // 2
+        assert_same_bytes(serial, split)
+        assert_same_bytes(split, reference_nearest(points, centroids))
+        ref = np.argmin(_sq_dists(points, centroids), axis=1)
+        assert split[0].tobytes() == ref.tobytes()
+
+    def test_kmeans_both_layouts(self, use_workers, count):
+        gen = np.random.default_rng(40 + count)
+        points = gen.standard_normal((count * quantizer._SPLIT_MIN_ROWS + 1, 12))
+        for layout in (points, column_major(points)):
+            serial, split = split_and_serial(
+                use_workers, lambda: kmeans(layout, 64, 4, 0.0, RandomSource(count)), count)
+            assert_same_bytes(serial, split)
+
+    def test_empty_cluster_reseed(self, use_workers, count, monkeypatch):
+        # 20 distinct points for 32 centroids: duplicate seeds leave clusters
+        # empty, and they are reseeded
+        gen = np.random.default_rng(6)
+        repeats = count * quantizer._SPLIT_MIN_ROWS // 20 + 1
+        points = np.repeat(gen.integers(-3, 4, size=(20, 4)).astype(float), repeats, axis=0)
+        seen = TestLayouts.spy_empty_clusters(monkeypatch)
+        serial, split = split_and_serial(
+            use_workers, lambda: kmeans(column_major(points), 32, 3, 0.0, RandomSource(7)),
+            count)
+        assert any(seen)
+        assert_same_bytes(serial, split)
+
+    def test_train_and_encode(self, use_workers, count):
+        n = 2 * _ROW_BLOCK + 1000
+        gen = np.random.default_rng(50 + count)
+        data = EmbeddingCollection(tuple(map(str, range(n))), gen.standard_normal((n, 6)))
+        cfg = QuantizerConfig(num_layers=2, codebook_size=32, dim=6, kmeans_iters=3, seed=count)
+
+        def train_and_encode():
+            cb = train_rq(data, cfg, RandomSource(count))
+            return (cb.layers, cb.training_sse_per_layer) + encode_all(data, cb)
+
+        serial, split = split_and_serial(use_workers, train_and_encode, count)
+        assert_same_bytes(serial, split)
+
+    def test_cluster_means_columns(self, use_workers, count):
+        gen = np.random.default_rng(60 + count)
+        n = count * quantizer._SPLIT_MIN_ROWS
+        for d in (1, count, 7, 32):
+            m = int(gen.integers(1, 300))
+            points = gen.standard_normal((n, d))
+            labels = 2 * gen.integers(0, (m + 1) // 2, size=n)
+            dists = gen.uniform(0.0, 1.0, size=n)
+            want = reference_cluster_means(points, labels, m, dists)
+            workers, fake = use_workers(count)
+            for layout in (points, column_major(points)):
+                got = _cluster_means(layout, labels, m, dists)
+                assert got.tobytes() == want.tobytes()
+            assert fake.sets == ([1, count] * 2 if d > 1 else [])
+
+
+class TestWorkers:
+    def test_blas_held_at_one_and_restored(self, use_workers):
+        workers, fake = use_workers(2)
+        seen = []
+        workers.run([lambda: seen.append(fake.threads)] * 2)
+        assert seen == [1, 1]
+        assert fake.sets == [1, 2] and fake.threads == 2
+
+    def test_restored_after_a_worker_raises(self, use_workers):
+        workers, fake = use_workers(3)
+        finished = []
+
+        def slow():
+            time.sleep(0.05)
+            finished.append(fake.threads)
+
+        def boom():
+            raise ValueError("worker failed")
+
+        with pytest.raises(ValueError, match="worker failed"):
+            workers.run([boom, slow, slow])
+        # every task ran to its end with BLAS at one thread before the restore
+        assert finished == [1, 1]
+        assert fake.sets == [1, 3] and fake.threads == 3
+
+    def test_real_blas_restored(self):
+        blas = quantizer._find_blas()
+        if blas is None:
+            pytest.skip("no recognised BLAS thread setter in this process")
+        assert blas.setter in {s for _, s in quantizer._BLAS_SYMBOLS}
+        workers = quantizer._Workers()
+        before = blas.get()
+        assert workers.info() == {
+            "workers": max(1, min(before, len(os.sched_getaffinity(0)))),
+            "blas_setter": blas.setter,
+        }
+        if workers.count == 1:
+            pytest.skip("the BLAS thread budget is one")
+        seen = []
+
+        def boom():
+            seen.append(blas.get())
+            raise ValueError("worker failed")
+
+        workers.run([lambda: seen.append(blas.get())] * workers.count)
+        with pytest.raises(ValueError):
+            workers.run([boom] * workers.count)
+        assert seen == [1] * (2 * workers.count)
+        assert blas.get() == before
+
+    def test_stress_more_workers_than_cores(self, use_workers):
+        # four workers and a short switch interval, so the threads interleave
+        # often; a lost or misplaced write would change some byte
+        gen = np.random.default_rng(80)
+        n = 4 * quantizer._SPLIT_MIN_ROWS + 333
+        points = column_major(gen.standard_normal((n, 16)))
+        centroids = gen.standard_normal((64, 16))
+        labels = gen.integers(0, 64, size=n)
+        dists = gen.uniform(size=n)
+        use_workers(1)
+        want = _nearest(points, centroids), _cluster_means(points, labels, 64, dists)
+        workers, _ = use_workers(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                got = _nearest(points, centroids), _cluster_means(points, labels, 64, dists)
+                assert_same_bytes(got[0], want[0])
+                assert got[1].tobytes() == want[1].tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert workers.count == 4
+
+    def test_no_setter_means_one_worker_and_no_thread(self, use_workers):
+        workers, _ = use_workers(1)
+        gen = np.random.default_rng(70)
+        points = gen.standard_normal((4 * quantizer._SPLIT_MIN_ROWS, 8))
+        threads = threading.active_count()
+        result = kmeans(points, 32, 2, 0.0, RandomSource(70))
+        assert threading.active_count() == threads
+        assert workers.info() == {"workers": 1, "blas_setter": None}
+        assert workers._pool is None
+        _, split = split_and_serial(
+            use_workers, lambda: kmeans(points, 32, 2, 0.0, RandomSource(70)))
+        assert_same_bytes(result, split)
+
+    def test_import_starts_no_thread_and_opens_no_blas(self):
+        code = (
+            "import ctypes, json, threading\n"
+            "opened = []\n"
+            "real = ctypes.CDLL\n"
+            "class Spy(real):\n"
+            "    def __init__(self, name, *args, **kwargs):\n"
+            "        opened.append(str(name))\n"
+            "        super().__init__(name, *args, **kwargs)\n"
+            "ctypes.CDLL = Spy\n"
+            "import rqsid.cli, rqsid.quantizer as q\n"
+            "print(json.dumps([threading.active_count(), opened, q._WORKERS._started]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(quantizer.__file__).parents[1])] + sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        threads, opened, started = json.loads(out.stdout.splitlines()[-1])
+        assert threads == 1
+        assert not any("blas" in name.lower() for name in opened)
+        assert started is False
+
+
+class TestUnderflow:
+    """Near float32 underflow the products err by an absolute amount, which
+    the certification margin covers, so those rows are rescored."""
+
+    @pytest.mark.parametrize("scale", [1e-21, 1e-23, 1e-25])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_tiny_scales_match_float64_argmin(self, scale, layout):
+        for seed in range(5):
+            gen = np.random.default_rng(seed)
+            points = gen.standard_normal((2048, 32)) * scale
+            centroids = gen.standard_normal((256, 32)) * scale
+            labels, _ = nearest_in_layout(points, centroids, layout)
+            ref = np.argmin(_sq_dists(points, centroids), axis=1)
+            assert labels.tobytes() == ref.tobytes(), (seed, int((labels != ref).sum()))
