@@ -143,9 +143,14 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     out = Path(args.out)
     data = persist.load_embeddings(args.embeddings)
+    n = len(data)
     config = _quantizer_config(args, args.num_layers, args.codebook_size, data.dim, args.seed)
     t0 = time.perf_counter()
-    codebook = train_rq(data, config, RandomSource(args.seed))
+    # train_rq owns this column-major copy; dropping the collection frees
+    # the loaded vectors, so training holds one copy of them
+    residuals = np.array(data.vectors, order="F")
+    del data
+    codebook = train_rq(residuals, config, RandomSource(args.seed))
     train_s = time.perf_counter() - t0
     with persist.OutputLock(out):
         outputs = persist.save_codebook(out / "codebook.json", codebook)
@@ -154,7 +159,7 @@ def cmd_train(args) -> int:
         )
     print(
         f"trained {config.num_layers}x{config.codebook_size} codebook on "
-        f"{len(data)} vectors; sse per layer: "
+        f"{n} vectors; sse per layer: "
         + ", ".join(f"{s:.4g}" for s in codebook.training_sse_per_layer)
     )
     return 0

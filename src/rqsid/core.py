@@ -47,6 +47,8 @@ class ConsistencyError(RqsidError):
 # quoting, a history splits on "|", and comment lines stay apart from rows.
 # NUL is out because the id table's fixed-width strings drop trailing NULs.
 _ID_BREAKS = ',"|\r\n\x00'
+# an odd 64-bit multiplier for the polynomial hash of `distinct`
+_ID_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _holds_break(text: str) -> bool:
@@ -54,7 +56,19 @@ def _holds_break(text: str) -> bool:
 
 
 def check_item_ids(item_ids) -> None:
-    """Raise a DataError naming the first id outside the item-id alphabet."""
+    """Raise a DataError naming the first id outside the item-id alphabet.
+
+    A str array is checked in numpy, without a Python string per id; it
+    cannot hold a trailing NUL, so its maker must have checked for those.
+    """
+    if isinstance(item_ids, np.ndarray):
+        codes = _code_points(item_ids)
+        if not (np.isin(codes[:, 0], (0, ord("#"))).any()
+                or any((codes == ord(c)).any() for c in _ID_BREAKS if c != "\x00")
+                # a NUL is padding unless a character follows it
+                or ((codes[:, :-1] == 0) & (codes[:, 1:] != 0)).any()):
+            return
+        item_ids = item_ids.tolist()  # the scan below names the first bad id
     # one scan of the joined ids accepts a valid sequence; only a "#" found
     # anywhere, or a failed scan, costs a look at each id
     try:
@@ -72,6 +86,25 @@ def check_item_ids(item_ids) -> None:
         f"item id {bad!r} is not a nonempty string without ',', '\"', '|', CR, LF or NUL "
         "that does not start with '#'"
     )
+
+
+def distinct(item_ids) -> bool:
+    """Whether no two item ids are equal. The ids of a str array are hashed
+    in numpy and only ids whose hashes collide are compared as strings."""
+    if not isinstance(item_ids, np.ndarray):
+        return len(set(item_ids)) == len(item_ids)
+    hashes = np.zeros(len(item_ids), dtype=np.uint64)
+    for column in _code_points(item_ids).T:  # wraps modulo 2^64
+        hashes *= _ID_HASH_MULTIPLIER
+        hashes += column
+    hashes.sort()
+    return bool((hashes[1:] != hashes[:-1]).all()) or len(set(item_ids.tolist())) == len(item_ids)
+
+
+def _code_points(item_ids: np.ndarray) -> np.ndarray:
+    """A nonempty str array's ids as rows of code points, padded with 0."""
+    ids = np.ascontiguousarray(item_ids)
+    return ids.view(np.uint32).reshape(len(ids), ids.dtype.itemsize // 4)
 
 
 @dataclass(frozen=True)
@@ -143,7 +176,7 @@ class EmbeddingCollection:
             raise DataError(
                 f"{len(self.ids)} ids for {vectors.shape[0]} vectors"
             )
-        if len(set(self.ids)) != len(self.ids):
+        if not distinct(self.ids):
             raise DataError("item ids must be unique")
         check_item_ids(self.ids)
         if vectors.size and not np.all(np.isfinite(vectors)):
@@ -191,7 +224,9 @@ class Codebook:
 
 def sid_table(item_ids, tokens, config: QuantizerConfig, is_full=None) -> np.recarray:
     """The id table: one record per item with fields `item_id` (str),
-    `tokens` (int64, one per layer) and `is_full` (bool).
+    `tokens` (int64, one per layer) and `is_full` (bool). `item_ids` is a
+    sequence of strings, or a str array, which is checked without a Python
+    string per id.
 
     Only layer 2 can be elided, and only with at least three layers, so an
     elided id keeps its row shape: its layer-2 slot holds -1. Each id thus
@@ -206,14 +241,19 @@ def sid_table(item_ids, tokens, config: QuantizerConfig, is_full=None) -> np.rec
         raise MalformedSequenceError("semantic ids have no tokens")
     if tokens.shape[1] != L:
         raise ConsistencyError(f"ids have {tokens.shape[1]} layers, config expects {L}")
-    item_ids = list(map(str, item_ids))
+    if not (isinstance(item_ids, np.ndarray) and item_ids.dtype.kind == "U"):
+        item_ids = list(map(str, item_ids))
     if len(item_ids) != n:
         raise ConsistencyError(f"{len(item_ids)} item ids for {n} ids")
-    if len(set(item_ids)) != n:
+    if not distinct(item_ids):
         raise DataError("item ids must be unique")
     check_item_ids(item_ids)
+    if isinstance(item_ids, list):
+        width = max(map(len, item_ids))
+    else:
+        width = int(np.char.str_len(item_ids).max())
     table = np.recarray(
-        n, dtype=[("item_id", np.str_, max(1, max(map(len, item_ids)))),
+        n, dtype=[("item_id", np.str_, max(1, width)),
                   ("tokens", np.int64, (L,)), ("is_full", bool)]
     )
     table.item_id = item_ids

@@ -4,7 +4,8 @@ Formats:
   codebook  JSON header plus a sibling binary of row-major little-endian
             float32 codewords (embedded in the JSON for tiny codebooks).
   ids       long-form item_id,layer,token rows with 0-based tokens, after
-            a header and the comment lines before it.
+            a header and the comment lines before it; read by numpy's C
+            text reader, which holds the ids as one fixed-width array.
   embeddings JSON header plus float64 binary; CSV item_id,v0..v{D-1} is
             read too, to import embeddings made elsewhere.
   interactions CSV user_context,target,split with pipe-separated context.
@@ -22,9 +23,10 @@ import hashlib
 import itertools
 import json
 import os
+import sys
 import tempfile
 from contextlib import contextmanager
-from operator import itemgetter
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,7 @@ from .core import (
     MalformedSequenceError,
     QuantizerConfig,
     check_item_ids,
+    distinct,
     sid_table,
 )
 from .grsim import InteractionDataset
@@ -210,8 +213,11 @@ _SID_COMMENT = "# semantic ids in long form; tokens 0-based, layers 1-based"
 _SID_HEADER = "item_id,layer,token"
 # items per block of text that `save_sids` formats and writes at once
 _SID_WRITE_BLOCK = 8192
-# characters of an id file's body that `load_sids` converts at once
+# characters of an id file's body that `load_sids` scans at once
 _SID_READ_BLOCK = 1 << 18
+# how numpy's text reader splits an id row: at "," only, with no comment or
+# quote character, so an id keeps every character it holds
+_SID_FIELDS = {"delimiter": ",", "comments": None, "quotechar": None}
 
 
 def save_sids(path, table) -> None:
@@ -240,74 +246,104 @@ def load_sids(path, config: QuantizerConfig) -> np.recarray:
     blank lines hold no row. The rows of one item must be contiguous and list
     layers 1..L in order, with only layer 2 allowed to be missing. An item
     whose rows are split by another item's rows, or that has a row without
-    exactly three fields or with a layer or token that is no int64 integer,
-    is a DataError naming the first such item; failing that, an item with
-    other layers is a MalformedSequenceError naming the first one.
+    exactly three fields or with a layer or token that numpy's text reader
+    does not read as an int64 (ASCII digits after an optional sign, with
+    surrounding whitespace), is a DataError naming the first such item;
+    failing that, an item with other layers is a MalformedSequenceError
+    naming the first one.
 
-    The body is converted a block of whole lines at a time, so only one
-    block's fields are alive as strings; an item's rows may span blocks.
+    The body is scanned a block of lines at a time for its field count and
+    its longest line. numpy's C text reader then reads the layer and token
+    columns as int64, and the id column as fixed-width bytes as wide as the
+    longest line, of which only each item's first row is kept. No row
+    becomes a Python string.
     """
     L = config.num_layers
-    items, firsts, layer_blocks, token_blocks = [], [], [], []
-    last = None  # the item of the row before the block
+    commas, width, rows_seen, nul = 0, 1, False, False
     with open(path, encoding="utf-8") as f:  # universal newlines: CRLF reads as LF
-        _skip_sid_header(f, path)
+        skip = _skip_sid_header(f, path)
         for text in _line_blocks(f):
-            if text[:1] == "\n" or "\n\n" in text:
-                text = "".join(f"{line}\n" for line in text.split("\n") if line)
-            rows = text.count("\n")
-            if not rows:
-                continue
-            # Each row's fields, then a "\n" field: every row has three fields
-            # exactly when every fourth field is one of the rows' "\n" fields.
-            fields = text.replace("\n", ",\n,").split(",")
-            fields.pop()  # the empty field after the last "\n"
-            try:
-                layer_blocks.append(np.array(fields[1::4], dtype=np.int64))
-                token_blocks.append(np.array(fields[2::4], dtype=np.int64))
-                aligned = len(fields) == 4 * rows and fields[3::4].count("\n") == rows
-            except (ValueError, OverflowError):  # a field that is no int64 integer
-                aligned = False
-            if not aligned:
-                raise _bad_item(path) from None
-            ids = np.array(fields[0::4], dtype=object)
-            first = np.empty(rows, dtype=bool)  # an item's first row
-            first[0] = ids[0] != last
-            np.not_equal(ids[1:], ids[:-1], out=first[1:])
-            items += ids[first].tolist()
-            firsts.append(first)
-            last = ids[-1]
-    if not items:
+            commas += text.count(",")
+            nul = nul or "\x00" in text
+            data = np.frombuffer(text.encode(), dtype=np.uint8)
+            ends = np.flatnonzero(data == 10)
+            rows_seen = rows_seen or len(ends) < len(data)
+            # each line's length in bytes, newline included, bounds its id's
+            width = max(width, int(np.diff(ends, prepend=-1).max()))
+    if not rows_seen:
         raise DataError(f"{path} holds no ids")
-    if len(set(items)) != len(items):
+    read = partial(np.loadtxt, path, skiprows=skip, ndmin=2, **_SID_FIELDS)
+    try:
+        pairs = read(dtype=np.int64, usecols=(1, 2), encoding="utf-8")
+    except ValueError:  # a short row, or a field that is no int64 integer
+        raise _bad_item(path) from None
+    rows = len(pairs)
+    # every row has at least three fields, so exactly three if this holds
+    if commas != 2 * rows:
         raise _bad_item(path)
-    first, layers, tokens = map(np.concatenate, (firsts, layer_blocks, token_blocks))
-    rows = len(first)
-    starts = np.flatnonzero(first)
-    sizes = np.diff(starts, append=rows)
-    is_full = sizes == L
-    item_of_row = np.cumsum(first) - 1
-    place = np.arange(rows) - starts[item_of_row]
-    # an elided item lists layers 1, 3..L: each row after its first skips layer 2
-    expected = place + 1 + ((place > 0) & ~is_full[item_of_row])
-    bad = np.logical_or.reduceat(layers != expected, starts)
-    bad |= ~is_full & ((sizes != L - 1) | (L < 3))
-    if bad.any():
-        k = int(bad.argmax())
-        raise MalformedSequenceError(
-            f"item {items[k]!r} has layers {layers[starts[k]:starts[k] + sizes[k]].tolist()}; "
-            f"expected 1..{L} in order, with only layer 2 allowed to be missing"
-        )
-    table_tokens = np.full((len(items), L), -1, dtype=np.int64)
-    table_tokens[item_of_row, layers - 1] = tokens
+    # latin-1 maps each byte to one character, so each id's UTF-8 bytes
+    raw = read(dtype=f"S{width}", usecols=(0,), encoding="latin-1")[:, 0]
+    first = np.empty(rows, dtype=bool)  # an item's first row
+    first[0] = True
+    np.not_equal(raw[1:], raw[:-1], out=first[1:])
+    raw = raw[first]
+    items = _decode_ids(raw)
+    del raw
+    if not distinct(items):
+        raise _bad_item(path)
+    table_tokens, is_full = _item_tokens(items, first, pairs, L)
+    del first, pairs
+    if nul:  # fixed-width ids drop a trailing NUL, so check the ids as read
+        check_item_ids([item for item, _ in itertools.groupby(map(_row_id, _body_lines(path)))])
     return sid_table(items, table_tokens, config, is_full)
 
 
-def _skip_sid_header(f, path) -> None:
-    """Read an id file's comment lines and header."""
-    header = next((line for line in f if line != "\n" and not line.startswith("#")), "")
-    if header.rstrip("\n") != _SID_HEADER:
-        raise DataError(f"{path} has unexpected id header {header.strip()!r}")
+def _item_tokens(items, first, pairs, L):
+    """The (items, L) token matrix, layer 2 at -1 where elided, and the
+    full-length mask of id rows with the given first rows and (layer, token)
+    pairs; a MalformedSequenceError names the first item with other layers."""
+    rows = len(first)
+    layers, tokens = pairs.T
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], rows) - 1  # each item's last row
+    # An item lists layers 1..L, or 1, 3..L with layer 2 elided: it starts
+    # at layer 1, ends at layer L, and each of its rows adds 1 to the layer
+    # of the row before, except that layer 3 may follow layer 1.
+    step = np.diff(layers)
+    broken = np.zeros(rows, dtype=bool)  # the step into the row breaks that rule
+    broken[1:] = (step != 1) & ((step != 2) | (layers[:-1] != 1)) & ~first[1:]
+    del step
+    bad = np.logical_or.reduceat(broken, starts)
+    bad |= (layers[starts] != 1) | (layers[ends] != L)
+    if bad.any():
+        k = int(bad.argmax())
+        raise MalformedSequenceError(
+            f"item {str(items[k])!r} has layers {layers[starts[k]:ends[k] + 1].tolist()}; "
+            f"expected 1..{L} in order, with only layer 2 allowed to be missing"
+        )
+    # the table slot of each row: its item's row, at its layer's column
+    slot = np.cumsum(first)
+    slot -= 1
+    slot *= L
+    slot += layers
+    slot -= 1
+    table_tokens = np.full((len(starts), L), -1, dtype=np.int64)
+    table_tokens.reshape(-1)[slot] = tokens
+    return table_tokens, ends - starts == L - 1
+
+
+def _skip_sid_header(f, path) -> int:
+    """Read an id file's comment lines and header; return how many lines that was."""
+    count = 0
+    for line in f:
+        count += 1
+        if line != "\n" and not line.startswith("#"):
+            break
+    else:
+        line = ""
+    if line.rstrip("\n") != _SID_HEADER:
+        raise DataError(f"{path} has unexpected id header {line.strip()!r}")
+    return count
 
 
 def _line_blocks(f):
@@ -324,30 +360,63 @@ def _line_blocks(f):
         yield rest + "\n"
 
 
-def _malformed_sid_row(line: str) -> bool:
-    """Whether an id-file row is no `item_id,layer,token` row of int64 numbers."""
-    fields = line.split(",")
-    if len(fields) != 3:
-        return True
+def _decode_ids(raw: np.ndarray) -> np.ndarray:
+    """Ids held as UTF-8 bytes, as a str array as wide as the longest."""
+    width = max(1, int(np.char.str_len(raw).max()))
+    codes = raw.view(np.uint8).reshape(len(raw), raw.itemsize)[:, :width]
+    if codes.max() < 0x80:  # ASCII: each byte is its character's code point
+        return codes.astype(np.uint32).view(np.dtype(("U", width))).reshape(-1)
+    return np.char.decode(raw, "utf-8")
+
+
+def _body_lines(path) -> list[str]:
+    """The nonblank lines after an id file's header."""
+    with open(path, encoding="utf-8") as f:
+        _skip_sid_header(f, path)
+        return [line for line in f.read().split("\n") if line]
+
+
+def _row_id(line: str) -> str:
+    return line.split(",", 1)[0]
+
+
+def _sid_rows_read(lines: list[str]) -> bool:
+    """Whether numpy's text reader reads every line as an `item_id,layer,token`
+    row of int64 numbers, as `load_sids` reads a file."""
     try:
-        np.array(fields[1:], dtype=np.int64)
-    except (ValueError, OverflowError):
-        return True
-    return False
+        pairs = np.loadtxt(lines, dtype=np.int64, usecols=(1, 2), ndmin=2, **_SID_FIELDS)
+    except ValueError:
+        return False
+    return sum(line.count(",") for line in lines) == 2 * len(pairs)
+
+
+def _first_malformed(lines: list[str]) -> int | None:
+    """The index of the first line that `load_sids` rejects as a row, by
+    halving the lines that hold it; None if it rejects none."""
+    if _sid_rows_read(lines):
+        return None
+    lo, hi = 0, len(lines)  # lines[lo:hi] holds the first rejected line
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _sid_rows_read(lines[lo:mid]):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _bad_item(path) -> DataError:
     """The error for the first item, in file order, whose rows follow another
     item's rows or include a malformed row, from a second read of the body."""
-    with open(path, encoding="utf-8") as f:
-        _skip_sid_header(f, path)
-        lines = [line for line in f.read().split("\n") if line]
+    lines = _body_lines(path)
+    malformed = _first_malformed(lines)
     seen = set()
-    rows = zip((line.split(",", 1)[0] for line in lines), map(_malformed_sid_row, lines))
-    for item, block in itertools.groupby(rows, key=itemgetter(0)):
+    row = 0
+    for item, block in itertools.groupby(map(_row_id, lines)):
         if item in seen:
             return DataError(f"{path}: the rows of item {item!r} are not contiguous")
-        if any(bad for _, bad in block):
+        row += len(list(block))
+        if malformed is not None and malformed < row:
             return DataError(f"{path} has a malformed row for item {item!r}")
         seen.add(item)
     raise AssertionError("a row was rejected, but no item is split or malformed")
@@ -507,7 +576,9 @@ def record_run(
     out_dir, command: str, config: dict, timings: dict, outputs, kmeans: dict | None = None
 ) -> Path:
     """Append one run record to the manifest in `out_dir`. `kmeans`, given by
-    the commands that run k-means, records how its rounds were split."""
+    the commands that run k-means, records how its rounds were split.
+    `max_rss_mb` is the process's peak resident set size so far: the
+    command's own peak when it runs in a process of its own."""
     out_dir = Path(out_dir)
     manifest_path = out_dir / MANIFEST_NAME
     manifest = _read_manifest(out_dir)
@@ -518,6 +589,7 @@ def record_run(
         "tool_version": __version__,
         "config": config,
         "timings_s": {k: round(float(v), 6) for k, v in timings.items()},
+        "max_rss_mb": _max_rss_mb(),
         "outputs": [
             {
                 "path": str(Path(p).relative_to(out_dir)),
@@ -532,6 +604,15 @@ def record_run(
     manifest["runs"].append(record)
     atomic_write_text(manifest_path, dump_json(manifest))
     return manifest_path
+
+
+def _max_rss_mb() -> float:
+    """This process's peak resident set size so far, in MB (2^20 bytes);
+    `ru_maxrss` counts kilobytes on Linux and bytes on macOS."""
+    import resource
+
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)
 
 
 class OutputLock:

@@ -1,9 +1,11 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 import rqsid.cli
+from rqsid import persist
 from rqsid.cli import main
 from rqsid.diagnostics import Selector, hourglass_report, small_residual_ratio
 from rqsid.persist import (
@@ -657,6 +659,35 @@ class TestKMeansWorkersRecorded:
             assert record["kmeans"] == info
         gen_record = json.loads((pipeline / "gen" / "manifest.json").read_text())["runs"][-1]
         assert "kmeans" not in gen_record
+
+
+class TestTrainHoldsOneCopy:
+    def test_loaded_collection_freed_before_training(self, pipeline, tmp_path, monkeypatch):
+        loaded, alive = [], []
+        load_embeddings, kmeans = persist.load_embeddings, quantizer.kmeans
+
+        def tracked_load(path):
+            data = load_embeddings(path)
+            loaded.append(weakref.ref(data))
+            return data
+
+        def checked_kmeans(*args, **kwargs):
+            alive.append(loaded[0]() is not None)
+            return kmeans(*args, **kwargs)
+
+        monkeypatch.setattr(persist, "load_embeddings", tracked_load)
+        monkeypatch.setattr(quantizer, "kmeans", checked_kmeans)
+        out = tmp_path / "train"
+        assert run(
+            "train", "--embeddings", pipeline / "gen" / "embeddings.json", "--num-layers", 3,
+            "--codebook-size", 16, "--seed", 7, "--out", out,
+        ) == 0
+        assert alive == [False] * 3
+        for name in ("codebook.json", "codebook.bin"):
+            if (pipeline / "train" / name).exists():
+                assert (out / name).read_bytes() == (pipeline / "train" / name).read_bytes()
+        (record,) = json.loads((out / "manifest.json").read_text())["runs"]
+        assert record["max_rss_mb"] > 0
 
 
 class TestManifestReplay:

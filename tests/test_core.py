@@ -15,9 +15,11 @@ from rqsid.core import (
     QuantizerConfig,
     RandomSource,
     TokenRangeError,
+    distinct,
     sid_table,
     sid_to_flat_tokens,
 )
+from rqsid import core
 from rqsid.diagnostics import token_histogram
 from rqsid.persist import load_sids
 
@@ -254,6 +256,44 @@ class TestSidTable:
         cfg = QuantizerConfig(num_layers=2, codebook_size=4, dim=1)
         with pytest.raises(ConfigError):
             sid_table(["a"], [(0, 0)], cfg, is_full=[False])
+
+
+class TestStrArrayIds:
+    """sid_table, check_item_ids and distinct on a str array, as load_sids
+    passes its ids, against the same ids as a list."""
+
+    def test_table_matches_list_input(self):
+        tokens = [(0, 1, 2)] * len(GOOD_ITEM_IDS)
+        from_list = sid_table(GOOD_ITEM_IDS, tokens, CFG34)
+        # a wider array than its longest id: the table keeps the narrower width
+        from_array = sid_table(np.array(GOOD_ITEM_IDS, dtype="U20"), tokens, CFG34)
+        assert from_array.dtype == from_list.dtype
+        assert from_array.tobytes() == from_list.tobytes()
+
+    # an array drops a trailing NUL, so only an inner one can be found there
+    @pytest.mark.parametrize("bad", [b for b in BAD_ITEM_IDS
+                                     if isinstance(b, str) and not b.endswith("\x00")]
+                             + ["a\x00b", "\x00a"])
+    def test_bad_id_named(self, bad):
+        ids = np.array(["a", bad, "b"])
+        with pytest.raises(DataError, match=re.escape(repr(bad))):
+            sid_table(ids, [(0, 0, 0)] * 3, CFG34)
+
+    def test_duplicate_ids(self):
+        with pytest.raises(DataError, match="unique"):
+            sid_table(np.array(["a", "b", "a"]), [(0, 0, 0)] * 3, CFG34)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text("ab é\x85\U0001d11e", min_size=1, max_size=4), min_size=1,
+                    max_size=30))
+    def test_distinct_matches_set(self, ids):
+        assert distinct(np.array(ids)) == (len(set(ids)) == len(ids))
+
+    def test_colliding_hashes_compared_as_strings(self, monkeypatch):
+        # with multiplier 0 an id's hash is its last code point
+        monkeypatch.setattr(core, "_ID_HASH_MULTIPLIER", np.uint64(0))
+        assert distinct(np.array(["ab", "cb", "b"]))
+        assert not distinct(np.array(["ab", "cb", "ab"]))
 
 
 @st.composite

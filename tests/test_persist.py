@@ -1,7 +1,10 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
+import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -373,8 +376,8 @@ class TestLoaderContract:
             assert repr(item) in str(expected.value)
 
     def test_int_leniency_kept(self, tmp_path):
-        # int() reads " 3", "+3" and "3_0"; the loader reads them alike
-        path = write_sids(tmp_path / "sids.csv", ["a, 1,+3", "a,+2, 0", "a,3 ,0_3"])
+        # int() and numpy's text reader both read " 3", "+3", "3 " and "\t3\u2003"
+        path = write_sids(tmp_path / "sids.csv", ["a, 1,+3", "a,+2, 0", "a,3 ,\t3\u2003"])
         assert table_entries(load_sids(path, CFG)) == reference_load_sids(path, CFG)
         assert load_sids(path, CFG).tokens.tolist() == [[3, 0, 3]]
 
@@ -434,7 +437,7 @@ class TestLoaderContract:
 
 
 class TestStreamedSidLoad:
-    """load_sids, which converts a block of lines at a time, against the
+    """load_sids, which scans a block of lines at a time, against the
     reference on TestSidOracle's files, with blocks a few rows long."""
 
     @pytest.fixture
@@ -498,6 +501,270 @@ class TestStreamedSidLoad:
         with pytest.raises(error) as streamed:
             load_sids(path, CFG)
         assert str(streamed.value) == str(whole.value)
+
+
+def previous_load_sids(path, config, block=1 << 18):
+    """The loader that converted a block of lines at a time with str.split
+    and numpy's str-to-int conversion, which reads ints as int() does."""
+    L = config.num_layers
+    items, firsts, layer_blocks, token_blocks = [], [], [], []
+    last = None
+    with open(path, encoding="utf-8") as f:
+        persist._skip_sid_header(f, path)
+        rest, texts = "", []
+        for chunk in iter(lambda: f.read(block), ""):
+            rest += chunk
+            cut = rest.rfind("\n") + 1
+            if cut:
+                texts.append(rest[:cut])
+                rest = rest[cut:]
+        if rest:
+            texts.append(rest + "\n")
+    for text in texts:
+        if text[:1] == "\n" or "\n\n" in text:
+            text = "".join(f"{line}\n" for line in text.split("\n") if line)
+        rows = text.count("\n")
+        if not rows:
+            continue
+        fields = text.replace("\n", ",\n,").split(",")
+        fields.pop()
+        try:
+            layer_blocks.append(np.array(fields[1::4], dtype=np.int64))
+            token_blocks.append(np.array(fields[2::4], dtype=np.int64))
+            aligned = len(fields) == 4 * rows and fields[3::4].count("\n") == rows
+        except (ValueError, OverflowError):
+            aligned = False
+        if not aligned:
+            raise previous_bad_item(path) from None
+        ids = np.array(fields[0::4], dtype=object)
+        first = np.empty(rows, dtype=bool)
+        first[0] = ids[0] != last
+        np.not_equal(ids[1:], ids[:-1], out=first[1:])
+        items += ids[first].tolist()
+        firsts.append(first)
+        last = ids[-1]
+    if not items:
+        raise DataError(f"{path} holds no ids")
+    if len(set(items)) != len(items):
+        raise previous_bad_item(path)
+    first, layers, tokens = map(np.concatenate, (firsts, layer_blocks, token_blocks))
+    rows = len(first)
+    starts = np.flatnonzero(first)
+    sizes = np.diff(starts, append=rows)
+    is_full = sizes == L
+    item_of_row = np.cumsum(first) - 1
+    place = np.arange(rows) - starts[item_of_row]
+    expected = place + 1 + ((place > 0) & ~is_full[item_of_row])
+    bad = np.logical_or.reduceat(layers != expected, starts)
+    bad |= ~is_full & ((sizes != L - 1) | (L < 3))
+    if bad.any():
+        k = int(bad.argmax())
+        raise MalformedSequenceError(
+            f"item {items[k]!r} has layers {layers[starts[k]:starts[k] + sizes[k]].tolist()}; "
+            f"expected 1..{L} in order, with only layer 2 allowed to be missing"
+        )
+    table_tokens = np.full((len(items), L), -1, dtype=np.int64)
+    table_tokens[item_of_row, layers - 1] = tokens
+    return sid_table(items, table_tokens, config, is_full)
+
+
+def previous_malformed_row(line):
+    fields = line.split(",")
+    if len(fields) != 3:
+        return True
+    try:
+        np.array(fields[1:], dtype=np.int64)
+    except (ValueError, OverflowError):
+        return True
+    return False
+
+
+def previous_bad_item(path):
+    with open(path, encoding="utf-8") as f:
+        persist._skip_sid_header(f, path)
+        lines = [line for line in f.read().split("\n") if line]
+    seen = set()
+    rows = zip((line.split(",", 1)[0] for line in lines), map(previous_malformed_row, lines))
+    for item, block in itertools.groupby(rows, key=lambda row: row[0]):
+        if item in seen:
+            return DataError(f"{path}: the rows of item {item!r} are not contiguous")
+        if any(bad for _, bad in block):
+            return DataError(f"{path} has a malformed row for item {item!r}")
+        seen.add(item)
+    raise AssertionError("a row was rejected, but no item is split or malformed")
+
+
+def load_outcome(load, path, config):
+    """(table bytes, item ids) of a load, or (error type, message)."""
+    try:
+        table = load(path, config)
+    except (DataError, MalformedSequenceError, TokenRangeError) as e:
+        return type(e), str(e)
+    return table.tobytes(), table.item_id.tolist()
+
+
+# Layer and token fields that int() and numpy's text reader read alike.
+SHARED_INT_FIELDS = ["0", "1", "2", "3", "4", "5", "-1", " 2", "+3", "1 ", "", "x", "2.0", "1e1",
+                     "9" * 19, "99999999999999999999"]
+
+
+@st.composite
+def sid_bodies(draw):
+    """A layer count and a short id-file body that may break any rule of
+    the format."""
+    L = draw(st.integers(min_value=2, max_value=4))
+    items = st.sampled_from(["a", "b", "c", " a", "é"])
+    fields = st.sampled_from(SHARED_INT_FIELDS)
+    row = st.one_of(
+        st.builds(lambda i, l, t: f"{i},{l},{t}", items, fields, fields),
+        st.builds(lambda i, l: f"{i},{l}", items, fields),
+        st.builds(lambda i, l, t, x: f"{i},{l},{t},{x}", items, fields, fields, fields),
+        st.sampled_from(["", " ", "a"]),
+    )
+    valid = st.builds(
+        lambda i, tokens, full: [f"{i},{l},{t}" for l, t in enumerate(tokens, start=1)
+                                 if full or l != 2],
+        items, st.lists(st.sampled_from("0123"), min_size=L, max_size=L), st.booleans(),
+    )
+    chunks = draw(st.lists(st.one_of(valid, st.lists(row, min_size=1, max_size=3)),
+                           max_size=6))
+    return replace(CFG, num_layers=L), [line for chunk in chunks for line in chunk]
+
+
+class TestLoaderOracle:
+    """load_sids, which reads through numpy's C text reader, against the
+    previous block loader: equal tables, or equal errors."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(id_tables())
+    def test_round_trip_matches_previous(self, tmp_path_factory, drawn):
+        table, config = drawn
+        path = tmp_path_factory.mktemp("sids") / "sids.csv"
+        save_sids(path, table)
+        loaded = load_sids(path, config)
+        assert loaded.tobytes() == table.tobytes()
+        assert loaded.dtype == table.dtype
+        assert load_outcome(load_sids, path, config) == load_outcome(previous_load_sids, path, config)
+
+    @settings(max_examples=400, deadline=None)
+    @given(sid_bodies())
+    def test_any_body_matches_previous(self, tmp_path_factory, drawn):
+        config, rows = drawn
+        path = write_sids(tmp_path_factory.mktemp("sids") / "sids.csv", rows)
+        assert load_outcome(load_sids, path, config) == load_outcome(previous_load_sids, path, config)
+
+    @pytest.mark.parametrize("rows,error", [
+        (["a,1,0", "a,3,0", "a,4,0"], None),
+        (["a,1,0", "a,2,0", "a,4,0"], MalformedSequenceError),
+        (["a,1,0", "a,3,0"], MalformedSequenceError),
+        (["a,1,0", "a,3,0", "a,3,0", "a,4,0"], MalformedSequenceError),
+        (["a,1,0", "a,2,0", "a,3,0", "a,4,0", "b,2,0", "b,3,0", "b,4,0"], MalformedSequenceError),
+    ], ids=["elided", "skips-3", "ends-at-3", "repeats-3", "starts-at-2"])
+    def test_four_layers(self, tmp_path, rows, error):
+        config = replace(CFG, num_layers=4)
+        path = write_sids(tmp_path / "sids.csv", rows)
+        outcome = load_outcome(load_sids, path, config)
+        assert outcome == load_outcome(previous_load_sids, path, config)
+        assert outcome[0] == error if error else isinstance(outcome[0], bytes)
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(3, 0.0), (3, 0.4), (4, 0.7), (1, 0.0)]))
+    def test_files_past_the_block_size(self, tmp_path_factory, seed, shape):
+        # ids of 1 to 30 characters, some of them more than one byte long
+        num_layers, elide_share = shape
+        gen = np.random.default_rng(seed)
+        config = QuantizerConfig(num_layers=num_layers, codebook_size=300, dim=1)
+        n = 40000 // num_layers
+        alphabet = np.array(list("abcxyz019_- #é\u2028"))
+        heads = alphabet[alphabet != "#"]
+        ids = list(dict.fromkeys(
+            gen.choice(heads) + "".join(gen.choice(alphabet, size=gen.integers(0, 30)))
+            for _ in range(n)
+        ))
+        tokens = gen.integers(0, 300, size=(len(ids), num_layers))
+        is_full = ~((gen.random(len(ids)) < elide_share) & (num_layers >= 3))
+        table = sid_table(ids, tokens, config, is_full)
+        path = tmp_path_factory.mktemp("sids") / "sids.csv"
+        save_sids(path, table)
+        assert path.stat().st_size > 2 * (1 << 18)
+        loaded = load_sids(path, config)
+        assert loaded.tobytes() == table.tobytes()
+        assert loaded.tobytes() == previous_load_sids(path, config).tobytes()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", ""])
+    @pytest.mark.parametrize("longest", ["abcdefghij", "é" * 10, "\u2028x" * 5, "𝄞" * 3])
+    def test_id_as_long_as_the_longest_line_allows(self, tmp_path, newline, longest):
+        # The ids are read as bytes as wide as the longest line; the longest
+        # id here fills the longest line but for ",1,0", with no final newline.
+        path = tmp_path / "sids.csv"
+        body = ["a,1,299", "a,2,0", "a,3,1", f"{longest},1,0", f"{longest},2,0", f"{longest},3,0"]
+        text = "item_id,layer,token\n" + "\n".join(body)
+        path.write_bytes((text.replace("\n", newline or "\n") + newline).encode())
+        config = replace(CFG, codebook_size=300)
+        loaded = load_sids(path, config)
+        assert loaded.item_id.tolist() == ["a", longest]
+        assert loaded.dtype["item_id"] == np.dtype(("U", len(longest)))
+        assert loaded.tobytes() == previous_load_sids(path, config).tobytes()
+
+    @pytest.mark.parametrize("at", [0, 1, 2999, 5998, 5999])
+    def test_first_malformed_row_found_in_a_long_file(self, tmp_path, at):
+        rows = [f"i{k // 3},{k % 3 + 1},0" for k in range(6000)]
+        rows[at] = rows[at] + ",junk"
+        later = (at + 6000) // 2
+        if later > at:  # a later bad row
+            rows[later] = rows[later].replace(",0", ",x")
+        path = write_sids(tmp_path / "sids.csv", rows)
+        with pytest.raises(DataError, match=f"malformed row for item 'i{at // 3}'"):
+            load_sids(path, CFG)
+        assert load_outcome(load_sids, path, CFG) == load_outcome(previous_load_sids, path, CFG)
+
+
+class TestIntGrammar:
+    """Layers and tokens follow one grammar, numpy's text reader's, on the
+    fast path and on the path that names the bad item."""
+
+    @pytest.mark.parametrize("field", ["1_0", "\u0663", "2.0", "0x1", "", " ", "1 0"])
+    def test_rejected_field_names_its_item(self, tmp_path, field):
+        for row in (f"b,2,{field}", f"b,{field},0"):
+            path = write_sids(tmp_path / "sids.csv", ["a,1,0", "a,2,0", "a,3,0",
+                                                      "b,1,0", row, "b,3,0"])
+            with pytest.raises(DataError, match="malformed row for item 'b'"):
+                load_sids(path, CFG)
+
+    def test_underscores_and_other_digits_were_read_before(self, tmp_path):
+        # the tightening: int() read these as 10 and 3
+        path = write_sids(tmp_path / "sids.csv", ["a,1,1_0", "a,2,\u0663", "a,3,0"])
+        assert previous_load_sids(path, replace(CFG, codebook_size=16)).tokens.tolist() == [[10, 3, 0]]
+        with pytest.raises(DataError, match="malformed row for item 'a'"):
+            load_sids(path, replace(CFG, codebook_size=16))
+
+    @pytest.mark.parametrize("rows,item", [
+        (["a,1,0", "a,2,0", "a,3,0", "b,1", "b,2,0", "b,3,0"], "b"),
+        (["a,1,0", "a,2,0,0", "a,3"], "a"),
+        (["a,1,0", "a,2,0", "a,3,0", " ", "b,1,0"], " "),
+        (["a,1,0", "a,2,0", "a,3,0", "\t"], "\t"),
+    ], ids=["short", "long-then-short", "whitespace-line", "tab-line"])
+    def test_ragged_and_whitespace_rows(self, tmp_path, rows, item):
+        path = write_sids(tmp_path / "sids.csv", rows)
+        with pytest.raises(DataError, match=re.escape(f"malformed row for item {item!r}")):
+            load_sids(path, CFG)
+
+    @pytest.mark.parametrize("body", ["", "\n\n", "\r\n"], ids=["none", "blank", "crlf"])
+    def test_empty_body_holds_no_ids_without_a_warning(self, tmp_path, body):
+        path = tmp_path / "sids.csv"
+        path.write_bytes(f"# c\nitem_id,layer,token\n{body}".encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="holds no ids"):
+                load_sids(path, CFG)
+
+    @pytest.mark.parametrize("rows", [["a\x00,1,0", "a\x00,2,0", "a\x00,3,0"],
+                                      ["b,1,0", "b,2,0", "b,3,0", "a\x00b,1,0", "a\x00b,2,0",
+                                       "a\x00b,3,0"]], ids=["trailing", "inner"])
+    def test_nul_in_an_id_rejected(self, tmp_path, rows):
+        path = write_sids(tmp_path / "sids.csv", rows)
+        with pytest.raises(DataError, match=re.escape(repr(rows[-1].split(",")[0]))):
+            load_sids(path, CFG)
 
 
 class TestEmbeddingFormats:
@@ -670,6 +937,13 @@ class TestManifest:
         assert run["outputs"] == [
             {"path": "emb.csv", "bytes": out.stat().st_size, "sha256": sha256_file(out)}
         ]
+
+    def test_records_peak_rss(self, tmp_path):
+        out = tmp_path / "emb.csv"
+        out.write_text("item_id,v0,v1\na,0.5,-1.25\n")
+        record_run(tmp_path, "gen", {}, {}, [out])
+        (run,) = json.loads((tmp_path / "manifest.json").read_text())["runs"]
+        assert isinstance(run["max_rss_mb"], float) and run["max_rss_mb"] > 0
 
     def test_runs_accumulate(self, tmp_path):
         out = tmp_path / "emb.csv"

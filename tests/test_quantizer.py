@@ -34,6 +34,7 @@ from rqsid.quantizer import (
     _sq_dists,
     encode_all,
     kmeans,
+    train_columns,
     train_rq,
 )
 
@@ -500,6 +501,48 @@ def reference_train_rq(data, config, rng):
     return np.array(layers), tuple(sse)
 
 
+class TestTrainColumns:
+    """train_columns on a column-major copy, which it owns, against train_rq."""
+
+    def test_matches_train_rq_and_leaves_the_last_residuals(self):
+        n = _ROW_BLOCK + 1000
+        gen = np.random.default_rng(8)
+        data = EmbeddingCollection(tuple(map(str, range(n))), gen.standard_normal((n, 6)))
+        cfg = QuantizerConfig(num_layers=3, codebook_size=2 * _MIXED_MIN_M, dim=6,
+                              kmeans_iters=3, seed=8)
+        expected = train_rq(data, cfg, RandomSource(8))
+        residuals = np.array(data.vectors, order="F")
+        cb = train_columns(residuals, cfg, RandomSource(8))
+        assert cb.layers.tobytes() == expected.layers.tobytes()
+        assert cb.training_sse_per_layer == expected.training_sse_per_layer
+        # train_rq hands the copy on as it is
+        again = train_rq(np.array(data.vectors, order="F"), cfg, RandomSource(8))
+        assert again.layers.tobytes() == expected.layers.tobytes()
+        left = data.vectors.copy()
+        sids, _ = encode_all(data, cb)
+        for l in range(cfg.num_layers):
+            left -= cb.layers[l][sids[:, l]]
+        assert np.ascontiguousarray(residuals).tobytes() == left.tobytes()
+
+    @pytest.mark.parametrize("residuals", [
+        np.zeros((4, 2)),  # C-order
+        np.zeros((4, 2), dtype=np.float32, order="F"),
+        np.zeros(4),
+        np.zeros((0, 2), order="F"),
+        np.zeros((4, 3), order="F"),
+    ], ids=["c-order", "float32", "1-d", "empty", "dim"])
+    def test_rejects_what_it_cannot_own(self, residuals):
+        cfg = QuantizerConfig(num_layers=1, codebook_size=2, dim=2)
+        with pytest.raises(DataError):
+            train_columns(residuals, cfg, RandomSource(0))
+
+    def test_rejects_read_only(self):
+        residuals = np.zeros((4, 2), order="F")
+        residuals.flags.writeable = False
+        with pytest.raises(DataError):
+            train_columns(residuals, QuantizerConfig(1, 2, 2), RandomSource(0))
+
+
 class TestRowBlocks:
     """encode_all and train_rq by row blocks against the whole-array code."""
 
@@ -750,7 +793,10 @@ class FakeBlas:
 def use_workers(monkeypatch):
     """install(count) makes k-means split over `count` workers, from a fresh
     `_Workers` whose lookup finds a fake BLAS reporting `count` threads, or
-    no setter at all for count 1. Returns the workers and the fake."""
+    no setter at all for count 1. Returns the workers and the fake. Every
+    pool started is shut down and its threads joined when the test ends, so
+    that no thread of one test is still exiting while the next counts them."""
+    made = []
 
     def install(count):
         fake = FakeBlas(count) if count > 1 else None
@@ -758,10 +804,14 @@ def use_workers(monkeypatch):
         monkeypatch.setattr(quantizer, "_find_blas", lambda: found)
         monkeypatch.setattr(quantizer.os, "sched_getaffinity", lambda pid: set(range(count)))
         workers = quantizer._Workers()
+        made.append(workers)
         monkeypatch.setattr(quantizer, "_WORKERS", workers)
         return workers, fake
 
-    return install
+    yield install
+    for workers in made:
+        if workers._pool is not None:
+            workers._pool.shutdown(wait=True)
 
 
 def split_and_serial(use_workers, fn, count=2):
