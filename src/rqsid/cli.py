@@ -146,8 +146,7 @@ def cmd_train(args) -> int:
     n = len(data)
     config = _quantizer_config(args, args.num_layers, args.codebook_size, data.dim, args.seed)
     t0 = time.perf_counter()
-    # train_rq owns this column-major copy; dropping the collection frees
-    # the loaded vectors, so training holds one copy of them
+    # dropping the collection leaves training one copy of the vectors
     residuals = np.array(data.vectors, order="F")
     del data
     codebook = train_rq(residuals, config, RandomSource(args.seed))
@@ -432,7 +431,7 @@ def _sweep_cell(args, L, M, regime, cell_seed) -> dict:
     else:
         data, _ = datagen.gen_clustered(n, d, _cluster_spec(args, "zipf"), rng)
     config = _quantizer_config(args, L, M, d, cell_seed)
-    codebook = train_rq(data, config, rng.child(1000))
+    codebook = train_rq(np.array(data.vectors, order="F"), config, rng.child(1000))
     sids, _ = encode_all(data, codebook)
     report = hourglass_report(sids, config)
     row = {

@@ -598,8 +598,8 @@ class InteractionSpec:
             raise ConfigError(
                 f"history bounds ({self.min_history}, {self.max_history}) invalid"
             )
-        if self.pop_exponent <= 0:
-            raise ConfigError(f"pop_exponent must be > 0, got {self.pop_exponent}")
+        if not (math.isfinite(self.pop_exponent) and self.pop_exponent > 0):
+            raise ConfigError(f"pop_exponent must be finite and > 0, got {self.pop_exponent}")
         if not 0 <= self.repeat_prob <= 1:
             raise ConfigError(f"repeat_prob must be in [0, 1], got {self.repeat_prob}")
 

@@ -26,6 +26,7 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -154,9 +155,7 @@ def save_codebook(path, codebook: Codebook, head_set=None):
         header["head_set"] = sorted(int(t) for t in head_set)
     written = []
     if weights.size <= INLINE_CODEBOOK_LIMIT:
-        header["layers"] = [
-            [[float(v) for v in row] for row in layer] for layer in weights
-        ]
+        header["layers"] = weights.tolist()
     else:
         bin_path = path.with_suffix(".bin")
         payload = weights.tobytes(order="C")
@@ -181,14 +180,10 @@ def load_codebook(path) -> tuple[Codebook, frozenset[int] | None]:
         M = header["codebook_size"]
         if not all(isinstance(t, int) and not isinstance(t, bool) and 0 <= t < M for t in head):
             raise DataError(f"{path} key 'head_set' holds a value that is no token in [0, {M})")
-    cfg = QuantizerConfig(
-        num_layers=header["num_layers"],
-        codebook_size=header["codebook_size"],
-        dim=header["dim"],
-        kmeans_iters=header["kmeans_iters"],
-        seed=header["seed"],
-        convergence_tol=header["convergence_tol"],
-    )
+    try:
+        cfg = QuantizerConfig(**{f.name: header[f.name] for f in fields(QuantizerConfig)})
+    except ConfigError as e:
+        raise DataError(f"{path} holds an invalid codebook header: {e}") from None
     shape = (cfg.num_layers, cfg.codebook_size, cfg.dim)
     if "layers" in header:
         layers = _number_array(path, "layers", header["layers"], 3)

@@ -14,15 +14,14 @@ The best and the runner-up are then two `argmin` passes over the block (the
 best slot set to inf between them). Residuals, means, and reported errors
 stay in float64.
 
-Training holds one copy of the vectors: `train_columns` trains on a
-column-major (the transpose of a C-order (dim, n) array) residual array that
-it owns and overwrites layer by layer, so each per-dimension column the
-k-means mean update reads is contiguous. `train_rq` copies a collection's
-vectors into that layout; the CLI makes the copy itself and drops the
-loaded collection before training starts. Every float64 row reduction (squared norms, exact distances)
-reads a C-order copy of a small row block instead of the strided rows: the
-reduction then sums in the same order as on C-order input, and both layouts
-give the same bytes.
+Training holds one copy of the vectors: `train_rq` takes a column-major
+(the transpose of a C-order (dim, n) array) residual array, which the caller
+copies from its vectors and hands over, and overwrites it layer by layer, so
+each per-dimension column the k-means mean update reads is contiguous. The
+CLI drops the loaded collection once it has made that copy. Every float64
+row reduction (squared norms, exact distances) reads a C-order copy of a
+small row block instead of the strided rows: the reduction then sums in the
+same order as on C-order input, and both layouts give the same bytes.
 
 Both phases of a Lloyd round use the CPUs that the BLAS thread cap grants:
 `_nearest` hands contiguous row ranges, aligned to `_SCORE_CHUNK`, and the
@@ -69,9 +68,9 @@ _MIXED_MIN_M = 8
 _MIXED_MIN_N = 1024
 # Norm scale beyond which float32 scoring risks overflow; fall back to exact.
 _MIXED_MAX_SCALE = 1e15
-# Rows that `train_columns` updates and `encode_all` encodes at once, so
-# neither builds an (n, dim) temporary. `train_columns` holds all rows'
-# residuals, in one column-major array; `encode_all` holds one block's.
+# Rows that `train_rq` updates and `encode_all` encodes at once, so neither
+# builds an (n, dim) temporary. `train_rq` updates the one column-major
+# residual array it was handed; `encode_all` holds one block's residuals.
 _ROW_BLOCK = 16384
 # Rows each worker gets at least when a call is split: a few score chunks,
 # so a 2000-row input never splits and a `_ROW_BLOCK` splits in two.
@@ -517,33 +516,15 @@ def kmeans(
     return KMeansResult(centroids, labels, sse)
 
 
-def train_rq(
-    data: EmbeddingCollection | np.ndarray, config: QuantizerConfig, rng: RandomSource
-) -> Codebook:
+def train_rq(residuals: np.ndarray, config: QuantizerConfig, rng: RandomSource) -> Codebook:
     """Train an L-layer codebook by sequential k-means on residuals.
 
     Layer l is fit to the residuals of layers 1..l-1 and frozen before the
     next layer starts. Deterministic for a fixed (data, config, seed).
-    `data` is an EmbeddingCollection, which is left as it is: its vectors
-    are copied column-major. A caller that has no further use for its
-    vectors can instead pass that copy, which `train_columns` then owns.
-    """
-    if isinstance(data, EmbeddingCollection):
-        if len(data) == 0:
-            raise DataError("cannot train on an empty collection")
-        if data.dim != config.dim:
-            raise DataError(f"data dim {data.dim} does not match config dim {config.dim}")
-        data = np.array(data.vectors, dtype=np.float64, order="F")
-    return train_columns(data, config, rng)
-
-
-def train_columns(
-    residuals: np.ndarray, config: QuantizerConfig, rng: RandomSource
-) -> Codebook:
-    """`train_rq` on a writable column-major float64 (n, dim) array, which
-    it overwrites: it ends holding the residuals left by all L layers.
-
-    Column-major, so `_cluster_means` reads contiguous columns.
+    `residuals` is a writable column-major float64 (n, dim) array, such as
+    `np.array(vectors, order="F")`, which `train_rq` owns and overwrites: it
+    ends holding the residuals left by all L layers. Column-major, so
+    `_cluster_means` reads contiguous columns.
     """
     if not (isinstance(residuals, np.ndarray) and residuals.dtype == np.float64
             and residuals.ndim == 2 and residuals.flags.f_contiguous

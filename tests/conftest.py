@@ -7,6 +7,7 @@ printed in the terminal summary.
 
 import time
 
+import numpy as np
 import pytest
 
 _ACCEPTANCE_LINES: list[tuple[str, bool, str]] = []
@@ -63,7 +64,7 @@ def zipf_bench():
             convergence_tol=1e-4,
         )
         data, _ = gen_clustered(BENCH_N, BENCH_D, spec, RandomSource(seed))
-        codebook = train_rq(data, config, RandomSource(seed))
+        codebook = train_rq(np.array(data.vectors, order="F"), config, RandomSource(seed))
         sids, sq_norms = encode_all(data, codebook)
         runs.append(
             {
@@ -97,7 +98,7 @@ def uniform_bench():
             convergence_tol=1e-4,
         )
         data = gen_uniform(BENCH_N, BENCH_D, RandomSource(seed))
-        codebook = train_rq(data, config, RandomSource(seed))
+        codebook = train_rq(np.array(data.vectors, order="F"), config, RandomSource(seed))
         sids, sq_norms = encode_all(data, codebook)
         runs.append(
             {
@@ -129,7 +130,7 @@ def gr_bench():
             size_law="zipf", zipf_exponent=1.2,
         )
         data, _ = gen_clustered(2000, 8, spec, RandomSource(seed))
-        codebook = train_rq(data, config, RandomSource(seed))
+        codebook = train_rq(np.array(data.vectors, order="F"), config, RandomSource(seed))
         sid_arr, _ = encode_all(data, codebook)
         table = sid_table(data.ids, sid_arr, config)
         hist = token_histogram(sid_arr, 2, config.codebook_size)

@@ -277,7 +277,14 @@ class TestErrors:
         lambda root: ("simulate", "--sids", root / "enc" / "sids.csv",
                       "--codebook", root / "train" / "codebook.json",
                       "--records", 50, "--test-records", 10, "--alpha", "nan"),
-    ], ids=["train-tol", "gen-zipf-s", "gen-center-scale", "gen-radius", "simulate-alpha"])
+        lambda root: ("simulate", "--sids", root / "enc" / "sids.csv",
+                      "--codebook", root / "train" / "codebook.json",
+                      "--records", 50, "--test-records", 10, "--pop-s", "nan"),
+        lambda root: ("simulate", "--sids", root / "enc" / "sids.csv",
+                      "--codebook", root / "train" / "codebook.json",
+                      "--records", 50, "--test-records", 10, "--pop-s", "inf"),
+    ], ids=["train-tol", "gen-zipf-s", "gen-center-scale", "gen-radius", "simulate-alpha",
+            "simulate-pop-s-nan", "simulate-pop-s-inf"])
     def test_non_finite_float_option_exits_2(self, pipeline, tmp_path, argv):
         # each check is a comparison that NaN passes unless finiteness is tested
         assert run(*argv(pipeline), "--out", tmp_path / "out") == 2
@@ -537,6 +544,22 @@ class TestErrors:
         codebook = tmp_path / "codebook.json"
         codebook.write_text(json.dumps(header))
         assert self.analyze_exit_code(pipeline, tmp_path, codebook) == 3
+
+    @pytest.mark.parametrize("key, value", [
+        ("num_layers", 0), ("codebook_size", 0), ("dim", 0), ("kmeans_iters", 0), ("seed", -1),
+        ("convergence_tol", -1.0), ("convergence_tol", float("nan")),
+    ], ids=["num-layers", "codebook-size", "dim", "kmeans-iters", "seed", "negative-tol",
+            "nan-tol"])
+    def test_codebook_header_value_out_of_range_exits_3(self, pipeline, tmp_path, capsys, key,
+                                                        value):
+        # the file is at fault, not the command line
+        header = json.loads((pipeline / "train" / "codebook.json").read_text())
+        header[key] = value
+        codebook = tmp_path / "codebook.json"
+        codebook.write_text(json.dumps(header))
+        assert self.analyze_exit_code(pipeline, tmp_path, codebook) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(codebook) in err
 
     def test_bad_sweep_set_exits_2(self, tmp_path):
         assert run("sweep", "--num-layers-set", "3,x", "--out", tmp_path / "out") == 2

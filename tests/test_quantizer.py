@@ -34,7 +34,6 @@ from rqsid.quantizer import (
     _sq_dists,
     encode_all,
     kmeans,
-    train_columns,
     train_rq,
 )
 
@@ -82,9 +81,8 @@ def reference_seed(points, m, gen, side):
 
 
 def column_major(points):
-    """The same points as `train_rq` holds its residuals: the transpose of a
-    C-order (d, n) array."""
-    return np.ascontiguousarray(np.asarray(points, dtype=np.float64).T).T
+    """A column-major float64 copy of `points`, as `train_rq` takes them."""
+    return np.array(points, dtype=np.float64, order="F")
 
 
 def reference_cluster_means(points, labels, m, dists):
@@ -501,23 +499,20 @@ def reference_train_rq(data, config, rng):
     return np.array(layers), tuple(sse)
 
 
-class TestTrainColumns:
-    """train_columns on a column-major copy, which it owns, against train_rq."""
+class TestTrainOwnsResiduals:
+    """train_rq on the column-major copy it is handed, which it overwrites."""
 
-    def test_matches_train_rq_and_leaves_the_last_residuals(self):
+    def test_matches_reference_and_leaves_the_last_residuals(self):
         n = _ROW_BLOCK + 1000
         gen = np.random.default_rng(8)
         data = EmbeddingCollection(tuple(map(str, range(n))), gen.standard_normal((n, 6)))
         cfg = QuantizerConfig(num_layers=3, codebook_size=2 * _MIXED_MIN_M, dim=6,
                               kmeans_iters=3, seed=8)
-        expected = train_rq(data, cfg, RandomSource(8))
-        residuals = np.array(data.vectors, order="F")
-        cb = train_columns(residuals, cfg, RandomSource(8))
-        assert cb.layers.tobytes() == expected.layers.tobytes()
-        assert cb.training_sse_per_layer == expected.training_sse_per_layer
-        # train_rq hands the copy on as it is
-        again = train_rq(np.array(data.vectors, order="F"), cfg, RandomSource(8))
-        assert again.layers.tobytes() == expected.layers.tobytes()
+        residuals = column_major(data.vectors)
+        cb = train_rq(residuals, cfg, RandomSource(8))
+        layers, sse = reference_train_rq(data, cfg, RandomSource(8))
+        assert cb.layers.tobytes() == layers.tobytes()
+        assert cb.training_sse_per_layer == sse
         left = data.vectors.copy()
         sids, _ = encode_all(data, cb)
         for l in range(cfg.num_layers):
@@ -530,17 +525,18 @@ class TestTrainColumns:
         np.zeros(4),
         np.zeros((0, 2), order="F"),
         np.zeros((4, 3), order="F"),
-    ], ids=["c-order", "float32", "1-d", "empty", "dim"])
+        EmbeddingCollection(("a", "b", "c", "d"), np.zeros((4, 2))),
+    ], ids=["c-order", "float32", "1-d", "empty", "dim", "collection"])
     def test_rejects_what_it_cannot_own(self, residuals):
         cfg = QuantizerConfig(num_layers=1, codebook_size=2, dim=2)
         with pytest.raises(DataError):
-            train_columns(residuals, cfg, RandomSource(0))
+            train_rq(residuals, cfg, RandomSource(0))
 
     def test_rejects_read_only(self):
         residuals = np.zeros((4, 2), order="F")
         residuals.flags.writeable = False
         with pytest.raises(DataError):
-            train_columns(residuals, QuantizerConfig(1, 2, 2), RandomSource(0))
+            train_rq(residuals, QuantizerConfig(1, 2, 2), RandomSource(0))
 
 
 class TestRowBlocks:
@@ -566,7 +562,7 @@ class TestRowBlocks:
         gen = np.random.default_rng(4)
         data = EmbeddingCollection(tuple(map(str, range(n))), gen.standard_normal((n, 4)))
         cfg = QuantizerConfig(num_layers=2, codebook_size=8, dim=4, kmeans_iters=3, seed=4)
-        cb = train_rq(data, cfg, RandomSource(4))
+        cb = train_rq(column_major(data.vectors), cfg, RandomSource(4))
         layers, sse = reference_train_rq(data, cfg, RandomSource(4))
         assert cb.layers.tobytes() == layers.tobytes()
         assert cb.training_sse_per_layer == sse
@@ -578,7 +574,7 @@ class TestRowBlocks:
         data = EmbeddingCollection(tuple(map(str, range(n))), gen.standard_normal((n, 6)))
         cfg = QuantizerConfig(num_layers=3, codebook_size=2 * _MIXED_MIN_M, dim=6,
                               kmeans_iters=3, seed=5)
-        cb = train_rq(data, cfg, RandomSource(5))
+        cb = train_rq(column_major(data.vectors), cfg, RandomSource(5))
         layers, sse = reference_train_rq(data, cfg, RandomSource(5))
         assert cb.layers.tobytes() == layers.tobytes()
         assert cb.training_sse_per_layer == sse
@@ -685,9 +681,8 @@ class TestTrainRq:
     def test_single_layer_equals_kmeans(self):
         gen = np.random.default_rng(12)
         vectors = gen.standard_normal((60, 3))
-        data = EmbeddingCollection(tuple(f"i{i}" for i in range(60)), vectors)
         cfg = QuantizerConfig(num_layers=1, codebook_size=4, dim=3, kmeans_iters=30, seed=5, convergence_tol=0.0)
-        cb = train_rq(data, cfg, RandomSource(5))
+        cb = train_rq(column_major(vectors), cfg, RandomSource(5))
         km = kmeans(vectors, 4, 30, 0.0, RandomSource(5).split(1)[0])
         np.testing.assert_array_equal(cb.layers[0], km.centroids)
         assert cb.training_sse_per_layer[0] == km.sse
@@ -698,7 +693,7 @@ class TestTrainRq:
 
         data = gen_uniform(10000, 8, RandomSource(31))
         cfg = QuantizerConfig(num_layers=1, codebook_size=16, dim=8, kmeans_iters=40, seed=31, convergence_tol=1e-6)
-        cb = train_rq(data, cfg, RandomSource(31))
+        cb = train_rq(column_major(data.vectors), cfg, RandomSource(31))
         sids, _ = encode_all(data, cb)
         counts = np.bincount(sids[:, 0], minlength=16)
         assert counts.min() > 0
@@ -707,19 +702,17 @@ class TestTrainRq:
     def test_training_sse_monotone(self):
         gen = np.random.default_rng(8)
         vectors = gen.standard_normal((400, 6)) * 2
-        data = EmbeddingCollection(tuple(f"i{i}" for i in range(400)), vectors)
         cfg = QuantizerConfig(num_layers=4, codebook_size=8, dim=6, kmeans_iters=25, seed=2, convergence_tol=1e-4)
-        cb = train_rq(data, cfg, RandomSource(2))
+        cb = train_rq(column_major(vectors), cfg, RandomSource(2))
         sse = cb.training_sse_per_layer
         assert all(b <= a for a, b in zip(sse, sse[1:]))
 
     def test_deterministic(self):
         gen = np.random.default_rng(14)
         vectors = gen.standard_normal((200, 5))
-        data = EmbeddingCollection(tuple(f"i{i}" for i in range(200)), vectors)
         cfg = QuantizerConfig(num_layers=2, codebook_size=6, dim=5, kmeans_iters=20, seed=77, convergence_tol=1e-4)
-        cb1 = train_rq(data, cfg, RandomSource(77))
-        cb2 = train_rq(data, cfg, RandomSource(77))
+        cb1 = train_rq(column_major(vectors), cfg, RandomSource(77))
+        cb2 = train_rq(column_major(vectors), cfg, RandomSource(77))
         assert cb1.layers.tobytes() == cb2.layers.tobytes()
         assert cb1.training_sse_per_layer == cb2.training_sse_per_layer
 
@@ -727,20 +720,21 @@ class TestTrainRq:
         layouts = []
 
         def spy(points, *args):
-            layouts.append(points.flags.f_contiguous and not points.flags.c_contiguous)
+            # every layer reads the array it was handed, not a copy
+            layouts.append(points is residuals and not points.flags.c_contiguous)
             return kmeans(points, *args)
 
         monkeypatch.setattr(quantizer, "kmeans", spy)
-        data = EmbeddingCollection(tuple(map(str, range(50))), np.arange(150.0).reshape(50, 3))
         cfg = QuantizerConfig(num_layers=2, codebook_size=4, dim=3, kmeans_iters=5)
-        train_rq(data, cfg, RandomSource(0))
+        residuals = column_major(np.arange(150.0).reshape(50, 3))
+        train_rq(residuals, cfg, RandomSource(0))
         assert layouts == [True, True]
 
     def test_empty_data(self):
         data = EmbeddingCollection((), np.zeros((0, 3)))
         cfg = QuantizerConfig(num_layers=1, codebook_size=2, dim=3)
         with pytest.raises(DataError):
-            train_rq(data, cfg, RandomSource(0))
+            train_rq(column_major(data.vectors), cfg, RandomSource(0))
 
 
 class TestReconstructionReport:
@@ -750,7 +744,7 @@ class TestReconstructionReport:
         vectors = np.array([[0.0, 0.0], [1.0, 1.0], [4.0, 0.0]])
         data = EmbeddingCollection(("a", "b", "c"), vectors)
         cfg = QuantizerConfig(num_layers=1, codebook_size=3, dim=2, kmeans_iters=20, seed=1, convergence_tol=0.0)
-        cb = train_rq(data, cfg, RandomSource(1))
+        cb = train_rq(column_major(data.vectors), cfg, RandomSource(1))
         report = encode_all(data, cb)[1][:, 1:].mean(axis=0)
         assert report[-1] == pytest.approx(0.0, abs=1e-20)
 
@@ -759,7 +753,7 @@ class TestReconstructionReport:
         vectors = gen.standard_normal((500, 8))
         data = EmbeddingCollection(tuple(f"i{i}" for i in range(500)), vectors)
         cfg = QuantizerConfig(num_layers=4, codebook_size=8, dim=8, kmeans_iters=20, seed=3, convergence_tol=1e-4)
-        cb = train_rq(data, cfg, RandomSource(3))
+        cb = train_rq(column_major(data.vectors), cfg, RandomSource(3))
         report = encode_all(data, cb)[1][:, 1:].mean(axis=0)
         assert all(b <= a for a, b in zip(report, report[1:]))
 
@@ -769,7 +763,7 @@ class TestReconstructionReport:
         spec = ClusterSpec(num_clusters=8, radius=1e-4, center_scale=1.0)
         data, _ = gen_clustered(2000, 6, spec, RandomSource(40))
         cfg = QuantizerConfig(num_layers=3, codebook_size=8, dim=6, kmeans_iters=40, seed=40, convergence_tol=0.0)
-        cb = train_rq(data, cfg, RandomSource(40))
+        cb = train_rq(column_major(data.vectors), cfg, RandomSource(40))
         report = encode_all(data, cb)[1][:, 1:].mean(axis=0)
         assert report[-1] < 1e-3
 
@@ -927,7 +921,7 @@ class TestSplitOracle:
         cfg = QuantizerConfig(num_layers=2, codebook_size=32, dim=6, kmeans_iters=3, seed=count)
 
         def train_and_encode():
-            cb = train_rq(data, cfg, RandomSource(count))
+            cb = train_rq(column_major(data.vectors), cfg, RandomSource(count))
             return (cb.layers, cb.training_sse_per_layer) + encode_all(data, cb)
 
         serial, split = split_and_serial(use_workers, train_and_encode, count)
