@@ -238,6 +238,10 @@ def cmd_mitigate(args) -> int:
         raise ConfigError("varlen mode needs --head-top-k or --head-mass")
     if mode != "varlen" and selector is not None:
         raise ConfigError(f"--head-top-k/--head-mass apply to --mode varlen, not {mode}")
+    if mode != "exchange" and args.swap is not None:
+        raise ConfigError(f"--swap applies to --mode exchange, not {mode}")
+    if mode == "exchange" and args.swap is None:
+        args.swap = [1, 2]  # so the manifest records the pair used
     codebook, _ = persist.load_codebook(args.codebook)
     config = codebook.config
     table = _load_full_sids(args.sids, config)
@@ -530,7 +534,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     m = command("mitigate", cmd_mitigate, "transform ids: exchange, remove, varlen",
                 sids, codebook, head)
     m.add_argument("--mode", choices=["exchange", "remove", "varlen"], required=True)
-    m.add_argument("--swap", type=_int_list, default="1,2", help="layer pair for exchange")
+    m.add_argument("--swap", type=_int_list,
+                   help="layer pair for --mode exchange (default 1,2); any other mode "
+                        "takes no --swap")
 
     s = command("simulate", cmd_simulate, "generative-retrieval simulation",
                 seed, sids, codebook, head)

@@ -27,7 +27,6 @@ import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import fields
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +89,17 @@ def atomic_write_text(path, text: str) -> None:
 
 def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@contextmanager
+def _utf8_text(path, newline=None):
+    """The UTF-8 text file `path`, opened for reading; bytes that do not
+    decode as UTF-8 are a DataError naming it."""
+    with open(path, encoding="utf-8", newline=newline) as f:
+        try:
+            yield f
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path} is not UTF-8 text: {e}") from None
 
 
 def _load_header(path: Path, kind: str, **types) -> dict:
@@ -213,6 +223,10 @@ _SID_READ_BLOCK = 1 << 18
 # how numpy's text reader splits an id row: at "," only, with no comment or
 # quote character, so an id keeps every character it holds
 _SID_FIELDS = {"delimiter": ",", "comments": None, "quotechar": None}
+# an id row as numpy's text reader reads it for its layer and token: three
+# fields, or a ValueError; the id itself is read apart, so one character
+# of it is enough here
+_SID_ROW = np.dtype([("item_id", "U1"), ("layer", np.int64), ("token", np.int64)])
 
 
 def save_sids(path, table) -> None:
@@ -247,18 +261,18 @@ def load_sids(path, config: QuantizerConfig) -> np.recarray:
     failing that, an item with other layers is a MalformedSequenceError
     naming the first one.
 
-    The body is scanned a block of lines at a time for its field count and
-    its longest line. numpy's C text reader then reads the layer and token
-    columns as int64, and the id column as fixed-width bytes as wide as the
-    longest line, of which only each item's first row is kept. No row
-    becomes a Python string.
+    The body is scanned a block of lines at a time for its longest line.
+    numpy's C text reader then reads the rows, which must have three fields,
+    with int64 layer and token columns, and the id column as fixed-width
+    bytes as wide as the longest line, of which only each item's first row
+    is kept. No row becomes a Python string. A file that is not UTF-8 is a
+    DataError.
     """
     L = config.num_layers
-    commas, width, rows_seen, nul = 0, 1, False, False
-    with open(path, encoding="utf-8") as f:  # universal newlines: CRLF reads as LF
+    width, rows_seen, nul = 1, False, False
+    with _utf8_text(path) as f:  # universal newlines: CRLF reads as LF
         skip = _skip_sid_header(f, path)
         for text in _line_blocks(f):
-            commas += text.count(",")
             nul = nul or "\x00" in text
             data = np.frombuffer(text.encode(), dtype=np.uint8)
             ends = np.flatnonzero(data == 10)
@@ -267,17 +281,14 @@ def load_sids(path, config: QuantizerConfig) -> np.recarray:
             width = max(width, int(np.diff(ends, prepend=-1).max()))
     if not rows_seen:
         raise DataError(f"{path} holds no ids")
-    read = partial(np.loadtxt, path, skiprows=skip, ndmin=2, **_SID_FIELDS)
     try:
-        pairs = read(dtype=np.int64, usecols=(1, 2), encoding="utf-8")
-    except ValueError:  # a short row, or a field that is no int64 integer
+        records = _read_sid_rows(path, skip)
+    except ValueError:  # a row without three fields, or a field that is no int64
         raise _bad_item(path) from None
-    rows = len(pairs)
-    # every row has at least three fields, so exactly three if this holds
-    if commas != 2 * rows:
-        raise _bad_item(path)
+    rows = len(records)
     # latin-1 maps each byte to one character, so each id's UTF-8 bytes
-    raw = read(dtype=f"S{width}", usecols=(0,), encoding="latin-1")[:, 0]
+    raw = np.loadtxt(path, dtype=f"S{width}", skiprows=skip, usecols=(0,), ndmin=2,
+                     encoding="latin-1", **_SID_FIELDS)[:, 0]
     first = np.empty(rows, dtype=bool)  # an item's first row
     first[0] = True
     np.not_equal(raw[1:], raw[:-1], out=first[1:])
@@ -286,19 +297,18 @@ def load_sids(path, config: QuantizerConfig) -> np.recarray:
     del raw
     if not distinct(items):
         raise _bad_item(path)
-    table_tokens, is_full = _item_tokens(items, first, pairs, L)
-    del first, pairs
+    table_tokens, is_full = _item_tokens(items, first, records["layer"], records["token"], L)
+    del first, records
     if nul:  # fixed-width ids drop a trailing NUL, so check the ids as read
         check_item_ids([item for item, _ in itertools.groupby(map(_row_id, _body_lines(path)))])
     return sid_table(items, table_tokens, config, is_full)
 
 
-def _item_tokens(items, first, pairs, L):
+def _item_tokens(items, first, layers, tokens, L):
     """The (items, L) token matrix, layer 2 at -1 where elided, and the
-    full-length mask of id rows with the given first rows and (layer, token)
-    pairs; a MalformedSequenceError names the first item with other layers."""
+    full-length mask of id rows with the given first rows, layers and
+    tokens; a MalformedSequenceError names the first item with other layers."""
     rows = len(first)
-    layers, tokens = pairs.T
     starts = np.flatnonzero(first)
     ends = np.append(starts[1:], rows) - 1  # each item's last row
     # An item lists layers 1..L, or 1, 3..L with layer 2 elided: it starts
@@ -375,14 +385,22 @@ def _row_id(line: str) -> str:
     return line.split(",", 1)[0]
 
 
+def _read_sid_rows(source, skip: int = 0) -> np.ndarray:
+    """The rows of an id file body (a path, after `skip` lines, or a list of
+    lines) as `_SID_ROW` records; a ValueError if a row does not have three
+    fields or a layer or token is no int64."""
+    return np.loadtxt(source, dtype=_SID_ROW, skiprows=skip, ndmin=1, encoding="utf-8",
+                      **_SID_FIELDS)
+
+
 def _sid_rows_read(lines: list[str]) -> bool:
     """Whether numpy's text reader reads every line as an `item_id,layer,token`
     row of int64 numbers, as `load_sids` reads a file."""
     try:
-        pairs = np.loadtxt(lines, dtype=np.int64, usecols=(1, 2), ndmin=2, **_SID_FIELDS)
+        _read_sid_rows(lines)
     except ValueError:
         return False
-    return sum(line.count(",") for line in lines) == 2 * len(pairs)
+    return True
 
 
 def _first_malformed(lines: list[str]) -> int | None:
@@ -448,7 +466,7 @@ def load_embeddings(path) -> EmbeddingCollection:
     """Load either format; .csv by extension, JSON header otherwise."""
     path = Path(path)
     if path.suffix == ".csv":
-        with open(path, newline="") as f:
+        with _utf8_text(path, newline="") as f:
             reader = csv.reader(f)
             header = next(reader, None)
             if not header or header[0] != "item_id":
@@ -524,7 +542,7 @@ def load_interactions(path, catalog) -> dict[str, InteractionDataset]:
     """Read interaction records grouped by split tag, as rows of `catalog`."""
     row_of = dict(zip(catalog.item_id.tolist(), range(len(catalog))))
     by_split: dict[str, tuple[list[int], list[int]]] = {}
-    with open(path, newline="") as f:
+    with _utf8_text(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header != ["user_context", "target", "split"]:

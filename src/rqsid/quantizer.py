@@ -5,14 +5,17 @@ by all earlier layers. Encoding greedily picks the nearest codeword per layer
 (squared Euclidean, ties to the lowest index), so the token chosen at layer l
 equals an exhaustive scan of that layer's codewords.
 
-Nearest-codeword selection on large inputs is scored in float32 and certified
+Nearest-codeword selection on every input whose norms stay inside the
+float32 bound (`_MIXED_MAX_SCALE`) is scored in float32 and certified
 against a rounding-error bound; rows whose best/second-best margin falls
 inside the bound are rescored in float64, so selections always equal the
-float64 argmin. Each block of rows is scored by one float32 GEMM, with the
-codeword norms folded into the product: [p | 1] . [-2c | c^2] = c^2 - 2 p.c.
-The best and the runner-up are then two `argmin` passes over the block (the
-best slot set to inf between them). Residuals, means, and reported errors
-stay in float64.
+float64 argmin. Each `_SCORE_CHUNK`-row block is scored by one float32 GEMM,
+with the codeword norms folded into the product: [p | 1] . [-2c | c^2] =
+c^2 - 2 p.c. The best and the runner-up are then two `argmin` passes over
+the block (the best slot set to inf between them). Inputs past the bound are
+scored exactly in float64, one `_SCORE_CHUNK`-row block at a time, so
+neither path holds more than a chunk's scores. Residuals, means, and
+reported errors stay in float64.
 
 Training holds one copy of the vectors: `train_rq` takes a column-major
 (the transpose of a C-order (dim, n) array) residual array, which the caller
@@ -58,15 +61,14 @@ from .core import (
 
 log = logging.getLogger(__name__)
 
-# Rows per scoring block. The (rows x M) float32 score block is read by two
-# argmin passes after the GEMM writes it; at M = 256 a 1024-row block is
-# 1 MB. 512, 1024 and 2048 rows measured within noise of each other with the
+# Rows per scoring block, on both paths of `_nearest`. The (rows x M) float32
+# score block is read by two argmin passes after the GEMM writes it; at
+# M = 256 a 1024-row block is 1 MB, and the exact path's float64 block 2 MB.
+# 512, 1024 and 2048 rows measured within noise of each other with the
 # one-GEMM scorer.
 _SCORE_CHUNK = 1024
-# Inputs smaller than this skip the mixed-precision path entirely.
-_MIXED_MIN_M = 8
-_MIXED_MIN_N = 1024
-# Norm scale beyond which float32 scoring risks overflow; fall back to exact.
+# Bound on (|p| + |c|)^2 past which float32 scoring risks overflow: `_nearest`
+# then scores every row exactly, and seeding weighs in float64.
 _MIXED_MAX_SCALE = 1e15
 # Rows that `train_rq` updates and `encode_all` encodes at once, so neither
 # builds an (n, dim) temporary. `train_rq` updates the one column-major
@@ -123,7 +125,7 @@ def _nearest_exact(
     n = points.shape[0]
     labels = np.empty(n, dtype=np.int64)
     dists = np.empty(n, dtype=np.float64)
-    for start, stop, block in _row_blocks(points, 1 << 15):
+    for start, stop, block in _row_blocks(points, _SCORE_CHUNK):
         d = _sq_dists(block, centroids)
         labels[start:stop] = np.argmin(d, axis=1)
         dists[start:stop] = d[np.arange(stop - start), labels[start:stop]]
@@ -299,12 +301,11 @@ def _nearest(
 
     The selection equals the float64 argmin: fast-path rows are accepted only
     when their float32 margin exceeds a conservative error bound, the rest
-    are rescored in float64.
+    are rescored in float64. Inputs whose norms pass `_MIXED_MAX_SCALE` are
+    scored by `_nearest_exact` instead.
     """
     n, d = points.shape
     m = centroids.shape[0]
-    if m < _MIXED_MIN_M or n < _MIXED_MIN_N:
-        return _nearest_exact(points, centroids)
     if side is None:
         side = _PointSide(points)
 
@@ -342,7 +343,6 @@ def _nearest(
     labels = np.empty(n, dtype=np.int64)
     dists = np.empty(n, dtype=np.float64)
     row_base = np.arange(0, _SCORE_CHUNK * m, m)
-    c_order = points.flags.c_contiguous
 
     def score(lo: int, hi: int, buf: _ScoreScratch) -> None:
         # Every array a chunk needs is a view of `buf`, of the inputs or of
@@ -371,11 +371,8 @@ def _nearest(
             bound *= 2.0 * gamma
             bound += 2.0 * tau
             ambiguous = np.flatnonzero(np.less_equal(gap, bound, out=buf.ambiguous[:k]))
-            if c_order:
-                block = points[start:stop]
-            else:
-                block = buf.block[:k]
-                np.copyto(block, points[start:stop])
+            block = buf.block[:k]
+            np.copyto(block, points[start:stop])
             half = len(buf.exact)
             for g in range(0, ambiguous.size, half):
                 # exact = max(p^2 - 2.0 * (p @ c.T) + c^2, 0), as `_sq_dists`

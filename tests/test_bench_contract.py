@@ -11,6 +11,7 @@ traced benchmark run.
 
 import importlib
 import inspect
+import json
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,45 @@ def test_traced_simulate_calls_every_expected_grsim_function(layers, tmp_path):
         tracer.uninstall()
     expected = workloads._GRSIM | {"grsim.evaluate.off", "grsim.beam_search.off"}
     assert layers.missing_calls(tracer, expected) == []
+
+
+def test_traced_toy_pipeline_derives_every_per_layer_metric(layers, tmp_path):
+    """gen -> train -> encode -> analyze -> mitigate (varlen) -> simulate
+    (trie off, then on) at toy size under the benchmark's tracer: the
+    derived metrics name every per-layer metric BENCHMARK.json declares,
+    and every function both gated workloads expect is called."""
+    spans = importlib.import_module("spans")
+    workloads = importlib.import_module("workloads")
+    declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    gen, train, enc, mit = (tmp_path / name for name in ("gen", "train", "enc", "mit"))
+    sids, codebook = ("--sids", enc / "sids.csv"), ("--codebook", train / "codebook.json")
+    runs = [
+        ("gen", "--kind", "clustered", "--n", 600, "--d", 4, "--clusters", 8, "--seed", 1,
+         "--out", gen),
+        ("train", "--embeddings", gen / "embeddings.json", "--num-layers", 3,
+         "--codebook-size", 4, "--kmeans-iters", 3, "--out", train),
+        ("encode", "--embeddings", gen / "embeddings.json", *codebook, "--out", enc),
+        ("analyze", *sids, *codebook, "--embeddings", gen / "embeddings.json",
+         "--out", tmp_path / "an"),
+        ("mitigate", *sids, *codebook, "--mode", "varlen", "--head-mass", 0.5, "--out", mit),
+    ] + [
+        ("simulate", "--sids", mit / "sids.csv", "--codebook", mit / "codebook.json",
+         "--records", 60, "--test-records", 10, "--beam", 50, "--k-list", "1,5,10,50",
+         "--trie", trie, "--out", tmp_path / f"sim_{trie}")
+        for trie in ("off", "on")
+    ]
+    tracer = spans.Tracer("contract")
+    tracer.install(layers.TARGETS)
+    try:
+        for argv in runs:
+            assert cli.main([str(a) for a in argv]) == 0, argv
+    finally:
+        tracer.uninstall()
+    metrics = layers.layer_metrics(tracer, 0)
+    want = {m["name"] for m in declared["per_layer"]} - {"trace_overhead_s"}
+    assert sorted(want - set(metrics)) == []
+    for name in ("zipf-100k", "retrieval-2k"):
+        assert layers.missing_calls(tracer, workloads.WORKLOADS[name].expected_calls) == [], name
 
 
 def test_varlen_topk_takes_a_token_histogram_positionally():

@@ -337,6 +337,51 @@ class TestErrors:
         assert code == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("mode,flags", [
+        ("varlen", ("--head-mass", "0.5")), ("remove", ()),
+    ], ids=["varlen", "remove"])
+    def test_swap_outside_exchange_mode_exits_2(self, pipeline, tmp_path, capsys, mode, flags):
+        code = run(
+            "mitigate", "--sids", pipeline / "enc" / "sids.csv",
+            "--codebook", pipeline / "train" / "codebook.json",
+            "--mode", mode, *flags, "--swap", "9,9", "--out", tmp_path / "out",
+        )
+        assert code == 2
+        assert "--swap" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # one byte that is no UTF-8 in an item id, in each kind of text input
+    def test_undecodable_sid_file_exits_3(self, pipeline, tmp_path, capsys):
+        sids = tmp_path / "sids.csv"
+        sids.write_bytes(b"item_id,layer,token\na,1,1\na,2,2\na,3,3\n"
+                         b"b\xff,1,1\nb\xff,2,2\nb\xff,3,3\n")
+        code = run(
+            "analyze", "--sids", sids, "--codebook", pipeline / "train" / "codebook.json",
+            "--out", tmp_path / "out",
+        )
+        assert code == 3
+        assert str(sids) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_undecodable_embedding_csv_exits_3(self, tmp_path, capsys):
+        embeddings = tmp_path / "embeddings.csv"
+        embeddings.write_bytes(b"item_id,v0,v1\na,0.5,1.0\nb\xff,0.25,0.5\nc,1.0,0.0\n")
+        assert self.train_exit_code(tmp_path, embeddings) == 3
+        assert str(embeddings) in capsys.readouterr().err
+
+    def test_undecodable_interactions_exits_3(self, pipeline, tmp_path, capsys):
+        interactions = tmp_path / "interactions.csv"
+        interactions.write_bytes(b"user_context,target,split\nitem_000000,item_000001,train\n"
+                                 b"item_000001,item_\xff,test\n")
+        code = run(
+            "simulate", "--sids", pipeline / "enc" / "sids.csv",
+            "--codebook", pipeline / "train" / "codebook.json",
+            "--interactions", interactions, "--out", tmp_path / "out",
+        )
+        assert code == 3
+        assert str(interactions) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_split_item_in_sid_file_exits_3(self, pipeline, tmp_path):
         sids = tmp_path / "sids.csv"
         sids.write_text("item_id,layer,token\na,1,1\nb,1,1\na,2,2\nb,2,2\na,3,3\nb,3,3\n")
@@ -651,6 +696,19 @@ class TestManifest:
             "trie": "off", "given_layers": 0, "head_top_k": None, "head_mass": None,
             "seed": 0, "out": str(out),
         }
+
+    @pytest.mark.parametrize("mode,flags,swap", [
+        ("exchange", (), [1, 2]), ("exchange", ("--swap", "3,1"), [3, 1]),
+        ("varlen", ("--head-mass", "0.5"), None),
+    ], ids=["exchange-default", "exchange-given", "varlen"])
+    def test_mitigate_records_the_swap_used(self, pipeline, tmp_path, mode, flags, swap):
+        out = tmp_path / "mitigate"
+        assert run(
+            "mitigate", "--sids", pipeline / "enc" / "sids.csv",
+            "--codebook", pipeline / "train" / "codebook.json",
+            "--mode", mode, *flags, "--out", out,
+        ) == 0
+        assert recorded_options(out)["swap"] == swap
 
     def test_sweep_records_every_option(self, tmp_path):
         out = tmp_path / "sweep"

@@ -21,8 +21,6 @@ from rqsid.core import (
 import rqsid.quantizer as quantizer
 from rqsid.quantizer import (
     _MIXED_MAX_SCALE,
-    _MIXED_MIN_M,
-    _MIXED_MIN_N,
     _ROW_BLOCK,
     _SCORE_CHUNK,
     _cluster_means,
@@ -138,10 +136,10 @@ class TestLayouts:
         self.both_layouts(points, 40, seed, tol=1e-4)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_exact_path(self, seed):
+    def test_input_shorter_than_a_chunk(self, seed):
         gen = np.random.default_rng(10 + seed)
         points = gen.standard_normal((300, 24))
-        assert len(points) < _MIXED_MIN_N
+        assert len(points) < _SCORE_CHUNK
         self.both_layouts(points, 16, seed)
 
     def test_empty_cluster_reseed(self, monkeypatch):
@@ -158,7 +156,7 @@ class TestLayouts:
         # integer points, so float32 seeding weights reach exactly zero
         gen = np.random.default_rng(6)
         points = np.repeat(gen.integers(-3, 4, size=(20, 4)).astype(float), 60, axis=0)
-        assert len(points) >= _MIXED_MIN_N
+        assert len(points) > _SCORE_CHUNK
         seen = self.spy_empty_clusters(monkeypatch)
         with caplog.at_level("WARNING"):
             result = self.both_layouts(points, 32, 7)
@@ -338,8 +336,6 @@ def reference_nearest(points, centroids, side=None):
     row min, over 2048-row blocks."""
     n, d = points.shape
     m = centroids.shape[0]
-    if m < _MIXED_MIN_M or n < _MIXED_MIN_N:
-        return _nearest_exact(points, centroids)
     if side is None:
         side = _PointSide(points)
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
@@ -379,14 +375,15 @@ def reference_nearest(points, centroids, side=None):
 
 def scorer_cases():
     """(points, centroids) that take the float32 path: random shapes and
-    scales, every row count next to a multiple of _SCORE_CHUNK, near-duplicate
-    centroids, and norms just under the _MIXED_MAX_SCALE cutoff."""
+    scales, row counts next to a multiple of _SCORE_CHUNK, near-duplicate
+    centroids, norms just under the _MIXED_MAX_SCALE cutoff, and inputs
+    shorter than a chunk with fewer than 8 centroids."""
     gen = np.random.default_rng(41)
     cases = []
-    for n in [k * _SCORE_CHUNK + e for k in (1, 2, 3) for e in (-1, 0, 1)]:
-        if n < _MIXED_MIN_N:
-            continue
-        m = int(gen.integers(_MIXED_MIN_M, 300))
+    near_chunks = [_SCORE_CHUNK, _SCORE_CHUNK + 1]
+    near_chunks += [k * _SCORE_CHUNK + e for k in (2, 3) for e in (-1, 0, 1)]
+    for n in near_chunks:
+        m = int(gen.integers(8, 300))
         d = int(gen.integers(1, 65))
         scale = 10 ** gen.uniform(-3, 3)
         cases.append((gen.standard_normal((n, d)) * scale,
@@ -401,6 +398,11 @@ def scorer_cases():
         c_max = np.sqrt((centroids**2).sum(axis=1).max())
         scale = 0.999 * np.sqrt(_MIXED_MAX_SCALE) / (p_max + c_max)
         cases.append((points * scale, centroids * scale))
+    for n, m in ((_SCORE_CHUNK - 1, 8), (300, 7), (5, 3), (1, 1)):
+        d = int(gen.integers(1, 65))
+        scale = 10 ** gen.uniform(-3, 3)
+        cases.append((gen.standard_normal((n, d)) * scale,
+                      gen.standard_normal((m, d)) * scale))
     return cases
 
 
@@ -440,6 +442,47 @@ class TestOneGemmScorer:
             c_norm = np.sqrt(c_sq)
             bound = (d + 8) * 1.2e-7 * (side.p_norm[:, None] + c_norm[None, :]) ** 2
             assert (np.abs(fused - exact) <= bound).all()
+
+
+def reference_nearest_exact(points, centroids):
+    """The exact scorer as it was before it took `_SCORE_CHUNK`-row blocks:
+    the same float64 distances over 32768-row blocks."""
+    n = points.shape[0]
+    labels = np.empty(n, dtype=np.int64)
+    dists = np.empty(n, dtype=np.float64)
+    for start, stop, block in _row_blocks(points, 32768):
+        d = _sq_dists(block, centroids)
+        labels[start:stop] = np.argmin(d, axis=1)
+        dists[start:stop] = d[np.arange(stop - start), labels[start:stop]]
+    return labels, dists
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("n", [_SCORE_CHUNK - 1, _SCORE_CHUNK + 1, 2 * 32768 + 1])
+def test_exact_path_matches_large_block_reference(n, layout, monkeypatch):
+    # norms past the float32 bound, so every row is scored exactly
+    exact_calls = []
+
+    def spy(points, centroids):
+        exact_calls.append(len(points))
+        return _nearest_exact(points, centroids)
+
+    monkeypatch.setattr(quantizer, "_nearest_exact", spy)
+    gen = np.random.default_rng(n)
+    points = gen.standard_normal((n, 16)) * 1e8
+    centroids = gen.standard_normal((64, 16)) * 1e8
+    labels, dists = nearest_in_layout(points, centroids, layout)
+    ref_labels, ref_dists = reference_nearest_exact(points, centroids)
+    assert labels.tobytes() == ref_labels.tobytes()
+    # A short block can take another BLAS kernel than a long one (numpy sends
+    # a one-row product to gemv), which sums in another order. So the rows
+    # of a last chunk shorter than the reference's last block may differ in
+    # their last bits; every other row has the same bytes.
+    tail = n % _SCORE_CHUNK
+    same = n if tail == n % 32768 else n - tail
+    assert dists[:same].tobytes() == ref_dists[:same].tobytes()
+    np.testing.assert_allclose(dists[same:], ref_dists[same:], rtol=1e-12)
+    assert exact_calls == [n] * (2 if layout == "F" else 1)
 
 
 def hand_codebook():
@@ -506,7 +549,7 @@ class TestTrainOwnsResiduals:
         n = _ROW_BLOCK + 1000
         gen = np.random.default_rng(8)
         data = EmbeddingCollection(tuple(map(str, range(n))), gen.standard_normal((n, 6)))
-        cfg = QuantizerConfig(num_layers=3, codebook_size=2 * _MIXED_MIN_M, dim=6,
+        cfg = QuantizerConfig(num_layers=3, codebook_size=16, dim=6,
                               kmeans_iters=3, seed=8)
         residuals = column_major(data.vectors)
         cb = train_rq(residuals, cfg, RandomSource(8))
@@ -542,11 +585,10 @@ class TestTrainOwnsResiduals:
 class TestRowBlocks:
     """encode_all and train_rq by row blocks against the whole-array code."""
 
-    # the tail block of the last case is too small for the mixed-precision
-    # path, so it takes the exact one
+    # the tail block of the last case is shorter than one score chunk
     @pytest.mark.parametrize("n", [1, _ROW_BLOCK - 1, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1000])
     def test_encode_matches_whole_array_reference(self, n):
-        assert (2 * _ROW_BLOCK + 1000) % _ROW_BLOCK < _MIXED_MIN_N
+        assert (2 * _ROW_BLOCK + 1000) % _ROW_BLOCK < _SCORE_CHUNK
         gen = np.random.default_rng(n)
         cfg = QuantizerConfig(num_layers=3, codebook_size=32, dim=8)
         scales = np.array([1.0, 0.3, 0.1])[:, None, None]
@@ -572,7 +614,7 @@ class TestRowBlocks:
         n = 2 * _ROW_BLOCK + 1000
         gen = np.random.default_rng(5)
         data = EmbeddingCollection(tuple(map(str, range(n))), gen.standard_normal((n, 6)))
-        cfg = QuantizerConfig(num_layers=3, codebook_size=2 * _MIXED_MIN_M, dim=6,
+        cfg = QuantizerConfig(num_layers=3, codebook_size=16, dim=6,
                               kmeans_iters=3, seed=5)
         cb = train_rq(column_major(data.vectors), cfg, RandomSource(5))
         layers, sse = reference_train_rq(data, cfg, RandomSource(5))
@@ -855,7 +897,7 @@ class TestSplitOracle:
     def test_nearest(self, use_workers, count, layout):
         gen = np.random.default_rng(count)
         for n in self.row_counts(count):
-            d, m = int(gen.integers(2, 40)), int(gen.integers(_MIXED_MIN_M, 300))
+            d, m = int(gen.integers(2, 40)), int(gen.integers(8, 300))
             points = gen.standard_normal((n, d)) * 10 ** gen.uniform(-3, 3)
             if layout == "F":
                 points = column_major(points)

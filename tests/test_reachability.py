@@ -61,6 +61,10 @@ def cli_runs(root: Path):
     varlen_codebook, varlen_sids = root / "mv" / "codebook.json", root / "mv" / "sids.csv"
     csv = root / "embeddings.csv"
     csv.write_text("item_id,v0,v1\n" + "".join(f"i{i},{i % 7},{i % 5}\n" for i in range(40)))
+    # the same rows times 1e9: norms past the float32 bound, scored exactly
+    huge = root / "huge.csv"
+    huge.write_text("item_id,v0,v1\n" + "".join(
+        f"i{i},{i % 7 * 1e9},{i % 5 * 1e9}\n" for i in range(40)))
     cfg = root / "cfg.json"
     cfg.write_text(json.dumps({"seed": 3, "train": {"num_layers": 2, "codebook_size": 4}}))
     bad = root / "bad.csv"
@@ -74,6 +78,9 @@ def cli_runs(root: Path):
         (("train", "--embeddings", emb, "--num-layers", 3, "--codebook-size", 64,
           "--kmeans-iters", 5, "--out", root / "train"), 0),
         (("train", "--embeddings", csv, "--config", cfg, "--out", root / "csv"), 0),
+        (("train", "--embeddings", huge, "--config", cfg, "--out", root / "huge"), 0),
+        (("encode", "--embeddings", huge, "--codebook", root / "huge" / "codebook.json",
+          "--out", root / "huge_enc"), 0),
         (("encode", "--embeddings", emb, "--codebook", codebook, "--out", root / "enc"), 0),
         (("analyze", "--sids", sids, "--codebook", codebook, "--out", root / "an"), 0),
         (("analyze", "--sids", sids, "--codebook", codebook, "--embeddings", emb,
