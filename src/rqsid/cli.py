@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import io
 import json
@@ -43,6 +44,12 @@ from .mitigation import exchange_layers, post_mitigation_report, remove_layer, v
 from .quantizer import encode_all, train_rq, worker_info
 
 log = logging.getLogger("rqsid")
+
+# glibc's M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD (-1), pinned: a freed
+# block of 4 MiB or more (a 100k x 32 matrix) goes back to the OS, not to a
+# heap that later stages keep, and the heap top is trimmed only past 16 MiB
+# free, so the buffers each Lloyd round remakes are not faulted in anew.
+_MALLOPT = ((-3, 4 << 20), (-1, 16 << 20))
 
 
 def _selector(args, default=None):
@@ -142,13 +149,10 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     out = Path(args.out)
-    data = persist.load_embeddings(args.embeddings)
-    n = len(data)
-    config = _quantizer_config(args, args.num_layers, args.codebook_size, data.dim, args.seed)
+    residuals = persist.load_residuals(args.embeddings)  # the one copy of the vectors
+    n, dim = residuals.shape
+    config = _quantizer_config(args, args.num_layers, args.codebook_size, dim, args.seed)
     t0 = time.perf_counter()
-    # dropping the collection leaves training one copy of the vectors
-    residuals = np.array(data.vectors, order="F")
-    del data
     codebook = train_rq(residuals, config, RandomSource(args.seed))
     train_s = time.perf_counter() - t0
     with persist.OutputLock(out):
@@ -171,16 +175,18 @@ def cmd_encode(args) -> int:
     t0 = time.perf_counter()
     sids, sq_norms = encode_all(data, codebook)
     encode_s = time.perf_counter() - t0
+    per_layer = [float(m) for m in sq_norms[:, 1:].mean(axis=0)]
+    ids = data.ids
+    del data, sq_norms  # the vectors go before the id table is built
     with persist.OutputLock(out):
         sid_path = out / "sids.csv"
-        persist.save_sids(sid_path, sid_table(data.ids, sids, codebook.config))
+        persist.save_sids(sid_path, sid_table(ids, sids, codebook.config))
         report_path = out / "encode_report.json"
-        per_layer = [float(m) for m in sq_norms[:, 1:].mean(axis=0)]
         persist.save_report(
             report_path,
             "encode_report",
             {
-                "items": len(data),
+                "items": len(ids),
                 "mean_squared_error_per_layer": per_layer,
                 "final_mean_squared_error": per_layer[-1],
             },
@@ -189,7 +195,7 @@ def cmd_encode(args) -> int:
             out, "encode", _options(args), {"encode": encode_s}, [sid_path, report_path],
             worker_info(),
         )
-    print(f"encoded {len(data)} vectors; final reconstruction mse {per_layer[-1]:.6g}")
+    print(f"encoded {len(ids)} vectors; final reconstruction mse {per_layer[-1]:.6g}")
     return 0
 
 
@@ -201,6 +207,8 @@ def cmd_analyze(args) -> int:
     selector = _selector(args, Selector.mass(0.5))
     t0 = time.perf_counter()
     report = hourglass_report(table.tokens, config, selector, include_histograms=True)
+    items = len(table)
+    del table  # the id table goes before the embeddings load
     payload = report.to_dict()
     payload["head_selector"] = selector.describe()
     if args.embeddings:
@@ -224,7 +232,7 @@ def cmd_analyze(args) -> int:
             worker_info(),
         )
     print(
-        f"analyzed {len(table)} ids: hourglass_flag={report.hourglass_flag}, "
+        f"analyzed {items} ids: hourglass_flag={report.hourglass_flag}, "
         f"pinch_layer={report.pinch_layer}, path_sparsity={report.path_sparsity:.3g}"
     )
     return 0
@@ -614,6 +622,10 @@ def _flag(action: argparse.Action, value) -> str:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # absent on macOS
+    for param, value in _MALLOPT if mallopt else ():
+        mallopt(param, value)
+    persist.begin_command()
     parser, commands = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:

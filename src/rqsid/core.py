@@ -89,16 +89,21 @@ def check_item_ids(item_ids) -> None:
 
 
 def distinct(item_ids) -> bool:
-    """Whether no two item ids are equal. The ids of a str array are hashed
-    in numpy and only ids whose hashes collide are compared as strings."""
-    if not isinstance(item_ids, np.ndarray):
-        return len(set(item_ids)) == len(item_ids)
-    hashes = np.zeros(len(item_ids), dtype=np.uint64)
-    for column in _code_points(item_ids).T:  # wraps modulo 2^64
-        hashes *= _ID_HASH_MULTIPLIER
-        hashes += column
+    """Whether no two item ids are equal. The ids are hashed into one sorted
+    integer array, a str array's in numpy without a Python string per id;
+    only if two hashes collide is a set of the ids built (4 MiB at 100k)."""
+    if isinstance(item_ids, np.ndarray):
+        hashes = np.zeros(len(item_ids), dtype=np.uint64)
+        for column in _code_points(item_ids).T:  # wraps modulo 2^64
+            hashes *= _ID_HASH_MULTIPLIER
+            hashes += column
+    else:
+        hashes = np.fromiter(map(hash, item_ids), dtype=np.int64, count=len(item_ids))
     hashes.sort()
-    return bool((hashes[1:] != hashes[:-1]).all()) or len(set(item_ids.tolist())) == len(item_ids)
+    if (hashes[1:] != hashes[:-1]).all():
+        return True
+    ids = item_ids.tolist() if isinstance(item_ids, np.ndarray) else item_ids
+    return len(set(ids)) == len(ids)
 
 
 def _code_points(item_ids: np.ndarray) -> np.ndarray:
@@ -149,6 +154,23 @@ class QuantizerConfig:
             )
 
 
+def check_embeddings(ids, vectors: np.ndarray) -> None:
+    """Raise a DataError for the first fault of `vectors`, in any layout, and
+    their `ids`: a shape other than (len(ids), dim >= 1), an id outside the
+    alphabet, a repeated id, or a non-finite component."""
+    if vectors.ndim != 2:
+        raise DataError(f"vectors must be 2-D, got shape {vectors.shape}")
+    if vectors.shape[1] < 1:
+        raise DataError("vectors must have at least one dimension")
+    if len(ids) != vectors.shape[0]:
+        raise DataError(f"{len(ids)} ids for {vectors.shape[0]} vectors")
+    check_item_ids(ids)
+    if not distinct(ids):
+        raise DataError("item ids must be unique")
+    if vectors.size and not np.all(np.isfinite(vectors)):
+        raise DataError("vectors contain non-finite components")
+
+
 @dataclass(frozen=True)
 class EmbeddingCollection:
     """An ordered set of item vectors with opaque string ids.
@@ -168,19 +190,7 @@ class EmbeddingCollection:
                 and vectors.flags.c_contiguous and vectors.flags.owndata
                 and not vectors.flags.writeable):
             vectors = np.array(vectors, dtype=np.float64, order="C")
-        if vectors.ndim != 2:
-            raise DataError(f"vectors must be 2-D, got shape {vectors.shape}")
-        if vectors.shape[1] < 1:
-            raise DataError("vectors must have at least one dimension")
-        if len(self.ids) != vectors.shape[0]:
-            raise DataError(
-                f"{len(self.ids)} ids for {vectors.shape[0]} vectors"
-            )
-        if not distinct(self.ids):
-            raise DataError("item ids must be unique")
-        check_item_ids(self.ids)
-        if vectors.size and not np.all(np.isfinite(vectors)):
-            raise DataError("vectors contain non-finite components")
+        check_embeddings(self.ids, vectors)
         vectors.flags.writeable = False
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "ids", tuple(self.ids))
@@ -233,7 +243,7 @@ def sid_table(item_ids, tokens, config: QuantizerConfig, is_full=None) -> np.rec
     has one canonical row, and a token histogram of layer 2 that forgets the
     mask fails its range check. `is_full` defaults to all True.
     """
-    tokens = np.array(tokens, dtype=np.int64)
+    tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim != 2 or tokens.shape[0] == 0:
         raise ConfigError(f"expected a nonempty (n, L) id array, got shape {tokens.shape}")
     n, L = tokens.shape[0], config.num_layers
@@ -265,12 +275,12 @@ def with_tokens(table, tokens, config: QuantizerConfig, is_full=None) -> np.reca
     checked, holding new tokens and full-length mask (see `sid_table`)."""
     out = np.recarray(len(table), dtype=table.dtype)
     out.item_id = table.item_id
-    return _fill(out, np.array(tokens, dtype=np.int64), config, is_full)
+    return _fill(out, np.asarray(tokens, dtype=np.int64), config, is_full)
 
 
 def _fill(table, tokens: np.ndarray, config: QuantizerConfig, is_full) -> np.recarray:
-    """Store `tokens` and the mask in `table`, whose item ids are set, with
-    each elided layer-2 slot at -1 and every other token in range."""
+    """Store `tokens` (left unwritten) and the mask in `table`, whose item ids
+    are set, with each elided layer-2 slot at -1 and every other token in range."""
     n, L = tokens.shape
     M = config.codebook_size
     is_full = np.ones(n, dtype=bool) if is_full is None else np.array(is_full, dtype=bool)
@@ -278,6 +288,8 @@ def _fill(table, tokens: np.ndarray, config: QuantizerConfig, is_full) -> np.rec
         raise ConsistencyError(f"full-length mask has shape {is_full.shape}, expected ({n},)")
     if L < 3 and not is_full.all():
         raise ConfigError("variable-length elision needs at least three layers")
+    table.tokens = tokens
+    tokens = table.tokens
     present = np.ones((n, L), dtype=bool)
     if L >= 3:
         tokens[~is_full, 1] = -1
@@ -289,7 +301,6 @@ def _fill(table, tokens: np.ndarray, config: QuantizerConfig, is_full) -> np.rec
             f"item {str(table.item_id[row])!r} layer {col + 1} token {tokens[row, col]} "
             f"outside [0, {M})"
         )
-    table.tokens = tokens
     table.is_full = is_full
     table.flags.writeable = False
     return table

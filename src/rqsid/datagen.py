@@ -115,8 +115,10 @@ def gen_clustered(
     start = 0
     for c, size in enumerate(sizes):
         stop = start + int(size)
-        noise = sources[1 + c].generator().standard_normal((int(size), d))
-        vectors[start:stop] = centers[c] + spec.radius * noise
+        # drawn in place: centers[c] + radius * noise, without temporaries
+        block = sources[1 + c].generator().standard_normal(out=vectors[start:stop])
+        block *= spec.radius
+        block += centers[c]
         labels[start:stop] = c
         start = stop
     if not np.all(np.isfinite(vectors)):

@@ -23,6 +23,7 @@ import hashlib
 import itertools
 import json
 import os
+import resource
 import sys
 import tempfile
 from contextlib import contextmanager
@@ -38,6 +39,7 @@ from .core import (
     EmbeddingCollection,
     MalformedSequenceError,
     QuantizerConfig,
+    check_embeddings,
     check_item_ids,
     distinct,
     sid_table,
@@ -47,6 +49,8 @@ from .grsim import InteractionDataset
 FORMAT_VERSION = 1
 # Codebooks at or below this many floats are embedded directly in the JSON.
 INLINE_CODEBOOK_LIMIT = 4096
+# bytes of an embeddings binary that are read, hashed and placed at once
+_VECTOR_READ_BLOCK = 1 << 20
 
 
 def sha256_bytes(data: bytes) -> str:
@@ -486,31 +490,50 @@ def load_embeddings(path) -> EmbeddingCollection:
         if not ids:
             raise DataError(f"{path} holds no embeddings")
         return EmbeddingCollection(tuple(ids), np.asarray(rows, dtype=np.float64))
+    ids, vectors = _load_binary_embeddings(path, "C")
+    vectors.flags.writeable = False  # the collection adopts it
+    return EmbeddingCollection(ids, vectors)
+
+
+def load_residuals(path) -> np.ndarray:
+    """The vectors of an embeddings file, checked as `load_embeddings` checks
+    them, as the writable column-major array `quantizer.train_rq` takes: a
+    binary file is read straight into it, a CSV file loaded, then copied."""
+    path = Path(path)
+    if path.suffix == ".csv":
+        return np.array(load_embeddings(path).vectors, order="F")
+    ids, vectors = _load_binary_embeddings(path, "F")
+    check_embeddings(ids, vectors)
+    return vectors
+
+
+def _load_binary_embeddings(path: Path, order: str) -> tuple[list, np.ndarray]:
+    """The item ids of a binary embeddings file and its vectors, as a new array
+    of `order` layout, read and hashed a `_VECTOR_READ_BLOCK` of rows at a
+    time. A file of any other size is hashed whole, to name its first fault:
+    its digest, then its size."""
     header = _load_header(path, "embeddings", count=int, dim=int, vectors_file=str,
                           vectors_sha256=str, item_ids=list)
     bin_path = path.parent / header["vectors_file"]
-    shape = (header["count"], header["dim"])
-    vectors = _read_vectors(bin_path, shape, header["vectors_sha256"])
-    return EmbeddingCollection(tuple(header["item_ids"]), vectors)
-
-
-def _read_vectors(bin_path: Path, shape: tuple[int, int], digest: str) -> np.ndarray:
-    """The (count, dim) float64 matrix in `bin_path`, read into the array
-    the collection adopts and hashed in place. A file of any other size is
-    read whole, to name its first fault: its digest, then its size."""
+    count, dim, digest = header["count"], header["dim"], header["vectors_sha256"]
     with open(bin_path, "rb") as f:
-        if min(shape) >= 0 and os.fstat(f.fileno()).st_size == 8 * shape[0] * shape[1]:
-            vectors = np.empty(shape, dtype="<f8")
-            buffer = memoryview(vectors).cast("B")
-            if f.readinto(buffer) == len(buffer) and not f.read(1):
-                if sha256_bytes(buffer) != digest:
-                    raise DataError(f"digest mismatch for {bin_path}")
-                vectors.flags.writeable = False
-                return vectors
-    payload = bin_path.read_bytes()
-    if sha256_bytes(payload) != digest:
+        if min(count, dim) >= 0 and os.fstat(f.fileno()).st_size == 8 * count * dim:
+            vectors = np.empty((count, dim), dtype="<f8", order=order)
+            rows = max(1, _VECTOR_READ_BLOCK // (8 * dim or 1))
+            block, h = np.empty((min(rows, count), dim), dtype="<f8"), hashlib.sha256()
+            for start in range(0, count, rows):
+                part = block[: count - start]
+                if f.readinto(part.reshape(-1).view(np.uint8)) < part.nbytes:
+                    break
+                h.update(part)
+                vectors[start : start + len(part)] = part
+            else:
+                if not f.read(1) and h.hexdigest() == digest:
+                    return header["item_ids"], vectors
+    if sha256_file(bin_path) != digest:
         raise DataError(f"digest mismatch for {bin_path}")
-    raise DataError(f"{bin_path} holds {len(payload)} bytes, expected {shape[0]}x{shape[1]} float64")
+    size = bin_path.stat().st_size
+    raise DataError(f"{bin_path} holds {size} bytes, expected {count}x{dim} float64")
 
 
 def save_labels(path, ids, labels) -> None:
@@ -575,6 +598,13 @@ def save_report(path, kind: str, payload: dict) -> None:
 
 
 MANIFEST_NAME = "manifest.json"
+_faults_at_begin = 0  # ru_minflt when the running command began
+
+
+def begin_command() -> None:
+    """Mark where a command begins, for its record's `minor_faults`."""
+    global _faults_at_begin
+    _faults_at_begin = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def _read_manifest(out_dir: Path) -> dict:
@@ -590,8 +620,10 @@ def record_run(
 ) -> Path:
     """Append one run record to the manifest in `out_dir`. `kmeans`, given by
     the commands that run k-means, records how its rounds were split.
-    `max_rss_mb` is the process's peak resident set size so far: the
-    command's own peak when it runs in a process of its own."""
+    `max_rss_mb` is the process's peak resident set size so far, in MB
+    (2^20 bytes): the command's own peak when it runs in a process of its
+    own. `minor_faults` counts the minor page faults since `begin_command`."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     out_dir = Path(out_dir)
     manifest_path = out_dir / MANIFEST_NAME
     manifest = _read_manifest(out_dir)
@@ -602,7 +634,9 @@ def record_run(
         "tool_version": __version__,
         "config": config,
         "timings_s": {k: round(float(v), 6) for k, v in timings.items()},
-        "max_rss_mb": _max_rss_mb(),
+        # ru_maxrss counts kilobytes on Linux and bytes on macOS
+        "max_rss_mb": round(usage.ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10), 1),
+        "minor_faults": usage.ru_minflt - _faults_at_begin,
         "outputs": [
             {
                 "path": str(Path(p).relative_to(out_dir)),
@@ -617,15 +651,6 @@ def record_run(
     manifest["runs"].append(record)
     atomic_write_text(manifest_path, dump_json(manifest))
     return manifest_path
-
-
-def _max_rss_mb() -> float:
-    """This process's peak resident set size so far, in MB (2^20 bytes);
-    `ru_maxrss` counts kilobytes on Linux and bytes on macOS."""
-    import resource
-
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)
 
 
 class OutputLock:

@@ -19,9 +19,9 @@ reported errors stay in float64.
 
 Training holds one copy of the vectors: `train_rq` takes a column-major
 (the transpose of a C-order (dim, n) array) residual array, which the caller
-copies from its vectors and hands over, and overwrites it layer by layer, so
-each per-dimension column the k-means mean update reads is contiguous. The
-CLI drops the loaded collection once it has made that copy. Every float64
+hands over, and overwrites it layer by layer, so each per-dimension column
+the k-means mean update reads is contiguous. The CLI reads the embeddings
+file straight into that array (`persist.load_residuals`). Every float64
 row reduction (squared norms, exact distances) reads a C-order copy of a
 small row block instead of the strided rows: the reduction then sums in the
 same order as on C-order input, and both layouts give the same bytes.
@@ -70,10 +70,11 @@ _SCORE_CHUNK = 1024
 # Bound on (|p| + |c|)^2 past which float32 scoring risks overflow: `_nearest`
 # then scores every row exactly, and seeding weighs in float64.
 _MIXED_MAX_SCALE = 1e15
-# Rows that `train_rq` updates and `encode_all` encodes at once, so neither
-# builds an (n, dim) temporary. `train_rq` updates the one column-major
-# residual array it was handed; `encode_all` holds one block's residuals.
-_ROW_BLOCK = 16384
+# Rows that `encode_all` encodes at once, holding one block's residuals: 2 MiB
+# at dim 32, under the CLI's 4 MiB mmap threshold, so each block reuses heap
+# memory rather than being mapped and faulted in anew. (`train_rq` updates
+# its one residual array `_SCORE_CHUNK` rows at a time.)
+_ROW_BLOCK = 8192
 # Rows each worker gets at least when a call is split: a few score chunks,
 # so a 2000-row input never splits and a `_ROW_BLOCK` splits in two.
 _SPLIT_MIN_ROWS = 4 * _SCORE_CHUNK
@@ -103,20 +104,13 @@ def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return d
 
 
-class _PointSide:
-    """Per-point precomputations reused across scoring calls on fixed points."""
-
-    __slots__ = ("points", "p32", "p_sq", "p_sq32", "p_norm", "norm_max")
-
-    def __init__(self, points: np.ndarray):
-        self.points = points
-        self.p32 = points.astype(np.float32, order="C")
-        self.p_sq = np.empty(points.shape[0], dtype=np.float64)
-        for start, stop, block in _row_blocks(points, _SCORE_CHUNK):
-            self.p_sq[start:stop] = np.einsum("ij,ij->i", block, block)
-        self.p_sq32 = np.einsum("ij,ij->i", self.p32, self.p32)
-        self.p_norm = np.sqrt(self.p_sq)
-        self.norm_max = float(self.p_norm.max()) if len(points) else 0.0
+def _sq_norms(points: np.ndarray) -> np.ndarray:
+    """Exact float64 squared norm of each row, which k-means computes once
+    for every scoring call on the same points."""
+    p_sq = np.empty(points.shape[0], dtype=np.float64)
+    for start, stop, block in _row_blocks(points, _SCORE_CHUNK):
+        p_sq[start:stop] = np.einsum("ij,ij->i", block, block)
+    return p_sq
 
 
 def _nearest_exact(
@@ -295,7 +289,7 @@ class _ScoreScratch:
 def _nearest(
     points: np.ndarray,
     centroids: np.ndarray,
-    side: _PointSide | None = None,
+    p_sq: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Argmin centroid per point (ties to the lowest index) and exact distances.
 
@@ -306,12 +300,12 @@ def _nearest(
     """
     n, d = points.shape
     m = centroids.shape[0]
-    if side is None:
-        side = _PointSide(points)
+    if p_sq is None:
+        p_sq = _sq_norms(points)
 
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
     c_norm_max = float(np.sqrt(c_sq.max()))
-    if (side.norm_max + c_norm_max) ** 2 > _MIXED_MAX_SCALE:
+    if (math.sqrt(p_sq.max(initial=0.0)) + c_norm_max) ** 2 > _MIXED_MAX_SCALE:
         return _nearest_exact(points, centroids)
     c32 = centroids.astype(np.float32)
     # c_aug = [-2 c | c^2]: one GEMM of [p | 1] with it scores c^2 - 2 p.c,
@@ -353,7 +347,9 @@ def _nearest(
             stop = min(start + _SCORE_CHUNK, hi)
             k = stop - start
             lab, idx = labels[start:stop], buf.idx[:k]
-            buf.p_aug[:k, :d] = side.p32[start:stop]
+            block = buf.block[:k]
+            np.copyto(block, points[start:stop])
+            buf.p_aug[:k, :d] = block
             s = np.matmul(buf.p_aug[:k], c_aug.T, out=buf.scores[:k])
             np.argmin(s, axis=1, out=lab)
             # the best, then with its slot set to inf the runner-up (for
@@ -366,23 +362,22 @@ def _nearest(
             np.take(flat, idx, out=buf.second[:k], mode="clip")
             # ambiguous: second - best <= 2 (gamma (|p| + c_norm_max)^2 + tau)
             gap = np.subtract(buf.second[:k], buf.best[:k], out=buf.gap[:k], dtype=np.float64)
-            bound = np.add(side.p_norm[start:stop], c_norm_max, out=buf.bound[:k])
+            bound = np.sqrt(p_sq[start:stop], out=buf.bound[:k])
+            bound += c_norm_max
             np.square(bound, out=bound)
             bound *= 2.0 * gamma
             bound += 2.0 * tau
             ambiguous = np.flatnonzero(np.less_equal(gap, bound, out=buf.ambiguous[:k]))
-            block = buf.block[:k]
-            np.copyto(block, points[start:stop])
             half = len(buf.exact)
             for g in range(0, ambiguous.size, half):
                 # exact = max(p^2 - 2.0 * (p @ c.T) + c^2, 0), as `_sq_dists`
                 at = ambiguous[g : g + half]
                 a = at.size
                 rows = np.take(block, at, axis=0, out=buf.rows[:a], mode="clip")
-                p_sq = np.einsum("ij,ij->i", rows, rows, out=buf.vec[:a])
+                r_sq = np.einsum("ij,ij->i", rows, rows, out=buf.vec[:a])
                 exact = np.matmul(rows, centroids.T, out=buf.exact[:a])
                 exact *= 2.0
-                np.subtract(p_sq[:, None], exact, out=exact)
+                np.subtract(r_sq[:, None], exact, out=exact)
                 exact += c_sq
                 np.maximum(exact, 0.0, out=exact)
                 lab[at] = np.argmin(exact, axis=1, out=idx[:a])
@@ -390,7 +385,7 @@ def _nearest(
             gathered = np.take(centroids, lab, axis=0, out=buf.rows[:k], mode="clip")
             e = np.einsum("ij,ij->i", block, gathered, out=buf.vec[:k])
             e *= 2.0
-            out = np.subtract(side.p_sq[start:stop], e, out=dists[start:stop])
+            out = np.subtract(p_sq[start:stop], e, out=dists[start:stop])
             out += np.take(c_sq, lab, out=buf.vec[:k], mode="clip")
             np.maximum(out, 0.0, out=out)
 
@@ -402,7 +397,7 @@ def _nearest(
 
 
 def _kmeanspp_init(
-    points: np.ndarray, m: int, gen: np.random.Generator, side: _PointSide
+    points: np.ndarray, m: int, gen: np.random.Generator, p_sq: np.ndarray
 ) -> np.ndarray:
     """Squared-distance-weighted seeding. Once every remaining point has zero
     weight (fewer distinct points than centroids) further seeds are drawn
@@ -411,13 +406,21 @@ def _kmeanspp_init(
     centroids = np.empty((m, d), dtype=np.float64)
     first = int(gen.integers(n))
     centroids[0] = points[first]
-    fast = (side.norm_max * 2.0) ** 2 <= _MIXED_MAX_SCALE
+    # seeding only needs sampling weights, so float32 scoring is fine; the
+    # float32 points live while seeding runs
+    fast = (math.sqrt(p_sq.max()) * 2.0) ** 2 <= _MIXED_MAX_SCALE
+    if fast:
+        p32 = points.astype(np.float32, order="C")
+        p_sq32 = np.einsum("ij,ij->i", p32, p32)
 
     def dist_to(c: np.ndarray) -> np.ndarray:
-        # seeding only needs sampling weights, so float32 scoring is fine
         if fast:
+            # p^2 - 2 p.c + c^2, as -2 p.c + p^2 + c^2 in place: the same bytes
             c32 = c.astype(np.float32)
-            w = side.p_sq32 - 2.0 * (side.p32 @ c32) + np.float32(c32 @ c32)
+            w = p32 @ c32
+            w *= -2.0
+            w += p_sq32
+            w += np.float32(c32 @ c32)
             return np.maximum(w, 0.0, out=w)
         w = np.empty(n, dtype=np.float64)
         for start, stop, block in _row_blocks(points, _SCORE_CHUNK):
@@ -425,6 +428,7 @@ def _kmeanspp_init(
         return w
 
     min_d2 = np.asarray(dist_to(centroids[0]), dtype=np.float64)
+    cdf = np.empty(n, dtype=np.float64)
     warned = False
     for j in range(1, m):
         total = float(min_d2.sum())
@@ -436,7 +440,7 @@ def _kmeanspp_init(
         else:
             # numpy's own algorithm for gen.choice(n, p=min_d2 / total),
             # without its validation passes; the random stream is the same
-            cdf = (min_d2 / total).cumsum()
+            np.cumsum(np.divide(min_d2, total, out=cdf), out=cdf)
             cdf /= cdf[-1]
             idx = int(cdf.searchsorted(gen.random(), side="right"))
         centroids[j] = points[idx]
@@ -494,13 +498,13 @@ def kmeans(
     if not np.all(np.isfinite(points)):
         raise DataError("points contain non-finite components")
 
-    side = _PointSide(points)
-    centroids = _kmeanspp_init(points, num_centroids, rng.generator(), side)
-    labels, dists = _nearest(points, centroids, side)
+    p_sq = _sq_norms(points)
+    centroids = _kmeanspp_init(points, num_centroids, rng.generator(), p_sq)
+    labels, dists = _nearest(points, centroids, p_sq)
     sse = float(dists.sum())
     for _ in range(iters):
         centroids = _cluster_means(points, labels, num_centroids, dists)
-        new_labels, dists = _nearest(points, centroids, side)
+        new_labels, dists = _nearest(points, centroids, p_sq)
         new_sse = float(dists.sum())
         converged = (
             np.array_equal(new_labels, labels)
@@ -547,8 +551,8 @@ def train_rq(residuals: np.ndarray, config: QuantizerConfig, rng: RandomSource) 
         )
         layers[l] = result.centroids
         sse_per_layer.append(result.sse)
-        for start in range(0, n, _ROW_BLOCK):
-            block = slice(start, start + _ROW_BLOCK)
+        for start in range(0, n, _SCORE_CHUNK):
+            block = slice(start, start + _SCORE_CHUNK)
             residuals[block] -= result.centroids[result.assignments[block]]
     return Codebook(config, layers, tuple(sse_per_layer))
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -546,6 +547,17 @@ class TestErrors:
         embeddings = self.write_binary_embeddings(tmp_path, floats, **{key: value})
         assert self.train_exit_code(tmp_path, embeddings) == 3
 
+    @pytest.mark.parametrize("command", ["train", "encode"])
+    @pytest.mark.parametrize("bad", [["b"], {"b": 1}], ids=["list", "dict"])
+    def test_unhashable_item_id_exits_3(self, pipeline, tmp_path, capsys, command, bad):
+        # the id is named before any check that hashes the ids
+        embeddings = self.write_binary_embeddings(tmp_path, 6, item_ids=["a", bad, "c"])
+        flags = (["--num-layers", 2, "--codebook-size", 2] if command == "train"
+                 else ["--codebook", pipeline / "train" / "codebook.json"])
+        assert run(command, "--embeddings", embeddings, *flags, "--out", tmp_path / "out") == 3
+        assert f"item id {bad!r} is not" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @staticmethod
     def analyze_exit_code(pipeline, tmp_path, codebook):
         code = run("analyze", "--sids", pipeline / "enc" / "sids.csv", "--codebook", codebook,
@@ -742,33 +754,109 @@ class TestKMeansWorkersRecorded:
         assert "kmeans" not in gen_record
 
 
-class TestTrainHoldsOneCopy:
-    def test_loaded_collection_freed_before_training(self, pipeline, tmp_path, monkeypatch):
-        loaded, alive = [], []
-        load_embeddings, kmeans = persist.load_embeddings, quantizer.kmeans
+class TestOneMatrixPerStage:
+    """Each stage holds one copy of the vectors and drops what it no longer reads."""
+
+    def test_train_runs_on_the_loaded_array(self, pipeline, tmp_path, monkeypatch):
+        loaded, trained_on = [], []
+        load_residuals, kmeans = persist.load_residuals, quantizer.kmeans
 
         def tracked_load(path):
-            data = load_embeddings(path)
-            loaded.append(weakref.ref(data))
-            return data
+            residuals = load_residuals(path)
+            loaded.append(weakref.ref(residuals))
+            return residuals
 
-        def checked_kmeans(*args, **kwargs):
-            alive.append(loaded[0]() is not None)
-            return kmeans(*args, **kwargs)
+        def checked_kmeans(points, *args, **kwargs):
+            trained_on.append(points is loaded[0]())
+            return kmeans(points, *args, **kwargs)
 
-        monkeypatch.setattr(persist, "load_embeddings", tracked_load)
+        def no_collection(path):
+            raise AssertionError("train loaded an embedding collection")
+
+        monkeypatch.setattr(persist, "load_residuals", tracked_load)
+        monkeypatch.setattr(persist, "load_embeddings", no_collection)
         monkeypatch.setattr(quantizer, "kmeans", checked_kmeans)
         out = tmp_path / "train"
         assert run(
             "train", "--embeddings", pipeline / "gen" / "embeddings.json", "--num-layers", 3,
             "--codebook-size", 16, "--seed", 7, "--out", out,
         ) == 0
-        assert alive == [False] * 3
+        assert trained_on == [True] * 3
         for name in ("codebook.json", "codebook.bin"):
             if (pipeline / "train" / name).exists():
                 assert (out / name).read_bytes() == (pipeline / "train" / name).read_bytes()
         (record,) = json.loads((out / "manifest.json").read_text())["runs"]
         assert record["max_rss_mb"] > 0
+
+    def test_train_peak_below_1_75_matrices(self, tmp_path, monkeypatch):
+        # numpy reports its buffers to tracemalloc. One worker, since each
+        # worker adds its own scoring scratch; a first run makes the imports
+        # that train makes on first use, so that they are not counted.
+        monkeypatch.setattr(quantizer, "_find_blas", lambda: None)
+        monkeypatch.setattr(quantizer, "_WORKERS", quantizer._Workers())
+        n, d = 20000, 32
+        assert run("gen", "--kind", "clustered", "--n", n, "--d", d, "--clusters", 64,
+                   "--seed", 1, "--out", tmp_path / "gen") == 0
+        argv = ["train", "--embeddings", tmp_path / "gen" / "embeddings.json", "--num-layers", 2,
+                "--codebook-size", 16, "--kmeans-iters", 3, "--seed", 2]
+        assert run(*argv, "--out", tmp_path / "first") == 0
+        tracemalloc.start()
+        try:
+            assert run(*argv, "--out", tmp_path / "train") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * n * d * 8
+
+    def test_encode_frees_the_vectors_before_the_id_table(self, pipeline, tmp_path, monkeypatch):
+        loaded, alive = [], []
+        load_embeddings, sid_table = persist.load_embeddings, rqsid.cli.sid_table
+
+        def tracked_load(path):
+            data = load_embeddings(path)
+            loaded.append(weakref.ref(data.vectors))
+            return data
+
+        def checked_table(*args, **kwargs):
+            alive.append(loaded[0]() is not None)
+            return sid_table(*args, **kwargs)
+
+        monkeypatch.setattr(persist, "load_embeddings", tracked_load)
+        monkeypatch.setattr(rqsid.cli, "sid_table", checked_table)
+        out = tmp_path / "enc"
+        assert run("encode", "--embeddings", pipeline / "gen" / "embeddings.json",
+                   "--codebook", pipeline / "train" / "codebook.json", "--out", out) == 0
+        assert alive == [False]
+        for name in ("sids.csv", "encode_report.json"):
+            assert (out / name).read_bytes() == (pipeline / "enc" / name).read_bytes()
+
+    def test_analyze_frees_the_id_table_before_the_embeddings(self, pipeline, tmp_path,
+                                                               monkeypatch):
+        tables, alive = [], []
+        load_sids, load_embeddings = persist.load_sids, persist.load_embeddings
+
+        def tracked_sids(*args):
+            table = load_sids(*args)
+            tables.append(weakref.ref(table))
+            return table
+
+        def checked_load(path):
+            alive.append(tables[0]() is not None)
+            return load_embeddings(path)
+
+        monkeypatch.setattr(persist, "load_sids", tracked_sids)
+        monkeypatch.setattr(persist, "load_embeddings", checked_load)
+        assert run("analyze", "--sids", pipeline / "enc" / "sids.csv",
+                   "--codebook", pipeline / "train" / "codebook.json",
+                   "--embeddings", pipeline / "gen" / "embeddings.json",
+                   "--out", tmp_path / "analyze") == 0
+        assert alive == [False]
+
+    def test_records_minor_faults(self, pipeline):
+        for stage, command in (("gen", "gen"), ("train", "train"), ("enc", "encode")):
+            record = json.loads((pipeline / stage / "manifest.json").read_text())["runs"][-1]
+            assert record["command"] == command
+            assert isinstance(record["minor_faults"], int) and record["minor_faults"] >= 0
 
 
 class TestManifestReplay:

@@ -73,6 +73,11 @@ class TestEmbeddingCollection:
         with pytest.raises(DataError, match=re.escape(repr(bad))):
             EmbeddingCollection(("a", bad), np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [["b"], {"b": 1}, {"b"}], ids=["list", "dict", "set"])
+    def test_unhashable_id_named_before_uniqueness(self, bad):
+        with pytest.raises(DataError, match=re.escape(repr(bad))):
+            EmbeddingCollection(("a", bad, bad), np.zeros((3, 2)))
+
     def test_ids_at_alphabet_edges(self):
         data = EmbeddingCollection(tuple(GOOD_ITEM_IDS), np.zeros((len(GOOD_ITEM_IDS), 1)))
         assert data.ids == tuple(GOOD_ITEM_IDS)
@@ -294,6 +299,19 @@ class TestStrArrayIds:
         monkeypatch.setattr(core, "_ID_HASH_MULTIPLIER", np.uint64(0))
         assert distinct(np.array(["ab", "cb", "b"]))
         assert not distinct(np.array(["ab", "cb", "ab"]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text("ab é\x85", min_size=1, max_size=3), max_size=30))
+    def test_distinct_sequence_matches_set(self, ids):
+        assert distinct(ids) == distinct(tuple(ids)) == (len(set(ids)) == len(ids))
+
+    def test_colliding_sequence_hashes_compared_as_strings(self):
+        class Same(str):
+            def __hash__(self):
+                return 1
+
+        assert distinct([Same("a"), Same("b")])
+        assert not distinct([Same("a"), Same("b"), Same("a")])
 
 
 @st.composite

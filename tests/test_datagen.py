@@ -95,3 +95,30 @@ class TestGenClustered:
         spec = ClusterSpec(num_clusters=10, radius=0.1, center_scale=1.0)
         with pytest.raises(ConfigError):
             gen_clustered(5, 2, spec, RandomSource(0))
+
+
+def reference_gen_clustered(n, d, spec, rng):
+    """The vectors of `gen_clustered` as it drew each cluster into two
+    temporaries: centers[c] + radius * noise."""
+    sources = rng.split(1 + spec.num_clusters)
+    centers = sources[0].generator().uniform(
+        -spec.center_scale, spec.center_scale, size=(spec.num_clusters, d)
+    )
+    return np.concatenate([
+        centers[c] + spec.radius * sources[1 + c].generator().standard_normal((int(size), d))
+        for c, size in enumerate(cluster_sizes(n, spec))
+    ])
+
+
+class TestClusteredInPlace:
+    @pytest.mark.parametrize("n, d, spec", [
+        (1000, 8, ClusterSpec(num_clusters=16, radius=0.05, center_scale=1.0,
+                              size_law="zipf", zipf_exponent=1.2)),
+        (777, 3, ClusterSpec(num_clusters=5, radius=0.7, center_scale=2.5)),
+        (64, 32, ClusterSpec(num_clusters=64, radius=1e-3, center_scale=10.0,
+                             size_law="zipf", zipf_exponent=0.5)),
+    ], ids=["zipf", "uniform", "one-per-cluster"])
+    def test_matches_temporary_formula(self, n, d, spec):
+        data, _ = gen_clustered(n, d, spec, RandomSource(11))
+        want = reference_gen_clustered(n, d, spec, RandomSource(11))
+        assert data.vectors.tobytes() == want.tobytes()

@@ -851,8 +851,12 @@ DAMAGED_EMBEDDINGS = {
 
 
 class TestDamagedEmbeddings:
+    @pytest.mark.parametrize("loader", [load_embeddings, persist.load_residuals],
+                             ids=["collection", "residuals"])
     @pytest.mark.parametrize("case", DAMAGED_EMBEDDINGS, ids=list(DAMAGED_EMBEDDINGS))
-    def test_fails_as_reference(self, tmp_path, case):
+    def test_fails_as_reference(self, tmp_path, monkeypatch, case, loader):
+        # two-row blocks, so the vectors are read across blocks
+        monkeypatch.setattr(persist, "_VECTOR_READ_BLOCK", 2 * 4 * 8)
         damage, message = DAMAGED_EMBEDDINGS[case]
         data = EmbeddingCollection(("x", "y", "z"), np.random.default_rng(7).standard_normal((3, 4)))
         path = tmp_path / "emb.json"
@@ -862,7 +866,7 @@ class TestDamagedEmbeddings:
         (tmp_path / "emb.bin").write_bytes(blob)
         path.write_text(json.dumps(header))
         with pytest.raises(DataError, match=message) as found:
-            load_embeddings(path)
+            loader(path)
         with pytest.raises(DataError) as expected:
             reference_load_embeddings_binary(path)
         assert str(found.value) == str(expected.value)
@@ -877,6 +881,43 @@ class TestDamagedEmbeddings:
         loaded = load_embeddings(tmp_path / "emb.json")
         assert loaded.vectors.tobytes() == data.vectors.tobytes()
         assert not loaded.vectors.flags.writeable
+
+
+class TestBlockReader:
+    @pytest.mark.parametrize("count", [1, 7, 8, 9, 16, 25])
+    def test_both_layouts_equal(self, tmp_path, monkeypatch, count):
+        # blocks of 8 rows: a file within one block, of whole blocks, and
+        # of whole blocks and a part
+        monkeypatch.setattr(persist, "_VECTOR_READ_BLOCK", 8 * 3 * 8 + 7)
+        data = EmbeddingCollection(tuple(f"i{k}" for k in range(count)),
+                                   np.random.default_rng(count).standard_normal((count, 3)))
+        save_embeddings_binary(tmp_path / "emb.json", data)
+        loaded = load_embeddings(tmp_path / "emb.json")
+        residuals = persist.load_residuals(tmp_path / "emb.json")
+        assert loaded.vectors.flags.c_contiguous and not loaded.vectors.flags.writeable
+        assert residuals.flags.f_contiguous and residuals.flags.writeable
+        assert loaded.ids == data.ids
+        assert loaded.vectors.tobytes() == data.vectors.tobytes()
+        assert residuals.tobytes(order="C") == data.vectors.tobytes()
+
+    def test_csv_residuals_are_column_major(self, tmp_path):
+        (tmp_path / "emb.csv").write_text("item_id,v0,v1\na,0.5,1.0\nb,0.25,-2.0\n")
+        residuals = persist.load_residuals(tmp_path / "emb.csv")
+        assert residuals.flags.f_contiguous and residuals.flags.writeable
+        assert residuals.tolist() == [[0.5, 1.0], [0.25, -2.0]]
+
+    @pytest.mark.parametrize("ids, message", [
+        (["a", ["b"], "c"], r"item id \['b'\]"), (["a", "b", "a"], "unique"),
+    ], ids=["unhashable", "repeated"])
+    def test_residuals_check_ids_as_the_collection(self, tmp_path, ids, message):
+        data = EmbeddingCollection(("x", "y", "z"), np.zeros((3, 2)))
+        save_embeddings_binary(tmp_path / "emb.json", data)
+        header = json.loads((tmp_path / "emb.json").read_text())
+        header["item_ids"] = ids
+        (tmp_path / "emb.json").write_text(json.dumps(header))
+        for loader in (load_embeddings, persist.load_residuals):
+            with pytest.raises(DataError, match=message):
+                loader(tmp_path / "emb.json")
 
 
 def reference_labels_csv(ids, labels):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -27,9 +28,9 @@ from rqsid.quantizer import (
     _kmeanspp_init,
     _nearest,
     _nearest_exact,
-    _PointSide,
     _row_blocks,
     _sq_dists,
+    _sq_norms,
     encode_all,
     kmeans,
     train_rq,
@@ -51,18 +52,20 @@ def brute_force_kmeans_sse(points, m):
     return best
 
 
-def reference_seed(points, m, gen, side):
+def reference_seed(points, m, gen, p_sq):
     """The k-means++ seeding that drew each seed with gen.choice(n, p=...)."""
     n, d = points.shape
     centroids = np.empty((m, d), dtype=np.float64)
     first = int(gen.integers(n))
     centroids[0] = points[first]
-    fast = (side.norm_max * 2.0) ** 2 <= _MIXED_MAX_SCALE
+    fast = (math.sqrt(p_sq.max()) * 2.0) ** 2 <= _MIXED_MAX_SCALE
+    p32 = points.astype(np.float32, order="C")
+    p_sq32 = np.einsum("ij,ij->i", p32, p32)
 
     def dist_to(c):
         if fast:
             c32 = c.astype(np.float32)
-            w = side.p_sq32 - 2.0 * (side.p32 @ c32) + np.float32(c32 @ c32)
+            w = p_sq32 - 2.0 * (p32 @ c32) + np.float32(c32 @ c32)
             return np.maximum(w, 0.0, out=w)
         return _sq_dists(points, c[None, :])[:, 0]
 
@@ -167,11 +170,10 @@ class TestLayouts:
     def test_exact_seeding_path(self):
         gen = np.random.default_rng(8)
         points = gen.standard_normal((2500, 24)) * 1e8
-        side = _PointSide(points)
-        assert (side.norm_max * 2.0) ** 2 > _MIXED_MAX_SCALE
+        assert (math.sqrt(_sq_norms(points).max()) * 2.0) ** 2 > _MIXED_MAX_SCALE
         self.both_layouts(points, 16, 9)
 
-    def test_seeding_and_point_side(self, monkeypatch):
+    def test_seeding_and_sq_norms(self, monkeypatch):
         # a last-bit change in a seeding weight rarely moves a seed, so the
         # exact path's weights, computed per row block, are compared too
         distances = []
@@ -184,17 +186,15 @@ class TestLayouts:
         gen = np.random.default_rng(12)
         for scale in (1.0, 1e8):
             points = gen.standard_normal((_SCORE_CHUNK + 3, 24)) * scale
-            c_side, f_side = _PointSide(points), _PointSide(column_major(points))
-            for name in ("p32", "p_sq", "p_sq32", "p_norm"):
-                assert getattr(c_side, name).tobytes() == getattr(f_side, name).tobytes()
-            assert f_side.p32.flags.c_contiguous
+            p_sq = _sq_norms(points)
+            assert _sq_norms(column_major(points)).tobytes() == p_sq.tobytes()
             weights = {}
-            for layout, side in (("C", c_side), ("F", f_side)):
+            for layout, held in (("C", points), ("F", column_major(points))):
                 distances.clear()
-                got = _kmeanspp_init(side.points, 24, RandomSource(3).generator(), side)
+                got = _kmeanspp_init(held, 24, RandomSource(3).generator(), _sq_norms(held))
                 weights[layout] = b"".join(d.tobytes() for d in distances)
                 assert got.tobytes() == reference_seed(
-                    points, 24, RandomSource(3).generator(), c_side
+                    points, 24, RandomSource(3).generator(), p_sq
                 ).tobytes()
             whole = np.stack([_sq_dists(points, c[None, :])[:, 0] for c in got])
             assert weights["C"] == weights["F"] == (whole.tobytes() if scale > 1.0 else b"")
@@ -283,12 +283,12 @@ class TestSeeding:
             (np.full((7, 2), 3.0), 4, True),
         ]
         for points, m, falls_back in cases:
-            side = _PointSide(points)
+            p_sq = _sq_norms(points)
             caplog.clear()
             with caplog.at_level("WARNING"):
-                got = _kmeanspp_init(points, m, RandomSource(seed).generator(), side)
+                got = _kmeanspp_init(points, m, RandomSource(seed).generator(), p_sq)
             assert any("duplicating" in r.message for r in caplog.records) == falls_back
-            want = reference_seed(points, m, RandomSource(seed).generator(), side)
+            want = reference_seed(points, m, RandomSource(seed).generator(), p_sq)
             np.testing.assert_array_equal(got, want)
 
 
@@ -330,17 +330,16 @@ class TestMixedPrecisionNearest:
         np.testing.assert_array_equal(labels, ref)
 
 
-def reference_nearest(points, centroids, side=None):
+def reference_nearest(points, centroids):
     """The two-pass float32 scorer the one-GEMM scorer replaced: a GEMM
     against -2c, a pass adding c^2, the best by argmin and the runner-up by a
     row min, over 2048-row blocks."""
     n, d = points.shape
     m = centroids.shape[0]
-    if side is None:
-        side = _PointSide(points)
+    p_sq = _sq_norms(points)
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
     c_norm_max = float(np.sqrt(c_sq.max()))
-    if (side.norm_max + c_norm_max) ** 2 > _MIXED_MAX_SCALE:
+    if (math.sqrt(p_sq.max()) + c_norm_max) ** 2 > _MIXED_MAX_SCALE:
         return _nearest_exact(points, centroids)
     c32 = centroids.astype(np.float32)
     c_sq32 = np.einsum("ij,ij->i", c32, c32)
@@ -349,21 +348,21 @@ def reference_nearest(points, centroids, side=None):
     labels = np.empty(n, dtype=np.int64)
     dists = np.empty(n, dtype=np.float64)
     for start, stop, block in _row_blocks(points, 2048):
-        s = side.p32[start:stop] @ c32_neg2.T
+        s = block.astype(np.float32) @ c32_neg2.T
         s += c_sq32[None, :]
         rows = np.arange(stop - start)
         best = np.argmin(s, axis=1)
         s_best = s[rows, best].astype(np.float64)
         s[rows, best] = np.inf
         s_second = s.min(axis=1).astype(np.float64)
-        margin = gamma * (side.p_norm[start:stop] + c_norm_max) ** 2
+        margin = gamma * (np.sqrt(p_sq[start:stop]) + c_norm_max) ** 2
         chunk_labels = best.astype(np.int64)
         ambiguous = np.flatnonzero(s_second - s_best <= 2.0 * margin)
         if ambiguous.size:
             exact = _sq_dists(block[ambiguous], centroids)
             chunk_labels[ambiguous] = np.argmin(exact, axis=1)
         chunk_dists = (
-            side.p_sq[start:stop]
+            p_sq[start:stop]
             - 2.0 * np.einsum("ij,ij->i", block, centroids[chunk_labels])
             + c_sq[chunk_labels]
         )
@@ -432,15 +431,15 @@ class TestOneGemmScorer:
             if layout == "F":
                 points = column_major(points)
             d = points.shape[1]
-            side = _PointSide(points)
+            p_sq = _sq_norms(points)
             c32 = centroids.astype(np.float32)
             c_aug = np.hstack([-2.0 * c32, np.einsum("ij,ij->i", c32, c32)[:, None]])
-            p_aug = np.hstack([side.p32, np.ones((len(points), 1), dtype=np.float32)])
+            p_aug = np.hstack([points.astype(np.float32), np.ones((len(points), 1), np.float32)])
             fused = (p_aug @ c_aug.T).astype(np.float64)
             c_sq = np.einsum("ij,ij->i", centroids, centroids)
             exact = c_sq[None, :] - 2.0 * (points @ centroids.T)
             c_norm = np.sqrt(c_sq)
-            bound = (d + 8) * 1.2e-7 * (side.p_norm[:, None] + c_norm[None, :]) ** 2
+            bound = (d + 8) * 1.2e-7 * (np.sqrt(p_sq)[:, None] + c_norm[None, :]) ** 2
             assert (np.abs(fused - exact) <= bound).all()
 
 
