@@ -9,8 +9,10 @@ recall / invalid-ratio evaluation split by head and tail layer-2 tokens.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -192,15 +194,23 @@ class SequenceModel:
         self._totals = np.add.reduceat(self._counts, first) if len(first) else self._counts
 
     def _suffix_keys(self, tails: np.ndarray) -> np.ndarray:
-        """Column w holds the key of each row's last w tokens, for w from 0
-        up to `order`; 0 where the row is shorter or one of them lies
-        outside the vocabulary."""
-        digits = tails[:, max(0, tails.shape[1] - self.order) :][:, ::-1] + 1  # newest first
-        bad = np.cumsum((digits < 1) | (digits > self.vocab_size), axis=1) > 0
-        powers = (self.vocab_size + 1) ** np.arange(digits.shape[1])
-        keys = np.cumsum(np.where(bad, 0, digits) * powers, axis=1)
-        keys[bad] = 0
-        return np.column_stack((np.zeros(len(keys), dtype=np.int64), keys))
+        """The suffix keys of each row's tokens, oldest first (see `_push`)."""
+        keys = np.tile(np.r_[0, [-1] * self.order], (len(tails), 1))  # no token yet
+        for column in tails.T[-self.order :]:
+            keys = self._push(keys, column)
+        return keys
+
+    def _push(self, keys: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+        """The suffix keys of each context of `keys` followed by its token:
+        column w holds the key of the last w tokens, the width-(w - 1) key
+        before it times `vocab_size + 1` plus the token plus 1, or a negative
+        number, which never matches, where the context is shorter or one of
+        them lies outside the vocabulary."""
+        digit = tokens[:, None] + 1
+        out = np.zeros_like(keys)
+        out[:, 1:] = np.where((digit >= 1) & (digit <= self.vocab_size),
+                              keys[:, :-1] * (self.vocab_size + 1) + digit, -1)
+        return out
 
     def observe_stream(self, stream) -> None:
         stream = np.array([int(t) for t in stream], dtype=np.int64)
@@ -227,24 +237,19 @@ class SequenceModel:
         self._counts = counts
         self._compile()
 
-    def _match(self, tails: np.ndarray) -> np.ndarray:
-        """The context each row of `tails` backs off to, or -1 for none.
-
-        Each row of `tails` ends with the last tokens of one context; all
-        rows hold the same number of them. Tokens outside the vocabulary
-        never match, so a context containing one backs off past it.
-        """
-        keys = self._suffix_keys(tails)
+    def _match(self, keys: np.ndarray) -> np.ndarray:
+        """The context each row of suffix keys (see `_push`) backs off to,
+        or -1 for none."""
         at = self._contexts.searchsorted(keys)
         hit = at < len(self._contexts)
         hit[hit] = self._contexts[at[hit]] == keys[hit]
         longest = (hit * np.arange(keys.shape[1])).max(axis=1)  # 0 when none hit
         return np.where(longest > 0, at[np.arange(len(at)), longest], -1)
 
-    def _prob_rows(self, tails: np.ndarray) -> np.ndarray:
-        """Next-token distributions, one row per row of `tails` (see `_match`)."""
+    def _prob_rows(self, keys: np.ndarray) -> np.ndarray:
+        """Next-token distributions, one row per row of suffix keys."""
         v = self.vocab_size
-        match = self._match(tails)
+        match = self._match(keys)
         n = len(match)
         rows = np.flatnonzero(match >= 0)
         ctx = match[rows]
@@ -262,8 +267,8 @@ class SequenceModel:
 
     def probs(self, context) -> np.ndarray:
         """Distribution over the next flat token; always sums to 1."""
-        tail = [int(t) for t in context[max(0, len(context) - self.order) :]]
-        return self._prob_rows(np.array(tail, dtype=np.int64).reshape(1, -1))[0]
+        tokens = np.array([int(t) for t in context], dtype=np.int64).reshape(1, -1)
+        return self._prob_rows(self._suffix_keys(tokens))[0]
 
     def log_probs(self, context) -> np.ndarray:
         return np.log(self.probs(context))
@@ -295,44 +300,46 @@ def train_seq_model(
     return model
 
 
-# Records that `evaluate` decodes in one `beam_search` call. A step's
-# arrays grow with the records decoded together, so the chunk bounds that
-# memory; each chunk is scored before the next is decoded. Larger chunks
-# gained little speed for more memory on the 2000-item retrieval benchmark.
-_DECODE_CHUNK = 8
-# A step scores up to beam_width * vocab_size floats per record in either
-# mode. With the trie off its selection copies them all again, so a chunk
-# then holds no more records than keep it within this many floats, and at
-# least one; with the trie on the selection copies only each beam's children.
-_DECODE_FLOATS = 1 << 16
+# `evaluate` decodes a chunk of records per `beam_search` call, and each
+# chunk is scored before the next is decoded. A step scores up to
+# beam_width * vocab_size floats per record in either mode, so a chunk holds
+# as many records as keep that block within _DECODE_FLOATS, at least one and
+# at most _DECODE_CHUNK. At beam 50 that is 32 records at V=48 (the 2000-item
+# retrieval benchmark, where the cost per call dominates) and 6 at V=768.
+_DECODE_CHUNK = 32
+_DECODE_FLOATS = 1 << 18
 
 
-def _top_mask(table: np.ndarray, width: int) -> np.ndarray:
-    """Which entries are among the `width` best of their row of `table`:
-    those above the row's width-th best score, then its first entries equal
-    to it, column by column."""
+def _keep(score: np.ndarray, row: np.ndarray, cut: np.ndarray, width: int) -> np.ndarray:
+    """Which candidates are among the `width` best of their row: those
+    above the row's cut, its width-th best score, then its first ones equal
+    to it. Candidates come grouped by row, in each row's tie order."""
+    above = score > cut[row]
+    tie = score == cut[row]
+    room = width - np.bincount(row[above], minlength=len(cut))
+    ties = np.bincount(row[tie], minlength=len(cut))
+    nth = np.cumsum(tie) - (np.cumsum(ties) - ties)[row]  # a tie's count within its row
+    return above | (tie & (nth <= room[row]))
+
+
+def _cut(table: np.ndarray, width: int) -> np.ndarray:
+    """Each row's width-th best entry, or -inf when it has no more than
+    `width`; `table` is partitioned in place."""
     k = table.shape[1] - width
     if k <= 0:
-        return np.ones(table.shape, dtype=bool)
-    cut = np.partition(table, k, axis=1)[:, [k]]
-    above = table > cut
-    tie = table == cut
-    room = width - above.sum(axis=1, keepdims=True)
-    return above | (tie & (np.cumsum(tie, axis=1, dtype=np.int32) <= room))
+        return np.full(len(table), -np.inf)
+    table.partition(k, axis=1)
+    return table[:, k].copy()
 
 
-def _best(score: np.ndarray, record: np.ndarray, num_records: int, width: int) -> np.ndarray:
-    """Indices, in index order, of each record's `width` best candidates.
+class Decoded(NamedTuple):
+    """Ranked sequences of a batch: row i is a sequence of context
+    `context[i]`, its tokens left-packed in `tokens[i]` and padded with -1,
+    and its total log-probability `logp[i]`."""
 
-    Each record's candidates are consecutive and in its tie order. Row r of
-    the table holds record r's scores, padded with -inf after them, so the
-    padding never takes a tie from a candidate.
-    """
-    size = np.bincount(record, minlength=num_records)
-    pos = np.arange(len(score)) - (np.cumsum(size) - size)[record]
-    table = np.full((num_records, size.max(initial=0)), -np.inf)
-    table[record, pos] = score
-    return np.flatnonzero(_top_mask(table, width)[record, pos])
+    context: np.ndarray
+    tokens: np.ndarray
+    logp: np.ndarray
 
 
 def beam_search(
@@ -343,17 +350,18 @@ def beam_search(
     config: QuantizerConfig,
     trie: CatalogTrie | None = None,
     fixed_prefixes=None,
-) -> list[list[tuple[tuple[int, ...], float]]]:
-    """Beam search over flat tokens, one result list per context.
+) -> Decoded:
+    """Beam search over flat tokens, up to `beam_width` rows per context:
+    each context's rows are consecutive, contexts in order, and ranked by
+    total log-probability, ties broken by lexicographic token order.
 
     A sequence is complete once it emits a last-layer token, which works for
     both full-length and layer-2-elided ids. When a trie is given, expansion
     is restricted to its children, so only catalog prefixes are ever built.
     `fixed_prefixes`, when given, holds one prefix (or None) per context. A
     prefix is scored as given (log-probability 0) and included in the
-    outputs; with a trie, a prefix that is no catalog prefix yields nothing.
-    Each list is sorted by total log-probability, ties broken by
-    lexicographic order of the token sequence.
+    outputs: one that ends in a last-layer token is its context's only row,
+    and with a trie, one that is no catalog prefix yields no row.
 
     All contexts decode in lockstep: each step scores the dense (beam,
     token) block of every live beam of every context with one model lookup.
@@ -361,7 +369,8 @@ def beam_search(
     number of beams, in consecutive rows; with it on, only each beam's
     children compete. A context's beams are kept in lexicographic order, so
     its candidates, enumerated by (beam, token), are in its tie order, and
-    its best `beam_width` are selected without a sort.
+    its best `beam_width` are selected without a sort. Each beam carries
+    the suffix keys the model looks up, pushing one token per step.
     """
     if beam_width < 1:
         raise ConfigError(f"beam_width must be >= 1, got {beam_width}")
@@ -371,55 +380,47 @@ def beam_search(
         fixed_prefixes = [None] * len(contexts)
     if len(fixed_prefixes) != len(contexts):
         raise ConfigError(f"{len(fixed_prefixes)} fixed prefixes for {len(contexts)} contexts")
-    starts = [() if p is None else tuple(int(t) for t in p) for p in fixed_prefixes]
     first_terminal = (config.num_layers - 1) * config.codebook_size
-    order = model.order
-    results: list[list[tuple[tuple[int, ...], float]]] = [[] for _ in starts]
-    start_node = (trie.walk(*_pad(starts)) if trie is not None and any(starts)
-                  else np.zeros(len(starts), dtype=np.int64))
+    prefix, plen = _pad([() if p is None else p for p in fixed_prefixes])
+    # seq[c] holds context c's prefix, padded with -1 to the longest output,
+    # which sorts a sequence before its extensions as tuples do
+    seq = np.pad(prefix, ((0, 0), (0, max_len)), constant_values=-1)
+    node = (trie.walk(prefix, plen) if trie is not None and prefix.size
+            else np.zeros(len(prefix), dtype=np.int64))
+    ended = seq[np.arange(len(seq)), plen - 1] >= first_terminal  # a prefix of 0 reads -1
+    live = np.flatnonzero(~ended & (node >= 0))
+    # each decoding context's last `order` tokens with its prefix, newest first
+    tails, _ = _pad([[*contexts[c], *prefix[c, : plen[c]]][: -model.order - 1 : -1] for c in live])
 
-    # the contexts that decode: record r is context live[r]
-    live, tails = [], []
-    for c, (context, start) in enumerate(zip(contexts, starts)):
-        if start and start[-1] >= first_terminal:
-            results[c] = [(start, 0.0)]
-            continue
-        if start_node[c] < 0:
-            continue
-        tail = [int(t) for t in context[max(0, len(context) - order) :]] + list(start)
-        tails.append([-1] * (order - len(tail)) + tail[max(0, len(tail) - order) :])
-        live.append(c)
-
-    # beam b belongs to record rec[b], and gen[b] holds what it emitted
-    # after its prefix, padded with -1, which sorts a sequence before its
-    # extensions as tuples do. tail[b] holds the last `order` tokens the
-    # model reads, padded on the left with -1, which never matches; with a
-    # trie, node[b] is the node its sequence leads to
-    rec = np.arange(len(live))
-    gen = np.full((len(live), max_len), -1, dtype=np.int64)
-    tail = np.array(tails, dtype=np.int64).reshape(len(live), order)
-    logp = np.zeros(len(live))
-    node = start_node[live]
-    done_rec, done_seq, done_logp = [], [], []
+    # beam b decodes context ctx[b], and seq[b] holds its sequence, whose
+    # token at this depth goes to column plen[ctx[b]] + depth; keys[b] holds
+    # the suffix keys the model reads, and with a trie, node[b] is the node
+    # its sequence leads to. A prefix that ended is its context's only row
+    done = [(np.flatnonzero(ended), seq[ended], np.zeros(ended.sum()))]
+    ctx, seq, logp, node = live, seq[live], np.zeros(len(live)), node[live]
+    keys = model._suffix_keys(tails[:, ::-1])  # -1 padding, now on the left, never matches
     for depth in range(max_len):
-        if not len(rec):
+        if not len(ctx):
             break
-        scores = model._prob_rows(tail)
+        scores = model._prob_rows(keys)
         np.log(scores, out=scores)
         scores += logp[:, None]
-        # each record's best terminal candidates, then its best others, as
+        # each context's best terminal candidates, then its best others, as
         # (beam, token, score, node) with its beams in lexicographic order
         parts = []
         if trie is None:
-            # every record holds the same number of beams, in consecutive
-            # rows, so row r of a table holds record r's score rows end to end
-            per_rec = len(rec) // len(live)
+            # every context holds the same number of beams, in consecutive
+            # rows, so context r's scores are block r of a view, enumerated
+            # by (beam, token); only its cut is found on a copy
+            per_ctx = len(seq) // len(live)
             for lo, hi in ((first_terminal, model.vocab_size), (0, first_terminal)):
-                table = scores[:, lo:hi].reshape(len(live), per_rec * (hi - lo))
-                r, at = np.nonzero(_top_mask(table, beam_width))
-                beam, token = np.divmod(at, hi - lo)
-                beam += r * per_rec
-                parts.append((beam, token + lo, scores[beam, token + lo], None))
+                block = scores[:, lo:hi].reshape(len(live), per_ctx, hi - lo)
+                cut = _cut(block.reshape(len(live), per_ctx * (hi - lo), copy=True), beam_width)
+                r, beam, token = np.nonzero(block >= cut[:, None, None])
+                score = block[r, beam, token]
+                best = _keep(score, r, cut, beam_width)
+                parts.append((beam[best] + r[best] * per_ctx, token[best] + lo, score[best], None))
+            del block
         else:
             lo = trie.first[node]
             size = trie.first[node + 1] - lo
@@ -429,32 +430,31 @@ def beam_search(
             score = scores[beam, token]
             terminal = token >= first_terminal
             for part in (np.flatnonzero(terminal), np.flatnonzero(~terminal)):
-                best = part[_best(score[part], rec[beam[part]], len(live), beam_width)]
+                # row c holds context c's scores, padded with -inf, which
+                # lowers its cut only where it has no more than beam_width
+                owner = ctx[beam[part]]
+                count = np.bincount(owner, minlength=len(contexts))
+                table = np.full((len(contexts), count.max(initial=0)), -np.inf)
+                table[owner, np.arange(len(part)) - (np.cumsum(count) - count)[owner]] = score[part]
+                best = part[_keep(score[part], owner, _cut(table, beam_width), beam_width)]
                 parts.append((beam[best], token[best], score[best], edge[best] + 1))
+        del scores  # before the next step allocates its block
 
         (done_beam, done_token, done_score, _), (beam, token, logp, node) = parts
-        done = gen[done_beam]
-        done[:, depth] = done_token
-        done_rec.append(rec[done_beam])
-        done_seq.append(done)
-        done_logp.append(done_score)
-        rec = rec[beam]
-        gen = gen[beam]
-        gen[:, depth] = token
-        tail = np.column_stack((tail[beam, 1:], token))
+        finished = seq[done_beam]
+        finished[np.arange(len(finished)), plen[ctx[done_beam]] + depth] = done_token
+        done.append((ctx[done_beam], finished, done_score))
+        ctx, seq = ctx[beam], seq[beam]
+        seq[np.arange(len(seq)), plen[ctx] + depth] = token
+        keys = model._push(keys[beam], token)
 
-    if done_rec:
-        # each step kept each record's best beam_width terminals, so the
-        # best beam_width of their union are the record's overall best
-        rec, seq, logp = map(np.concatenate, (done_rec, done_seq, done_logp))
-        ranked = np.lexsort((*seq[:, ::-1].T, -logp, rec))
-        ranked_rec = rec[ranked]
-        keep = ranked[np.arange(len(ranked)) - ranked_rec.searchsorted(ranked_rec) < beam_width]
-        lengths = (seq[keep] >= 0).sum(axis=1)
-        for r, s, n, p in zip(rec[keep].tolist(), seq[keep].tolist(), lengths.tolist(),
-                              logp[keep].tolist()):
-            results[live[r]].append((starts[live[r]] + tuple(s[:n]), p))
-    return results
+    # each step kept each context's best beam_width terminals, so the best
+    # beam_width of their union are the context's overall best
+    context, seq, logp = map(np.concatenate, zip(*done))
+    ranked = np.lexsort((*seq[:, ::-1].T, -logp, context))
+    by = context[ranked]
+    keep = ranked[np.arange(len(ranked)) - by.searchsorted(by) < beam_width]
+    return Decoded(context[keep], seq[keep], logp[keep])
 
 
 @dataclass(frozen=True)
@@ -498,7 +498,7 @@ def evaluate(
     catalog item; with the trie constraint on it is zero by construction
     and reported as such. Records are partitioned by the target's layer-2
     token: elided ids, and every id when L is 1, count as head. With the
-    trie off, each chunk's top-k sequences are walked as one padded block.
+    trie off, each chunk's top-k sequences are walked as one token matrix.
     """
     if trie_mode not in ("off", "on"):
         raise ConfigError(f"trie_mode must be 'off' or 'on', got {trie_mode!r}")
@@ -523,7 +523,7 @@ def evaluate(
     ends, tokens = np.cumsum(lengths).tolist(), tokens.tolist()
     contexts = [tokens[end - n : end] for end, n in zip(ends, lengths.tolist())]
     gold = flat[target]
-    golds = [tuple(g[:n]) for g, n in zip(gold.tolist(), (gold >= 0).sum(axis=1).tolist())]
+    prefixes = [[t for t in g[:given_prefix_layers] if t >= 0] for g in gold.tolist()]
     ks = np.array(k_list)
 
     # per test record: how many top sequences it shows, the rank of its gold
@@ -532,27 +532,25 @@ def evaluate(
     shown = np.zeros(len(test), dtype=np.int64)
     gold_rank = np.full(len(test), max_k)
     invalid = np.zeros((len(test), len(ks)), dtype=np.int64)
-    chunk = _DECODE_CHUNK
-    if not constrained:
-        chunk = min(chunk, max(1, _DECODE_FLOATS // (beam_width * model.vocab_size)))
+    chunk = min(_DECODE_CHUNK, max(1, _DECODE_FLOATS // (beam_width * model.vocab_size)))
     for lo in range(0, len(test), chunk):
         hi = min(lo + chunk, len(test))
         decoded = beam_search(model, contexts[lo:hi], beam_width, max_len=L, config=config,
-                              trie=trie if constrained else None,
-                              fixed_prefixes=[g[:given_prefix_layers] for g in golds[lo:hi]])
-        tops = [[seq for seq, _ in preds[:max_k]] for preds in decoded]
-        shown[lo:hi] = [len(top) for top in tops]
-        gold_rank[lo:hi] = [top.index(g) if g in top else max_k
-                            for top, g in zip(tops, golds[lo:hi])]
+                              trie=trie if constrained else None, fixed_prefixes=prefixes[lo:hi])
+        # each record's rows are consecutive and ranked; keep its top max_k
+        count = np.bincount(decoded.context, minlength=hi - lo)
+        rank = np.arange(len(decoded.context)) - (np.cumsum(count) - count)[decoded.context]
+        top = rank < max_k
+        record, seqs, rank = decoded.context[top] + lo, decoded.tokens[top], rank[top]
+        shown[lo:hi] = np.minimum(count, max_k)
+        # a sequence decoded with a prefix may be longer than L tokens
+        hit = (seqs[:, :L] == gold[record]).all(axis=1) & (seqs[:, L:] < 0).all(axis=1)
+        gold_rank[record[hit]] = rank[hit]
         if not constrained:
-            # the chunk's top sequences, record after record, walked as one
-            # block; each ends in a last-layer token, so it is a catalog id
-            # exactly when the trie walks it
-            seqs, seq_len = _pad(list(chain.from_iterable(tops)))
-            bad = trie.walk(seqs, seq_len) < 0
-            upto = np.concatenate(([0], np.cumsum(bad)))  # among the first i sequences
-            first = (np.cumsum(shown[lo:hi]) - shown[lo:hi])[:, None]
-            invalid[lo:hi] = upto[first + np.minimum(ks, shown[lo:hi, None])] - upto[first]
+            # each top sequence ends in a last-layer token, so it is a
+            # catalog id exactly when the trie walks it
+            bad = trie.walk(seqs, (seqs >= 0).sum(axis=1)) < 0
+            np.add.at(invalid, record[bad], rank[bad, None] < ks)
 
     head = (np.ones(len(test), dtype=bool) if L == 1
             else ~catalog.is_full[target] | np.isin(catalog.tokens[target, 1], sorted(head_set)))
@@ -620,17 +618,17 @@ def gen_interactions(
     successors = succ_rng.generator().choice(n, size=n, p=popularity).tolist()
     gen = walk_rng.generator()
     # numpy's own algorithm for gen.choice(n, p=popularity), with the cdf
-    # computed once instead of on every draw; the random stream is the same
+    # computed once instead of on every draw; the random stream is the same,
+    # and bisect reads the cdf through a memoryview as Python floats, which
+    # compare as searchsorted compares float64
     cdf = popularity.cumsum()
     cdf /= cdf[-1]
-
-    def draw() -> int:
-        return int(cdf.searchsorted(gen.random(), side="right"))
-
+    cdf, random, integers = memoryview(cdf), gen.random, gen.integers
     items, sizes = [], []
     for _ in range(spec.num_records):
-        sizes.append(int(gen.integers(spec.min_history, spec.max_history + 1)) + 1)
-        items.append(draw())
+        sizes.append(int(integers(spec.min_history, spec.max_history + 1)) + 1)
+        items.append(bisect_right(cdf, random()))
         for _ in range(sizes[-1] - 1):
-            items.append(successors[items[-1]] if gen.random() < spec.repeat_prob else draw())
+            items.append(successors[items[-1]] if random() < spec.repeat_prob
+                         else bisect_right(cdf, random()))
     return InteractionDataset(items, sizes, split)

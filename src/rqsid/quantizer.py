@@ -96,10 +96,11 @@ def _row_blocks(points: np.ndarray, size: int):
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Exact float64 pairwise squared Euclidean distances, (n, m)."""
+    """Exact float64 pairwise squared Euclidean distances, (n, m). Unlike
+    BLAS, einsum sums a C-order row's products in one order in any block."""
     p_sq = np.einsum("ij,ij->i", points, points)
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
-    d = p_sq[:, None] - 2.0 * (points @ centroids.T) + c_sq[None, :]
+    d = p_sq[:, None] - 2.0 * np.einsum("ij,kj->ik", points, centroids) + c_sq[None, :]
     np.maximum(d, 0.0, out=d)
     return d
 
@@ -265,7 +266,7 @@ class _ScoreScratch:
     """
 
     __slots__ = ("p_aug", "scores", "exact", "idx", "best", "second", "gap",
-                 "bound", "ambiguous", "block", "rows", "vec")
+                 "ambiguous", "block", "rows", "vec")
 
     def __init__(self, d: int, m: int):
         c = _SCORE_CHUNK
@@ -279,7 +280,6 @@ class _ScoreScratch:
         self.best = np.empty(c, dtype=np.float32)
         self.second = np.empty(c, dtype=np.float32)
         self.gap = np.empty(c, dtype=np.float64)
-        self.bound = np.empty(c, dtype=np.float64)
         self.ambiguous = np.empty(c, dtype=bool)
         self.block = np.empty((c, d), dtype=np.float64)
         self.rows = np.empty((c, d), dtype=np.float64)
@@ -362,25 +362,27 @@ def _nearest(
             np.take(flat, idx, out=buf.second[:k], mode="clip")
             # ambiguous: second - best <= 2 (gamma (|p| + c_norm_max)^2 + tau)
             gap = np.subtract(buf.second[:k], buf.best[:k], out=buf.gap[:k], dtype=np.float64)
-            bound = np.sqrt(p_sq[start:stop], out=buf.bound[:k])
-            bound += c_norm_max
-            np.square(bound, out=bound)
-            bound *= 2.0 * gamma
-            bound += 2.0 * tau
+            bound = (np.sqrt(p_sq[start:stop]) + c_norm_max) ** 2 * (2.0 * gamma) + 2.0 * tau
             ambiguous = np.flatnonzero(np.less_equal(gap, bound, out=buf.ambiguous[:k]))
+            # a row's float64 argmin scores within its bound of the best, whose
+            # slot gets its score back: those centroids are the row's candidates
+            np.put(flat, row_base[ambiguous] + lab[ambiguous], buf.best[ambiguous], mode="clip")
+            near = s[ambiguous] <= (buf.best[ambiguous] + bound[ambiguous])[:, None]
             half = len(buf.exact)
             for g in range(0, ambiguous.size, half):
-                # exact = max(p^2 - 2.0 * (p @ c.T) + c^2, 0), as `_sq_dists`
+                # exact = max(p^2 - 2.0 * (p . c) + c^2, 0), as `_sq_dists`, for the candidates
                 at = ambiguous[g : g + half]
                 a = at.size
+                cols = np.flatnonzero(near[g : g + half].any(axis=0))
                 rows = np.take(block, at, axis=0, out=buf.rows[:a], mode="clip")
                 r_sq = np.einsum("ij,ij->i", rows, rows, out=buf.vec[:a])
-                exact = np.matmul(rows, centroids.T, out=buf.exact[:a])
+                exact = buf.exact.reshape(-1)[: a * len(cols)].reshape(a, len(cols))
+                np.einsum("ij,kj->ik", rows, centroids[cols], out=exact)
                 exact *= 2.0
                 np.subtract(r_sq[:, None], exact, out=exact)
-                exact += c_sq
+                exact += c_sq[cols]
                 np.maximum(exact, 0.0, out=exact)
-                lab[at] = np.argmin(exact, axis=1, out=idx[:a])
+                lab[at] = cols[np.argmin(exact, axis=1, out=idx[:a])]
             # dists = max(p^2 - 2.0 * (p . c[lab]) + c^2[lab], 0)
             gathered = np.take(centroids, lab, axis=0, out=buf.rows[:k], mode="clip")
             e = np.einsum("ij,ij->i", block, gathered, out=buf.vec[:k])

@@ -29,7 +29,7 @@ from rqsid.diagnostics import (
     stddev,
     token_histogram,
 )
-from rqsid.grsim import SequenceModel, beam_search
+from rqsid.grsim import SequenceModel
 from rqsid.mitigation import (
     elision_capacity,
     post_mitigation_report,
@@ -300,7 +300,7 @@ class TestCriterion8:
 
 class TestCriterion9:
     def test_beam_matches_enumeration(self):
-        from test_grsim import brute_force_beam
+        from test_grsim import brute_force_beam, decode
 
         gen = np.random.default_rng(909)
         shapes = [(1, 2), (1, 3), (1, 4), (2, 2), (3, 1), (4, 1), (2, 1)]
@@ -319,7 +319,7 @@ class TestCriterion9:
                 model.observe_stream(gen.integers(0, vocab, size=8).tolist())
             context = tuple(gen.integers(0, vocab, size=int(gen.integers(0, 4))))
             width = vocab ** max_len
-            (got,) = beam_search(model, [context], width, max_len, config)
+            (got,) = decode(model, [context], width, max_len, config)
             want = brute_force_beam(model, context, max_len, config, width)
             ok &= got == want
         record_criterion(

@@ -77,6 +77,16 @@ def same(a, b):
             and np.array_equal(a.sizes, b.sizes))
 
 
+def decode(model, contexts, *args, **kwargs):
+    """beam_search's rows as one ranked list of `(sequence, log-prob)` pairs
+    per context, the form it returned before it returned arrays."""
+    got = beam_search(model, contexts, *args, **kwargs)
+    results = [[] for _ in contexts]
+    for c, row, logp in zip(got.context.tolist(), got.tokens.tolist(), got.logp.tolist()):
+        results[c].append((tuple(t for t in row if t >= 0), logp))
+    return results
+
+
 def walk(trie, seqs):
     """The compiled trie's node for each sequence, all walked as one block."""
     return trie.walk(*grsim._pad([tuple(seq) for seq in seqs])).tolist()
@@ -269,7 +279,7 @@ def reference_array_beam(model, context, beam_width, max_len, config, trie=None,
     finished: list[tuple[tuple[int, ...], float]] = []
     for _ in range(max_len):
         seqs = active[:, len(history) :].tolist()
-        rows = np.log(model._prob_rows(active))
+        rows = np.log(model._prob_rows(model._suffix_keys(active)))
         # candidate i extends beam row[i] by token[i]; their order is
         # irrelevant, since reference_top ranks them by a total order
         if trie is None:
@@ -329,6 +339,30 @@ def reference_interactions(item_ids, spec, rng):
                 seq.append(int(gen.choice(n, p=popularity)))
         records.append((tuple(item_ids[i] for i in seq[:-1]), item_ids[seq[-1]]))
     return records
+
+
+def searchsorted_interactions(num_items, spec, rng, split="train"):
+    """The generator that looked each popularity draw up with the float64
+    cdf's searchsorted, before it bisected the cdf as a list of floats."""
+    n = int(num_items)
+    weights = 1.0 / np.arange(1, n + 1, dtype=np.float64) ** spec.pop_exponent
+    popularity = weights / weights.sum()
+    succ_rng, walk_rng = rng.split(2)
+    successors = succ_rng.generator().choice(n, size=n, p=popularity).tolist()
+    gen = walk_rng.generator()
+    cdf = popularity.cumsum()
+    cdf /= cdf[-1]
+
+    def draw() -> int:
+        return int(cdf.searchsorted(gen.random(), side="right"))
+
+    items, sizes = [], []
+    for _ in range(spec.num_records):
+        sizes.append(int(gen.integers(spec.min_history, spec.max_history + 1)) + 1)
+        items.append(draw())
+        for _ in range(sizes[-1] - 1):
+            items.append(successors[items[-1]] if gen.random() < spec.repeat_prob else draw())
+    return InteractionDataset(items, sizes, split)
 
 
 def reference_interactions_csv(datasets):
@@ -418,6 +452,19 @@ def reference_matched_context(model, context):
         if ctx in model._totals:
             return ctx
     return None
+
+
+def reference_suffix_keys(model, tails):
+    """The suffix keys rebuilt from each row's whole tail, as the model did
+    on every lookup before beams carried them: column w holds the key of the
+    last w tokens, 0 where the row is shorter or one of them lies outside the
+    vocabulary; a tail shorter than `order` gets fewer columns."""
+    digits = tails[:, max(0, tails.shape[1] - model.order) :][:, ::-1] + 1  # newest first
+    bad = np.cumsum((digits < 1) | (digits > model.vocab_size), axis=1) > 0
+    powers = (model.vocab_size + 1) ** np.arange(digits.shape[1])
+    keys = np.cumsum(np.where(bad, 0, digits) * powers, axis=1)
+    keys[bad] = 0
+    return np.column_stack((np.zeros(len(keys), dtype=np.int64), keys))
 
 
 def reference_evaluate(model, test, catalog, config, head_set, beam_width, k_list,
@@ -696,6 +743,27 @@ class TestCompiledModelOracle:
                 assert_rows_equal(model, ref, ctx)
                 assert_rows_equal(model, ref, (0, 1, 2, 4, 5, 6) + ctx)
 
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_pushed_keys_match_rebuilt_keys(self, order):
+        """Keys built from a tail's first tokens and then pushed one token at
+        a time, as beams carry them, equal the keys rebuilt from the whole
+        tail where those are positive, and are negative where those are 0."""
+        gen = np.random.default_rng(50 + order)
+        model = SequenceModel(order, 0.5, self.V)
+        # tokens outside [0, V), -1 (padding) included, now and then
+        tails = np.where(gen.random((400, order + 3)) < 0.1,
+                         gen.choice([-1, self.V, self.V + 4], size=(400, order + 3)),
+                         gen.integers(0, self.V, size=(400, order + 3)))
+        for start in range(tails.shape[1] + 1):
+            keys = model._suffix_keys(tails[:, :start])
+            for j in range(start, tails.shape[1] + 1):
+                want = reference_suffix_keys(model, tails[:, :j])
+                assert np.array_equal(np.where(keys > 0, keys, 0)[:, : want.shape[1]], want)
+                assert (keys[:, 0] == 0).all() and (keys[:, want.shape[1] :] < 0).all()
+                assert (keys[:, 1 : want.shape[1]][want[:, 1:] == 0] < 0).all()
+                if j < tails.shape[1]:
+                    keys = model._push(keys, tails[:, j])
+
     @staticmethod
     def train_both(records, catalog, order, alpha, vocab):
         ref = ReferenceSequenceModel(order, alpha, vocab)
@@ -744,7 +812,7 @@ class TestCompiledModelOracle:
                 for width in TestBeamSearch.WIDTHS:
                     for prefix in prefixes:
                         for t, ref_t in tries:
-                            got = beam_search(model, [context], width, 3, CFG, t, [prefix])[0]
+                            got = decode(model, [context], width, 3, CFG, t, [prefix])[0]
                             want = reference_beam(ref, context, width, 3, CFG, ref_t, prefix)
                             assert got == want, (order, context, width, prefix, t)
 
@@ -782,7 +850,7 @@ class TestBeamSearch:
         model = SequenceModel(order=2, alpha=1e-9, vocab_size=4)
         for _ in range(50):
             model.observe_stream([2, 0, 3])
-        (result,) = beam_search(model, [(2,)], beam_width=1, max_len=2, config=cfg)
+        (result,) = decode(model, [(2,)], beam_width=1, max_len=2, config=cfg)
         assert result[0][0] == (0, 3)
 
     def test_brute_force_oracle_small(self):
@@ -793,7 +861,7 @@ class TestBeamSearch:
             for _ in range(30):
                 model.observe_stream(gen.integers(0, 4, size=6).tolist())
             width = 4**3
-            (got,) = beam_search(model, [()], beam_width=width, max_len=3, config=cfg)
+            (got,) = decode(model, [()], beam_width=width, max_len=3, config=cfg)
             want = brute_force_beam(model, (), 3, cfg, width)
             assert got == want
 
@@ -804,7 +872,7 @@ class TestBeamSearch:
         gen = np.random.default_rng(4)
         for _ in range(20):
             model.observe_stream(gen.integers(0, 12, size=8).tolist())
-        (results,) = beam_search(model, [()], beam_width=10, max_len=3, config=CFG, trie=trie)
+        (results,) = decode(model, [()], beam_width=10, max_len=3, config=CFG, trie=trie)
         assert results
         for seq, _ in results:
             assert contains(trie, seq)
@@ -813,7 +881,7 @@ class TestBeamSearch:
     def test_fixed_prefix_prepended(self):
         model = SequenceModel(order=1, alpha=1.0, vocab_size=VOCAB)
         model.observe_stream([0, 5, 9])
-        (results,) = beam_search(model, [()], beam_width=3, max_len=2, config=CFG,
+        (results,) = decode(model, [()], beam_width=3, max_len=2, config=CFG,
                                  fixed_prefixes=[(0,)])
         assert all(seq[0] == 0 for seq, _ in results)
 
@@ -844,7 +912,7 @@ class TestBeamSearch:
         ref_trie = reference_trie(catalog) if catalog else None
         for width in self.WIDTHS:
             for prefix in prefixes:
-                got = beam_search(model, [context], width, 3, CFG, trie, [prefix])[0]
+                got = decode(model, [context], width, 3, CFG, trie, [prefix])[0]
                 want = reference_beam(model, context, width, 3, CFG, ref_trie, prefix)
                 # equal sequences, float scores and order; == on floats is exact
                 assert got == want, (width, prefix)
@@ -872,7 +940,7 @@ class TestBeamSearch:
         ref_trie = reference_trie(self.VARLEN_CATALOG)
         model = self.random_model(np.random.default_rng(23), alpha=0.5)
         for prefix in ((2, 4 + 1), (0, 4 + 3), (1, 4 + 0)):
-            assert beam_search(model, [()], 10, 3, CFG, trie, [prefix]) == [[]]
+            assert decode(model, [()], 10, 3, CFG, trie, [prefix]) == [[]]
             assert reference_beam(model, (), 10, 3, CFG, ref_trie, prefix) == []
 
     def test_matches_reference_under_ties(self):
@@ -888,7 +956,7 @@ class TestBeamSearch:
                                               prefixes=(None, (1,)))
         uniform = SequenceModel(order=1, alpha=1.0, vocab_size=VOCAB)
         uniform.observe_stream([0, 0])
-        (got,) = beam_search(uniform, [(7,)], 3, 3, CFG)
+        (got,) = decode(uniform, [(7,)], 3, 3, CFG)
         assert [seq for seq, _ in got] == [(8,), (9,), (10,)]
 
     def test_tie_across_parents_is_lexicographic(self):
@@ -900,14 +968,36 @@ class TestBeamSearch:
         for stream in ([11, 0], [11, 1], [11, 1], [0, 8], [0, 8], [0, 11],
                        [1, 9], [1, 10], [1, 10]):
             model.observe_stream(stream)
-        (got,) = beam_search(model, [(11,)], 2, 3, CFG)
+        (got,) = decode(model, [(11,)], 2, 3, CFG)
         assert [seq for seq, _ in got] == [(1, 10), (0, 8)]
         assert got == reference_beam(model, (11,), 2, 3, CFG)
+
+    def test_prefix_rows_with_trie(self):
+        """A prefix ending in a last-layer token is its context's only row,
+        scored 0, even with the trie on; a prefix that is no catalog prefix
+        yields no row; rows are left-packed and padded to the longest prefix
+        plus max_len."""
+        trie = build_trie(table_of(self.VARLEN_CATALOG), CFG)
+        model = self.random_model(np.random.default_rng(25), alpha=0.5)
+        contexts = [(), (11,), (4,), (2, 7)]
+        # (0, 9) is the elided id of "d"; (2, 5) leads nowhere in the trie
+        got = beam_search(model, contexts, 3, 3, CFG, trie, [(0, 9), (2, 4 + 1), None, (1,)])
+        assert got.tokens.dtype == np.int64 and got.tokens.shape[1] == 2 + 3
+        assert got.context.tolist() == [0, 2, 2, 2, 3, 3]
+        assert got.tokens[0].tolist() == [0, 9, -1, -1, -1] and got.logp[0] == 0.0
+        (free,) = decode(model, [(4,)], 3, 3, CFG, trie)
+        assert [tuple(t for t in row if t >= 0) for row in got.tokens[1:4].tolist()] == [
+            seq for seq, _ in free]
+        assert got.logp[1:4].tolist() == [logp for _, logp in free]
+        assert got.tokens[4:, 0].tolist() == [1, 1]
+        assert decode(model, contexts, 3, 3, CFG, trie, [(0, 9), (2, 4 + 1), None, (1,)]) == [
+            reference_beam(model, context, 3, 3, CFG, reference_trie(self.VARLEN_CATALOG), prefix)
+            for context, prefix in zip(contexts, [(0, 9), (2, 4 + 1), None, (1,)])]
 
     def test_zero_beam_rejected(self):
         model = SequenceModel(order=1, alpha=1.0, vocab_size=4)
         with pytest.raises(ConfigError):
-            beam_search(model, [()], beam_width=0, max_len=1, config=CFG)
+            decode(model, [()], beam_width=0, max_len=1, config=CFG)
 
 
 class TestLockstepOracle:
@@ -940,7 +1030,7 @@ class TestLockstepOracle:
         for width in TestBeamSearch.WIDTHS:
             for max_len in (1, 2, 3):
                 for trie, ref_trie in tries:
-                    got = beam_search(model, contexts, width, max_len, CFG, trie, prefixes)
+                    got = decode(model, contexts, width, max_len, CFG, trie, prefixes)
                     assert len(got) == len(contexts)
                     for context, prefix, result in zip(contexts, prefixes, got):
                         case = (width, max_len, trie is not None, context, prefix)
@@ -978,7 +1068,7 @@ class TestLockstepOracle:
                  (build_trie(table_of(self.CATALOG), CFG), reference_trie(self.CATALOG)))
         for width in TestBeamSearch.WIDTHS:
             for trie, ref_trie in tries:
-                got = beam_search(model, contexts, width, 3, CFG, trie, prefixes)
+                got = decode(model, contexts, width, 3, CFG, trie, prefixes)
                 assert got == [reference_beam(ref, context, width, 3, CFG, ref_trie, prefix)
                                for context, prefix in zip(contexts, prefixes)], width
 
@@ -986,12 +1076,12 @@ class TestLockstepOracle:
         gen = np.random.default_rng(90)
         model = TestBeamSearch.random_model(gen, alpha=0.5)
         contexts = [(), (11,), (0, 4, 9)]
-        assert beam_search(model, contexts, 5, 3, CFG) == [
+        assert decode(model, contexts, 5, 3, CFG) == [
             reference_array_beam(model, context, 5, 3, CFG) for context in contexts
         ]
-        assert beam_search(model, [], 5, 3, CFG) == []
+        assert decode(model, [], 5, 3, CFG) == []
         with pytest.raises(ConfigError):
-            beam_search(model, contexts, 5, 3, CFG, fixed_prefixes=[None, (0,)])
+            decode(model, contexts, 5, 3, CFG, fixed_prefixes=[None, (0,)])
 
 
 class TestBatchLayers:
@@ -1020,10 +1110,10 @@ class TestBatchLayers:
         cfg, model, contexts, prefixes = self.case(L)
         for width in (1, 2, 5, model.vocab_size ** L):
             for max_len in range(1, L + 2):
-                got = beam_search(model, contexts, width, max_len, cfg, fixed_prefixes=prefixes)
+                got = decode(model, contexts, width, max_len, cfg, fixed_prefixes=prefixes)
                 for context, prefix, result in zip(contexts, prefixes, got):
                     case = (width, max_len, context, prefix)
-                    (alone,) = beam_search(model, [context], width, max_len, cfg,
+                    (alone,) = decode(model, [context], width, max_len, cfg,
                                            fixed_prefixes=[prefix])
                     assert result == alone, case
                     assert result == reference_beam(model, context, width, max_len, cfg,
@@ -1040,7 +1130,7 @@ class TestBatchLayers:
         for trie in (None, build_trie(catalog, cfg)):
             for width in (1, 5, model.vocab_size ** L):
                 for max_len in range(1, L + 2):
-                    got = beam_search(model, contexts, width, max_len, cfg, trie, prefixes)
+                    got = decode(model, contexts, width, max_len, cfg, trie, prefixes)
                     seqs = [seq for result in got for seq, _ in result]
                     assert len(got) == len(contexts) and seqs
                     assert all(seq[-1] >= terminal for seq in seqs), (trie, width, max_len)
@@ -1080,7 +1170,7 @@ class TestEvaluate:
             emitted = {"overall": 0, "head": 0, "tail": 0}
             for history, target in records:
                 context = [t for item in history for t in self.CATALOG[item]]
-                top = [seq for seq, _ in beam_search(model, [context], 10, 3, CFG)[0][:k]]
+                top = [seq for seq, _ in decode(model, [context], 10, 3, CFG)[0][:k]]
                 group = "head" if self.SIDS[target][1] in head_set else "tail"
                 for g in ("overall", group):
                     bad[g] += sum(1 for seq in top if not trie.contains(seq))
@@ -1161,7 +1251,7 @@ class TestEvaluateOracle:
     sequence, that it replaced."""
 
     @staticmethod
-    def setup_case(seed, num_layers, elide_share):
+    def setup_case(seed, num_layers, elide_share, num_test=40):
         gen = np.random.default_rng(seed)
         config = QuantizerConfig(num_layers=num_layers, codebook_size=4, dim=1)
         n = 40
@@ -1175,7 +1265,8 @@ class TestEvaluateOracle:
         table = sid_table(item_ids, rows, config, is_full)
         spec = InteractionSpec(num_records=300, min_history=1, max_history=3)
         train = gen_interactions(n, spec, RandomSource(seed))
-        test = gen_interactions(n, InteractionSpec(num_records=40), RandomSource(seed + 1), "test")
+        test = gen_interactions(n, InteractionSpec(num_records=num_test), RandomSource(seed + 1),
+                                "test")
         model = train_seq_model(train, table, config, order=3, alpha=0.2)
         return config, entries, table, model, test
 
@@ -1198,7 +1289,7 @@ class TestEvaluateOracle:
         if chunk is not None:
             monkeypatch.setattr(grsim, "_DECODE_CHUNK", chunk)
         size = grsim._DECODE_CHUNK
-        config, entries, table, model, test = self.setup_case(5, 3, 0.4)
+        config, entries, table, model, test = self.setup_case(5, 3, 0.4, 2 * size + 3)
         head_set = frozenset({1, 3})
         for count in (1, size, 2 * size + 3):
             part = InteractionDataset(test.items[: test.sizes[:count].sum()], test.sizes[:count],
@@ -1213,23 +1304,23 @@ class TestEvaluateOracle:
 
 
     @pytest.mark.parametrize("fit,chunk", [(0, 1), (2, 2), (100, grsim._DECODE_CHUNK)])
-    def test_trie_off_chunk_bounded_by_its_scores(self, monkeypatch, fit, chunk):
-        """With the trie off a chunk holds as many records as `fit` in
-        _DECODE_FLOATS at beam_width * vocab_size floats each (at least one,
-        at most _DECODE_CHUNK); with it on, _DECODE_CHUNK."""
+    def test_chunk_bounded_by_its_scores(self, monkeypatch, fit, chunk):
+        """In either trie mode a chunk holds as many records as `fit` in
+        _DECODE_FLOATS at beam_width * vocab_size floats each, at least one
+        and at most _DECODE_CHUNK."""
         config, entries, table, model, test = self.setup_case(6, 3, 0.4)
         monkeypatch.setattr(grsim, "_DECODE_FLOATS", fit * 10 * model.vocab_size)
         sizes = []
-        decode = grsim.beam_search
+        search = grsim.beam_search
         monkeypatch.setattr(grsim, "beam_search", lambda model, contexts, *args, **kwargs: (
-            sizes.append(len(contexts)) or decode(model, contexts, *args, **kwargs)))
+            sizes.append(len(contexts)) or search(model, contexts, *args, **kwargs)))
         head_set = frozenset({0, 3})
-        for trie_mode, most in (("off", chunk), ("on", grsim._DECODE_CHUNK)):
+        for trie_mode in ("off", "on"):
             sizes.clear()
             args = (model, test, config, head_set, 10, (1, 5, 10), trie_mode, 0)
             got = evaluate(args[0], args[1], table, *args[2:])
             assert got == reference_evaluate(args[0], args[1], entries, *args[2:]), trie_mode
-            assert max(sizes) == most and sum(sizes) == len(test), trie_mode
+            assert max(sizes) == chunk and sum(sizes) == len(test), trie_mode
 
 
 class TestGenInteractions:
@@ -1274,6 +1365,14 @@ class TestGenInteractions:
             want = reference_interactions(items, spec, RandomSource(seed))
             assert got.split == "test"
             assert records_of(got, items) == want, (pop_exponent, repeat_prob)
+
+    @pytest.mark.parametrize("n", [1, 7, 2000, 100_000])
+    def test_matches_searchsorted_draws(self, n):
+        for k, (pop_exponent, repeat_prob) in enumerate(self.SPECS):
+            spec = InteractionSpec(num_records=300, min_history=1 + k % 3, max_history=2 + k,
+                                   pop_exponent=pop_exponent, repeat_prob=repeat_prob)
+            got = gen_interactions(n, spec, RandomSource(n + k), "test")
+            assert same(got, searchsorted_interactions(n, spec, RandomSource(n + k), "test")), k
 
     @pytest.mark.parametrize("n", [1, 7, 2000])
     def test_saved_file_matches_reference_writer(self, n, tmp_path):

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rqsid.core import (
     Codebook,
@@ -982,6 +984,37 @@ class TestSplitOracle:
                 got = _cluster_means(layout, labels, m, dists)
                 assert got.tobytes() == want.tobytes()
             assert fake.sets == ([1, count] * 2 if d > 1 else [])
+
+
+class TestNearTiesPerRow:
+    """A row's label and distance are a function of that row alone. Points
+    are midpoints of two centroids, so their nearest two tie up to rounding
+    and the float64 products decide; each row scored alone, the rows shifted
+    to another chunk offset, and the column-major copy all give the bytes of
+    the full block, over one worker and over two."""
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_row_alone_matches_its_block(self, use_workers, count):
+        use_workers(count)
+
+        @settings(max_examples=10, deadline=None)
+        @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 16), m=st.integers(2, 64),
+               scale=st.sampled_from([1e-3, 1.0, 1e9]), shift=st.integers(1, _SCORE_CHUNK - 1))
+        def check(seed, d, m, scale, shift):
+            # scale 1e9 passes _MIXED_MAX_SCALE, so every row is scored exactly
+            gen = np.random.default_rng(seed)
+            centroids = gen.standard_normal((m, d)) * scale
+            pair = gen.integers(0, m, size=(2 * quantizer._SPLIT_MIN_ROWS + 300, 2))
+            points = (centroids[pair[:, 0]] + centroids[pair[:, 1]]) / 2
+            labels, dists = _nearest(points, centroids)
+            for layout in (points, column_major(points)):
+                assert_same_bytes(_nearest(layout[shift:], centroids),
+                                  (labels[shift:], dists[shift:]))
+            for i in gen.choice(len(points), 40, replace=False):
+                assert_same_bytes(_nearest(points[i : i + 1], centroids),
+                                  (labels[i : i + 1], dists[i : i + 1]))
+
+        check()
 
 
 class TestWorkers:
