@@ -173,7 +173,7 @@ def cmd_encode(args) -> int:
     data = persist.load_embeddings(args.embeddings)
     codebook, _ = persist.load_codebook(args.codebook)
     t0 = time.perf_counter()
-    sids, sq_norms = encode_all(data, codebook)
+    sids, sq_norms = encode_all(data.vectors, codebook)
     encode_s = time.perf_counter() - t0
     per_layer = [float(m) for m in sq_norms[:, 1:].mean(axis=0)]
     ids = data.ids
@@ -212,14 +212,14 @@ def cmd_analyze(args) -> int:
     payload = report.to_dict()
     payload["head_selector"] = selector.describe()
     if args.embeddings:
-        data = persist.load_embeddings(args.embeddings)
+        vectors = persist.load_residuals(args.embeddings)  # not the ids
         # the ratio reads only the raw and layer-1 residual norms
         layer1 = Codebook(
             dataclasses.replace(config, num_layers=1),
             codebook.layers[:1],
             codebook.training_sse_per_layer[:1],
         )
-        _, sq_norms = encode_all(data, layer1)
+        _, sq_norms = encode_all(vectors, layer1)
         payload["small_residual_ratio"] = small_residual_ratio(
             np.sqrt(sq_norms[:, 1]), np.sqrt(sq_norms[:, 0])
         )
@@ -444,7 +444,7 @@ def _sweep_cell(args, L, M, regime, cell_seed) -> dict:
         data, _ = datagen.gen_clustered(n, d, _cluster_spec(args, "zipf"), rng)
     config = _quantizer_config(args, L, M, d, cell_seed)
     codebook = train_rq(np.array(data.vectors, order="F"), config, rng.child(1000))
-    sids, _ = encode_all(data, codebook)
+    sids, _ = encode_all(data.vectors, codebook)
     report = hourglass_report(sids, config)
     row = {
         "hourglass_flag": report.hourglass_flag,

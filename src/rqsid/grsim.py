@@ -300,11 +300,13 @@ def train_seq_model(
     return model
 
 
-# `evaluate` decodes a chunk of records per `beam_search` call, and each
-# chunk is scored before the next is decoded. A step scores up to
-# beam_width * vocab_size floats per record in either mode, so a chunk holds
-# as many records as keep that block within _DECODE_FLOATS, at least one and
-# at most _DECODE_CHUNK. At beam 50 that is 32 records at V=48 (the 2000-item
+# `evaluate` decodes a chunk of decode states per `beam_search` call, and
+# each chunk is scored before the next is decoded. A record's decode state is
+# all its search reads: the last `order` tokens of its context and its fixed
+# prefix, so records that share a state share its rows. A step scores up to
+# beam_width * vocab_size floats per state in either mode, so a chunk holds
+# as many states as keep that block within _DECODE_FLOATS, at least one and
+# at most _DECODE_CHUNK. At beam 50 that is 32 states at V=48 (the 2000-item
 # retrieval benchmark, where the cost per call dominates) and 6 at V=768.
 _DECODE_CHUNK = 32
 _DECODE_FLOATS = 1 << 18
@@ -490,15 +492,19 @@ def evaluate(
     trie_mode: str = "off",
     given_prefix_layers: int = 0,
 ) -> EvalReport:
-    """Decode the test records in chunks and score recall@k and invalid ratio.
+    """Decode each distinct decode state of the test records once, in
+    chunks, and score recall@k and invalid ratio.
 
     `catalog` is the id table the records index, as for `train_seq_model`.
-    recall@k counts records whose target id appears in the top k sequences.
-    invalid_ratio@k is the share of emitted top-k sequences matching no
-    catalog item; with the trie constraint on it is zero by construction
-    and reported as such. Records are partitioned by the target's layer-2
-    token: elided ids, and every id when L is 1, count as head. With the
-    trie off, each chunk's top-k sequences are walked as one token matrix.
+    A record's decode state is its context's last `model.order` tokens and
+    its fixed prefix; `beam_search` reads nothing else of it, so each record
+    is scored against its state's rows. recall@k counts records whose target
+    id appears in the top k sequences. invalid_ratio@k is the share of
+    emitted top-k sequences matching no catalog item; with the trie
+    constraint on it is zero by construction and reported as such. Records
+    are partitioned by the target's layer-2 token: elided ids, and every id
+    when L is 1, count as head. With the trie off, each chunk's top-k
+    sequences are walked as one token matrix.
     """
     if trie_mode not in ("off", "on"):
         raise ConfigError(f"trie_mode must be 'off' or 'on', got {trie_mode!r}")
@@ -519,38 +525,57 @@ def evaluate(
     flat = sid_to_flat_tokens(catalog, config)
     last = np.cumsum(test.sizes) - 1
     target = test.items[last]
-    tokens, lengths = _streams(flat, np.delete(test.items, last), test.sizes - 1)
-    ends, tokens = np.cumsum(lengths).tolist(), tokens.tolist()
-    contexts = [tokens[end - n : end] for end, n in zip(ends, lengths.tolist())]
     gold = flat[target]
-    prefixes = [[t for t in g[:given_prefix_layers] if t >= 0] for g in gold.tolist()]
+    # each record's decode state: its context's last `order` tokens, -1
+    # before the context starts, then its prefix, the first given layers of
+    # its gold id, -1 padded; state[i] is record i's row of `states`
+    tokens, lengths = _streams(flat, np.delete(test.items, last), test.sizes - 1)
+    ends = np.cumsum(lengths)[:, None]
+    pos = ends - model.order + np.arange(model.order)
+    tails = np.where(pos >= ends - lengths[:, None], tokens.take(pos, mode="clip"), -1)
+    states, state = np.unique(np.hstack((tails, gold[:, :given_prefix_layers])), axis=0,
+                              return_inverse=True)
+    contexts, prefixes = ([[t for t in row if t >= 0] for row in part.tolist()]
+                          for part in np.hsplit(states, [model.order]))
+    # state s's records are by_state[first[s] : first[s + 1]]
+    by_state = np.argsort(state, kind="stable")
+    first = state[by_state].searchsorted(np.arange(len(states) + 1))
     ks = np.array(k_list)
 
-    # per test record: how many top sequences it shows, the rank of its gold
-    # id among them (max_k when absent), and for each k how many of its
-    # first k match no catalog id
-    shown = np.zeros(len(test), dtype=np.int64)
+    # per decode state: how many top sequences it shows, and for each k how
+    # many of its first k match no catalog id; per test record: the rank of
+    # its gold id among its state's top sequences (max_k when absent)
+    shown = np.zeros(len(states), dtype=np.int64)
+    invalid = np.zeros((len(states), len(ks)), dtype=np.int64)
     gold_rank = np.full(len(test), max_k)
-    invalid = np.zeros((len(test), len(ks)), dtype=np.int64)
     chunk = min(_DECODE_CHUNK, max(1, _DECODE_FLOATS // (beam_width * model.vocab_size)))
-    for lo in range(0, len(test), chunk):
-        hi = min(lo + chunk, len(test))
+    for lo in range(0, len(states), chunk):
+        hi = min(lo + chunk, len(states))
         decoded = beam_search(model, contexts[lo:hi], beam_width, max_len=L, config=config,
                               trie=trie if constrained else None, fixed_prefixes=prefixes[lo:hi])
-        # each record's rows are consecutive and ranked; keep its top max_k
+        # each state's rows are consecutive and ranked; keep its top max_k
         count = np.bincount(decoded.context, minlength=hi - lo)
         rank = np.arange(len(decoded.context)) - (np.cumsum(count) - count)[decoded.context]
         top = rank < max_k
-        record, seqs, rank = decoded.context[top] + lo, decoded.tokens[top], rank[top]
+        row_state, seqs, rank = decoded.context[top] + lo, decoded.tokens[top], rank[top]
         shown[lo:hi] = np.minimum(count, max_k)
-        # a sequence decoded with a prefix may be longer than L tokens
-        hit = (seqs[:, :L] == gold[record]).all(axis=1) & (seqs[:, L:] < 0).all(axis=1)
-        gold_rank[record[hit]] = rank[hit]
+        # join (state, gold id) of each of the chunk's records to (state,
+        # sequence) of its rows; a sequence decoded with a prefix may be
+        # longer than L tokens, so gold ids are padded to the rows' width
+        records = by_state[first[lo] : first[hi]]
+        golds = np.full((len(records), seqs.shape[1]), -1)
+        golds[:, :L] = gold[records]
+        keys = np.column_stack((np.r_[row_state, state[records]], np.vstack((seqs, golds))))
+        distinct, key = np.unique(keys, axis=0, return_inverse=True)
+        rank_of = np.full(len(distinct), max_k)
+        rank_of[key[: len(seqs)]] = rank
+        gold_rank[records] = rank_of[key[len(seqs) :]]
         if not constrained:
             # each top sequence ends in a last-layer token, so it is a
             # catalog id exactly when the trie walks it
             bad = trie.walk(seqs, (seqs >= 0).sum(axis=1)) < 0
-            np.add.at(invalid, record[bad], rank[bad, None] < ks)
+            np.add.at(invalid, row_state[bad], rank[bad, None] < ks)
+    shown, invalid = shown[state], invalid[state]
 
     head = (np.ones(len(test), dtype=bool) if L == 1
             else ~catalog.is_full[target] | np.isin(catalog.tokens[target, 1], sorted(head_set)))

@@ -54,7 +54,6 @@ from .core import (
     Codebook,
     ConfigError,
     DataError,
-    EmbeddingCollection,
     QuantizerConfig,
     RandomSource,
 )
@@ -559,26 +558,26 @@ def train_rq(residuals: np.ndarray, config: QuantizerConfig, rng: RandomSource) 
     return Codebook(config, layers, tuple(sse_per_layer))
 
 
-def encode_all(data: EmbeddingCollection, codebook: Codebook) -> tuple[np.ndarray, np.ndarray]:
-    """Encode a whole collection.
+def encode_all(data: np.ndarray, codebook: Codebook) -> tuple[np.ndarray, np.ndarray]:
+    """Encode the rows of `data`, an (n, dim) float64 vector array in C or
+    column-major order.
 
     Returns (sids, residual_sq_norms): sids is (n, L) token indices and
     residual_sq_norms is (n, L+1) with column l holding the squared norm of
     the residual after l layers (column 0 is the raw squared norm). Each
     block of rows passes through all L layers before the next starts, so
-    one block's residual is alive at a time.
+    one block's residual is alive at a time; it is a C-order copy, so both
+    layouts give the same bytes.
     """
-    if data.dim != codebook.config.dim:
-        raise DataError(
-            f"data dim {data.dim} does not match codebook dim {codebook.config.dim}"
-        )
-    n = len(data)
+    n, dim = data.shape
+    if dim != codebook.config.dim:
+        raise DataError(f"data dim {dim} does not match codebook dim {codebook.config.dim}")
     L = codebook.config.num_layers
     sids = np.empty((n, L), dtype=np.int64)
     sq_norms = np.empty((n, L + 1), dtype=np.float64)
     for start in range(0, n, _ROW_BLOCK):
         block = slice(start, start + _ROW_BLOCK)
-        residual = data.vectors[block].copy()
+        residual = data[block].copy()
         sq_norms[block, 0] = np.einsum("ij,ij->i", residual, residual)
         for l in range(L):
             labels, _ = _nearest(residual, codebook.layers[l])

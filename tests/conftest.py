@@ -65,7 +65,7 @@ def zipf_bench():
         )
         data, _ = gen_clustered(BENCH_N, BENCH_D, spec, RandomSource(seed))
         codebook = train_rq(np.array(data.vectors, order="F"), config, RandomSource(seed))
-        sids, sq_norms = encode_all(data, codebook)
+        sids, sq_norms = encode_all(data.vectors, codebook)
         runs.append(
             {
                 "seed": seed,
@@ -99,7 +99,7 @@ def uniform_bench():
         )
         data = gen_uniform(BENCH_N, BENCH_D, RandomSource(seed))
         codebook = train_rq(np.array(data.vectors, order="F"), config, RandomSource(seed))
-        sids, sq_norms = encode_all(data, codebook)
+        sids, sq_norms = encode_all(data.vectors, codebook)
         runs.append(
             {
                 "seed": seed,
@@ -131,7 +131,7 @@ def gr_bench():
         )
         data, _ = gen_clustered(2000, 8, spec, RandomSource(seed))
         codebook = train_rq(np.array(data.vectors, order="F"), config, RandomSource(seed))
-        sid_arr, _ = encode_all(data, codebook)
+        sid_arr, _ = encode_all(data.vectors, codebook)
         table = sid_table(data.ids, sid_arr, config)
         hist = token_histogram(sid_arr, 2, config.codebook_size)
         head, _ = head_tail_split(hist, Selector.mass(0.5))

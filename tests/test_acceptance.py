@@ -57,7 +57,7 @@ class TestCriterion1:
             )
             points = gen.standard_normal((n, D)) * 3
             data = EmbeddingCollection(tuple(map(str, range(n))), points)
-            sids, sq_norms = encode_all(data, codebook)
+            sids, sq_norms = encode_all(data.vectors, codebook)
             for x, sid, norms in zip(points, sids.tolist(), sq_norms):
                 residual = x
                 for l in range(L):

@@ -79,7 +79,7 @@ class TestPipeline:
         ) == 0
         data = load_embeddings(embeddings)
         codebook, _ = load_codebook(codebook_path)
-        sids, sq_norms = encode_all(data, codebook)
+        sids, sq_norms = encode_all(data.vectors, codebook)
         selector = Selector.mass(0.5)
         payload = hourglass_report(
             sids, codebook.config, selector, include_histograms=True
@@ -832,8 +832,9 @@ class TestOneMatrixPerStage:
 
     def test_analyze_frees_the_id_table_before_the_embeddings(self, pipeline, tmp_path,
                                                                monkeypatch):
+        # analyze reads the vectors alone, never an embedding collection
         tables, alive = [], []
-        load_sids, load_embeddings = persist.load_sids, persist.load_embeddings
+        load_sids, load_residuals = persist.load_sids, persist.load_residuals
 
         def tracked_sids(*args):
             table = load_sids(*args)
@@ -842,10 +843,14 @@ class TestOneMatrixPerStage:
 
         def checked_load(path):
             alive.append(tables[0]() is not None)
-            return load_embeddings(path)
+            return load_residuals(path)
+
+        def no_collection(path):
+            raise AssertionError("analyze loaded an embedding collection")
 
         monkeypatch.setattr(persist, "load_sids", tracked_sids)
-        monkeypatch.setattr(persist, "load_embeddings", checked_load)
+        monkeypatch.setattr(persist, "load_residuals", checked_load)
+        monkeypatch.setattr(persist, "load_embeddings", no_collection)
         assert run("analyze", "--sids", pipeline / "enc" / "sids.csv",
                    "--codebook", pipeline / "train" / "codebook.json",
                    "--embeddings", pipeline / "gen" / "embeddings.json",

@@ -1251,7 +1251,7 @@ class TestEvaluateOracle:
     sequence, that it replaced."""
 
     @staticmethod
-    def setup_case(seed, num_layers, elide_share, num_test=40):
+    def setup_case(seed, num_layers, elide_share, num_test=40, order=3):
         gen = np.random.default_rng(seed)
         config = QuantizerConfig(num_layers=num_layers, codebook_size=4, dim=1)
         n = 40
@@ -1267,8 +1267,54 @@ class TestEvaluateOracle:
         train = gen_interactions(n, spec, RandomSource(seed))
         test = gen_interactions(n, InteractionSpec(num_records=num_test), RandomSource(seed + 1),
                                 "test")
-        model = train_seq_model(train, table, config, order=3, alpha=0.2)
+        model = train_seq_model(train, table, config, order=order, alpha=0.2)
         return config, entries, table, model, test
+
+    @staticmethod
+    def decode_states(test, table, config, order, given):
+        """The distinct decode states of a test set's records: the last
+        `order` tokens of each context, and the first `given` tokens of its
+        target's id."""
+        flat_by_item = catalog_of(table, config)
+        states = set()
+        for history, target in records_of(test, table.item_id.tolist()):
+            context = [t for item in history for t in flat_by_item[item]]
+            states.add((tuple(context[-order:]), flat_by_item[target][:given]))
+        return states
+
+    @staticmethod
+    def searched_states(monkeypatch):
+        """The list that each later beam_search call appends its (context,
+        fixed prefix) pairs to, as one list per call."""
+        calls = []
+        search = grsim.beam_search
+
+        def recorded(model, contexts, *args, fixed_prefixes, **kwargs):
+            calls.append([(tuple(c), tuple(p)) for c, p in zip(contexts, fixed_prefixes)])
+            return search(model, contexts, *args, fixed_prefixes=fixed_prefixes, **kwargs)
+
+        monkeypatch.setattr(grsim, "beam_search", recorded)
+        return calls
+
+    def check_each_state_decoded_once(self, monkeypatch, case, test, head_set=frozenset({0, 2})):
+        """evaluate equals reference_evaluate in both trie modes for given
+        layers 0-2, and hands beam_search each decode state of the test
+        records exactly once; returns the state count per given layers."""
+        config, entries, table, model, _ = case
+        calls = self.searched_states(monkeypatch)
+        counts = []
+        for given in range(3):
+            states = self.decode_states(test, table, config, model.order, given)
+            for trie_mode in ("off", "on"):
+                calls.clear()
+                args = (model, test, config, head_set, 10, (1, 3, 10), trie_mode, given)
+                got = evaluate(args[0], args[1], table, *args[2:])
+                assert got == reference_evaluate(args[0], args[1], entries, *args[2:]), (
+                    trie_mode, given)
+                searched = [state for call in calls for state in call]
+                assert sorted(searched) == sorted(states), (trie_mode, given)
+            counts.append(len(states))
+        return counts
 
     @pytest.mark.parametrize("seed,num_layers,elide_share",
                              [(0, 3, 0.4), (1, 3, 0.0), (2, 4, 0.6), (3, 2, 0.0), (4, 1, 0.0)])
@@ -1305,22 +1351,65 @@ class TestEvaluateOracle:
 
     @pytest.mark.parametrize("fit,chunk", [(0, 1), (2, 2), (100, grsim._DECODE_CHUNK)])
     def test_chunk_bounded_by_its_scores(self, monkeypatch, fit, chunk):
-        """In either trie mode a chunk holds as many records as `fit` in
-        _DECODE_FLOATS at beam_width * vocab_size floats each, at least one
-        and at most _DECODE_CHUNK."""
-        config, entries, table, model, test = self.setup_case(6, 3, 0.4)
+        """In either trie mode a chunk holds as many decode states as `fit`
+        in _DECODE_FLOATS at beam_width * vocab_size floats each, at least
+        one and at most _DECODE_CHUNK; each state is decoded once."""
+        config, entries, table, model, test = self.setup_case(6, 3, 0.4, num_test=300)
+        states = len(self.decode_states(test, table, config, model.order, 0))
+        assert states > grsim._DECODE_CHUNK  # so the largest chunk is the bound
         monkeypatch.setattr(grsim, "_DECODE_FLOATS", fit * 10 * model.vocab_size)
-        sizes = []
-        search = grsim.beam_search
-        monkeypatch.setattr(grsim, "beam_search", lambda model, contexts, *args, **kwargs: (
-            sizes.append(len(contexts)) or search(model, contexts, *args, **kwargs)))
+        calls = self.searched_states(monkeypatch)
         head_set = frozenset({0, 3})
         for trie_mode in ("off", "on"):
-            sizes.clear()
+            calls.clear()
             args = (model, test, config, head_set, 10, (1, 5, 10), trie_mode, 0)
             got = evaluate(args[0], args[1], table, *args[2:])
             assert got == reference_evaluate(args[0], args[1], entries, *args[2:]), trie_mode
-            assert max(sizes) == chunk and sum(sizes) == len(test), trie_mode
+            sizes = [len(call) for call in calls]
+            assert max(sizes) == chunk and sum(sizes) == states, trie_mode
+
+    def test_shared_last_item_decodes_once(self, monkeypatch):
+        # most records end in item_0, a full-length id of `order` tokens, so
+        # with no prefix they share one decode state; items whose ids collide
+        # share one too
+        case = self.setup_case(7, 3, 0.0)
+        items = case[2].item_id.tolist()
+        records = [((items[k], "item_0"), items[(3 * k) % 40]) for k in range(1, 31)]
+        records += [((items[k],), items[k + 1]) for k in range(5, 15)]
+        test = dataset(case[2], records, "test")
+        counts = self.check_each_state_decoded_once(monkeypatch, case, test)
+        assert counts[0] <= 11
+
+    def test_prefixes_split_a_shared_context(self, monkeypatch):
+        # one history for every target: one state with no prefix, then one
+        # per distinct first `given` tokens of the targets
+        case = self.setup_case(8, 3, 0.4)
+        config, _, table, _, _ = case
+        items = table.item_id.tolist()
+        test = dataset(table, [(("item_3", "item_5"), target) for target in items], "test")
+        flat_rows = sid_to_flat_tokens(table, config)
+        counts = self.check_each_state_decoded_once(monkeypatch, case, test)
+        assert counts == [1] + [len(np.unique(flat_rows[:, :g], axis=0)) for g in (1, 2)]
+        assert counts[2] > counts[1] > 1
+
+    def test_contexts_shorter_than_order(self, monkeypatch):
+        # with order 8, one- and two-item contexts of at most 6 tokens are
+        # shorter than order, so a context ending in the same item keeps its
+        # own state unless its whole history is the same
+        case = self.setup_case(9, 3, 0.4, order=8)
+        table = case[2]
+        records = [(("item_1",), "item_2"), (("item_0", "item_1"), "item_2"),
+                   (("item_4", "item_1"), "item_2"), (("item_1",), "item_7"),
+                   (("item_6", "item_0", "item_1"), "item_2")]
+        test = dataset(table, records, "test")
+        counts = self.check_each_state_decoded_once(monkeypatch, case, test)
+        assert counts[0] == 4
+        self.check_each_state_decoded_once(monkeypatch, case, case[4])
+
+    def test_empty_test_set_decodes_nothing(self, monkeypatch):
+        case = self.setup_case(10, 3, 0.4)
+        assert self.check_each_state_decoded_once(
+            monkeypatch, case, InteractionDataset([], [], "test")) == [0, 0, 0]
 
 
 class TestGenInteractions:

@@ -501,7 +501,7 @@ def encode_rows(points, cb):
     """encode_all over the rows of `points`: (sids, residual squared norms)."""
     points = np.asarray(points, dtype=float)
     data = EmbeddingCollection(tuple(map(str, range(len(points)))), points)
-    return encode_all(data, cb)
+    return encode_all(data.vectors, cb)
 
 
 def residual_chain(x, sid, cb):
@@ -558,7 +558,7 @@ class TestTrainOwnsResiduals:
         assert cb.layers.tobytes() == layers.tobytes()
         assert cb.training_sse_per_layer == sse
         left = data.vectors.copy()
-        sids, _ = encode_all(data, cb)
+        sids, _ = encode_all(data.vectors, cb)
         for l in range(cfg.num_layers):
             left -= cb.layers[l][sids[:, l]]
         assert np.ascontiguousarray(residuals).tobytes() == left.tobytes()
@@ -595,7 +595,7 @@ class TestRowBlocks:
         scales = np.array([1.0, 0.3, 0.1])[:, None, None]
         cb = Codebook(cfg, gen.standard_normal((3, 32, 8)) * scales, (0.0,) * 3)
         data = EmbeddingCollection(tuple(map(str, range(n))), gen.standard_normal((n, 8)))
-        sids, sq_norms = encode_all(data, cb)
+        sids, sq_norms = encode_all(data.vectors, cb)
         ref_sids, ref_sq_norms = reference_encode_all(data, cb)
         assert sids.tobytes() == ref_sids.tobytes()
         assert sq_norms.tobytes() == ref_sq_norms.tobytes()
@@ -623,7 +623,8 @@ class TestRowBlocks:
         assert cb.training_sse_per_layer == sse
 
     def test_one_layer_slice_encodes_layer_one_alone(self):
-        # `analyze --embeddings` encodes with the first layer only
+        # `analyze --embeddings` encodes its column-major vectors with the
+        # first layer only
         gen = np.random.default_rng(6)
         n = _ROW_BLOCK + 2000
         cfg = QuantizerConfig(num_layers=3, codebook_size=32, dim=8)
@@ -631,10 +632,13 @@ class TestRowBlocks:
         first = Codebook(QuantizerConfig(num_layers=1, codebook_size=32, dim=8),
                          cb.layers[:1], cb.training_sse_per_layer[:1])
         data = EmbeddingCollection(tuple(map(str, range(n))), gen.standard_normal((n, 8)))
-        sids, sq_norms = encode_all(data, cb)
-        sids1, sq_norms1 = encode_all(data, first)
+        sids, sq_norms = encode_all(data.vectors, cb)
+        sids1, sq_norms1 = encode_all(data.vectors, first)
         assert sids1.tobytes() == np.ascontiguousarray(sids[:, :1]).tobytes()
         assert sq_norms1.tobytes() == np.ascontiguousarray(sq_norms[:, :2]).tobytes()
+        sids_f, sq_norms_f = encode_all(column_major(data.vectors), first)
+        assert sids_f.tobytes() == sids1.tobytes()
+        assert sq_norms_f.tobytes() == sq_norms1.tobytes()
 
 
 class TestEncodeDecode:
@@ -737,7 +741,7 @@ class TestTrainRq:
         data = gen_uniform(10000, 8, RandomSource(31))
         cfg = QuantizerConfig(num_layers=1, codebook_size=16, dim=8, kmeans_iters=40, seed=31, convergence_tol=1e-6)
         cb = train_rq(column_major(data.vectors), cfg, RandomSource(31))
-        sids, _ = encode_all(data, cb)
+        sids, _ = encode_all(data.vectors, cb)
         counts = np.bincount(sids[:, 0], minlength=16)
         assert counts.min() > 0
         assert counts.max() / counts.min() < 3.0
@@ -788,7 +792,7 @@ class TestReconstructionReport:
         data = EmbeddingCollection(("a", "b", "c"), vectors)
         cfg = QuantizerConfig(num_layers=1, codebook_size=3, dim=2, kmeans_iters=20, seed=1, convergence_tol=0.0)
         cb = train_rq(column_major(data.vectors), cfg, RandomSource(1))
-        report = encode_all(data, cb)[1][:, 1:].mean(axis=0)
+        report = encode_all(data.vectors, cb)[1][:, 1:].mean(axis=0)
         assert report[-1] == pytest.approx(0.0, abs=1e-20)
 
     def test_monotone_non_increasing(self):
@@ -797,7 +801,7 @@ class TestReconstructionReport:
         data = EmbeddingCollection(tuple(f"i{i}" for i in range(500)), vectors)
         cfg = QuantizerConfig(num_layers=4, codebook_size=8, dim=8, kmeans_iters=20, seed=3, convergence_tol=1e-4)
         cb = train_rq(column_major(data.vectors), cfg, RandomSource(3))
-        report = encode_all(data, cb)[1][:, 1:].mean(axis=0)
+        report = encode_all(data.vectors, cb)[1][:, 1:].mean(axis=0)
         assert all(b <= a for a, b in zip(report, report[1:]))
 
     def test_tight_clusters_reach_tiny_error(self):
@@ -807,7 +811,7 @@ class TestReconstructionReport:
         data, _ = gen_clustered(2000, 6, spec, RandomSource(40))
         cfg = QuantizerConfig(num_layers=3, codebook_size=8, dim=6, kmeans_iters=40, seed=40, convergence_tol=0.0)
         cb = train_rq(column_major(data.vectors), cfg, RandomSource(40))
-        report = encode_all(data, cb)[1][:, 1:].mean(axis=0)
+        report = encode_all(data.vectors, cb)[1][:, 1:].mean(axis=0)
         assert report[-1] < 1e-3
 
 
@@ -965,7 +969,7 @@ class TestSplitOracle:
 
         def train_and_encode():
             cb = train_rq(column_major(data.vectors), cfg, RandomSource(count))
-            return (cb.layers, cb.training_sse_per_layer) + encode_all(data, cb)
+            return (cb.layers, cb.training_sse_per_layer) + encode_all(data.vectors, cb)
 
         serial, split = split_and_serial(use_workers, train_and_encode, count)
         assert_same_bytes(serial, split)
