@@ -563,7 +563,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     s.add_argument("--trie", choices=["on", "off"], default="off",
                    help="constrain decoding to the catalog")
     s.add_argument("--given-layers", type=int, default=0,
-                   help="condition on this many gold prefix tokens")
+                   help="condition on this many gold prefix tokens, at most L")
 
     w = command("sweep", cmd_sweep, "hourglass statistics over a parameter grid",
                 seed, clusters, lloyd)

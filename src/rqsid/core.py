@@ -51,58 +51,64 @@ _ID_BREAKS = ',"|\r\n\x00'
 _ID_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _holds_break(text: str) -> bool:
-    return any(c in text for c in _ID_BREAKS)
-
-
-def check_item_ids(item_ids) -> None:
-    """Raise a DataError naming the first id outside the item-id alphabet.
-
-    A str array is checked in numpy, without a Python string per id; it
-    cannot hold a trailing NUL, so its maker must have checked for those.
-    """
-    if isinstance(item_ids, np.ndarray):
-        codes = _code_points(item_ids)
-        if not (np.isin(codes[:, 0], (0, ord("#"))).any()
-                or any((codes == ord(c)).any() for c in _ID_BREAKS if c != "\x00")
-                # a NUL is padding unless a character follows it
-                or ((codes[:, :-1] == 0) & (codes[:, 1:] != 0)).any()):
-            return
-        item_ids = item_ids.tolist()  # the scan below names the first bad id
-    # one scan of the joined ids accepts a valid sequence; only a "#" found
-    # anywhere, or a failed scan, costs a look at each id
-    try:
-        text = "".join(item_ids)
-    except TypeError:  # an id that is no string
-        text = None
-    if (text is not None and all(item_ids) and not _holds_break(text)
-            and ("#" not in text or not any(item[0] == "#" for item in item_ids))):
-        return
-    bad = next(
-        item for item in item_ids
-        if not isinstance(item, str) or item[:1] in ("", "#") or _holds_break(item)
-    )
-    raise DataError(
-        f"item id {bad!r} is not a nonempty string without ',', '\"', '|', CR, LF or NUL "
+def _bad_id(item) -> DataError:
+    """The error that names `item`, an id outside the alphabet."""
+    return DataError(
+        f"item id {item!r} is not a nonempty string without ',', '\"', '|', CR, LF or NUL "
         "that does not start with '#'"
     )
 
 
-def distinct(item_ids) -> bool:
-    """Whether no two item ids are equal. The ids are hashed into one sorted
-    integer array, a str array's in numpy without a Python string per id;
-    only if two hashes collide is a set of the ids built (4 MiB at 100k)."""
-    if isinstance(item_ids, np.ndarray):
-        hashes = np.zeros(len(item_ids), dtype=np.uint64)
-        for column in _code_points(item_ids).T:  # wraps modulo 2^64
-            hashes *= _ID_HASH_MULTIPLIER
-            hashes += column
-    else:
-        hashes = np.fromiter(map(hash, item_ids), dtype=np.int64, count=len(item_ids))
+def item_id_array(item_ids) -> np.ndarray:
+    """A sequence of item ids as a read-only str array, as wide as the
+    longest. An id that is no string or that holds NUL is found before
+    numpy sees the ids, which would stringify the one and drop a trailing
+    NUL of the other: it is a DataError naming the first id outside the
+    alphabet. `check_item_ids` checks the rest of the alphabet on the array.
+    """
+    try:
+        text = "".join(item_ids)
+    except TypeError:  # an id that is no string
+        text = None
+    if text is None or "\x00" in text:
+        raise _bad_id(next(
+            item for item in item_ids if not isinstance(item, str)
+            or item[:1] in ("", "#") or any(c in item for c in _ID_BREAKS)
+        ))
+    ids = np.array(item_ids, dtype=str)
+    ids.flags.writeable = False
+    return ids
+
+
+def check_item_ids(item_ids: np.ndarray) -> None:
+    """Raise a DataError naming the first id of a str array outside the
+    item-id alphabet, found in numpy without a Python string per id. The
+    array cannot hold a trailing NUL, so its maker must have checked for
+    those, as `item_id_array` does."""
+    codes = _code_points(item_ids)
+    bad = np.zeros(codes.shape, dtype=bool)  # a character that breaks its id
+    for c in _ID_BREAKS.replace("\x00", ""):
+        bad |= codes == ord(c)
+    # an empty id, or one that starts with "#"
+    bad[:, 0] |= (codes[:, 0] == 0) | (codes[:, 0] == ord("#"))
+    # a NUL is padding unless a character follows it
+    bad[:, :-1] |= (codes[:, :-1] == 0) & (codes[:, 1:] != 0)
+    if bad.any():  # the first bad character, in row-major order, is in the first bad id
+        raise _bad_id(str(item_ids[bad.argmax() // bad.shape[1]]))
+
+
+def distinct(item_ids: np.ndarray) -> bool:
+    """Whether no two ids of a str array are equal. The ids are hashed into
+    one sorted integer array in numpy, without a Python string per id; only
+    if two hashes collide is a set of the ids built (4 MiB at 100k)."""
+    hashes = np.zeros(len(item_ids), dtype=np.uint64)
+    for column in _code_points(item_ids).T:  # wraps modulo 2^64
+        hashes *= _ID_HASH_MULTIPLIER
+        hashes += column
     hashes.sort()
     if (hashes[1:] != hashes[:-1]).all():
         return True
-    ids = item_ids.tolist() if isinstance(item_ids, np.ndarray) else item_ids
+    ids = item_ids.tolist()
     return len(set(ids)) == len(ids)
 
 
@@ -154,10 +160,11 @@ class QuantizerConfig:
             )
 
 
-def check_embeddings(ids, vectors: np.ndarray) -> None:
+def check_embeddings(ids: np.ndarray, vectors: np.ndarray) -> None:
     """Raise a DataError for the first fault of `vectors`, in any layout, and
-    their `ids`: a shape other than (len(ids), dim >= 1), an id outside the
-    alphabet, a repeated id, or a non-finite component."""
+    their `ids`, a str array as `item_id_array` makes: a shape other than
+    (len(ids), dim >= 1), an id outside the alphabet, a repeated id, or a
+    non-finite component."""
     if vectors.ndim != 2:
         raise DataError(f"vectors must be 2-D, got shape {vectors.shape}")
     if vectors.shape[1] < 1:
@@ -166,7 +173,9 @@ def check_embeddings(ids, vectors: np.ndarray) -> None:
         raise DataError(f"{len(ids)} ids for {vectors.shape[0]} vectors")
     check_item_ids(ids)
     if not distinct(ids):
-        raise DataError("item ids must be unique")
+        seen = set()
+        repeated = next(item for item in ids.tolist() if item in seen or seen.add(item))
+        raise DataError(f"item ids must be unique; {repeated!r} repeats")
     if vectors.size and not np.all(np.isfinite(vectors)):
         raise DataError("vectors contain non-finite components")
 
@@ -175,25 +184,30 @@ def check_embeddings(ids, vectors: np.ndarray) -> None:
 class EmbeddingCollection:
     """An ordered set of item vectors with opaque string ids.
 
-    `vectors` is a read-only (n, dim) float64 array. A read-only, C-contiguous
-    float64 array that owns its buffer, as the loader and the generators
-    hand over, is adopted; anything else is copied, so no writable array of
-    a caller's can reach `vectors`.
+    `ids` is a read-only 1-D str array and `vectors` a read-only (n, dim)
+    float64 array. A read-only str array, or a read-only, C-contiguous
+    float64 array, that owns its buffer, as the loaders and the generators
+    hand over, is adopted; anything else is copied, the ids through
+    `item_id_array`, so no writable array of a caller's can reach either.
     """
 
-    ids: tuple[str, ...]
+    ids: np.ndarray
     vectors: np.ndarray
 
     def __post_init__(self) -> None:
+        ids = self.ids
+        if not (isinstance(ids, np.ndarray) and ids.dtype.kind == "U" and ids.ndim == 1
+                and ids.flags.owndata and not ids.flags.writeable):
+            ids = item_id_array(ids)
         vectors = self.vectors
         if not (isinstance(vectors, np.ndarray) and vectors.dtype == np.float64
                 and vectors.flags.c_contiguous and vectors.flags.owndata
                 and not vectors.flags.writeable):
             vectors = np.array(vectors, dtype=np.float64, order="C")
-        check_embeddings(self.ids, vectors)
+        check_embeddings(ids, vectors)
         vectors.flags.writeable = False
+        object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "ids", tuple(self.ids))
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -232,11 +246,11 @@ class Codebook:
         object.__setattr__(self, "training_sse_per_layer", sse)
 
 
-def sid_table(item_ids, tokens, config: QuantizerConfig, is_full=None) -> np.recarray:
+def sid_table(item_ids: np.ndarray, tokens, config: QuantizerConfig, is_full=None) -> np.recarray:
     """The id table: one record per item with fields `item_id` (str),
     `tokens` (int64, one per layer) and `is_full` (bool). `item_ids` is a
-    sequence of strings, or a str array, which is checked without a Python
-    string per id.
+    str array of checked ids (see `check_item_ids` and `distinct`), as
+    `EmbeddingCollection.ids`, `load_sids` and an id table hold them.
 
     Only layer 2 can be elided, and only with at least three layers, so an
     elided id keeps its row shape: its layer-2 slot holds -1. Each id thus
@@ -246,49 +260,23 @@ def sid_table(item_ids, tokens, config: QuantizerConfig, is_full=None) -> np.rec
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim != 2 or tokens.shape[0] == 0:
         raise ConfigError(f"expected a nonempty (n, L) id array, got shape {tokens.shape}")
-    n, L = tokens.shape[0], config.num_layers
+    n, L, M = tokens.shape[0], config.num_layers, config.codebook_size
     if tokens.shape[1] == 0:
         raise MalformedSequenceError("semantic ids have no tokens")
     if tokens.shape[1] != L:
         raise ConsistencyError(f"ids have {tokens.shape[1]} layers, config expects {L}")
-    if not (isinstance(item_ids, np.ndarray) and item_ids.dtype.kind == "U"):
-        item_ids = list(map(str, item_ids))
     if len(item_ids) != n:
         raise ConsistencyError(f"{len(item_ids)} item ids for {n} ids")
-    if not distinct(item_ids):
-        raise DataError("item ids must be unique")
-    check_item_ids(item_ids)
-    if isinstance(item_ids, list):
-        width = max(map(len, item_ids))
-    else:
-        width = int(np.char.str_len(item_ids).max())
-    table = np.recarray(
-        n, dtype=[("item_id", np.str_, max(1, width)),
-                  ("tokens", np.int64, (L,)), ("is_full", bool)]
-    )
-    table.item_id = item_ids
-    return _fill(table, tokens, config, is_full)
-
-
-def with_tokens(table, tokens, config: QuantizerConfig, is_full=None) -> np.recarray:
-    """A new id table of the items of `table`, whose ids are already
-    checked, holding new tokens and full-length mask (see `sid_table`)."""
-    out = np.recarray(len(table), dtype=table.dtype)
-    out.item_id = table.item_id
-    return _fill(out, np.asarray(tokens, dtype=np.int64), config, is_full)
-
-
-def _fill(table, tokens: np.ndarray, config: QuantizerConfig, is_full) -> np.recarray:
-    """Store `tokens` (left unwritten) and the mask in `table`, whose item ids
-    are set, with each elided layer-2 slot at -1 and every other token in range."""
-    n, L = tokens.shape
-    M = config.codebook_size
     is_full = np.ones(n, dtype=bool) if is_full is None else np.array(is_full, dtype=bool)
     if is_full.shape != (n,):
         raise ConsistencyError(f"full-length mask has shape {is_full.shape}, expected ({n},)")
     if L < 3 and not is_full.all():
         raise ConfigError("variable-length elision needs at least three layers")
-    table.tokens = tokens
+    table = np.recarray(
+        n, dtype=[("item_id", item_ids.dtype), ("tokens", np.int64, (L,)), ("is_full", bool)]
+    )
+    table.item_id = item_ids
+    table.tokens = tokens  # the caller's `tokens` stay unwritten
     tokens = table.tokens
     present = np.ones((n, L), dtype=bool)
     if L >= 3:

@@ -53,8 +53,11 @@ class ClusterSpec:
             )
 
 
-def _item_ids(n: int) -> tuple[str, ...]:
-    return tuple(f"item_{i:06d}" for i in range(n))
+def _item_ids(n: int) -> np.ndarray:
+    # made one id at a time, with no list of n strings
+    ids = np.fromiter((f"item_{i:06d}" for i in range(n)), ("U", len(f"item_{n - 1:06d}")), n)
+    ids.flags.writeable = False  # the collection adopts it
+    return ids
 
 
 def cluster_sizes(n: int, spec: ClusterSpec) -> np.ndarray:

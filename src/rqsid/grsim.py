@@ -514,8 +514,8 @@ def evaluate(
     max_k = max(k_list)
     if max_k > beam_width:
         raise ConfigError(f"k={max_k} exceeds beam width {beam_width}")
-    if given_prefix_layers < 0:
-        raise ConfigError("given_prefix_layers must be >= 0")
+    if not 0 <= given_prefix_layers <= config.num_layers:
+        raise ConfigError(f"given_prefix_layers must be in [0, {config.num_layers}]")
 
     _check_rows(test, catalog)
 

@@ -22,7 +22,6 @@ from .core import (
     UndefinedStatError,
     sid_table,
     sid_to_flat_tokens,
-    with_tokens,
 )
 from .diagnostics import (
     HourglassReport,
@@ -83,7 +82,7 @@ def _table(sids, config: QuantizerConfig) -> np.recarray:
             )
         return sids
     tokens = np.asarray(sids, dtype=np.int64)
-    return sid_table([str(i) for i in range(len(tokens))], tokens, config)
+    return sid_table(np.arange(len(tokens)).astype(str), tokens, config)
 
 
 def _outcome(table, head_set, capacity_paper_formula: int, config) -> MitigationOutcome:
@@ -119,7 +118,7 @@ def exchange_layers(table, a: int, b: int, config: QuantizerConfig) -> np.recarr
         raise ConsistencyError("layer exchange needs full-length ids")
     tokens = table.tokens.copy()
     tokens[:, [a - 1, b - 1]] = tokens[:, [b - 1, a - 1]]
-    return with_tokens(table, tokens, config)
+    return sid_table(table.item_id, tokens, config)
 
 
 def remove_layer(sids, config: QuantizerConfig) -> MitigationOutcome:
@@ -137,7 +136,7 @@ def remove_layer(sids, config: QuantizerConfig) -> MitigationOutcome:
             "removing layer 2 of a 2-layer id would drop its terminal token"
         )
     table = _table(sids, config)
-    elided = with_tokens(table, table.tokens, config, np.zeros(len(table), dtype=bool))
+    elided = sid_table(table.item_id, table.tokens, config, np.zeros(len(table), dtype=bool))
     return _outcome(elided, range(M), M ** (L - 1), config)
 
 
@@ -162,7 +161,7 @@ def varlen_topk(
     head, _ = head_tail_split(hist, selector)
     k = len(head)
     is_full = ~np.isin(table.tokens[:, 1], list(head))
-    elided = with_tokens(table, table.tokens, config, is_full)
+    elided = sid_table(table.item_id, table.tokens, config, is_full)
     return _outcome(elided, head, M**L + k * (M ** (L - 2) - M ** (L - 1)), config)
 
 

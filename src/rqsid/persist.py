@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -42,6 +43,7 @@ from .core import (
     check_embeddings,
     check_item_ids,
     distinct,
+    item_id_array,
     sid_table,
 )
 from .grsim import InteractionDataset
@@ -91,8 +93,12 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def atomic_write_json(path, obj) -> None:
+    """Write `obj` as sorted, indented JSON and a newline to `path` atomically,
+    a chunk at a time as the encoder makes it, not as one whole text."""
+    with atomic_writer(path) as f, io.TextIOWrapper(f, encoding="utf-8", newline="") as text:
+        json.dump(obj, text, sort_keys=True, indent=2)
+        text.write("\n")
 
 
 @contextmanager
@@ -178,7 +184,7 @@ def save_codebook(path, codebook: Codebook, head_set=None):
         header["layers_dtype"] = "float32-le"
         header["layers_sha256"] = sha256_bytes(payload)
         written.append(bin_path)
-    atomic_write_text(path, dump_json(header))
+    atomic_write_json(path, header)
     written.insert(0, path)
     return written
 
@@ -303,8 +309,9 @@ def load_sids(path, config: QuantizerConfig) -> np.recarray:
         raise _bad_item(path)
     table_tokens, is_full = _item_tokens(items, first, records["layer"], records["token"], L)
     del first, records
-    if nul:  # fixed-width ids drop a trailing NUL, so check the ids as read
-        check_item_ids([item for item, _ in itertools.groupby(map(_row_id, _body_lines(path)))])
+    if nul:  # fixed-width ids drop a trailing NUL, so the ids as read name it
+        item_id_array([item for item, _ in itertools.groupby(map(_row_id, _body_lines(path)))])
+    check_item_ids(items)
     return sid_table(items, table_tokens, config, is_full)
 
 
@@ -460,9 +467,9 @@ def save_embeddings_binary(path, data: EmbeddingCollection):
         "vectors_dtype": "float64-le",
         "vectors_file": bin_path.name,
         "vectors_sha256": sha256_bytes(payload),
-        "item_ids": list(data.ids),
+        "item_ids": data.ids.tolist(),
     }
-    atomic_write_text(path, dump_json(header))
+    atomic_write_json(path, header)
     return [path, bin_path]
 
 
@@ -489,7 +496,7 @@ def load_embeddings(path) -> EmbeddingCollection:
                 ids.append(row[0])
         if not ids:
             raise DataError(f"{path} holds no embeddings")
-        return EmbeddingCollection(tuple(ids), np.asarray(rows, dtype=np.float64))
+        return EmbeddingCollection(ids, np.asarray(rows, dtype=np.float64))
     ids, vectors = _load_binary_embeddings(path, "C")
     vectors.flags.writeable = False  # the collection adopts it
     return EmbeddingCollection(ids, vectors)
@@ -507,13 +514,14 @@ def load_residuals(path) -> np.ndarray:
     return vectors
 
 
-def _load_binary_embeddings(path: Path, order: str) -> tuple[list, np.ndarray]:
-    """The item ids of a binary embeddings file and its vectors, as a new array
-    of `order` layout, read and hashed a `_VECTOR_READ_BLOCK` of rows at a
-    time. A file of any other size is hashed whole, to name its first fault:
-    its digest, then its size."""
+def _load_binary_embeddings(path: Path, order: str) -> tuple[np.ndarray, np.ndarray]:
+    """The item ids of a binary embeddings file, as `item_id_array` makes
+    them, and its vectors, as a new array of `order` layout, read and hashed
+    a `_VECTOR_READ_BLOCK` of rows at a time. A file of any other size is
+    hashed whole, to name its first fault: its digest, then its size."""
     header = _load_header(path, "embeddings", count=int, dim=int, vectors_file=str,
                           vectors_sha256=str, item_ids=list)
+    ids = item_id_array(header.pop("item_ids"))  # the list goes before the vectors come
     bin_path = path.parent / header["vectors_file"]
     count, dim, digest = header["count"], header["dim"], header["vectors_sha256"]
     with open(bin_path, "rb") as f:
@@ -529,7 +537,7 @@ def _load_binary_embeddings(path: Path, order: str) -> tuple[list, np.ndarray]:
                 vectors[start : start + len(part)] = part
             else:
                 if not f.read(1) and h.hexdigest() == digest:
-                    return header["item_ids"], vectors
+                    return ids, vectors
     if sha256_file(bin_path) != digest:
         raise DataError(f"digest mismatch for {bin_path}")
     size = bin_path.stat().st_size
@@ -537,9 +545,9 @@ def _load_binary_embeddings(path: Path, order: str) -> tuple[list, np.ndarray]:
 
 
 def save_labels(path, ids, labels) -> None:
-    """Write item_id,cluster rows, one per item."""
+    """Write item_id,cluster rows, one per item of the str array `ids`."""
     labels = np.asarray(labels, dtype=np.int64).tolist()
-    rows = "".join([f"{item_id},{label}\n" for item_id, label in zip(ids, labels)])
+    rows = "".join([f"{item_id},{label}\n" for item_id, label in zip(ids.tolist(), labels)])
     atomic_write_text(path, "item_id,cluster\n" + rows)
 
 
@@ -582,7 +590,7 @@ def load_interactions(path, catalog) -> dict[str, InteractionDataset]:
                 items.extend(map(row_of.__getitem__, record))
             except KeyError as e:
                 # catalog ids are checked, so only a missing id can break the alphabet
-                check_item_ids(record)
+                check_item_ids(item_id_array(record))
                 raise DataError(f"{path}: {split} item {e.args[0]!r} not in catalog") from None
             sizes.append(len(record))
     return {split: InteractionDataset(*lists, split) for split, lists in by_split.items()}
@@ -594,7 +602,7 @@ def load_interactions(path, catalog) -> dict[str, InteractionDataset]:
 def save_report(path, kind: str, payload: dict) -> None:
     doc = {"schema_version": FORMAT_VERSION, "kind": kind}
     doc.update(payload)
-    atomic_write_text(path, dump_json(doc))
+    atomic_write_json(path, doc)
 
 
 MANIFEST_NAME = "manifest.json"
@@ -649,7 +657,7 @@ def record_run(
     if kmeans is not None:
         record["kmeans"] = kmeans
     manifest["runs"].append(record)
-    atomic_write_text(manifest_path, dump_json(manifest))
+    atomic_write_json(manifest_path, manifest)
     return manifest_path
 
 

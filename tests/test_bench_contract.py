@@ -49,7 +49,7 @@ def test_evaluate_decodes_through_module_beam_search(monkeypatch):
     its trie mode, so the traced run labels and counts its decoding spans."""
     config = QuantizerConfig(num_layers=3, codebook_size=4, dim=1)
     # flat ids (0, 5, 10), (1, 6, 11) and (2, 9): c elides layer 2
-    catalog = sid_table(["a", "b", "c"], [(0, 1, 2), (1, 2, 3), (2, 0, 1)], config,
+    catalog = sid_table(np.array(["a", "b", "c"]), [(0, 1, 2), (1, 2, 3), (2, 0, 1)], config,
                         [True, True, False])
     # records a -> b, b -> c, c -> a and a -> c as catalog rows
     train = InteractionDataset([0, 1, 1, 2, 2, 0, 0, 2], [2, 2, 2, 2])
@@ -82,7 +82,7 @@ def test_traced_simulate_calls_every_expected_grsim_function(layers, tmp_path):
     persist.save_codebook(tmp_path / "codebook.json", codebook)
     items = [f"item_{k}" for k in range(24)]
     persist.save_sids(tmp_path / "sids.csv",
-                      sid_table(items, gen.integers(0, 4, size=(24, 3)), config))
+                      sid_table(np.array(items), gen.integers(0, 4, size=(24, 3)), config))
     tracer = spans.Tracer("contract")
     tracer.install(layers.TARGETS)
     try:

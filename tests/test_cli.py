@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rqsid.cli
+import rqsid.core
 from rqsid import persist
 from rqsid.cli import main
 from rqsid.diagnostics import Selector, hourglass_report, small_residual_ratio
@@ -291,6 +292,14 @@ class TestErrors:
         assert run(*argv(pipeline), "--out", tmp_path / "out") == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("given", [-1, 4, 9])
+    def test_given_layers_outside_0_to_L_exits_2(self, pipeline, tmp_path, given):
+        # the pipeline's ids have L = 3 layers
+        assert run("simulate", "--sids", pipeline / "enc" / "sids.csv",
+                   "--codebook", pipeline / "train" / "codebook.json", "--records", 50,
+                   "--test-records", 10, "--given-layers", given, "--out", tmp_path / "out") == 2
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [
         ("mitigate", "--mode", "exchange", "--swap", "1"),
         ("mitigate", "--mode", "exchange", "--swap", "1,2,3"),
@@ -557,6 +566,52 @@ class TestErrors:
         assert run(command, "--embeddings", embeddings, *flags, "--out", tmp_path / "out") == 3
         assert f"item id {bad!r} is not" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source,bad", [
+        ("json", 7), ("json", "b\x00"), ("json", "b|c"), ("json", "a"),
+        ("csv", "b\x00"), ("csv", "#b"), ("csv", "a"),
+        ("sids", "b\x00"), ("sids", "#b"), ("sids", "a"),
+        ("interactions", "item_000002\x00"), ("interactions", "#b"),
+    ])
+    def test_bad_item_id_exits_3_naming_it(self, pipeline, tmp_path, capsys, source, bad):
+        # each file holds the ids "a", "c" and then `bad`; "a" is a repeat
+        if source == "json":
+            embeddings = self.write_binary_embeddings(tmp_path, 6, item_ids=["a", "c", bad])
+            code = self.train_exit_code(tmp_path, embeddings)
+        elif source == "csv":
+            embeddings = tmp_path / "embeddings.csv"
+            embeddings.write_text(f"item_id,v0,v1\na,0.5,1.0\nc,1.0,0.0\n{bad},0.25,0.5\n")
+            code = self.train_exit_code(tmp_path, embeddings)
+        else:
+            if source == "sids":
+                sids = tmp_path / "sids.csv"
+                sids.write_text("item_id,layer,token\n" + "".join(
+                    f"{item},{layer},0\n" for item in ("a", "c", bad) for layer in (1, 2, 3)))
+                argv = ("analyze", "--sids", sids)
+            else:
+                interactions = tmp_path / "interactions.csv"
+                interactions.write_text("user_context,target,split\nitem_000000,item_000001,"
+                                        f"train\nitem_000001|{bad},item_000003,test\n")
+                argv = ("simulate", "--sids", pipeline / "enc" / "sids.csv",
+                        "--interactions", interactions)
+            code = run(*argv, "--codebook", pipeline / "train" / "codebook.json",
+                       "--out", tmp_path / "out")
+            assert not (tmp_path / "out").exists()
+        assert code == 3
+        assert repr(bad) in capsys.readouterr().err
+
+    def test_encode_checks_its_ids_once(self, pipeline, tmp_path, monkeypatch):
+        calls = []
+        for name in ("check_item_ids", "distinct"):
+            def counted(*args, _name=name, _check=getattr(rqsid.core, name)):
+                calls.append(_name)
+                return _check(*args)
+            for module in (rqsid.core, persist):
+                monkeypatch.setattr(module, name, counted)
+        assert run("encode", "--embeddings", pipeline / "gen" / "embeddings.json",
+                   "--codebook", pipeline / "train" / "codebook.json",
+                   "--out", tmp_path / "enc") == 0
+        assert sorted(calls) == ["check_item_ids", "distinct"]
 
     @staticmethod
     def analyze_exit_code(pipeline, tmp_path, codebook):

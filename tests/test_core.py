@@ -1,3 +1,5 @@
+import csv
+import json
 import re
 
 import numpy as np
@@ -15,13 +17,15 @@ from rqsid.core import (
     QuantizerConfig,
     RandomSource,
     TokenRangeError,
+    check_item_ids,
     distinct,
+    item_id_array,
     sid_table,
     sid_to_flat_tokens,
 )
 from rqsid import core
 from rqsid.diagnostics import token_histogram
-from rqsid.persist import load_sids
+from rqsid.persist import load_embeddings, load_sids, save_embeddings_binary
 
 CFG34 = QuantizerConfig(num_layers=3, codebook_size=4, dim=2)
 
@@ -80,15 +84,30 @@ class TestEmbeddingCollection:
 
     def test_ids_at_alphabet_edges(self):
         data = EmbeddingCollection(tuple(GOOD_ITEM_IDS), np.zeros((len(GOOD_ITEM_IDS), 1)))
-        assert data.ids == tuple(GOOD_ITEM_IDS)
+        assert data.ids.tolist() == GOOD_ITEM_IDS
+        assert data.ids.dtype == np.dtype(("U", max(map(len, GOOD_ITEM_IDS))))
 
     def test_read_only_owned_array_adopted(self):
+        ids = np.array(["a", "b", "c"])
+        ids.flags.writeable = False
         vectors = np.empty((3, 2))
         vectors[:] = [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
         vectors.flags.writeable = False
-        data = EmbeddingCollection(("a", "b", "c"), vectors)
-        assert data.vectors is vectors
-        assert not data.vectors.flags.writeable
+        data = EmbeddingCollection(ids, vectors)
+        assert data.ids is ids and data.vectors is vectors
+        assert not data.ids.flags.writeable and not data.vectors.flags.writeable
+
+    @pytest.mark.parametrize("kind", ["tuple", "writable", "read-only view"])
+    def test_other_ids_copied(self, kind):
+        base = np.array(["a", "b", "c"])
+        ids = {"tuple": ("a", "b", "c"), "writable": base, "read-only view": base.view()}[kind]
+        if kind == "read-only view":
+            ids.flags.writeable = False
+        data = EmbeddingCollection(ids, np.zeros((3, 2)))
+        assert not np.shares_memory(data.ids, base)
+        assert not data.ids.flags.writeable
+        base[0] = "z"
+        assert data.ids.tolist() == ["a", "b", "c"]
 
     @pytest.mark.parametrize("kind", ["writable", "read-only view", "float32", "fortran"])
     def test_other_arrays_copied(self, kind):
@@ -124,7 +143,7 @@ class TestCodebook:
 
 
 def table(rows, cfg=CFG34, is_full=None):
-    return sid_table([f"i{k}" for k in range(len(rows))], rows, cfg, is_full)
+    return sid_table(np.array([f"i{k}" for k in range(len(rows))]), rows, cfg, is_full)
 
 
 def load(tmp_path, rows, cfg=CFG34):
@@ -197,7 +216,7 @@ class TestFlatCodec:
 
     def test_parse_empty(self):
         with pytest.raises(MalformedSequenceError):
-            sid_table(["x"], np.zeros((1, 0), dtype=np.int64), CFG34)
+            sid_table(np.array(["x"]), np.zeros((1, 0), dtype=np.int64), CFG34)
 
     def test_flat_token_out_of_range_in_sid(self):
         with pytest.raises(TokenRangeError):
@@ -230,63 +249,41 @@ class TestSidTable:
         with pytest.raises(TokenRangeError):
             token_histogram(t.tokens, 2, 4)
 
-    def test_duplicate_item_ids(self):
-        with pytest.raises(DataError):
-            sid_table(["a", "a"], [(0, 0, 0), (1, 1, 1)], CFG34)
-
-    @pytest.mark.parametrize("bad", [b for b in BAD_ITEM_IDS if isinstance(b, str)])
-    def test_item_id_outside_alphabet(self, bad):
-        with pytest.raises(DataError, match=re.escape(repr(bad))):
-            sid_table(["a", bad], [(0, 0, 0), (1, 1, 1)], CFG34)
-
     def test_item_ids_at_alphabet_edges(self):
-        t = sid_table(GOOD_ITEM_IDS, [(0, 0, 0)] * len(GOOD_ITEM_IDS), CFG34)
+        t = sid_table(np.array(GOOD_ITEM_IDS), [(0, 0, 0)] * len(GOOD_ITEM_IDS), CFG34)
         assert t.item_id.tolist() == GOOD_ITEM_IDS
 
     def test_missing_item_ids(self):
         with pytest.raises(ConsistencyError):
-            sid_table(["a"], [(0, 0, 0), (1, 1, 1)], CFG34)
+            sid_table(np.array(["a"]), [(0, 0, 0), (1, 1, 1)], CFG34)
 
     def test_bad_shapes(self):
+        one = np.array(["a"])
         with pytest.raises(ConfigError):
-            sid_table(["a"], [0, 0, 0], CFG34)
+            sid_table(one, [0, 0, 0], CFG34)
         with pytest.raises(ConfigError):
-            sid_table([], np.zeros((0, 3), dtype=np.int64), CFG34)
+            sid_table(one[:0], np.zeros((0, 3), dtype=np.int64), CFG34)
         with pytest.raises(ConsistencyError):
-            sid_table(["a"], [(0, 0)], CFG34)
+            sid_table(one, [(0, 0)], CFG34)
         with pytest.raises(ConsistencyError):
-            sid_table(["a"], [(0, 0, 0)], CFG34, is_full=[True, True])
+            sid_table(one, [(0, 0, 0)], CFG34, is_full=[True, True])
 
     def test_elision_needs_three_layers(self):
         cfg = QuantizerConfig(num_layers=2, codebook_size=4, dim=1)
         with pytest.raises(ConfigError):
-            sid_table(["a"], [(0, 0)], cfg, is_full=[False])
+            sid_table(np.array(["a"]), [(0, 0)], cfg, is_full=[False])
 
 
 class TestStrArrayIds:
-    """sid_table, check_item_ids and distinct on a str array, as load_sids
-    passes its ids, against the same ids as a list."""
-
-    def test_table_matches_list_input(self):
-        tokens = [(0, 1, 2)] * len(GOOD_ITEM_IDS)
-        from_list = sid_table(GOOD_ITEM_IDS, tokens, CFG34)
-        # a wider array than its longest id: the table keeps the narrower width
-        from_array = sid_table(np.array(GOOD_ITEM_IDS, dtype="U20"), tokens, CFG34)
-        assert from_array.dtype == from_list.dtype
-        assert from_array.tobytes() == from_list.tobytes()
+    """check_item_ids and distinct on a str array, which item_id_array makes."""
 
     # an array drops a trailing NUL, so only an inner one can be found there
     @pytest.mark.parametrize("bad", [b for b in BAD_ITEM_IDS
                                      if isinstance(b, str) and not b.endswith("\x00")]
                              + ["a\x00b", "\x00a"])
     def test_bad_id_named(self, bad):
-        ids = np.array(["a", bad, "b"])
         with pytest.raises(DataError, match=re.escape(repr(bad))):
-            sid_table(ids, [(0, 0, 0)] * 3, CFG34)
-
-    def test_duplicate_ids(self):
-        with pytest.raises(DataError, match="unique"):
-            sid_table(np.array(["a", "b", "a"]), [(0, 0, 0)] * 3, CFG34)
+            check_item_ids(np.array(["a", bad, "b"]))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.text("ab é\x85\U0001d11e", min_size=1, max_size=4), min_size=1,
@@ -300,18 +297,118 @@ class TestStrArrayIds:
         assert distinct(np.array(["ab", "cb", "b"]))
         assert not distinct(np.array(["ab", "cb", "ab"]))
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.text("ab é\x85", min_size=1, max_size=3), max_size=30))
-    def test_distinct_sequence_matches_set(self, ids):
-        assert distinct(ids) == distinct(tuple(ids)) == (len(set(ids)) == len(ids))
 
-    def test_colliding_sequence_hashes_compared_as_strings(self):
-        class Same(str):
-            def __hash__(self):
-                return 1
+_ID_BREAKS = ',"|\r\n\x00'
 
-        assert distinct([Same("a"), Same("b")])
-        assert not distinct([Same("a"), Same("b"), Same("a")])
+
+def reference_check_item_ids(item_ids):
+    """The sequence path of `check_item_ids`, which took the ids as a list."""
+    try:
+        text = "".join(item_ids)
+    except TypeError:  # an id that is no string
+        text = None
+    if (text is not None and all(item_ids) and not any(c in text for c in _ID_BREAKS)
+            and ("#" not in text or not any(item[0] == "#" for item in item_ids))):
+        return
+    bad = next(
+        item for item in item_ids
+        if not isinstance(item, str) or item[:1] in ("", "#") or any(c in item for c in _ID_BREAKS)
+    )
+    raise DataError(
+        f"item id {bad!r} is not a nonempty string without ',', '\"', '|', CR, LF or NUL "
+        "that does not start with '#'"
+    )
+
+
+def reference_distinct(item_ids):
+    """The sequence path of `distinct`: Python's hashes, sorted, then a set."""
+    hashes = np.fromiter(map(hash, item_ids), dtype=np.int64, count=len(item_ids))
+    hashes.sort()
+    if (hashes[1:] != hashes[:-1]).all():
+        return True
+    return len(set(item_ids)) == len(item_ids)
+
+
+def reference_check_ids(item_ids):
+    """The ids of a collection checked as lists: the alphabet, then uniqueness."""
+    reference_check_item_ids(item_ids)
+    if not reference_distinct(item_ids):
+        seen = set()
+        repeated = next(item for item in item_ids if item in seen or seen.add(item))
+        raise DataError(f"item ids must be unique; {repeated!r} repeats")
+
+
+def outcome(check, *args):
+    """None if `check` accepts `args`, else its DataError's message."""
+    try:
+        check(*args)
+    except DataError as e:
+        return str(e)
+    return None
+
+
+def write_json_embeddings(path, item_ids):
+    """An embeddings file of zero vectors whose header lists `item_ids`."""
+    n = len(item_ids)
+    save_embeddings_binary(path, EmbeddingCollection([f"i{k}" for k in range(n)],
+                                                     np.zeros((n, 1))))
+    header = json.loads(path.read_text())
+    header["item_ids"] = item_ids
+    path.write_text(json.dumps(header))
+    return path
+
+
+def write_csv_embeddings(path, item_ids):
+    """A CSV embeddings file of zero vectors, each id quoted as it needs."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["item_id", "v0"])
+        writer.writerows([item, "0.0"] for item in item_ids)
+    return path
+
+
+def entry_outcomes(item_ids, directory):
+    """What each way in makes of `item_ids`: the array path as a collection
+    runs it, a collection, and load_embeddings on a JSON file and, for
+    string ids, on a CSV file."""
+    vectors = np.zeros((len(item_ids), 1))
+    outcomes = {
+        "array": outcome(lambda: core.check_embeddings(item_id_array(item_ids), vectors)),
+        "collection": outcome(EmbeddingCollection, item_ids, vectors),
+        "json": outcome(load_embeddings, write_json_embeddings(directory / "e.json", item_ids)),
+    }
+    if all(isinstance(item, str) for item in item_ids):
+        outcomes["csv"] = outcome(load_embeddings,
+                                  write_csv_embeddings(directory / "e.csv", item_ids))
+    return outcomes
+
+
+# ids of the alphabet and near it, and ids far outside it
+FAIR_IDS = st.text("ab#é ", min_size=1, max_size=3)
+ODD_IDS = st.one_of(st.text(',"|\r\n\x00#a', max_size=3), st.integers(-3, 3), st.none(),
+                    st.lists(st.text("ab", max_size=1), max_size=1))
+
+
+class TestIdsAgainstReference:
+    """Ids checked as one str array, at every way in, against the sequence
+    checks: the same accept or reject, naming the same id."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(FAIR_IDS, FAIR_IDS, ODD_IDS), min_size=1, max_size=6))
+    def test_drawn_ids(self, tmp_path_factory, item_ids):
+        want = outcome(reference_check_ids, item_ids)
+        got = entry_outcomes(item_ids, tmp_path_factory.mktemp("ids"))
+        assert got == dict.fromkeys(got, want)
+
+    @pytest.mark.parametrize("bad", BAD_ITEM_IDS)
+    @pytest.mark.parametrize("place", ["alone", "between", "after-a-repeat", "after-another"])
+    def test_bad_ids(self, tmp_path, bad, place):
+        item_ids = {"alone": [bad], "between": ["a", bad, "a"], "after-a-repeat": ["a", "a", bad],
+                    "after-another": ["#c", bad]}[place]
+        want = outcome(reference_check_ids, item_ids)
+        assert want is not None
+        got = entry_outcomes(item_ids, tmp_path)
+        assert got == dict.fromkeys(got, want)
 
 
 @st.composite

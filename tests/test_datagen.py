@@ -52,7 +52,7 @@ class TestGenUniform:
         a = gen_uniform(4, 2, RandomSource(5))
         b = gen_uniform(4, 2, RandomSource(5))
         np.testing.assert_array_equal(a.vectors, b.vectors)
-        assert a.ids == b.ids
+        assert a.ids.tolist() == b.ids.tolist() == [f"item_{i:06d}" for i in range(4)]
         assert len({tuple(v) for v in a.vectors}) == 4
 
     def test_bounds(self):

@@ -33,7 +33,7 @@ VOCAB = CFG.num_layers * CFG.codebook_size  # flat vocabulary size
 
 def flat(sid, cfg=CFG):
     """Flat tokens of one full-length id."""
-    return tuple(sid_to_flat_tokens(sid_table(["x"], [sid], cfg), cfg)[0].tolist())
+    return tuple(sid_to_flat_tokens(sid_table(np.array(["x"]), [sid], cfg), cfg)[0].tolist())
 
 
 def table_of(catalog, cfg=CFG):
@@ -47,7 +47,7 @@ def table_of(catalog, cfg=CFG):
             row[t // M] = t % M
         rows.append(row)
     is_full = [len(seq) == L for seq in catalog.values()]
-    return sid_table(list(catalog), rows, cfg, is_full)
+    return sid_table(np.array(list(catalog)), rows, cfg, is_full)
 
 
 def catalog_of(table, cfg=CFG):
@@ -570,7 +570,7 @@ class TestCompiledTrieOracle:
         config = QuantizerConfig(num_layers=num_layers, codebook_size=M, dim=1)
         rows = gen.integers(0, M, size=(n, num_layers)).tolist()
         is_full = [not (num_layers >= 3 and gen.random() < elide_share) for _ in range(n)]
-        table = sid_table([f"i{k}" for k in range(n)], rows, config, is_full)
+        table = sid_table(np.array([f"i{k}" for k in range(n)]), rows, config, is_full)
         return config, table, catalog_of(table, config)
 
     @pytest.mark.parametrize("num_layers", [1, 2, 3, 4])
@@ -606,7 +606,7 @@ class TestCompiledTrieOracle:
     def test_negative_token_rejected(self):
         # the id table refuses it, so no trie is built over a negative token
         with pytest.raises(TokenRangeError):
-            build_trie(sid_table(["a", "b"], [(0, 0, 0), (1, -1, 1)], CFG), CFG)
+            build_trie(sid_table(np.array(["a", "b"]), [(0, 0, 0), (1, -1, 1)], CFG), CFG)
 
 
 class TestSequenceModel:
@@ -839,7 +839,7 @@ class TestTrainSeqModel:
         # raised where the table is built, before any stream is counted
         data = InteractionDataset([0, 1], [2])
         with pytest.raises(TokenRangeError):
-            catalog = sid_table(["a", "b"], [(0, 0, 0), (1, -1, 1)], CFG)
+            catalog = sid_table(np.array(["a", "b"]), [(0, 0, 0), (1, -1, 1)], CFG)
             train_seq_model(data, catalog, CFG, order=2, alpha=1.0)
 
 
@@ -1125,7 +1125,7 @@ class TestBatchLayers:
         cfg, model, contexts, prefixes = self.case(L)
         gen = np.random.default_rng(110 + L)
         rows = np.vstack([[1] * L, [self.M - 1] * L, gen.integers(0, self.M, size=(10, L))])
-        catalog = sid_table([f"i{k}" for k in range(len(rows))], rows, cfg)
+        catalog = sid_table(np.array([f"i{k}" for k in range(len(rows))]), rows, cfg)
         terminal = (L - 1) * self.M
         for trie in (None, build_trie(catalog, cfg)):
             for width in (1, 5, model.vocab_size ** L):
@@ -1234,6 +1234,18 @@ class TestEvaluate:
         )
         assert fixed.recall[1]["overall"] >= free.recall[1]["overall"]
 
+    @pytest.mark.parametrize("given", [-1, CFG.num_layers + 1, 9])
+    def test_given_prefix_layers_outside_0_to_L_rejected(self, given):
+        model, _ = self.make_model()
+        test = dataset(self.TABLE, [(("i3",), "i1")], "test")
+        with pytest.raises(ConfigError, match="given_prefix_layers"):
+            evaluate(model, test, self.TABLE, CFG, frozenset({1}), 27, (1,), "on",
+                     given_prefix_layers=given)
+        # all L layers given is the largest prefix
+        report = evaluate(model, test, self.TABLE, CFG, frozenset({1}), 27, (1,), "on",
+                          given_prefix_layers=CFG.num_layers)
+        assert report.recall[1]["overall"] == 1.0
+
     def test_elided_gold_counts_as_head(self):
         cfg = QuantizerConfig(num_layers=3, codebook_size=4, dim=1)
         # h elides layer 2; t is the full id (1, 2, 3)
@@ -1262,7 +1274,7 @@ class TestEvaluateOracle:
             (item, tuple((l, t) for l, t in enumerate(row, 1) if full or l != 2))
             for item, row, full in zip(item_ids, rows, is_full)
         ]
-        table = sid_table(item_ids, rows, config, is_full)
+        table = sid_table(np.array(item_ids), rows, config, is_full)
         spec = InteractionSpec(num_records=300, min_history=1, max_history=3)
         train = gen_interactions(n, spec, RandomSource(seed))
         test = gen_interactions(n, InteractionSpec(num_records=num_test), RandomSource(seed + 1),
@@ -1468,7 +1480,7 @@ class TestGenInteractions:
         """save_interactions of generated rows writes the bytes that the
         writer of id records wrote for the reference generator's records."""
         items = [f"i{k}" for k in range(n)]
-        table = sid_table(items, np.zeros((n, CFG.num_layers), dtype=np.int64), CFG)
+        table = sid_table(np.array(items), np.zeros((n, CFG.num_layers), dtype=np.int64), CFG)
         for pop_exponent, repeat_prob in self.SPECS:
             spec, seed = self.choice_case(n, pop_exponent, repeat_prob)
             got = [gen_interactions(n, spec, RandomSource(seed + k), split)

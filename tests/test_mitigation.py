@@ -36,7 +36,7 @@ CFG10 = QuantizerConfig(num_layers=3, codebook_size=10, dim=1)
 
 
 def table(rows, cfg=CFG10):
-    return sid_table([f"i{k}" for k in range(len(rows))], rows, cfg)
+    return sid_table(np.array([f"i{k}" for k in range(len(rows))]), rows, cfg)
 
 
 class TestExchangeLayers:
@@ -79,7 +79,7 @@ class TestExchangeLayers:
 class TestRemoveLayer:
     def test_collision_reported(self):
         cfg = QuantizerConfig(num_layers=3, codebook_size=8, dim=1)
-        out = remove_layer(sid_table(("a", "b"), [(0, 5, 2), (0, 6, 2)], cfg), cfg)
+        out = remove_layer(sid_table(np.array(["a", "b"]), [(0, 5, 2), (0, 6, 2)], cfg), cfg)
         assert out.transformed_sids.tokens.tolist() == [[0, -1, 2], [0, -1, 2]]
         assert not out.transformed_sids.is_full.any()
         assert out.collisions == {(0, 2 * 8 + 2): ("a", "b")}
@@ -278,7 +278,7 @@ class TestObjectPathOracle:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_varlen_matches_reference(self, seed):
         rows, item_ids, config = self.catalog(seed, num_layers=3 + seed % 2)
-        ids = sid_table(item_ids, rows, config)
+        ids = sid_table(np.array(item_ids), rows, config)
         hist = token_histogram(rows, 2, config.codebook_size)
         for selector in self.SELECTORS:
             outcome = varlen_topk(ids, hist, selector, config)
@@ -288,7 +288,7 @@ class TestObjectPathOracle:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_remove_matches_reference(self, seed):
         rows, item_ids, config = self.catalog(seed, num_layers=3 + seed)
-        outcome = remove_layer(sid_table(item_ids, rows, config), config)
+        outcome = remove_layer(sid_table(np.array(item_ids), rows, config), config)
         self.assert_same(outcome, reference_remove(rows, config, item_ids), item_ids, config)
 
 

@@ -39,6 +39,7 @@ from rqsid.persist import (
     save_sids,
     sha256_file,
 )
+from test_core import reference_check_item_ids
 
 CFG = QuantizerConfig(num_layers=3, codebook_size=4, dim=2, kmeans_iters=7, seed=11, convergence_tol=1e-3)
 
@@ -203,7 +204,7 @@ def id_tables(draw):
                            min_size=len(items), max_size=len(items)))
     is_full = draw(st.lists(st.booleans() if L >= 3 else st.just(True),
                             min_size=len(items), max_size=len(items)))
-    return sid_table(items, tokens, config, is_full), config
+    return sid_table(np.array(items), tokens, config, is_full), config
 
 
 def random_entries(gen, n, config, elide_share):
@@ -220,7 +221,7 @@ def random_entries(gen, n, config, elide_share):
 
 class TestSidFormat:
     def test_round_trip_mixed_lengths(self, tmp_path):
-        table = sid_table(["a", "b", "c"], [(0, 1, 2), (3, 0, 0), (1, 1, 1)], CFG,
+        table = sid_table(np.array(["a", "b", "c"]), [(0, 1, 2), (3, 0, 0), (1, 1, 1)], CFG,
                           is_full=[True, False, True])
         save_sids(tmp_path / "sids.csv", table)
         loaded = load_sids(tmp_path / "sids.csv", CFG)
@@ -230,7 +231,7 @@ class TestSidFormat:
         assert table_entries(loaded)[1] == ("b", ((1, 3), (3, 0)))
 
     def test_header_comment_present(self, tmp_path):
-        save_sids(tmp_path / "sids.csv", sid_table(["a"], [(0, 1, 2)], CFG))
+        save_sids(tmp_path / "sids.csv", sid_table(np.array(["a"]), [(0, 1, 2)], CFG))
         first = (tmp_path / "sids.csv").read_text().splitlines()[0]
         assert first.startswith("#") and "0-based" in first
 
@@ -325,8 +326,9 @@ class TestSidRoundTrip:
         path = write_sids(tmp_path / "sids.csv", ["a,1,0", "a,2,1", "a,3,2"])
         before = path.read_bytes()
         monkeypatch.setattr("rqsid.persist._SID_WRITE_BLOCK", 1)
+        table = sid_table(np.array(["b", "c"]), [(0, 1, 2), (1, 2, 3)], CFG)
         with pytest.raises(OSError, match="device full"):
-            save_sids(path, FailingTable(sid_table(["b", "c"], [(0, 1, 2), (1, 2, 3)], CFG)))
+            save_sids(path, FailingTable(table))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["sids.csv"]
 
@@ -405,10 +407,12 @@ class TestLoaderContract:
         with pytest.raises(DataError, match="'# note'"):
             load_sids(path, CFG)
 
-    @pytest.mark.parametrize("bad", ['"a"', "a|k", ""], ids=["quoted", "pipe", "empty"])
+    @pytest.mark.parametrize("bad", ['"a"', "a|k", "", "#", "#item", 'a"b', "|"],
+                             ids=["quoted", "pipe", "empty", "hash", "comment", "quote", "bar"])
     def test_id_outside_alphabet_rejected(self, tmp_path, bad):
-        path = write_sids(tmp_path / "sids.csv", [f"{bad},1,1", f"{bad},2,2", f"{bad},3,3"])
-        with pytest.raises(DataError):
+        path = write_sids(tmp_path / "sids.csv", ["a,1,1", "a,2,2", "a,3,3",
+                                                  f"{bad},1,1", f"{bad},2,2", f"{bad},3,3"])
+        with pytest.raises(DataError, match=re.escape(repr(bad))):
             load_sids(path, CFG)
 
 
@@ -565,7 +569,8 @@ def previous_load_sids(path, config, block=1 << 18):
         )
     table_tokens = np.full((len(items), L), -1, dtype=np.int64)
     table_tokens[item_of_row, layers - 1] = tokens
-    return sid_table(items, table_tokens, config, is_full)
+    reference_check_item_ids(items)
+    return sid_table(np.array(items), table_tokens, config, is_full)
 
 
 def previous_malformed_row(line):
@@ -683,7 +688,7 @@ class TestLoaderOracle:
         ))
         tokens = gen.integers(0, 300, size=(len(ids), num_layers))
         is_full = ~((gen.random(len(ids)) < elide_share) & (num_layers >= 3))
-        table = sid_table(ids, tokens, config, is_full)
+        table = sid_table(np.array(ids), tokens, config, is_full)
         path = tmp_path_factory.mktemp("sids") / "sids.csv"
         save_sids(path, table)
         assert path.stat().st_size > 2 * (1 << 18)
@@ -776,7 +781,7 @@ class TestEmbeddingFormats:
             ",".join([item, *map(repr, row)]) + "\n"
             for item, row in zip(data.ids, data.vectors.tolist())))
         loaded = load_embeddings(tmp_path / "emb.csv")
-        assert loaded.ids == data.ids
+        assert loaded.ids.tolist() == data.ids.tolist()
         np.testing.assert_array_equal(loaded.vectors, data.vectors)
 
     def test_binary_round_trip_lossless(self, tmp_path):
@@ -784,7 +789,7 @@ class TestEmbeddingFormats:
         data = EmbeddingCollection(("x", "y"), gen.standard_normal((2, 4)))
         save_embeddings_binary(tmp_path / "emb.json", data)
         loaded = load_embeddings(tmp_path / "emb.json")
-        assert loaded.ids == data.ids
+        assert loaded.ids.tolist() == data.ids.tolist()
         np.testing.assert_array_equal(loaded.vectors, data.vectors)
 
     def test_binary_digest_checked(self, tmp_path):
@@ -896,7 +901,7 @@ class TestBlockReader:
         residuals = persist.load_residuals(tmp_path / "emb.json")
         assert loaded.vectors.flags.c_contiguous and not loaded.vectors.flags.writeable
         assert residuals.flags.f_contiguous and residuals.flags.writeable
-        assert loaded.ids == data.ids
+        assert loaded.ids.tolist() == data.ids.tolist()
         assert loaded.vectors.tobytes() == data.vectors.tobytes()
         assert residuals.tobytes(order="C") == data.vectors.tobytes()
 
@@ -938,13 +943,13 @@ class TestLabelFormat:
         labels = np.array(data.draw(st.lists(st.integers(0, 10**6), min_size=len(ids),
                                              max_size=len(ids))), dtype=np.int64)
         path = tmp_path_factory.mktemp("labels") / "labels.csv"
-        save_labels(path, tuple(ids), labels)
+        save_labels(path, np.array(ids, dtype=str), labels)
         assert path.read_bytes() == reference_labels_csv(ids, labels).encode("utf-8")
 
 
 class TestInteractionFormat:
     def test_round_trip_with_splits(self, tmp_path):
-        catalog = sid_table(["a", "b", "c"], [(0, 0, 0), (1, 1, 1), (2, 2, 2)], CFG)
+        catalog = sid_table(np.array(["a", "b", "c"]), [(0, 0, 0), (1, 1, 1), (2, 2, 2)], CFG)
         # records a b -> c and c -> a, then b -> c
         train = InteractionDataset([0, 1, 2, 2, 0], [3, 2], split="train")
         test = InteractionDataset([1, 2], [2], split="test")
@@ -963,9 +968,19 @@ class TestInteractionFormat:
         (",b,train", "train record 1 has an empty history"),
     ], ids=["history", "other-split", "empty-history"])
     def test_load_rejects_rows_outside_catalog(self, tmp_path, row, message):
-        catalog = sid_table(["a", "b"], [(0, 0, 0), (1, 1, 1)], CFG)
+        catalog = sid_table(np.array(["a", "b"]), [(0, 0, 0), (1, 1, 1)], CFG)
         (tmp_path / "inter.csv").write_text(f"user_context,target,split\na,b,train\n{row}\n")
         with pytest.raises(DataError, match=message):
+            load_interactions(tmp_path / "inter.csv", catalog)
+
+    @pytest.mark.parametrize("row", ["a\x00,b,train", "a|b,a\x00,test", "b|a\x00b,a,train"],
+                             ids=["trailing-in-history", "trailing-in-target", "inner"])
+    def test_load_names_an_id_with_nul_as_outside_the_alphabet(self, tmp_path, row):
+        # the catalog's array cannot hold "a\x00", so it is checked as read
+        catalog = sid_table(np.array(["a", "b"]), [(0, 0, 0), (1, 1, 1)], CFG)
+        (tmp_path / "inter.csv").write_text(f"user_context,target,split\na,b,train\n{row}\n")
+        bad = next(item for item in re.split("[|,]", row) if "\x00" in item)
+        with pytest.raises(DataError, match=re.escape(f"item id {bad!r} is not")):
             load_interactions(tmp_path / "inter.csv", catalog)
 
 

@@ -69,6 +69,8 @@ def cli_runs(root: Path):
     cfg.write_text(json.dumps({"seed": 3, "train": {"num_layers": 2, "codebook_size": 4}}))
     bad = root / "bad.csv"
     bad.write_text("item_id,layer,token\na,1,0\na,2,0\na,x,0\n")
+    bad_id = root / "bad_id.csv"
+    bad_id.write_text("item_id,layer,token\na\x00,1,0\na\x00,2,0\na\x00,3,0\n")
     return [
         (("gen", "--kind", "uniform", "--n", 300, "--d", 4, "--out", root / "gen_u"), 0),
         (("gen", "--kind", "clustered", "--n", 3000, "--d", 8, "--clusters", 24,
@@ -102,6 +104,7 @@ def cli_runs(root: Path):
           "--codebook-size-set", 4, "--regimes", "uniform,zipf", "--kmeans-iters", 5,
           "--out", root / "sweep"), 0),
         (("analyze", "--sids", bad, "--codebook", codebook, "--out", root / "bad"), 3),
+        (("analyze", "--sids", bad_id, "--codebook", codebook, "--out", root / "bad_id"), 3),
     ]
 
 
