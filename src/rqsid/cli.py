@@ -319,7 +319,7 @@ def cmd_simulate(args) -> int:
         )
     catalog = persist.load_sids(args.sids, config)
 
-    generated = None
+    generated, timings = None, {}
     if args.interactions:
         splits = persist.load_interactions(args.interactions, catalog)
         if "train" not in splits or "test" not in splits:
@@ -337,8 +337,10 @@ def cmd_simulate(args) -> int:
             for records in (args.records, args.test_records)
         )
         train_rng, test_rng = RandomSource(args.seed).split(2)
+        t0 = time.perf_counter()
         train_ds = gen_interactions(len(catalog), spec, train_rng, split="train")
         test_ds = gen_interactions(len(catalog), test_spec, test_rng, split="test")
+        timings["gen_interactions"] = time.perf_counter() - t0
         generated = [train_ds, test_ds]
 
     if stored_head is not None:
@@ -353,7 +355,7 @@ def cmd_simulate(args) -> int:
 
     t0 = time.perf_counter()
     model = train_seq_model(train_ds, catalog, config, args.order, args.alpha)
-    train_s = time.perf_counter() - t0
+    timings["train_model"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     report = evaluate(
         model,
@@ -366,7 +368,7 @@ def cmd_simulate(args) -> int:
         trie_mode=args.trie,
         given_prefix_layers=args.given_layers,
     )
-    eval_s = time.perf_counter() - t0
+    timings["evaluate"] = time.perf_counter() - t0
 
     with persist.OutputLock(out):
         outputs = []
@@ -377,10 +379,7 @@ def cmd_simulate(args) -> int:
         report_path = out / "eval_report.json"
         persist.save_report(report_path, "eval_report", report.to_dict())
         outputs.append(report_path)
-        persist.record_run(
-            out, "simulate", _options(args),
-            {"train_model": train_s, "evaluate": eval_s}, outputs,
-        )
+        persist.record_run(out, "simulate", _options(args), timings, outputs)
     ks = ", ".join(f"r@{k}={report.recall[k]['overall']:.3f}" for k in report.k_list)
     print(f"evaluated {len(test_ds)} records ({report.record_counts['head']} head): {ks}")
     return 0
@@ -421,7 +420,7 @@ def cmd_sweep(args) -> int:
         writer.writerow(row)
     with persist.OutputLock(out):
         sweep_path = out / "sweep.csv"
-        persist.atomic_write_text(sweep_path, buf.getvalue())
+        persist.atomic_write_bytes(sweep_path, buf.getvalue().encode())
         persist.record_run(
             out, "sweep", _options(args), {"sweep": sweep_s}, [sweep_path], worker_info()
         )

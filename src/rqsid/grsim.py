@@ -9,7 +9,6 @@ recall / invalid-ratio evaluation split by head and tail layer-2 tokens.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -627,33 +626,101 @@ class InteractionSpec:
             raise ConfigError(f"repeat_prob must be in [0, 1], got {self.repeat_prob}")
 
 
+_LOW_HALF = np.uint64(0xFFFFFFFF)
+
+
+def _lemire_sizes(words: np.ndarray, shift: int, k: int, low: int) -> np.ndarray:
+    """The sizes `low + integers(0, k)` that Lemire's method draws from the
+    32-bit half at bit `shift` of each word, or -1 where it rejects the half
+    and draws another."""
+    m = words >> np.uint64(shift)
+    m &= _LOW_HALF
+    m *= np.uint64(k)
+    rejected = m & _LOW_HALF < (2**32 - k) % k
+    m >>= np.uint64(32)
+    sizes = m.view(np.int64)
+    sizes += low
+    sizes[rejected] = -1
+    return sizes
+
+
 def gen_interactions(
     num_items: int,
     spec: InteractionSpec,
     rng: RandomSource,
     split: str = "train",
 ) -> InteractionDataset:
-    """Synthesize interaction records over the rows of a `num_items`-row catalog."""
+    """Synthesize interaction records over the rows of a `num_items`-row catalog.
+
+    The records are those of numpy's scalar draws: per record, `integers(
+    min_history, max_history + 1)` for its history length and a popularity
+    draw `choice(n, p=popularity)` for its first item, then per step a
+    `random()` that repeats the last item's successor when below
+    `repeat_prob` and is otherwise followed by a popularity draw. They are
+    replayed from one bulk read of the PCG64 words: `random()` is a word's
+    top 53 bits, and `integers` is Lemire's method on the low half of a
+    fresh word, whose high half the bit generator caches for its next
+    `integers` call. So the words a record reads, at most `2 * max_history
+    + 2` and one more per rejected half, depend on the words alone: one walk
+    finds each record's size and first word, and the items are then drawn a
+    history column at a time.
+    """
     n = int(num_items)
     if n < 1:
         raise DataError("cannot generate interactions over an empty catalog")
     weights = 1.0 / np.arange(1, n + 1, dtype=np.float64) ** spec.pop_exponent
-    popularity = weights / weights.sum()
-    succ_rng, walk_rng = rng.split(2)
-    successors = succ_rng.generator().choice(n, size=n, p=popularity).tolist()
-    gen = walk_rng.generator()
-    # numpy's own algorithm for gen.choice(n, p=popularity), with the cdf
-    # computed once instead of on every draw; the random stream is the same,
-    # and bisect reads the cdf through a memoryview as Python floats, which
-    # compare as searchsorted compares float64
-    cdf = popularity.cumsum()
+    cdf = (weights / weights.sum()).cumsum()  # the popularity cdf, as `choice` makes it
     cdf /= cdf[-1]
-    cdf, random, integers = memoryview(cdf), gen.random, gen.integers
-    items, sizes = [], []
+    succ_rng, walk_rng = rng.split(2)
+    successors = cdf.searchsorted(succ_rng.generator().random(n), side="right")
+    bits = walk_rng.generator().bit_generator
+    state = bits.state
+    k, low = spec.max_history - spec.min_history + 1, spec.min_history + 1
+    words = bits.random_raw(spec.num_records * (2 * spec.max_history + 2))
+    counted = 0
+    while True:
+        low_sizes, high_sizes = (_lemire_sizes(words, shift, k, low) for shift in (0, 32))
+        rejected = sum(np.count_nonzero(s[counted:] < 0) for s in (low_sizes, high_sizes))
+        if not rejected:
+            break
+        counted = len(words)
+        words = np.append(words, bits.random_raw(rejected))  # a word per rejected half
+    words >>= np.uint64(11)
+    uniform = words * 2.0**-53  # each word's random()
+    hop = memoryview(np.add(uniform >= spec.repeat_prob, 1, dtype=np.uint8))  # words a step reads
+    low_sizes, high_sizes = memoryview(low_sizes), memoryview(high_sizes)
+    # the size from the high half the bit generator holds cached, 0 for none
+    cache = np.array([state["uinteger"]], dtype=np.uint64)
+    cached = state["has_uint32"] and int(_lemire_sizes(cache, 0, k, low)[0])
+    p, starts, sizes = 0, [], []
     for _ in range(spec.num_records):
-        sizes.append(int(integers(spec.min_history, spec.max_history + 1)) + 1)
-        items.append(bisect_right(cdf, random()))
-        for _ in range(sizes[-1] - 1):
-            items.append(successors[items[-1]] if random() < spec.repeat_prob
-                         else bisect_right(cdf, random()))
+        size = low if k == 1 else -1
+        while size < 0:
+            if cached:
+                size, cached = cached, 0
+            else:
+                size, cached, p = low_sizes[p], high_sizes[p], p + 1
+        starts.append(p)
+        sizes.append(size)
+        p += 1
+        for _ in range(size - 1):
+            p += hop[p]
+
+    sizes = np.array(sizes)
+    items = np.empty(sizes.sum(), dtype=np.int64)
+    # per record still drawing: its size, where its items start, the word of
+    # its next history step, and its last item
+    left, at, q = sizes, np.cumsum(sizes) - sizes, np.array(starts)
+    item = items[at] = cdf.searchsorted(uniform[q], side="right")
+    q += 1
+    for c in range(1, spec.max_history + 1):
+        if c > spec.min_history:
+            live = left > c
+            left, at, q, item = left[live], at[live], q[live], item[live]
+        item = successors[item]
+        fresh = np.flatnonzero(uniform[q] >= spec.repeat_prob)
+        item[fresh] = cdf.searchsorted(uniform[q[fresh] + 1], side="right")
+        items[at + c] = item
+        q += 1
+        q[fresh] += 1
     return InteractionDataset(items, sizes, split)

@@ -89,10 +89,6 @@ def atomic_write_bytes(path, data) -> None:
         f.write(data)
 
 
-def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
-
-
 def atomic_write_json(path, obj) -> None:
     """Write `obj` as sorted, indented JSON and a newline to `path` atomically,
     a chunk at a time as the encoder makes it, not as one whole text."""
@@ -226,8 +222,8 @@ def load_codebook(path) -> tuple[Codebook, frozenset[int] | None]:
 
 _SID_COMMENT = "# semantic ids in long form; tokens 0-based, layers 1-based"
 _SID_HEADER = "item_id,layer,token"
-# items per block of text that `save_sids` formats and writes at once
-_SID_WRITE_BLOCK = 8192
+# items or rows per block of text that a writer formats and writes at once
+_WRITE_BLOCK = 8192
 # characters of an id file's body that `load_sids` scans at once
 _SID_READ_BLOCK = 1 << 18
 # how numpy's text reader splits an id row: at "," only, with no comment or
@@ -251,8 +247,8 @@ def save_sids(path, table) -> None:
     elided = "".join(f"{{0}},{l},{{{l}}}\n" for l in range(1, L + 1) if l != 2)
     with atomic_writer(path) as f:
         f.write(f"{_SID_COMMENT}\n{_SID_HEADER}\n".encode())
-        for start in range(0, len(table), _SID_WRITE_BLOCK):
-            block = table[start : start + _SID_WRITE_BLOCK]
+        for start in range(0, len(table), _WRITE_BLOCK):
+            block = table[start : start + _WRITE_BLOCK]
             formats = [full if is_full else elided for is_full in block.is_full.tolist()]
             rows = map(str.format, formats, block.item_id.tolist(), *block.tokens.T.tolist())
             f.write("".join(rows).encode())
@@ -545,28 +541,35 @@ def _load_binary_embeddings(path: Path, order: str) -> tuple[np.ndarray, np.ndar
 
 
 def save_labels(path, ids, labels) -> None:
-    """Write item_id,cluster rows, one per item of the str array `ids`."""
-    labels = np.asarray(labels, dtype=np.int64).tolist()
-    rows = "".join([f"{item_id},{label}\n" for item_id, label in zip(ids.tolist(), labels)])
-    atomic_write_text(path, "item_id,cluster\n" + rows)
+    """Write item_id,cluster rows, one per item of the str array `ids`, a
+    block of rows at a time."""
+    labels = np.asarray(labels, dtype=np.int64)
+    with atomic_writer(path) as f:
+        f.write(b"item_id,cluster\n")
+        for start in range(0, len(ids), _WRITE_BLOCK):
+            block = slice(start, start + _WRITE_BLOCK)
+            rows = zip(ids[block].tolist(), labels[block].tolist())
+            f.write("".join([f"{item_id},{label}\n" for item_id, label in rows]).encode())
 
 
 # --- interactions -----------------------------------------------------------
 
 
 def save_interactions(path, datasets, catalog) -> None:
-    """Write datasets over the rows of `catalog` into one file, by item id."""
-    parts = ["user_context,target,split\n"]
-    for ds in datasets:
-        # the text after each item: a history item's "|" or ",", a target's ",split\n"
-        targets = np.cumsum(ds.sizes) - 1
-        seps = np.full(len(ds.items), "|", dtype=object)
-        seps[targets - 1] = ","
-        seps[targets] = f",{ds.split}\n"
-        parts += itertools.chain.from_iterable(
-            zip(catalog.item_id[ds.items].tolist(), seps.tolist())
-        )
-    atomic_write_text(path, "".join(parts))
+    """Write datasets over the rows of `catalog` into one file, by item id,
+    a block of items at a time."""
+    with atomic_writer(path) as f:
+        f.write(b"user_context,target,split\n")
+        for ds in datasets:
+            # the text after each item: a history item's "|" or ",", a target's ",split\n"
+            targets = np.cumsum(ds.sizes) - 1
+            seps = np.full(len(ds.items), "|", dtype=object)
+            seps[targets - 1] = ","
+            seps[targets] = f",{ds.split}\n"
+            for start in range(0, len(ds.items), _WRITE_BLOCK):
+                block = slice(start, start + _WRITE_BLOCK)
+                rows = zip(catalog.item_id[ds.items[block]].tolist(), seps[block].tolist())
+                f.write("".join(itertools.chain.from_iterable(rows)).encode())
 
 
 def load_interactions(path, catalog) -> dict[str, InteractionDataset]:

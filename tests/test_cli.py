@@ -764,6 +764,18 @@ class TestManifest:
             "seed": 0, "out": str(out),
         }
 
+    def test_simulate_times_the_records_it_draws(self, pipeline, tmp_path):
+        common = ("--sids", pipeline / "enc" / "sids.csv", "--codebook",
+                  pipeline / "train" / "codebook.json", "--beam", 5, "--k-list", "1,5")
+        assert run("simulate", *common, "--records", 300, "--test-records", 60,
+                   "--out", tmp_path / "drawn") == 0
+        assert run("simulate", *common, "--interactions", tmp_path / "drawn" / "interactions.csv",
+                   "--out", tmp_path / "loaded") == 0
+        timed = [set(json.loads((tmp_path / d / "manifest.json").read_text())["runs"][-1]
+                     ["timings_s"]) for d in ("drawn", "loaded")]
+        assert timed == [{"gen_interactions", "train_model", "evaluate"},
+                         {"train_model", "evaluate"}]
+
     @pytest.mark.parametrize("mode,flags,swap", [
         ("exchange", (), [1, 2]), ("exchange", ("--swap", "3,1"), [3, 1]),
         ("varlen", ("--head-mass", "0.5"), None),

@@ -3,6 +3,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rqsid.core import (
     ConfigError,
@@ -363,6 +365,20 @@ def searchsorted_interactions(num_items, spec, rng, split="train"):
         for _ in range(sizes[-1] - 1):
             items.append(successors[items[-1]] if gen.random() < spec.repeat_prob else draw())
     return InteractionDataset(items, sizes, split)
+
+
+# numpy PCG64's 128-bit LCG multiplier
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64_state_before(word, inc):
+    """A PCG64 LCG state whose next 64-bit output is `word`. PCG64 steps its
+    state s to `s * PCG64_MULTIPLIER + inc` and outputs the xor of the new
+    state's halves rotated right by its top 6 bits; its high half is free."""
+    high = 0xFEDCBA9876543210
+    rot = high >> 58
+    low = high ^ ((word << rot | word >> (64 - rot)) & (2**64 - 1))
+    return ((high << 64 | low) - inc) * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128
 
 
 def reference_interactions_csv(datasets):
@@ -1474,6 +1490,71 @@ class TestGenInteractions:
                                    pop_exponent=pop_exponent, repeat_prob=repeat_prob)
             got = gen_interactions(n, spec, RandomSource(n + k), "test")
             assert same(got, searchsorted_interactions(n, spec, RandomSource(n + k), "test")), k
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 3000), records=st.integers(1, 300),
+           bounds=st.lists(st.integers(1, 8), min_size=2, max_size=2).map(sorted),
+           pop_exponent=st.floats(0, 2, exclude_min=True),
+           repeat_prob=st.sampled_from([0.0, 1.0]) | st.floats(0, 1),
+           seed=st.integers(0, 2**64 - 1))
+    def test_matches_scalar_draws(self, n, records, bounds, pop_exponent, repeat_prob, seed):
+        spec = InteractionSpec(records, *bounds, pop_exponent, repeat_prob)
+        got = gen_interactions(n, spec, RandomSource(seed), "test")
+        assert same(got, searchsorted_interactions(n, spec, RandomSource(seed), "test"))
+
+    @staticmethod
+    def start_streams(monkeypatch, uinteger=None, first_word=None):
+        """Make every RandomSource generator start with the 32-bit half
+        `uinteger` cached, if given, and with the 64-bit word `first_word`."""
+        generator = RandomSource.generator
+
+        def patched(self):
+            gen = generator(self)
+            state = gen.bit_generator.state
+            if uinteger is not None:
+                state.update(has_uint32=1, uinteger=uinteger)
+            if first_word is not None:
+                state["state"]["state"] = pcg64_state_before(first_word, state["state"]["inc"])
+            gen.bit_generator.state = state
+            return gen
+
+        monkeypatch.setattr(RandomSource, "generator", patched)
+
+    @pytest.mark.parametrize("uinteger", [0, 0xAAAAAAAB, 2**31, 2**32 - 1])
+    def test_cached_half(self, monkeypatch, uinteger):
+        # for k = 3 Lemire's method rejects a half h when 3 * h % 2**32 is
+        # below (2**32 - 3) % 3 = 1, so it rejects 0 and accepts 0xAAAAAAAB (1)
+        self.start_streams(monkeypatch, uinteger=uinteger)
+        gen = RandomSource(0).generator()
+        gen.integers(2, 5)
+        # only a rejected cached half leaves a fresh word's high half cached
+        assert gen.bit_generator.state["has_uint32"] == (uinteger == 0)
+        for seed, repeat_prob in enumerate((0.0, 0.6, 1.0)):
+            spec = InteractionSpec(50, 2, 4, repeat_prob=repeat_prob)
+            got = gen_interactions(30, spec, RandomSource(seed))
+            assert same(got, searchsorted_interactions(30, spec, RandomSource(seed))), repeat_prob
+
+    def test_rejections_past_the_word_budget(self, monkeypatch):
+        """A first word of 0 has both halves rejected, so the size takes two
+        words, and a record of three fresh steps reads 2 + 1 + 6 words, one
+        more than the 2 * max_history + 2 read for it at first."""
+        self.start_streams(monkeypatch, first_word=0)
+        assert RandomSource(0).generator().bit_generator.random_raw() == 0
+        spec = InteractionSpec(1, 1, 3, repeat_prob=0.0)
+        histories = []
+        for seed in range(12):
+            got = gen_interactions(5, spec, RandomSource(seed))
+            assert same(got, searchsorted_interactions(5, spec, RandomSource(seed))), seed
+            histories.append(int(got.sizes[0]) - 1)
+        assert 3 in histories
+
+    @pytest.mark.parametrize("uinteger", [None, 0, 2**32 - 1])
+    def test_one_history_length_draws_no_integer(self, monkeypatch, uinteger):
+        self.start_streams(monkeypatch, uinteger=uinteger)
+        for seed, history in enumerate((1, 3, 8)):
+            spec = InteractionSpec(40, history, history, repeat_prob=0.5)
+            got = gen_interactions(20, spec, RandomSource(seed))
+            assert same(got, searchsorted_interactions(20, spec, RandomSource(seed))), history
 
     @pytest.mark.parametrize("n", [1, 7, 2000])
     def test_saved_file_matches_reference_writer(self, n, tmp_path):

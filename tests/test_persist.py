@@ -304,7 +304,7 @@ class TestSidRoundTrip:
         items = random_entries(np.random.default_rng(5), 23, CFG, 0.5)
         reference_save_sids(tmp_path / "ref.csv", items)
         table = load_sids(tmp_path / "ref.csv", CFG)
-        monkeypatch.setattr("rqsid.persist._SID_WRITE_BLOCK", 4)
+        monkeypatch.setattr("rqsid.persist._WRITE_BLOCK", 4)
         save_sids(tmp_path / "sids.csv", table)
         assert (tmp_path / "sids.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -325,7 +325,7 @@ class TestSidRoundTrip:
 
         path = write_sids(tmp_path / "sids.csv", ["a,1,0", "a,2,1", "a,3,2"])
         before = path.read_bytes()
-        monkeypatch.setattr("rqsid.persist._SID_WRITE_BLOCK", 1)
+        monkeypatch.setattr("rqsid.persist._WRITE_BLOCK", 1)
         table = sid_table(np.array(["b", "c"]), [(0, 1, 2), (1, 2, 3)], CFG)
         with pytest.raises(OSError, match="device full"):
             save_sids(path, FailingTable(table))
@@ -945,6 +945,55 @@ class TestLabelFormat:
         path = tmp_path_factory.mktemp("labels") / "labels.csv"
         save_labels(path, np.array(ids, dtype=str), labels)
         assert path.read_bytes() == reference_labels_csv(ids, labels).encode("utf-8")
+
+
+def joined_labels(ids, labels):
+    """The labels file that save_labels built as one text before writing it."""
+    rows = "".join([f"{item_id},{label}\n" for item_id, label in zip(ids.tolist(), labels.tolist())])
+    return ("item_id,cluster\n" + rows).encode()
+
+
+def joined_interactions(datasets, catalog):
+    """The interactions file that save_interactions built as one text before
+    writing it."""
+    parts = ["user_context,target,split\n"]
+    for ds in datasets:
+        targets = np.cumsum(ds.sizes) - 1
+        seps = np.full(len(ds.items), "|", dtype=object)
+        seps[targets - 1] = ","
+        seps[targets] = f",{ds.split}\n"
+        parts += itertools.chain.from_iterable(
+            zip(catalog.item_id[ds.items].tolist(), seps.tolist())
+        )
+    return "".join(parts).encode()
+
+
+class TestBlockedWriters:
+    """save_labels and save_interactions write a block of rows at a time, and
+    their bytes are those of the writers that joined the whole file first."""
+
+    @pytest.mark.parametrize("block", [3, 1000, persist._WRITE_BLOCK])
+    def test_labels(self, tmp_path, monkeypatch, block):
+        ids = np.array([f"\u00e9{k}-x" for k in range(2 * persist._WRITE_BLOCK + 7)])
+        labels = np.random.default_rng(block).integers(0, 10**6, size=len(ids))
+        monkeypatch.setattr("rqsid.persist._WRITE_BLOCK", block)
+        save_labels(tmp_path / "labels.csv", ids, labels)
+        assert (tmp_path / "labels.csv").read_bytes() == joined_labels(ids, labels)
+
+    @pytest.mark.parametrize("block", [3, 1000, persist._WRITE_BLOCK])
+    def test_interactions(self, tmp_path, monkeypatch, block):
+        gen = np.random.default_rng(block)
+        ids = np.array([f"\u00e9{k}-x" for k in range(500)])
+        catalog = sid_table(ids, gen.integers(0, 4, size=(len(ids), 3)), CFG)
+        datasets = []
+        for split, records in (("train", 5000), ("test", 700)):
+            sizes = gen.integers(2, 7, size=records)
+            items = gen.integers(0, len(ids), size=sizes.sum())
+            datasets.append(InteractionDataset(items, sizes, split))
+        assert len(datasets[0].items) > 2 * persist._WRITE_BLOCK
+        monkeypatch.setattr("rqsid.persist._WRITE_BLOCK", block)
+        save_interactions(tmp_path / "inter.csv", datasets, catalog)
+        assert (tmp_path / "inter.csv").read_bytes() == joined_interactions(datasets, catalog)
 
 
 class TestInteractionFormat:
