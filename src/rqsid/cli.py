@@ -1,10 +1,13 @@
 """Command-line front end: gen, train, encode, analyze, mitigate, simulate, sweep.
 
 Each option is declared once, in `build_parser`, with its type, choices and
-default. A JSON config file (flat keys, or a section named after the command)
-is read as flags placed before the explicit ones, so the same parser checks
-its values and explicit flags win. Each run's manifest records every option's
-value. Exit codes: 0 success, 2 configuration error, 3 data error.
+default. An option that applies to one use of its command only (`mitigate
+--swap`, `simulate`'s record synthesis) defaults to None there, and the
+command fills in its documented value where it applies. A JSON config file
+(flat keys, or a section named after the command) is read as flags placed
+before the explicit ones, so the same parser checks its values and explicit
+flags win. Each run's manifest records every option's value. Exit codes: 0
+success, 2 configuration error, 3 data error.
 """
 
 from __future__ import annotations
@@ -306,10 +309,25 @@ def _outcome_payload(outcome, post) -> dict:
     }
 
 
+# simulate's record-synthesis options and the values they take when not
+# given; none of them applies to records read from --interactions
+_SYNTHESIS = {"records": 2000, "test_records": None, "history_min": 2, "history_max": 5,
+              "pop_s": 1.0, "repeat_prob": 0.6}
+
+
 def cmd_simulate(args) -> int:
     out = Path(args.out)
-    if args.test_records is None:
-        args.test_records = max(200, args.records // 5)
+    if args.interactions:
+        given = ["--" + dest.replace("_", "-") for dest in _SYNTHESIS
+                 if getattr(args, dest) is not None]
+        if given:
+            raise ConfigError(f"{', '.join(given)} synthesize records, not --interactions")
+    else:
+        for dest, value in _SYNTHESIS.items():  # so the manifest records the values used
+            if getattr(args, dest) is None:
+                setattr(args, dest, value)
+        if args.test_records is None:
+            args.test_records = max(200, args.records // 5)
     codebook, stored_head = persist.load_codebook(args.codebook)
     config = codebook.config
     selector = _selector(args)
@@ -548,13 +566,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     s = command("simulate", cmd_simulate, "generative-retrieval simulation",
                 seed, sids, codebook, head)
     s.add_argument("--interactions", help="existing interaction CSV with train/test splits")
-    s.add_argument("--records", type=int, default=2000, help="synthesized training records")
+    s.add_argument("--records", type=int,
+                   help=f"synthesized training records (default {_SYNTHESIS['records']})")
     s.add_argument("--test-records", type=int,
                    help="synthesized test records (default max(200, records / 5))")
-    s.add_argument("--history-min", type=int, default=2)
-    s.add_argument("--history-max", type=int, default=5)
-    s.add_argument("--pop-s", type=float, default=1.0, help="item popularity exponent")
-    s.add_argument("--repeat-prob", type=float, default=0.6)
+    s.add_argument("--history-min", type=int,
+                   help=f"shortest synthesized history (default {_SYNTHESIS['history_min']})")
+    s.add_argument("--history-max", type=int,
+                   help=f"longest synthesized history (default {_SYNTHESIS['history_max']})")
+    s.add_argument("--pop-s", type=float,
+                   help=f"synthesized item popularity exponent (default {_SYNTHESIS['pop_s']})")
+    s.add_argument("--repeat-prob", type=float,
+                   help="chance that a synthesized step repeats its item's successor "
+                        f"(default {_SYNTHESIS['repeat_prob']})")
     s.add_argument("--order", type=int, default=3, help="model context length in flat tokens")
     s.add_argument("--alpha", type=float, default=0.1, help="Laplace smoothing")
     s.add_argument("--beam", type=int, default=50, help="beam width")

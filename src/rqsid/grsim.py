@@ -626,24 +626,6 @@ class InteractionSpec:
             raise ConfigError(f"repeat_prob must be in [0, 1], got {self.repeat_prob}")
 
 
-_LOW_HALF = np.uint64(0xFFFFFFFF)
-
-
-def _lemire_sizes(words: np.ndarray, shift: int, k: int, low: int) -> np.ndarray:
-    """The sizes `low + integers(0, k)` that Lemire's method draws from the
-    32-bit half at bit `shift` of each word, or -1 where it rejects the half
-    and draws another."""
-    m = words >> np.uint64(shift)
-    m &= _LOW_HALF
-    m *= np.uint64(k)
-    rejected = m & _LOW_HALF < (2**32 - k) % k
-    m >>= np.uint64(32)
-    sizes = m.view(np.int64)
-    sizes += low
-    sizes[rejected] = -1
-    return sizes
-
-
 def gen_interactions(
     num_items: int,
     spec: InteractionSpec,
@@ -652,18 +634,17 @@ def gen_interactions(
 ) -> InteractionDataset:
     """Synthesize interaction records over the rows of a `num_items`-row catalog.
 
-    The records are those of numpy's scalar draws: per record, `integers(
-    min_history, max_history + 1)` for its history length and a popularity
-    draw `choice(n, p=popularity)` for its first item, then per step a
-    `random()` that repeats the last item's successor when below
-    `repeat_prob` and is otherwise followed by a popularity draw. They are
-    replayed from one bulk read of the PCG64 words: `random()` is a word's
-    top 53 bits, and `integers` is Lemire's method on the low half of a
-    fresh word, whose high half the bit generator caches for its next
-    `integers` call. So the words a record reads, at most `2 * max_history
-    + 2` and one more per rejected half, depend on the words alone: one walk
-    finds each record's size and first word, and the items are then drawn a
-    history column at a time.
+    A popularity draw is `cdf.searchsorted(random(), side="right")` on the
+    zipf cdf, numpy's own algorithm for `choice(n, p=popularity)`. The first
+    of `rng`'s two children draws each item's successor. The second draws,
+    in this order: every record's history length, `integers(min_history,
+    max_history + 1, size=num_records)`; every record's first item; then for
+    each history column c = 1 .. max_history, over the records longer than
+    c, one `random()` per record, where a draw at or above `repeat_prob`
+    marks a fresh step, and one popularity draw per fresh step. A step that
+    is not fresh repeats the successor of the record's item before it. Each
+    call draws for all its records at once, so the records depend on
+    `num_records` as a whole: fewer records are not a prefix of more.
     """
     n = int(num_items)
     if n < 1:
@@ -673,54 +654,18 @@ def gen_interactions(
     cdf /= cdf[-1]
     succ_rng, walk_rng = rng.split(2)
     successors = cdf.searchsorted(succ_rng.generator().random(n), side="right")
-    bits = walk_rng.generator().bit_generator
-    state = bits.state
-    k, low = spec.max_history - spec.min_history + 1, spec.min_history + 1
-    words = bits.random_raw(spec.num_records * (2 * spec.max_history + 2))
-    counted = 0
-    while True:
-        low_sizes, high_sizes = (_lemire_sizes(words, shift, k, low) for shift in (0, 32))
-        rejected = sum(np.count_nonzero(s[counted:] < 0) for s in (low_sizes, high_sizes))
-        if not rejected:
-            break
-        counted = len(words)
-        words = np.append(words, bits.random_raw(rejected))  # a word per rejected half
-    words >>= np.uint64(11)
-    uniform = words * 2.0**-53  # each word's random()
-    hop = memoryview(np.add(uniform >= spec.repeat_prob, 1, dtype=np.uint8))  # words a step reads
-    low_sizes, high_sizes = memoryview(low_sizes), memoryview(high_sizes)
-    # the size from the high half the bit generator holds cached, 0 for none
-    cache = np.array([state["uinteger"]], dtype=np.uint64)
-    cached = state["has_uint32"] and int(_lemire_sizes(cache, 0, k, low)[0])
-    p, starts, sizes = 0, [], []
-    for _ in range(spec.num_records):
-        size = low if k == 1 else -1
-        while size < 0:
-            if cached:
-                size, cached = cached, 0
-            else:
-                size, cached, p = low_sizes[p], high_sizes[p], p + 1
-        starts.append(p)
-        sizes.append(size)
-        p += 1
-        for _ in range(size - 1):
-            p += hop[p]
-
-    sizes = np.array(sizes)
+    gen = walk_rng.generator()
+    sizes = gen.integers(spec.min_history, spec.max_history + 1, size=spec.num_records) + 1
     items = np.empty(sizes.sum(), dtype=np.int64)
-    # per record still drawing: its size, where its items start, the word of
-    # its next history step, and its last item
-    left, at, q = sizes, np.cumsum(sizes) - sizes, np.array(starts)
-    item = items[at] = cdf.searchsorted(uniform[q], side="right")
-    q += 1
+    # per record still drawing: its size, where its items start, its last item
+    left, at = sizes, np.cumsum(sizes) - sizes
+    item = items[at] = cdf.searchsorted(gen.random(spec.num_records), side="right")
     for c in range(1, spec.max_history + 1):
         if c > spec.min_history:
             live = left > c
-            left, at, q, item = left[live], at[live], q[live], item[live]
+            left, at, item = left[live], at[live], item[live]
         item = successors[item]
-        fresh = np.flatnonzero(uniform[q] >= spec.repeat_prob)
-        item[fresh] = cdf.searchsorted(uniform[q[fresh] + 1], side="right")
+        fresh = np.flatnonzero(gen.random(len(item)) >= spec.repeat_prob)
+        item[fresh] = cdf.searchsorted(gen.random(len(fresh)), side="right")
         items[at + c] = item
-        q += 1
-        q[fresh] += 1
     return InteractionDataset(items, sizes, split)

@@ -360,6 +360,24 @@ class TestErrors:
         assert "--swap" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--records", 5), ("--records", 2000), ("--test-records", 10), ("--history-min", 9),
+        ("--history-max", 5), ("--pop-s", "0.5"), ("--repeat-prob", "0.6"),
+    ])
+    def test_synthesis_flag_with_interactions_exits_2(self, pipeline, tmp_path, capsys, flag,
+                                                      value):
+        interactions = tmp_path / "interactions.csv"
+        interactions.write_text("user_context,target,split\nitem_000000,item_000001,train\n"
+                                "item_000001,item_000000,test\n")
+        code = run(
+            "simulate", "--sids", pipeline / "enc" / "sids.csv",
+            "--codebook", pipeline / "train" / "codebook.json",
+            "--interactions", interactions, flag, value, "--out", tmp_path / "out",
+        )
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     # one byte that is no UTF-8 in an item id, in each kind of text input
     def test_undecodable_sid_file_exits_3(self, pipeline, tmp_path, capsys):
         sids = tmp_path / "sids.csv"
@@ -775,6 +793,10 @@ class TestManifest:
                      ["timings_s"]) for d in ("drawn", "loaded")]
         assert timed == [{"gen_interactions", "train_model", "evaluate"},
                          {"train_model", "evaluate"}]
+        # a run over a file records no synthesis option as used
+        assert [recorded_options(tmp_path / "loaded")[dest] for dest in (
+            "records", "test_records", "history_min", "history_max", "pop_s", "repeat_prob",
+        )] == [None] * 6
 
     @pytest.mark.parametrize("mode,flags,swap", [
         ("exchange", (), [1, 2]), ("exchange", ("--swap", "3,1"), [3, 1]),

@@ -3,8 +3,6 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rqsid.core import (
     ConfigError,
@@ -320,38 +318,26 @@ def reference_array_beam(model, context, beam_width, max_len, config, trie=None,
     return finished[:beam_width]
 
 
-def reference_interactions(item_ids, spec, rng):
-    """The interaction generator that called gen.choice(n, p=...) per draw
-    and named each record's items by id, as `(history, target)` pairs."""
-    item_ids = [str(i) for i in item_ids]
-    n = len(item_ids)
-    weights = 1.0 / np.arange(1, n + 1, dtype=np.float64) ** spec.pop_exponent
-    popularity = weights / weights.sum()
-    succ_rng, walk_rng = rng.split(2)
-    successors = succ_rng.generator().choice(n, size=n, p=popularity)
-    gen = walk_rng.generator()
-    records = []
-    for _ in range(spec.num_records):
-        length = int(gen.integers(spec.min_history, spec.max_history + 1)) + 1
-        seq = [int(gen.choice(n, p=popularity))]
-        for _ in range(length - 1):
-            if gen.random() < spec.repeat_prob:
-                seq.append(int(successors[seq[-1]]))
-            else:
-                seq.append(int(gen.choice(n, p=popularity)))
-        records.append((tuple(item_ids[i] for i in seq[:-1]), item_ids[seq[-1]]))
-    return records
+def popularity_of(num_items, pop_exponent):
+    """The zipf popularity of a catalog's rows."""
+    weights = 1.0 / np.arange(1, num_items + 1, dtype=np.float64) ** pop_exponent
+    return weights / weights.sum()
+
+
+def successors_of(num_items, pop_exponent, rng):
+    """Each row's successor, as `gen_interactions` draws them from `rng`."""
+    popularity = popularity_of(num_items, pop_exponent)
+    return rng.split(2)[0].generator().choice(num_items, size=num_items, p=popularity)
 
 
 def searchsorted_interactions(num_items, spec, rng, split="train"):
-    """The generator that looked each popularity draw up with the float64
-    cdf's searchsorted, before it bisected the cdf as a list of floats."""
+    """The scalar generator that drew one record at a time, each step's
+    `random()` followed by the popularity draw of a fresh step: the same
+    process as `gen_interactions` over a different order of draws."""
     n = int(num_items)
-    weights = 1.0 / np.arange(1, n + 1, dtype=np.float64) ** spec.pop_exponent
-    popularity = weights / weights.sum()
-    succ_rng, walk_rng = rng.split(2)
-    successors = succ_rng.generator().choice(n, size=n, p=popularity).tolist()
-    gen = walk_rng.generator()
+    popularity = popularity_of(n, spec.pop_exponent)
+    successors = successors_of(n, spec.pop_exponent, rng).tolist()
+    gen = rng.split(2)[1].generator()
     cdf = popularity.cumsum()
     cdf /= cdf[-1]
 
@@ -367,18 +353,23 @@ def searchsorted_interactions(num_items, spec, rng, split="train"):
     return InteractionDataset(items, sizes, split)
 
 
-# numpy PCG64's 128-bit LCG multiplier
-PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+def repeated_steps(data, successors):
+    """The steps after each record's first item, and how many of them
+    repeat the successor of the item before."""
+    step = np.ones(len(data.items), dtype=bool)
+    step[np.cumsum(data.sizes) - data.sizes] = False
+    at = np.flatnonzero(step)
+    return len(at), np.count_nonzero(data.items[at] == successors[data.items[at - 1]])
 
 
-def pcg64_state_before(word, inc):
-    """A PCG64 LCG state whose next 64-bit output is `word`. PCG64 steps its
-    state s to `s * PCG64_MULTIPLIER + inc` and outputs the xor of the new
-    state's halves rotated right by its top 6 bits; its high half is free."""
-    high = 0xFEDCBA9876543210
-    rot = high >> 58
-    low = high ^ ((word << rot | word >> (64 - rot)) & (2**64 - 1))
-    return ((high << 64 | low) - inc) * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128
+def assert_same_share(a, trials_a, b, trials_b):
+    """Counts `a` of `trials_a` and `b` of `trials_b` draws share their
+    probabilities within 5 binomial sigma of the difference, at the pooled
+    share."""
+    a, b = np.asarray(a), np.asarray(b)
+    pooled = (a + b) / (trials_a + trials_b)
+    sigma = np.sqrt(pooled * (1 - pooled) * (1 / trials_a + 1 / trials_b))
+    assert (abs(a / trials_a - b / trials_b) <= 5 * sigma).all(), (a / trials_a, b / trials_b)
 
 
 def reference_interactions_csv(datasets):
@@ -1465,109 +1456,59 @@ class TestGenInteractions:
         with pytest.raises(DataError):
             gen_interactions(0, InteractionSpec(num_records=5), RandomSource(0))
 
+    def test_every_step_repeats_at_repeat_prob_1(self):
+        spec = InteractionSpec(num_records=300, min_history=1, max_history=6, repeat_prob=1.0)
+        got = gen_interactions(40, spec, RandomSource(2))
+        steps = repeated_steps(got, successors_of(40, spec.pop_exponent, RandomSource(2)))
+        assert steps[0] == steps[1] == len(got.items) - len(got)
+
+    @pytest.mark.parametrize("history", [1, 3, 8])
+    def test_one_history_length_fixes_every_size(self, history):
+        spec = InteractionSpec(num_records=200, min_history=history, max_history=history)
+        assert (gen_interactions(30, spec, RandomSource(history)).sizes == history + 1).all()
+
+    @pytest.mark.parametrize("n,spec", [
+        (2000, InteractionSpec(20_000, 2, 5, pop_exponent=1.0, repeat_prob=0.6)),
+        (50, InteractionSpec(20_000, 1, 8, pop_exponent=1.7, repeat_prob=0.3)),
+        (7, InteractionSpec(20_000, 3, 4, pop_exponent=0.5, repeat_prob=0.0)),
+    ], ids=["2000-items", "50-items", "7-items"])
+    def test_draws_the_reference_process(self, n, spec):
+        """History lengths, first items and successor repeats are those of
+        the scalar generator, within 5 binomial sigma."""
+        got = gen_interactions(n, spec, RandomSource(n))
+        want = searchsorted_interactions(n, spec, RandomSource(n))
+        lengths = [np.bincount(ds.sizes - 1, minlength=spec.max_history + 1)[spec.min_history:]
+                   for ds in (got, want)]
+        assert_same_share(lengths[0], spec.num_records, lengths[1], spec.num_records)
+        # first items by rank bucket [2**b - 1, 2**(b + 1) - 1), so that each
+        # bucket holds enough popularity to count
+        bucket = np.log2(np.arange(1, n + 1)).astype(int)
+        popularity = np.bincount(bucket, popularity_of(n, spec.pop_exponent))
+        for ds in (got, want):
+            first = np.bincount(bucket[ds.items[np.cumsum(ds.sizes) - ds.sizes]],
+                                minlength=len(popularity))
+            sigma = np.sqrt(spec.num_records * popularity * (1 - popularity))
+            assert (abs(first - spec.num_records * popularity) <= 5 * sigma).all()
+        successors = successors_of(n, spec.pop_exponent, RandomSource(n))
+        (steps, repeats), (want_steps, want_repeats) = (repeated_steps(ds, successors)
+                                                        for ds in (got, want))
+        assert_same_share(repeats, steps, want_repeats, want_steps)
+
     SPECS = [(pop_exponent, repeat_prob) for pop_exponent in (0.5, 1.0, 1.7)
              for repeat_prob in (0.0, 0.6, 1.0)]
-
-    @staticmethod
-    def choice_case(n, pop_exponent, repeat_prob):
-        spec = InteractionSpec(num_records=150, pop_exponent=pop_exponent, repeat_prob=repeat_prob)
-        return spec, n + int(10 * pop_exponent) + int(10 * repeat_prob)
-
-    @pytest.mark.parametrize("n", [1, 7, 2000])
-    def test_matches_choice_reference(self, n):
-        items = [f"i{k}" for k in range(n)]
-        for pop_exponent, repeat_prob in self.SPECS:
-            spec, seed = self.choice_case(n, pop_exponent, repeat_prob)
-            got = gen_interactions(n, spec, RandomSource(seed), "test")
-            want = reference_interactions(items, spec, RandomSource(seed))
-            assert got.split == "test"
-            assert records_of(got, items) == want, (pop_exponent, repeat_prob)
-
-    @pytest.mark.parametrize("n", [1, 7, 2000, 100_000])
-    def test_matches_searchsorted_draws(self, n):
-        for k, (pop_exponent, repeat_prob) in enumerate(self.SPECS):
-            spec = InteractionSpec(num_records=300, min_history=1 + k % 3, max_history=2 + k,
-                                   pop_exponent=pop_exponent, repeat_prob=repeat_prob)
-            got = gen_interactions(n, spec, RandomSource(n + k), "test")
-            assert same(got, searchsorted_interactions(n, spec, RandomSource(n + k), "test")), k
-
-    @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(1, 3000), records=st.integers(1, 300),
-           bounds=st.lists(st.integers(1, 8), min_size=2, max_size=2).map(sorted),
-           pop_exponent=st.floats(0, 2, exclude_min=True),
-           repeat_prob=st.sampled_from([0.0, 1.0]) | st.floats(0, 1),
-           seed=st.integers(0, 2**64 - 1))
-    def test_matches_scalar_draws(self, n, records, bounds, pop_exponent, repeat_prob, seed):
-        spec = InteractionSpec(records, *bounds, pop_exponent, repeat_prob)
-        got = gen_interactions(n, spec, RandomSource(seed), "test")
-        assert same(got, searchsorted_interactions(n, spec, RandomSource(seed), "test"))
-
-    @staticmethod
-    def start_streams(monkeypatch, uinteger=None, first_word=None):
-        """Make every RandomSource generator start with the 32-bit half
-        `uinteger` cached, if given, and with the 64-bit word `first_word`."""
-        generator = RandomSource.generator
-
-        def patched(self):
-            gen = generator(self)
-            state = gen.bit_generator.state
-            if uinteger is not None:
-                state.update(has_uint32=1, uinteger=uinteger)
-            if first_word is not None:
-                state["state"]["state"] = pcg64_state_before(first_word, state["state"]["inc"])
-            gen.bit_generator.state = state
-            return gen
-
-        monkeypatch.setattr(RandomSource, "generator", patched)
-
-    @pytest.mark.parametrize("uinteger", [0, 0xAAAAAAAB, 2**31, 2**32 - 1])
-    def test_cached_half(self, monkeypatch, uinteger):
-        # for k = 3 Lemire's method rejects a half h when 3 * h % 2**32 is
-        # below (2**32 - 3) % 3 = 1, so it rejects 0 and accepts 0xAAAAAAAB (1)
-        self.start_streams(monkeypatch, uinteger=uinteger)
-        gen = RandomSource(0).generator()
-        gen.integers(2, 5)
-        # only a rejected cached half leaves a fresh word's high half cached
-        assert gen.bit_generator.state["has_uint32"] == (uinteger == 0)
-        for seed, repeat_prob in enumerate((0.0, 0.6, 1.0)):
-            spec = InteractionSpec(50, 2, 4, repeat_prob=repeat_prob)
-            got = gen_interactions(30, spec, RandomSource(seed))
-            assert same(got, searchsorted_interactions(30, spec, RandomSource(seed))), repeat_prob
-
-    def test_rejections_past_the_word_budget(self, monkeypatch):
-        """A first word of 0 has both halves rejected, so the size takes two
-        words, and a record of three fresh steps reads 2 + 1 + 6 words, one
-        more than the 2 * max_history + 2 read for it at first."""
-        self.start_streams(monkeypatch, first_word=0)
-        assert RandomSource(0).generator().bit_generator.random_raw() == 0
-        spec = InteractionSpec(1, 1, 3, repeat_prob=0.0)
-        histories = []
-        for seed in range(12):
-            got = gen_interactions(5, spec, RandomSource(seed))
-            assert same(got, searchsorted_interactions(5, spec, RandomSource(seed))), seed
-            histories.append(int(got.sizes[0]) - 1)
-        assert 3 in histories
-
-    @pytest.mark.parametrize("uinteger", [None, 0, 2**32 - 1])
-    def test_one_history_length_draws_no_integer(self, monkeypatch, uinteger):
-        self.start_streams(monkeypatch, uinteger=uinteger)
-        for seed, history in enumerate((1, 3, 8)):
-            spec = InteractionSpec(40, history, history, repeat_prob=0.5)
-            got = gen_interactions(20, spec, RandomSource(seed))
-            assert same(got, searchsorted_interactions(20, spec, RandomSource(seed))), history
 
     @pytest.mark.parametrize("n", [1, 7, 2000])
     def test_saved_file_matches_reference_writer(self, n, tmp_path):
         """save_interactions of generated rows writes the bytes that the
-        writer of id records wrote for the reference generator's records."""
+        writer of id records writes for the same records."""
         items = [f"i{k}" for k in range(n)]
         table = sid_table(np.array(items), np.zeros((n, CFG.num_layers), dtype=np.int64), CFG)
-        for pop_exponent, repeat_prob in self.SPECS:
-            spec, seed = self.choice_case(n, pop_exponent, repeat_prob)
+        for seed, (pop_exponent, repeat_prob) in enumerate(self.SPECS):
+            spec = InteractionSpec(num_records=150, pop_exponent=pop_exponent,
+                                   repeat_prob=repeat_prob)
             got = [gen_interactions(n, spec, RandomSource(seed + k), split)
                    for k, split in enumerate(("train", "test"))]
-            want = [(reference_interactions(items, spec, RandomSource(seed + k)), split)
-                    for k, split in enumerate(("train", "test"))]
+            want = [(records_of(ds, items), ds.split) for ds in got]
             save_interactions(tmp_path / "interactions.csv", got, table)
             assert ((tmp_path / "interactions.csv").read_bytes()
                     == reference_interactions_csv(want).encode()), (pop_exponent, repeat_prob)
