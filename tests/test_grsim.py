@@ -353,6 +353,27 @@ def searchsorted_interactions(num_items, spec, rng, split="train"):
     return InteractionDataset(items, sizes, split)
 
 
+def documented_order_interactions(num_items, spec, rng, split="train"):
+    """The records drawn record by record from the calls that
+    `gen_interactions` documents, in the order it documents them."""
+    n = int(num_items)
+    successors = successors_of(n, spec.pop_exponent, rng).tolist()
+    gen = rng.split(2)[1].generator()
+    cdf = popularity_of(n, spec.pop_exponent).cumsum()
+    cdf /= cdf[-1]
+    sizes = gen.integers(spec.min_history, spec.max_history + 1, size=spec.num_records) + 1
+    seqs = [[int(i)] for i in cdf.searchsorted(gen.random(spec.num_records), side="right")]
+    for c in range(1, spec.max_history + 1):
+        drawing = [seq for seq, size in zip(seqs, sizes) if size > c]
+        steps = gen.random(len(drawing))
+        fresh = iter(cdf.searchsorted(gen.random(np.count_nonzero(steps >= spec.repeat_prob)),
+                                      side="right").tolist())
+        for seq, step in zip(drawing, steps):
+            seq.append(next(fresh) if step >= spec.repeat_prob else successors[seq[-1]])
+    items = np.array([i for seq in seqs for i in seq], dtype=np.int64)
+    return InteractionDataset(items, sizes, split)
+
+
 def repeated_steps(data, successors):
     """The steps after each record's first item, and how many of them
     repeat the successor of the item before."""
@@ -1455,6 +1476,25 @@ class TestGenInteractions:
     def test_empty_catalog(self):
         with pytest.raises(DataError):
             gen_interactions(0, InteractionSpec(num_records=5), RandomSource(0))
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_labels_split(self, split):
+        assert gen_interactions(5, InteractionSpec(num_records=3), RandomSource(0), split).split \
+            == split
+
+    def test_one_item_catalog(self):
+        got = gen_interactions(1, InteractionSpec(num_records=40, repeat_prob=0.5), RandomSource(4))
+        assert len(got) == 40 and (got.items == 0).all()
+
+    def test_draws_in_the_documented_order(self):
+        for seed, (pop_exponent, repeat_prob) in enumerate(self.SPECS):
+            for n in (1, 7, 2000):
+                spec = InteractionSpec(num_records=150, min_history=1 + seed % 3,
+                                       max_history=2 + seed, pop_exponent=pop_exponent,
+                                       repeat_prob=repeat_prob)
+                got = gen_interactions(n, spec, RandomSource(n + seed), "test")
+                want = documented_order_interactions(n, spec, RandomSource(n + seed), "test")
+                assert same(got, want), (n, pop_exponent, repeat_prob)
 
     def test_every_step_repeats_at_repeat_prob_1(self):
         spec = InteractionSpec(num_records=300, min_history=1, max_history=6, repeat_prob=1.0)
